@@ -9,7 +9,6 @@ certifies the closed forms.
 from .bounds import det_limit, det_upper_bound, kappa_star, minimize_det_bound
 from .errors import (
     AmpurifyError,
-    ConvergenceError,
     DomainError,
     NonConvergentError,
     QuadratureError,
@@ -40,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmpurifyError",
-    "ConvergenceError",
     "DomainError",
     "MultimodeTask",
     "NoisyEnsemble",

@@ -48,7 +48,8 @@ EXIT_VERIFY = 5
 #: CSV column order; the header line is part of the CLI contract
 CSV_HEADER = "axis_value,g_prime,f_det,f_prob,f_cft,regime,cosh_r,y,cos_theta,z"
 
-_AXIS_DEST = {"g": "g", "lambda": "lam", "mu": "mu", "n": "n", "m": "m"}
+#: sweep axis name -> the MultimodeTask field it runs over
+_AXIS_FIELD = {"g": "g", "lambda": "lam", "mu": "mu", "n": "n_in", "m": "m_out"}
 _INT_AXES = ("n", "m")
 
 
@@ -71,7 +72,7 @@ class SweepSpec:
     fixed: MultimodeTask
 
     def __post_init__(self) -> None:
-        if self.axis not in _AXIS_DEST:
+        if self.axis not in _AXIS_FIELD:
             raise DomainError(f"unknown sweep axis {self.axis!r}")
         if not self.start < self.stop:
             raise DomainError(
@@ -93,17 +94,8 @@ class SweepSpec:
         return [float(v) for v in raw]
 
     def task_at(self, value: float) -> MultimodeTask:
-        fields = {
-            "lam": self.fixed.lam,
-            "mu": self.fixed.mu,
-            "g": self.fixed.g,
-            "n_in": self.fixed.n_in,
-            "m_out": self.fixed.m_out,
-        }
-        dest = _AXIS_DEST[self.axis]
-        key = {"lam": "lam", "mu": "mu", "g": "g", "n": "n_in", "m": "m_out"}[dest]
-        fields[key] = int(value) if self.axis in _INT_AXES else value
-        return MultimodeTask(**fields)
+        value = int(value) if self.axis in _INT_AXES else value
+        return MultimodeTask(**{**vars(self.fixed), _AXIS_FIELD[self.axis]: value})
 
 
 # ---------------------------------------------------------------------------
@@ -115,12 +107,8 @@ def _f5(v: float) -> str:
     return format(float(v), ".5g")
 
 
-def _f10(v: float) -> str:
-    return format(float(v), ".10g")
-
-
 def _opt10(v: float | None) -> str:
-    return "" if v is None else _f10(v)
+    return "" if v is None else format(float(v), ".10g")
 
 
 def _regime_label(ens: NoisyEnsemble) -> str:
@@ -221,27 +209,42 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _sweep_row(value: float, task: MultimodeTask) -> dict:
+    """One sweep row, keyed by the CSV header (None where a knob is unset)."""
+    ens = reduce(task)
+    report = formulas.fidelity_report(ens)
+    tuning = formulas.tune(ens)
+    return {
+        "axis_value": value,
+        "g_prime": ens.g_prime,
+        "f_det": report.det,
+        "f_prob": report.prob,
+        "f_cft": report.cft,
+        "regime": _regime_label(ens),
+        "cosh_r": tuning.cosh_r,
+        "y": tuning.y,
+        "cos_theta": tuning.cos_theta,
+        "z": tuning.z,
+    }
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
-    dest = _AXIS_DEST[args.axis]
-    if getattr(args, dest) is not None:
+    fields = {"lam": args.lam, "mu": args.mu, "g": args.g, "n_in": args.n, "m_out": args.m}
+    swept = _AXIS_FIELD[args.axis]
+    if fields[swept] is not None:
         raise _UsageError(
             f"--{args.axis} cannot be fixed while sweeping --axis {args.axis}"
         )
-    fields = {"lam": args.lam, "mu": args.mu, "g": args.g}
-    fields[dest] = 1.0  # placeholder on the swept axis; rows overwrite it
-    for name, value in fields.items():
-        if value is None:
+    # placeholder on the swept axis; rows overwrite it
+    fields[swept] = 1 if args.axis in _INT_AXES else 1.0
+    for name in ("lam", "mu", "g"):
+        if fields[name] is None:
             flag = "lambda" if name == "lam" else name
             raise _UsageError(f"--{flag} is required when sweeping --axis {args.axis}")
-    n_in = 1 if args.n is None else args.n
-    m_out = 1 if args.m is None else args.m
-    if dest == "n":
-        n_in = 1
-    if dest == "m":
-        m_out = 1
-    fixed = MultimodeTask(
-        lam=fields["lam"], mu=fields["mu"], g=fields["g"], n_in=n_in, m_out=m_out
-    )
+    for name in ("n_in", "m_out"):
+        if fields[name] is None:
+            fields[name] = 1
+    fixed = MultimodeTask(**fields)
     try:
         # Bad start/stop/steps come straight from the flags, so they are
         # usage errors (exit 2), not domain errors.
@@ -255,55 +258,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.out is None and not args.json:
         raise _UsageError("sweep needs --out PATH and/or --json")
 
-    rows = []
-    for value in values:
-        task = spec.task_at(value)
-        ens = reduce(task)
-        report = formulas.fidelity_report(ens)
-        tuning = formulas.tune(ens)
-        rows.append((value, ens, report, tuning))
+    rows = [_sweep_row(value, spec.task_at(value)) for value in values]
 
     if args.out is not None:
+        keys = CSV_HEADER.split(",")
         lines = [CSV_HEADER]
-        for value, ens, report, tuning in rows:
+        for row in rows:
             lines.append(
-                ",".join(
-                    (
-                        _f10(value),
-                        _f10(ens.g_prime),
-                        _f10(report.det),
-                        _f10(report.prob),
-                        _f10(report.cft),
-                        _regime_label(ens),
-                        _opt10(tuning.cosh_r),
-                        _opt10(tuning.y),
-                        _opt10(tuning.cos_theta),
-                        _f10(tuning.z),
-                    )
-                )
+                ",".join(row[k] if k == "regime" else _opt10(row[k]) for k in keys)
             )
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
 
     if args.json:
-        result = {
-            "axis": spec.axis,
-            "rows": [
-                {
-                    "axis_value": value,
-                    "g_prime": ens.g_prime,
-                    "f_det": report.det,
-                    "f_prob": report.prob,
-                    "f_cft": report.cft,
-                    "regime": _regime_label(ens),
-                    "cosh_r": tuning.cosh_r,
-                    "y": tuning.y,
-                    "cos_theta": tuning.cos_theta,
-                    "z": tuning.z,
-                }
-                for value, ens, report, tuning in rows
-            ],
-        }
+        result = {"axis": spec.axis, "rows": rows}
         params = _task_params(spec.fixed)
         params.update(
             {"axis": spec.axis, "start": spec.start, "stop": spec.stop, "steps": spec.steps}
@@ -458,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--json", action="store_true", help="emit a JSON envelope")
 
     p_sweep = sub.add_parser("sweep", help="sweep one axis to CSV/JSON")
-    p_sweep.add_argument("--axis", choices=sorted(_AXIS_DEST), required=True)
+    p_sweep.add_argument("--axis", choices=sorted(_AXIS_FIELD), required=True)
     p_sweep.add_argument("--start", type=float, required=True)
     p_sweep.add_argument("--stop", type=float, required=True)
     p_sweep.add_argument("--steps", type=_positive_int, required=True)

@@ -17,10 +17,6 @@ class QuadratureError(AmpurifyError):
     """The quadrature grid cannot resolve the requested integral."""
 
 
-class ConvergenceError(AmpurifyError):
-    """A refinement ladder hit its cap without meeting the tolerance."""
-
-
 class RootError(AmpurifyError):
     """The characteristic roots of a bound workspace are complex or degenerate."""
 

@@ -27,12 +27,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import gammaincc, gammaln, roots_laguerre
 
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    QuadratureError,
-    TruncationError,
-)
+from .errors import DomainError, QuadratureError, TruncationError
 from .params import NoisyEnsemble
 
 #: quadrature weights below this are skipped (they underflow any integrand)
@@ -341,14 +336,29 @@ def apply_heterodyne_mp(rho: FockDensity, z: float, grid: QuadratureGrid) -> Foc
     return FockDensity(dim, out)
 
 
-def _avg_fidelity_once(
+def avg_fidelity_numeric(
     ens: NoisyEnsemble,
     channel: Callable[[FockDensity], FockDensity],
-    dim: int,
-    radial_nodes: int,
-    probabilistic: bool,
-    angular_nodes: int | None,
+    dim: int = 64,
+    radial_nodes: int = 80,
+    *,
+    probabilistic: bool = False,
+    angular_nodes: int | None = None,
 ) -> float:
+    """Gaussian-prior average fidelity of an arbitrary Fock-space channel.
+
+    For each radial node t, the input D(alpha) rho_th D^dag with
+    alpha = sqrt(t / lambda') is pushed through ``channel`` and projected on
+    the target |g' alpha>.  The caller declares the channel phase covariant,
+    which justifies the radial-only reduction; pass ``angular_nodes`` to
+    re-check that numerically with a full polar grid.
+
+    probabilistic=True returns the ratio form: prior-averaged numerator over
+    prior-averaged success weight (output trace), matching how heralded
+    filter protocols are scored.
+    """
+    if dim < 2 or radial_nodes < 2:
+        raise DomainError("need dim >= 2 and radial_nodes >= 2")
     t_nodes, w_nodes = roots_laguerre(radial_nodes)
     nbar = 1.0 / ens.mu
     if angular_nodes:
@@ -372,50 +382,6 @@ def _avg_fidelity_once(
         num += w * f_avg / phases.size
         den += w * p_avg / phases.size
     return num / den if probabilistic else num
-
-
-def avg_fidelity_numeric(
-    ens: NoisyEnsemble,
-    channel: Callable[[FockDensity], FockDensity],
-    dim: int = 64,
-    radial_nodes: int = 80,
-    *,
-    probabilistic: bool = False,
-    angular_nodes: int | None = None,
-    conv_tol: float | None = None,
-) -> float:
-    """Gaussian-prior average fidelity of an arbitrary Fock-space channel.
-
-    For each radial node t, the input D(alpha) rho_th D^dag with
-    alpha = sqrt(t / lambda') is pushed through ``channel`` and projected on
-    the target |g' alpha>.  The caller declares the channel phase covariant,
-    which justifies the radial-only reduction; pass ``angular_nodes`` to
-    re-check that numerically with a full polar grid.
-
-    probabilistic=True returns the ratio form: prior-averaged numerator over
-    prior-averaged success weight (output trace), matching how heralded
-    filter protocols are scored.  conv_tol activates a doubling ladder
-    (dim up to 256, radial nodes alongside) and raises ConvergenceError if
-    successive refinements still move the value by more than conv_tol.
-    """
-    if dim < 2 or radial_nodes < 2:
-        raise DomainError("need dim >= 2 and radial_nodes >= 2")
-    value = _avg_fidelity_once(ens, channel, dim, radial_nodes, probabilistic, angular_nodes)
-    if conv_tol is None:
-        return value
-    while True:
-        if dim >= 256:
-            raise ConvergenceError(
-                f"not converged to {conv_tol:g} at the dim=256 ladder cap"
-            )
-        dim = min(2 * dim, 256)
-        radial_nodes = min(2 * radial_nodes, 320)
-        refined = _avg_fidelity_once(
-            ens, channel, dim, radial_nodes, probabilistic, angular_nodes
-        )
-        if abs(refined - value) <= conv_tol:
-            return refined
-        value = refined
 
 
 def fit_thermal_nbar(rho: FockDensity) -> float:

@@ -5,16 +5,19 @@ route: worked values frozen from hand derivations, golden-section scans of
 one-parameter protocols, random-matrix spectral identities, and (at the
 ``full`` level) the truncated Fock-space oracle grids.
 
-Two check patterns are used:
+The checks live in two tables, ``FAST_CHECKS`` and ``FULL_CHECKS``; the
+``full`` level runs both.  An entry is a function of the run's
+``(seed, dim)`` followed by the ``(name, tolerance)`` of each result it
+reports: one ``(expected, observed)`` pair, or for a grouped entry one pair
+per name from a single shared computation.  ``run_suite`` runs a table in
+order; a result passes when |expected - observed| <= tolerance.  Results
+ending in ``_shortfall`` are one-sided: they report how far a required
+margin was undershot, which must be exactly zero.
 
-* agreement checks compare two independently computed numbers under an
-  absolute or relative tolerance;
-* one-sided checks (names ending in ``_shortfall``) report how far a
-  required margin was undershot; the shortfall must be exactly zero.
-
-Each check carries its wall time for profiling, but timings are kept out
-of ``render`` and ``to_json_dict`` so that repeated runs with the same
-arguments produce byte-identical reports.
+A function that raises fails each of its results and records the exception
+in ``CheckResult.error``.  Wall times (a group's charged to its first
+result) are kept out of ``render`` and ``to_json_dict``, so repeated runs
+with the same arguments produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -46,19 +49,26 @@ _LAM_MU = tuple((lam, mu) for lam in (0.5, 1.0, 2.0) for mu in (0.5, 1.0, 2.0))
 #: above, where the probabilistic and deterministic curves touch
 _WINDOW_FRACTIONS = (0.15, 0.62, 0.9)
 
+#: smallest margin the one-sided advantage and quantum-vs-classical checks
+#: accept before they report a shortfall
+_MARGIN_FLOOR = 1e-6
+
 #: oracle grid of the full level: photon numbers, with gain rungs taken
 #: relative to each point's deterministic threshold
 _ORACLE_N_C = (0.5, 1.0, 2.0)
 _ORACLE_N_T = (0.25, 0.5, 1.0)
 
+Pair = tuple[float, float]
+
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One named verification check.
+    """One named verification result.
 
-    ``passed`` means |expected - observed| <= tolerance, with the tolerance
-    scaled by |expected| when ``relative`` is set.  ``wall_time_ms`` is
-    informational only and never rendered into the deterministic outputs.
+    ``passed`` means |expected - observed| <= tolerance; ``relative`` is
+    always False and stays for the report format.  ``wall_time_ms`` is never
+    rendered into the deterministic outputs.  ``error`` holds
+    ``"<ExcType>: <message>"`` when the check function raised, else None.
     """
 
     name: str
@@ -68,6 +78,7 @@ class CheckResult:
     relative: bool
     passed: bool
     wall_time_ms: float
+    error: str | None = None
 
 
 @dataclass
@@ -84,7 +95,11 @@ class VerifyReport:
         return all(c.passed for c in self.checks)
 
     def to_json_dict(self) -> dict:
-        """JSON payload; deliberately excludes timings for reproducibility."""
+        """JSON payload; deliberately excludes timings for reproducibility.
+
+        A crashed check carries its ``error`` and a null ``observed``, so the
+        payload holds no non-standard NaN token for it.
+        """
         return {
             "level": self.level,
             "seed": self.seed,
@@ -94,10 +109,11 @@ class VerifyReport:
                 {
                     "name": c.name,
                     "expected": c.expected,
-                    "observed": c.observed,
+                    "observed": None if c.error else c.observed,
                     "tolerance": c.tolerance,
                     "relative": c.relative,
                     "passed": c.passed,
+                    **({"error": c.error} if c.error else {}),
                 }
                 for c in self.checks
             ],
@@ -108,10 +124,10 @@ class VerifyReport:
         lines = [f"verification level={self.level} seed={self.seed} dim={self.dim}"]
         for c in self.checks:
             status = "PASS" if c.passed else "FAIL"
-            rel = " rel" if c.relative else ""
+            error = f" error: {c.error}" if c.error else ""
             lines.append(
                 f"{status} {c.name:<44} expected={c.expected:<22.16g} "
-                f"observed={c.observed:<22.16g} tol={c.tolerance:.3g}{rel}"
+                f"observed={c.observed:<22.16g} tol={c.tolerance:.3g}{error}"
             )
         n_pass = sum(c.passed for c in self.checks)
         lines.append(f"{n_pass}/{len(self.checks)} checks passed")
@@ -124,37 +140,6 @@ class VerifyReport:
             lines.append(f"  {c.name:<44} {c.wall_time_ms:9.2f}")
         lines.append(f"  {'total':<44} {sum(c.wall_time_ms for c in self.checks):9.2f}")
         return "\n".join(lines)
-
-
-def _run(
-    report: VerifyReport,
-    name: str,
-    tolerance: float,
-    fn: Callable[[], tuple[float, float]],
-    relative: bool = False,
-) -> None:
-    t0 = time.perf_counter()
-    try:
-        expected, observed = fn()
-    except Exception:
-        # a crashed check is a failed check, not a crashed suite; NaN never
-        # satisfies the tolerance comparison below
-        expected, observed = 0.0, math.nan
-    ms = (time.perf_counter() - t0) * 1e3
-    expected, observed = float(expected), float(observed)
-    limit = tolerance * abs(expected) if relative else tolerance
-    passed = bool(abs(expected - observed) <= limit)
-    report.checks.append(
-        CheckResult(
-            name=name,
-            expected=float(expected),
-            observed=float(observed),
-            tolerance=tolerance,
-            relative=relative,
-            passed=passed,
-            wall_time_ms=ms,
-        )
-    )
 
 
 def _ens(lam: float, mu: float, g: float) -> NoisyEnsemble:
@@ -180,7 +165,7 @@ def _mp_value(ens: NoisyEnsemble, z: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _check_det_branch_join() -> tuple[float, float]:
+def _check_det_branch_join(seed: int, dim: int) -> Pair:
     worst = 0.0
     for lam, mu in _LAM_MU:
         book = photon_book(_ens(lam, mu, 1.0))
@@ -192,7 +177,7 @@ def _check_det_branch_join() -> tuple[float, float]:
     return 0.0, worst
 
 
-def _check_prob_branch_join() -> tuple[float, float]:
+def _check_prob_branch_join(seed: int, dim: int) -> Pair:
     worst = 0.0
     for lam, mu in _LAM_MU:
         book = photon_book(_ens(lam, mu, 1.0))
@@ -204,7 +189,7 @@ def _check_prob_branch_join() -> tuple[float, float]:
     return 0.0, worst
 
 
-def _check_unit_gain_join() -> tuple[float, float]:
+def _check_unit_gain_join(seed: int, dim: int) -> Pair:
     worst = 0.0
     for lam, mu in _LAM_MU:
         ens = _ens(lam, mu, 1.0)
@@ -212,7 +197,7 @@ def _check_unit_gain_join() -> tuple[float, float]:
     return 0.0, worst
 
 
-def _check_det_prob_coincide() -> tuple[float, float]:
+def _check_det_prob_coincide(seed: int, dim: int) -> Pair:
     worst = 0.0
     for lam, mu in _LAM_MU:
         det_thr, _ = thresholds(_ens(lam, mu, 1.0))
@@ -224,7 +209,7 @@ def _check_det_prob_coincide() -> tuple[float, float]:
     return 0.0, worst
 
 
-def _check_advantage_window(floor: float) -> tuple[float, float]:
+def _check_advantage_window(seed: int, dim: int) -> Pair:
     min_gap = math.inf
     for lam, mu in _LAM_MU:
         det_thr, _ = thresholds(_ens(lam, mu, 1.0))
@@ -234,10 +219,10 @@ def _check_advantage_window(floor: float) -> tuple[float, float]:
             min_gap = min(
                 min_gap, formulas.prob_fidelity(ens) - formulas.det_fidelity(ens)
             )
-    return 0.0, max(0.0, floor - min_gap)
+    return 0.0, max(0.0, _MARGIN_FLOOR - min_gap)
 
 
-def _check_tangency_point() -> tuple[float, float]:
+def _check_tangency_point(seed: int, dim: int) -> Pair:
     # the probabilistic advantage gap has a double root where the tuned
     # filter turns passive: g' = S/N_C, strictly inside the window
     worst = 0.0
@@ -248,17 +233,17 @@ def _check_tangency_point() -> tuple[float, float]:
     return 0.0, worst
 
 
-def _check_quantum_beats_classical(floor: float) -> tuple[float, float]:
+def _check_quantum_beats_classical(seed: int, dim: int) -> Pair:
     min_margin = math.inf
     for lam, mu in _LAM_MU:
         for g in (0.5, 0.9, 1.0, 1.4, 2.0, 3.0):
             ens = _ens(lam, mu, g)
             best = formulas.puri_fidelity(ens) if g <= 1.0 else formulas.prob_fidelity(ens)
             min_margin = min(min_margin, best - formulas.cft(ens))
-    return 0.0, max(0.0, floor - min_margin)
+    return 0.0, max(0.0, _MARGIN_FLOOR - min_margin)
 
 
-def _check_gaussian_noise_laws() -> tuple[float, float]:
+def _check_gaussian_noise_laws(seed: int, dim: int) -> Pair:
     worst = 0.0
     for nbar in (0.0, 0.5, 1.0, 3.0):
         state = DisplacedThermal(amp=0.7 + 0.2j, nbar=nbar)
@@ -280,96 +265,60 @@ _ATTEN_SCAN = ((1.0, 1.0, 0.7), (0.5, 0.5, 0.9), (2.0, 2.0, 0.4))
 _MP_SCAN = ((1.0, 1.0, 2.0), (0.5, 2.0, 0.8), (2.0, 0.5, 1.5))
 
 
-def _check_squeezer_scan_value() -> tuple[float, float]:
-    worst = 0.0
+def _check_squeezer_scan(seed: int, dim: int) -> tuple[Pair, Pair]:
+    # one scan per point feeds both the attained value and the argmax
+    worst_value = worst_arg = 0.0
     for lam, mu, g in _SQUEEZE_SCAN:
         ens = _ens(lam, mu, g)
         target = formulas.det_fidelity(ens)
         r_star = math.acosh(formulas.tune(ens).cosh_r)
-        _, best = _scan_max(
+        r_num, best = _scan_max(
             lambda r, e=ens: avg_fidelity_gaussian(
                 e, ChannelParam(ChannelKind.TWO_MODE_SQUEEZE, r)
             ),
             0.0,
             2.0 * r_star + 1.0,
         )
-        worst = max(worst, abs(best - target) / target)
-    return 0.0, worst
+        worst_value = max(worst_value, abs(best - target) / target)
+        worst_arg = max(worst_arg, abs(math.cosh(r_num) - math.cosh(r_star)))
+    return (0.0, worst_value), (0.0, worst_arg)
 
 
-def _check_squeezer_scan_argmax() -> tuple[float, float]:
-    worst = 0.0
-    for lam, mu, g in _SQUEEZE_SCAN:
-        ens = _ens(lam, mu, g)
-        r_star = math.acosh(formulas.tune(ens).cosh_r)
-        r_num, _ = _scan_max(
-            lambda r, e=ens: avg_fidelity_gaussian(
-                e, ChannelParam(ChannelKind.TWO_MODE_SQUEEZE, r)
-            ),
-            0.0,
-            2.0 * r_star + 1.0,
-        )
-        worst = max(worst, abs(math.cosh(r_num) - math.cosh(r_star)))
-    return 0.0, worst
-
-
-def _check_attenuator_scan_value() -> tuple[float, float]:
-    worst = 0.0
+def _check_attenuator_scan(seed: int, dim: int) -> tuple[Pair, Pair]:
+    worst_value = worst_arg = 0.0
     for lam, mu, g in _ATTEN_SCAN:
         ens = _ens(lam, mu, g)
         target = formulas.puri_fidelity(ens)
-        _, best = _scan_max(
+        theta_num, best = _scan_max(
             lambda th, e=ens: avg_fidelity_gaussian(
                 e, ChannelParam(ChannelKind.ATTENUATE, th)
             ),
             0.0,
             math.pi / 2.0,
         )
-        worst = max(worst, abs(best - target) / target)
-    return 0.0, worst
+        worst_value = max(worst_value, abs(best - target) / target)
+        worst_arg = max(worst_arg, abs(math.cos(theta_num) - formulas.tune(ens).cos_theta))
+    return (0.0, worst_value), (0.0, worst_arg)
 
 
-def _check_attenuator_scan_argmax() -> tuple[float, float]:
-    worst = 0.0
-    for lam, mu, g in _ATTEN_SCAN:
-        ens = _ens(lam, mu, g)
-        theta_num, _ = _scan_max(
-            lambda th, e=ens: avg_fidelity_gaussian(
-                e, ChannelParam(ChannelKind.ATTENUATE, th)
-            ),
-            0.0,
-            math.pi / 2.0,
-        )
-        worst = max(worst, abs(math.cos(theta_num) - formulas.tune(ens).cos_theta))
-    return 0.0, worst
-
-
-def _check_mp_scan_value() -> tuple[float, float]:
-    worst = 0.0
+def _check_mp_scan(seed: int, dim: int) -> tuple[Pair, Pair]:
+    worst_value = worst_arg = 0.0
     for lam, mu, g in _MP_SCAN:
         ens = _ens(lam, mu, g)
         target = formulas.cft(ens)
-        _, best = _scan_max(lambda z, e=ens: _mp_value(e, z), 1e-9, 2.0 * g + 1.0)
-        worst = max(worst, abs(best - target) / target)
-    return 0.0, worst
+        z_num, best = _scan_max(lambda z, e=ens: _mp_value(e, z), 1e-9, 2.0 * g + 1.0)
+        worst_value = max(worst_value, abs(best - target) / target)
+        worst_arg = max(worst_arg, abs(z_num - formulas.tune(ens).z))
+    return (0.0, worst_value), (0.0, worst_arg)
 
 
-def _check_mp_scan_argmax() -> tuple[float, float]:
-    worst = 0.0
-    for lam, mu, g in _MP_SCAN:
-        ens = _ens(lam, mu, g)
-        z_num, _ = _scan_max(lambda z, e=ens: _mp_value(e, z), 1e-9, 2.0 * g + 1.0)
-        worst = max(worst, abs(z_num - formulas.tune(ens).z))
-    return 0.0, worst
-
-
-def _check_photon_det_worked() -> tuple[float, float]:
+def _check_photon_det_worked(seed: int, dim: int) -> Pair:
     task = MultimodeTask(lam=0.5, mu=2.0, g=2.0)
     _, n_single = formulas.photon_output_det(task)
     return 47.0 / 49.0, n_single
 
 
-def _check_photon_prob_passive() -> tuple[float, float]:
+def _check_photon_prob_passive(seed: int, dim: int) -> Pair:
     worst = 0.0
     for lam, mu in _LAM_MU:
         task = MultimodeTask(lam=lam, mu=mu, g=1.2)
@@ -378,7 +327,7 @@ def _check_photon_prob_passive() -> tuple[float, float]:
     return 0.0, worst
 
 
-def _check_circulant_dense(seed: int) -> tuple[float, float]:
+def _check_circulant_dense(seed: int, dim: int) -> Pair:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(100):
@@ -396,13 +345,14 @@ def _check_circulant_dense(seed: int) -> tuple[float, float]:
     return 0.0, worst
 
 
-def _check_root_worked_point() -> tuple[float, float]:
+def _check_root_worked_point(seed: int, dim: int) -> Pair:
     w = bounds.coeffs(_ens(1.0, 1.0, 1.0), 0.5)
     return 2.25, w.y_plus
 
 
-def _check_kappa_star_search() -> tuple[float, float]:
-    worst = 0.0
+def _check_det_bound_minimum(seed: int, dim: int) -> tuple[Pair, Pair]:
+    # one minimisation per point feeds both the minimiser and the minimum
+    worst_kappa = worst_value = 0.0
     for lam, mu in _LAM_MU:
         ens1 = _ens(lam, mu, 1.0)
         det_thr, _ = thresholds(ens1)
@@ -410,26 +360,13 @@ def _check_kappa_star_search() -> tuple[float, float]:
         tangency = book.total / book.n_c
         for g in (tangency, 0.5 * (tangency + det_thr), det_thr, det_thr + 0.5, 2.0 * det_thr):
             ens = _ens(lam, mu, g)
-            k_num, _ = bounds.minimize_det_bound(ens)
-            worst = max(worst, abs(k_num - bounds.kappa_star(ens)))
-    return 0.0, worst
+            k_num, f_num = bounds.minimize_det_bound(ens)
+            worst_kappa = max(worst_kappa, abs(k_num - bounds.kappa_star(ens)))
+            worst_value = max(worst_value, abs(f_num - formulas.det_fidelity(ens)))
+    return (0.0, worst_kappa), (0.0, worst_value)
 
 
-def _check_minimized_bound_det() -> tuple[float, float]:
-    worst = 0.0
-    for lam, mu in _LAM_MU:
-        ens1 = _ens(lam, mu, 1.0)
-        det_thr, _ = thresholds(ens1)
-        book = photon_book(ens1)
-        tangency = book.total / book.n_c
-        for g in (tangency, 0.5 * (tangency + det_thr), det_thr, det_thr + 0.5, 2.0 * det_thr):
-            ens = _ens(lam, mu, g)
-            _, f_num = bounds.minimize_det_bound(ens)
-            worst = max(worst, abs(f_num - formulas.det_fidelity(ens)))
-    return 0.0, worst
-
-
-def _check_bound_edge_prob() -> tuple[float, float]:
+def _check_bound_edge_prob(seed: int, dim: int) -> Pair:
     worst = 0.0
     for lam, mu in _LAM_MU:
         ens1 = _ens(lam, mu, 1.0)
@@ -443,7 +380,7 @@ def _check_bound_edge_prob() -> tuple[float, float]:
     return 0.0, worst
 
 
-def _check_below_window_edge() -> tuple[float, float]:
+def _check_below_window_edge(seed: int, dim: int) -> Pair:
     # below the tangency gain the admissible bound is edge-minimised and
     # certifies the probabilistic value, not the deterministic one
     worst = 0.0
@@ -458,7 +395,7 @@ def _check_below_window_edge() -> tuple[float, float]:
     return 0.0, worst
 
 
-def _check_det_limit_finite_product() -> tuple[float, float]:
+def _check_det_limit_finite_product(seed: int, dim: int) -> Pair:
     ens = _ens(1.0, 1.0, 2.5)
     w = bounds.coeffs(ens, 0.25)
     limit = bounds.det_limit(w)
@@ -466,12 +403,12 @@ def _check_det_limit_finite_product() -> tuple[float, float]:
     return 0.0, abs(finite - limit) / limit
 
 
-def _check_deficit_terms_worked() -> tuple[float, float]:
+def _check_deficit_terms_worked(seed: int, dim: int) -> Pair:
     _, e2 = bounds.amp_convergence_terms(_ens(1.0, 1.0, 1.5), 0.75, 10)
     return 0.375**11, e2
 
 
-def _check_filter_pole_rejected() -> tuple[float, float]:
+def _check_filter_pole_rejected(seed: int, dim: int) -> Pair:
     try:
         bounds.amp_convergence_terms(_ens(1.0, 1.0, 2.5), 1.5, 10)
     except NonConvergentError:
@@ -479,22 +416,23 @@ def _check_filter_pole_rejected() -> tuple[float, float]:
     return 1.0, 0.0
 
 
-def _check_fock_identity(dim: int) -> tuple[float, float]:
+def _check_fock_identity(seed: int, dim: int) -> Pair:
     ens = _ens(1.0, 1.0, 2.0)
     value = fock.avg_fidelity_numeric(ens, lambda rho: rho, dim=dim, radial_nodes=80)
     return 1.0 / 3.0, value
 
 
-def _check_fock_amplifier_noise() -> tuple[float, float]:
-    dim = 24
-    vac = np.zeros((dim, dim), dtype=complex)
+def _check_fock_amplifier_noise(seed: int, dim: int) -> Pair:
+    cutoff = 24
+    vac = np.zeros((cutoff, cutoff), dtype=complex)
     vac[0, 0] = 1.0
-    out = fock.apply_two_mode_squeezer(fock.FockDensity(dim, vac), 0.5, dim_anc=48)
+    out = fock.apply_two_mode_squeezer(fock.FockDensity(cutoff, vac), 0.5, dim_anc=48)
     n_mean = float(np.real(np.diag(out.mat) @ np.arange(out.dim)))
     return math.sinh(0.5) ** 2, n_mean
 
 
-def _check_fock_attenuator_amp(dim: int) -> tuple[float, float]:
+def _check_fock_attenuator_amp(seed: int, dim: int) -> Pair:
+    dim = max(dim, 48)
     theta, amp = 0.6, 1.2
     ket = fock.coherent_ket(amp, dim)
     out = fock.apply_attenuator(fock.FockDensity(dim, np.outer(ket, ket.conj())), theta)
@@ -503,7 +441,7 @@ def _check_fock_attenuator_amp(dim: int) -> tuple[float, float]:
     return 1.0, overlap
 
 
-def _check_fock_filter_prob(dim: int) -> tuple[float, float]:
+def _check_fock_filter_prob(seed: int, dim: int) -> Pair:
     ens = _ens(1.0, 1.0, 1.5)
     y = formulas.tune(ens).y
     spec = fock.FilterSpec(k_cut=30, y=y)
@@ -517,73 +455,57 @@ def _check_fock_filter_prob(dim: int) -> tuple[float, float]:
     return formulas.prob_fidelity(ens), value
 
 
-def _fast_suite(report: VerifyReport, seed: int, dim: int) -> None:
-    _run(report, "det_branches_join_at_threshold", 1e-12, _check_det_branch_join)
-    _run(report, "prob_branches_join_at_plateau", 1e-12, _check_prob_branch_join)
-    _run(report, "prob_meets_purification_at_unit_gain", 1e-12, _check_unit_gain_join)
-    _run(report, "det_prob_coincide_past_threshold", 1e-12, _check_det_prob_coincide)
-    _run(
-        report,
-        "prob_beats_det_inside_window_shortfall",
-        0.0,
-        lambda: _check_advantage_window(1e-6),
-    )
-    _run(report, "prob_det_tangent_at_passive_filter_gain", 1e-13, _check_tangency_point)
-    _run(
-        report,
-        "quantum_beats_classical_shortfall",
-        0.0,
-        lambda: _check_quantum_beats_classical(1e-6),
-    )
-    _run(
-        report,
-        "cft_worked_point_thermal",
-        1e-13,
-        lambda: (3.0 / 11.0, formulas.cft(_ens(1.0, 1.0, 2.0))),
-    )
-    _run(
-        report,
-        "det_worked_point_identity_branch",
-        1e-13,
-        lambda: (1.0 / 3.0, formulas.det_fidelity(_ens(1.0, 1.0, 2.0))),
-    )
-    _run(report, "gaussian_channel_noise_laws", 1e-12, _check_gaussian_noise_laws)
-    _run(report, "squeezer_scan_attains_det", 1e-9, _check_squeezer_scan_value)
-    _run(report, "squeezer_scan_argmax_matches_tuning", 1e-6, _check_squeezer_scan_argmax)
-    _run(report, "attenuator_scan_attains_puri", 1e-9, _check_attenuator_scan_value)
-    _run(report, "attenuator_scan_argmax_matches_tuning", 1e-6, _check_attenuator_scan_argmax)
-    _run(report, "heterodyne_scan_attains_cft", 1e-9, _check_mp_scan_value)
-    _run(report, "heterodyne_scan_argmax_matches_tuning", 1e-6, _check_mp_scan_argmax)
-    _run(report, "photon_output_det_worked_ratio", 1e-12, _check_photon_det_worked)
-    _run(report, "photon_output_prob_passive_filter", 1e-12, _check_photon_prob_passive)
-    _run(
-        report,
-        "circulant_eigs_match_dense_det",
-        1e-10,
-        lambda: _check_circulant_dense(seed),
-    )
-    _run(report, "root_worked_point_y_plus", 1e-12, _check_root_worked_point)
-    _run(report, "kappa_star_matches_search", 1e-8, _check_kappa_star_search)
-    _run(report, "minimized_bound_matches_det", 1e-12, _check_minimized_bound_det)
-    _run(report, "bound_edge_matches_prob", 1e-12, _check_bound_edge_prob)
-    _run(report, "below_window_minimum_sits_at_edge", 1e-9, _check_below_window_edge)
-    _run(
-        report,
-        "det_limit_matches_finite_product",
-        1e-3,
-        _check_det_limit_finite_product,
-    )
-    _run(report, "filter_deficit_terms_worked_point", 1e-15, _check_deficit_terms_worked)
-    _run(report, "filter_pole_rejected", 0.0, _check_filter_pole_rejected)
-    _run(report, "fock_identity_matches_closed_form", 1e-6, lambda: _check_fock_identity(dim))
-    _run(report, "fock_amplifier_adds_quantum_noise", 1e-10, _check_fock_amplifier_noise)
-    _run(
-        report,
-        "fock_attenuator_scales_amplitude",
-        1e-9,
-        lambda: _check_fock_attenuator_amp(max(dim, 48)),
-    )
-    _run(report, "fock_filter_approaches_prob", 1e-5, lambda: _check_fock_filter_prob(dim))
+FAST_CHECKS = (
+    (_check_det_branch_join, ("det_branches_join_at_threshold", 1e-12)),
+    (_check_prob_branch_join, ("prob_branches_join_at_plateau", 1e-12)),
+    (_check_unit_gain_join, ("prob_meets_purification_at_unit_gain", 1e-12)),
+    (_check_det_prob_coincide, ("det_prob_coincide_past_threshold", 1e-12)),
+    (_check_advantage_window, ("prob_beats_det_inside_window_shortfall", 0.0)),
+    (_check_tangency_point, ("prob_det_tangent_at_passive_filter_gain", 1e-13)),
+    (_check_quantum_beats_classical, ("quantum_beats_classical_shortfall", 0.0)),
+    (
+        lambda seed, dim: (3.0 / 11.0, formulas.cft(_ens(1.0, 1.0, 2.0))),
+        ("cft_worked_point_thermal", 1e-13),
+    ),
+    (
+        lambda seed, dim: (1.0 / 3.0, formulas.det_fidelity(_ens(1.0, 1.0, 2.0))),
+        ("det_worked_point_identity_branch", 1e-13),
+    ),
+    (_check_gaussian_noise_laws, ("gaussian_channel_noise_laws", 1e-12)),
+    (
+        _check_squeezer_scan,
+        ("squeezer_scan_attains_det", 1e-9),
+        ("squeezer_scan_argmax_matches_tuning", 1e-6),
+    ),
+    (
+        _check_attenuator_scan,
+        ("attenuator_scan_attains_puri", 1e-9),
+        ("attenuator_scan_argmax_matches_tuning", 1e-6),
+    ),
+    (
+        _check_mp_scan,
+        ("heterodyne_scan_attains_cft", 1e-9),
+        ("heterodyne_scan_argmax_matches_tuning", 1e-6),
+    ),
+    (_check_photon_det_worked, ("photon_output_det_worked_ratio", 1e-12)),
+    (_check_photon_prob_passive, ("photon_output_prob_passive_filter", 1e-12)),
+    (_check_circulant_dense, ("circulant_eigs_match_dense_det", 1e-10)),
+    (_check_root_worked_point, ("root_worked_point_y_plus", 1e-12)),
+    (
+        _check_det_bound_minimum,
+        ("kappa_star_matches_search", 1e-8),
+        ("minimized_bound_matches_det", 1e-12),
+    ),
+    (_check_bound_edge_prob, ("bound_edge_matches_prob", 1e-12)),
+    (_check_below_window_edge, ("below_window_minimum_sits_at_edge", 1e-9)),
+    (_check_det_limit_finite_product, ("det_limit_matches_finite_product", 1e-3)),
+    (_check_deficit_terms_worked, ("filter_deficit_terms_worked_point", 1e-15)),
+    (_check_filter_pole_rejected, ("filter_pole_rejected", 0.0)),
+    (_check_fock_identity, ("fock_identity_matches_closed_form", 1e-6)),
+    (_check_fock_amplifier_noise, ("fock_amplifier_adds_quantum_noise", 1e-10)),
+    (_check_fock_attenuator_amp, ("fock_attenuator_scales_amplitude", 1e-9)),
+    (_check_fock_filter_prob, ("fock_filter_approaches_prob", 1e-5)),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -591,32 +513,25 @@ def _fast_suite(report: VerifyReport, seed: int, dim: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _oracle_points() -> list[tuple[NoisyEnsemble, float]]:
-    points = []
+def _check_oracle_squeezer(seed: int, dim: int) -> Pair:
+    worst = 0.0
     for n_c in _ORACLE_N_C:
         for n_t in _ORACLE_N_T:
-            ens1 = _ens(1.0 / n_c, 1.0 / n_t, 1.0)
-            det_thr, _ = thresholds(ens1)
+            det_thr, _ = thresholds(_ens(1.0 / n_c, 1.0 / n_t, 1.0))
             for g in (det_thr, det_thr + 0.5, 2.0 * det_thr):
-                points.append((_ens(1.0 / n_c, 1.0 / n_t, g), det_thr))
-    return points
-
-
-def _check_oracle_squeezer() -> tuple[float, float]:
-    worst = 0.0
-    for ens, _ in _oracle_points():
-        r = math.acosh(formulas.tune(ens).cosh_r)
-        value = fock.avg_fidelity_numeric(
-            ens,
-            lambda rho, rr=r: fock.apply_two_mode_squeezer(rho, rr, dim_anc=64),
-            dim=64,
-            radial_nodes=80,
-        )
-        worst = max(worst, abs(value - formulas.det_fidelity(ens)))
+                ens = _ens(1.0 / n_c, 1.0 / n_t, g)
+                r = math.acosh(formulas.tune(ens).cosh_r)
+                value = fock.avg_fidelity_numeric(
+                    ens,
+                    lambda rho, rr=r: fock.apply_two_mode_squeezer(rho, rr, dim_anc=64),
+                    dim=64,
+                    radial_nodes=80,
+                )
+                worst = max(worst, abs(value - formulas.det_fidelity(ens)))
     return 0.0, worst
 
 
-def _check_oracle_identity() -> tuple[float, float]:
+def _check_oracle_identity(seed: int, dim: int) -> Pair:
     worst = 0.0
     for n_c in _ORACLE_N_C:
         for n_t in _ORACLE_N_T:
@@ -630,27 +545,20 @@ def _check_oracle_identity() -> tuple[float, float]:
     return 0.0, worst
 
 
-def _filter_sweep_values(dim: int) -> tuple[NoisyEnsemble, float, list[int], list[float]]:
+def _check_filter_sweep(seed: int, dim: int) -> tuple[Pair, Pair, Pair]:
     ens = _ens(1.0, 1.0, 1.5)
     y = formulas.tune(ens).y
     cuts = [5, 10, 20, 40]
-    values = []
-    for k in cuts:
-        spec = fock.FilterSpec(k_cut=k, y=y)
-        values.append(
-            fock.avg_fidelity_numeric(
-                ens,
-                lambda rho, s=spec: fock.apply_filter(rho, s),
-                dim=dim,
-                radial_nodes=96,
-                probabilistic=True,
-            )
+    values = [
+        fock.avg_fidelity_numeric(
+            ens,
+            lambda rho, s=fock.FilterSpec(k_cut=k, y=y): fock.apply_filter(rho, s),
+            dim=max(dim, 64),
+            radial_nodes=96,
+            probabilistic=True,
         )
-    return ens, y, cuts, values
-
-
-def _check_filter_sweep(dim: int) -> dict[str, tuple[float, float]]:
-    ens, y, cuts, values = _filter_sweep_values(max(dim, 64))
+        for k in cuts
+    ]
     target = formulas.prob_fidelity(ens)
     monotone = 0.0
     for lo, hi in zip(values, values[1:]):
@@ -659,14 +567,10 @@ def _check_filter_sweep(dim: int) -> dict[str, tuple[float, float]]:
     for k, val in zip(cuts, values):
         bound = bounds.filter_deficit_bound(ens, y, k)
         envelope = max(envelope, abs(target - val) - bound - 1e-6)
-    return {
-        "monotone": (0.0, monotone),
-        "terminal": (target, values[-1]),
-        "envelope": (0.0, max(0.0, envelope)),
-    }
+    return (0.0, monotone), (target, values[-1]), (0.0, max(0.0, envelope))
 
 
-def _check_oracle_heterodyne(dim: int) -> tuple[float, float]:
+def _check_oracle_heterodyne(seed: int, dim: int) -> Pair:
     grid = fock.QuadratureGrid.polar(radial_nodes=96, angular_nodes=64)
     worst = 0.0
     for lam, mu, g in ((1.0, 1e12, 1.0), (1.0, 1.0, 2.0)):
@@ -682,7 +586,7 @@ def _check_oracle_heterodyne(dim: int) -> tuple[float, float]:
     return 0.0, worst
 
 
-def _check_finite_p_trend() -> dict[str, tuple[float, float]]:
+def _check_finite_p_trend(seed: int, dim: int) -> tuple[Pair, Pair]:
     rungs = (4, 8, 16, 32, 64)
     monotone = 0.0
     envelope = 0.0
@@ -700,13 +604,10 @@ def _check_finite_p_trend() -> dict[str, tuple[float, float]]:
             for lo, hi in zip(devs, devs[1:]):
                 monotone = max(monotone, hi - lo - 1e-12)
             envelope = max(envelope, devs[-1] - env)
-    return {
-        "monotone": (0.0, max(0.0, monotone)),
-        "envelope": (0.0, max(0.0, envelope)),
-    }
+    return (0.0, max(0.0, monotone)), (0.0, max(0.0, envelope))
 
 
-def _check_cft_norm_points() -> tuple[float, float]:
+def _check_cft_norm_points(seed: int, dim: int) -> Pair:
     worst = 0.0
     for lam, mu, g in ((1.0, 1.0, 1.5), (0.5, 2.0, 1.5), (1.0, 0.5, 2.0)):
         ens = _ens(lam, mu, g)
@@ -715,7 +616,7 @@ def _check_cft_norm_points() -> tuple[float, float]:
     return 0.0, worst
 
 
-def _check_gaussian_vs_fock(dim: int) -> tuple[float, float]:
+def _check_gaussian_vs_fock(seed: int, dim: int) -> Pair:
     worst = 0.0
     pairs = (
         (_ens(1.0, 1.0, 2.0), ChannelParam(ChannelKind.TWO_MODE_SQUEEZE, 0.6)),
@@ -735,7 +636,7 @@ def _check_gaussian_vs_fock(dim: int) -> tuple[float, float]:
     return 0.0, worst
 
 
-def _check_angular_reduction(dim: int) -> tuple[float, float]:
+def _check_angular_reduction(seed: int, dim: int) -> Pair:
     ens = _ens(1.0, 1.0, 1.3)
     radial = fock.avg_fidelity_numeric(ens, lambda rho: rho, dim=dim, radial_nodes=64)
     polar = fock.avg_fidelity_numeric(
@@ -744,7 +645,7 @@ def _check_angular_reduction(dim: int) -> tuple[float, float]:
     return radial, polar
 
 
-def _check_filtered_nbar_fit(dim: int) -> tuple[float, float]:
+def _check_filtered_nbar_fit(seed: int, dim: int) -> Pair:
     nbar, y, k_cut = 1.0, 1.25, 40
     diag = np.diag(fock._thermal_diag(nbar, max(dim, 64))).astype(complex)
     rho = fock.FockDensity(max(dim, 64), diag)
@@ -755,48 +656,26 @@ def _check_filtered_nbar_fit(dim: int) -> tuple[float, float]:
     return target, fitted
 
 
-def _cached_part(
-    cache: dict[str, tuple[float, float]],
-    compute: Callable[[], dict[str, tuple[float, float]]],
-    key: str,
-) -> Callable[[], tuple[float, float]]:
-    # grouped checks share one computation; the first check invoked pays
-    # for it (and absorbs its wall time), the rest read the cache
-    def fn() -> tuple[float, float]:
-        if not cache:
-            cache.update(compute())
-        return cache[key]
-
-    return fn
-
-
-def _full_suite(report: VerifyReport, seed: int, dim: int) -> None:
-    _run(report, "oracle_squeezer_grid_max_dev", 1e-4, _check_oracle_squeezer)
-    _run(report, "oracle_identity_grid_max_dev", 1e-6, _check_oracle_identity)
-    sweep_cache: dict[str, tuple[float, float]] = {}
-    sweep = lambda key: _cached_part(sweep_cache, lambda: _check_filter_sweep(dim), key)
-    _run(report, "oracle_filter_sweep_monotone_shortfall", 0.0, sweep("monotone"))
-    _run(report, "oracle_filter_terminal_value", 1e-3, sweep("terminal"))
-    _run(report, "oracle_filter_deficit_within_bound_shortfall", 0.0, sweep("envelope"))
-    _run(
-        report,
-        "oracle_heterodyne_worked_points",
-        1e-4,
-        lambda: _check_oracle_heterodyne(dim),
-    )
-    trend_cache: dict[str, tuple[float, float]] = {}
-    trend = lambda key: _cached_part(trend_cache, _check_finite_p_trend, key)
-    _run(report, "finite_p_deviation_monotone_shortfall", 0.0, trend("monotone"))
-    _run(report, "finite_p_terminal_envelope_shortfall", 0.0, trend("envelope"))
-    _run(report, "cft_norm_check_points", 1e-3, _check_cft_norm_points)
-    _run(report, "gaussian_matches_fock_channels", 1e-5, lambda: _check_gaussian_vs_fock(dim))
-    _run(report, "angular_grid_agrees_with_radial", 1e-8, lambda: _check_angular_reduction(dim))
-    _run(report, "filtered_thermal_nbar_fit", 1e-3, lambda: _check_filtered_nbar_fit(dim))
-
-
-# ---------------------------------------------------------------------------
-# suite assembly
-# ---------------------------------------------------------------------------
+FULL_CHECKS = (
+    (_check_oracle_squeezer, ("oracle_squeezer_grid_max_dev", 1e-4)),
+    (_check_oracle_identity, ("oracle_identity_grid_max_dev", 1e-6)),
+    (
+        _check_filter_sweep,
+        ("oracle_filter_sweep_monotone_shortfall", 0.0),
+        ("oracle_filter_terminal_value", 1e-3),
+        ("oracle_filter_deficit_within_bound_shortfall", 0.0),
+    ),
+    (_check_oracle_heterodyne, ("oracle_heterodyne_worked_points", 1e-4)),
+    (
+        _check_finite_p_trend,
+        ("finite_p_deviation_monotone_shortfall", 0.0),
+        ("finite_p_terminal_envelope_shortfall", 0.0),
+    ),
+    (_check_cft_norm_points, ("cft_norm_check_points", 1e-3)),
+    (_check_gaussian_vs_fock, ("gaussian_matches_fock_channels", 1e-5)),
+    (_check_angular_reduction, ("angular_grid_agrees_with_radial", 1e-8)),
+    (_check_filtered_nbar_fit, ("filtered_thermal_nbar_fit", 1e-3)),
+)
 
 
 def run_suite(level: str = "fast", seed: int = 7, dim: int = 64) -> VerifyReport:
@@ -815,7 +694,23 @@ def run_suite(level: str = "fast", seed: int = 7, dim: int = 64) -> VerifyReport
     if dim < 32:
         raise DomainError(f"verification needs dim >= 32, got {dim!r}")
     report = VerifyReport(level=level, seed=int(seed), dim=int(dim))
-    _fast_suite(report, seed, dim)
-    if level == "full":
-        _full_suite(report, seed, dim)
+    table = FAST_CHECKS + FULL_CHECKS if level == "full" else FAST_CHECKS
+    for fn, *results in table:
+        t0 = time.perf_counter()
+        error = None
+        try:
+            out = fn(seed, dim)
+            pairs = [(float(e), float(o)) for e, o in ((out,) if len(results) == 1 else out)]
+        except Exception as exc:
+            # a crashed check is a failed check, not a crashed suite; NaN never
+            # satisfies the tolerance comparison below
+            error = f"{type(exc).__name__}: {exc}"
+            pairs = [(0.0, math.nan)] * len(results)
+        ms = (time.perf_counter() - t0) * 1e3
+        for (name, tolerance), (expected, observed) in zip(results, pairs, strict=True):
+            passed = bool(abs(expected - observed) <= tolerance)
+            report.checks.append(
+                CheckResult(name, expected, observed, tolerance, False, passed, ms, error)
+            )
+            ms = 0.0  # a grouped check's time is charged to its first result
     return report
