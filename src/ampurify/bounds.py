@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_laguerre
 
 from .errors import DomainError, NonConvergentError, RootError, ValidityError
 from .params import NoisyEnsemble
@@ -311,19 +310,14 @@ def _cft_operator_lambda_max(ens: NoisyEnsemble, dim: int, radial_nodes: int) ->
     because the top eigenvector spreads to high photon number, so norm
     checks near the no-amplification boundary need a larger cutoff.
     """
-    lam = ens.lambda_prime
     q_sigma = 1.0 / (1.0 + kappa_prime(ens))
     n = np.arange(dim)
     whiten = q_sigma ** (-n / 2.0) / math.sqrt(1.0 - q_sigma)
-    t_nodes, w_nodes = roots_laguerre(radial_nodes)
     blocks = [
         np.zeros((min(tot, dim - 1) - max(0, tot - dim + 1) + 1,) * 2)
         for tot in range(2 * dim - 1)
     ]
-    for t, w in zip(t_nodes, w_nodes):
-        if w <= 1e-280:
-            continue
-        alpha = math.sqrt(t / lam)  # prior supplies e^-t after t = lambda'|a|^2
+    for alpha, w in fock.prior_nodes(ens.lambda_prime, radial_nodes):
         rho = fock._displaced_thermal_raw(alpha, 1.0 / ens.mu, dim).real
         xmat = whiten[:, None] * rho * whiten[None, :]
         v = fock._coherent_ket_raw(ens.g_prime * alpha, dim).real * math.sqrt(w)

@@ -9,8 +9,8 @@ Subcommands:
 * ``photons`` -- photon bookkeeping table for one protocol
 * ``regimes`` -- the gain thresholds and regime map of the reduced task
 
-Exit codes: 0 success, 2 usage, 3 domain error, 4 I/O failure,
-5 verification failure.
+Exit codes: 0 success, 2 usage, 3 domain error (including a result that
+overflows or is not finite), 4 I/O failure, 5 verification failure.
 
 All output is deterministic given the flags (and the verify seed); the
 only non-reproducible bytes -- per-check wall times -- go to stderr.
@@ -23,7 +23,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,47 +56,6 @@ class _UsageError(Exception):
     """Flag combinations argparse cannot catch on its own."""
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One-axis sweep: ``axis`` runs over [start, stop] in ``steps`` points.
-
-    ``fixed`` supplies every non-swept task field (its value on the swept
-    axis is a placeholder).  Integer axes must land on integers.
-    """
-
-    axis: str
-    start: float
-    stop: float
-    steps: int
-    fixed: MultimodeTask
-
-    def __post_init__(self) -> None:
-        if self.axis not in _AXIS_FIELD:
-            raise DomainError(f"unknown sweep axis {self.axis!r}")
-        if not self.start < self.stop:
-            raise DomainError(
-                f"sweep needs start < stop, got [{self.start!r}, {self.stop!r}]"
-            )
-        if self.steps < 2:
-            raise DomainError(f"sweep needs steps >= 2, got {self.steps!r}")
-
-    def values(self) -> list[float]:
-        raw = np.linspace(self.start, self.stop, self.steps)
-        if self.axis in _INT_AXES:
-            for v in raw:
-                if abs(v - round(v)) > 1e-9 * max(1.0, abs(v)):
-                    raise DomainError(
-                        f"axis {self.axis!r} is integer-valued but the grid hits "
-                        f"{float(v)!r}; choose start/stop/steps on integers"
-                    )
-            return [float(round(v)) for v in raw]
-        return [float(v) for v in raw]
-
-    def task_at(self, value: float) -> MultimodeTask:
-        value = int(value) if self.axis in _INT_AXES else value
-        return MultimodeTask(**{**vars(self.fixed), _AXIS_FIELD[self.axis]: value})
-
-
 # ---------------------------------------------------------------------------
 # rendering helpers
 # ---------------------------------------------------------------------------
@@ -119,7 +77,11 @@ def _regime_label(ens: NoisyEnsemble) -> str:
 
 
 def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise DomainError(f"result is not finite ({exc})") from exc
+    print(text)
 
 
 def _envelope(command: str, params: dict, result: dict) -> dict:
@@ -245,20 +207,30 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if fields[name] is None:
             fields[name] = 1
     fixed = MultimodeTask(**fields)
-    try:
-        # Bad start/stop/steps come straight from the flags, so they are
-        # usage errors (exit 2), not domain errors.
-        spec = SweepSpec(
-            axis=args.axis, start=args.start, stop=args.stop, steps=args.steps,
-            fixed=fixed,
+    # Bad start/stop/steps come straight from the flags, so they are usage
+    # errors (exit 2), not domain errors.
+    if not args.start < args.stop:
+        raise _UsageError(
+            f"sweep needs start < stop, got [{args.start!r}, {args.stop!r}]"
         )
-        values = spec.values()
-    except DomainError as exc:
-        raise _UsageError(str(exc)) from exc
+    if args.steps < 2:
+        raise _UsageError(f"sweep needs steps >= 2, got {args.steps!r}")
+    values = [float(v) for v in np.linspace(args.start, args.stop, args.steps)]
+    if args.axis in _INT_AXES:
+        for v in values:
+            if abs(v - round(v)) > 1e-9 * max(1.0, abs(v)):
+                raise _UsageError(
+                    f"axis {args.axis!r} is integer-valued but the grid hits "
+                    f"{v!r}; choose start/stop/steps on integers"
+                )
+        values = [float(round(v)) for v in values]
     if args.out is None and not args.json:
         raise _UsageError("sweep needs --out PATH and/or --json")
 
-    rows = [_sweep_row(value, spec.task_at(value)) for value in values]
+    rows = []
+    for value in values:
+        cell = int(value) if args.axis in _INT_AXES else value
+        rows.append(_sweep_row(value, MultimodeTask(**{**vars(fixed), swept: cell})))
 
     if args.out is not None:
         keys = CSV_HEADER.split(",")
@@ -271,10 +243,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             fh.write("\n".join(lines) + "\n")
 
     if args.json:
-        result = {"axis": spec.axis, "rows": rows}
-        params = _task_params(spec.fixed)
+        result = {"axis": args.axis, "rows": rows}
+        params = _task_params(fixed)
         params.update(
-            {"axis": spec.axis, "start": spec.start, "stop": spec.stop, "steps": spec.steps}
+            {"axis": args.axis, "start": args.start, "stop": args.stop, "steps": args.steps}
         )
         _print_json(_envelope("sweep", params, result))
     return EXIT_OK
@@ -302,8 +274,7 @@ def cmd_photons(args: argparse.Namespace) -> int:
     if args.mode == "det":
         n_total_out, n_single_out = formulas.photon_output_det(task)
         extra = {}
-        cosh_r = ens.g_prime * book.n_c / (1.0 + book.total)
-        if cosh_r <= 1.0:
+        if formulas.tune(ens).cosh_r <= 1.0:
             notes.append("identity channel (g' below the amplify threshold)")
     else:
         tuning = formulas.tune(ens)
@@ -472,6 +443,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except AmpurifyError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except ArithmeticError as exc:
+        print(f"domain error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

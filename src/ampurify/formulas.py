@@ -26,8 +26,6 @@ from .errors import DomainError
 from .params import (
     MultimodeTask,
     NoisyEnsemble,
-    Regime,
-    classify,
     photon_book,
     reduce,
     thresholds,
@@ -57,7 +55,7 @@ def det_fidelity(ens: NoisyEnsemble) -> float:
         )
     book = photon_book(ens)
     s, g = book.total, ens.g_prime
-    if g >= (s + 1.0) / book.n_c:
+    if g >= thresholds(ens)[0]:
         return (s + 1.0) / (g * g * book.n_c * book.n_t_tilde)
     return 1.0 / ((g - 1.0) ** 2 * book.n_c + book.n_t_tilde)
 
@@ -79,7 +77,7 @@ def prob_fidelity(ens: NoisyEnsemble) -> float:
         )
     book = photon_book(ens)
     s, g = book.total, ens.g_prime
-    if g >= math.sqrt(s * (s + 1.0)) / book.n_c:
+    if g >= thresholds(ens)[1]:
         return (s + 1.0) / (g * g * book.n_c * book.n_t_tilde)
     return s / (s + g * g * book.n_c * book.n_t)
 
@@ -170,7 +168,7 @@ def tune(ens: NoisyEnsemble) -> TuningReport:
     cos_theta: float | None = None
     plateau = False
     if g >= 1.0:
-        cosh_r = max(1.0, g * book.n_c / (s + 1.0))
+        cosh_r = max(1.0, z)
         if g >= det_thr:
             y = 1.0
             plateau = True
@@ -185,7 +183,7 @@ def tune(ens: NoisyEnsemble) -> TuningReport:
 
 @dataclass(frozen=True)
 class FidelityReport:
-    """The three headline fidelities of a reduced ensemble plus its regime.
+    """The three headline fidelities of a reduced ensemble.
 
     det and prob fall back to the purification value for g' <= 1.  Basic
     ordering (prob >= det, everything in [0, 1]) is checked on construction.
@@ -194,7 +192,6 @@ class FidelityReport:
     det: float
     prob: float
     cft: float
-    regime: Regime
 
     def __post_init__(self) -> None:
         for name in ("det", "prob", "cft"):
@@ -215,7 +212,7 @@ def fidelity_report(ens: NoisyEnsemble) -> FidelityReport:
         det = det_fidelity(ens)
         prob = prob_fidelity(ens)
     threshold = cft(ens)
-    report = FidelityReport(det=det, prob=prob, cft=threshold, regime=classify(ens))
+    report = FidelityReport(det=det, prob=prob, cft=threshold)
     # The squeezer-family deterministic formula is the true optimum only for
     # g' >= S/N_C (or trivially g' <= 1); in the window between, a plain
     # attenuator beats it and may even dip below the classical threshold, so
@@ -241,9 +238,8 @@ def photon_output_det(task: MultimodeTask) -> tuple[float, float]:
     ens = reduce(task)
     if ens.g_prime < 1.0:
         raise DomainError(f"deterministic protocol needs g' >= 1, got {ens.g_prime!r}")
-    book = photon_book(ens)
-    n_single_in = book.n_t
-    cosh_r = ens.g_prime * book.n_c / (1.0 + book.total)
+    n_single_in = photon_book(ens).n_t
+    cosh_r = tune(ens).cosh_r
     if cosh_r <= 1.0:
         return n_single_in, n_single_in / task.m_out
     bright = cosh_r**2 * (n_single_in + 1.0) - 1.0

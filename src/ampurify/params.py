@@ -111,14 +111,12 @@ class Regime:
     """Classification of a reduced ensemble.
 
     ``tag`` is the deterministic-side label (Purify / DetIdentity /
-    DetAmplify); ``prob_tag`` the probabilistic-side one.  ``thresholds``
-    is the pair (deterministic threshold, probabilistic threshold) in g'.
+    DetAmplify); ``prob_tag`` the probabilistic-side one.  The gain
+    thresholds behind them come from ``thresholds``.
     """
 
     tag: RegimeTag
     prob_tag: RegimeTag
-    above_prob_threshold: bool
-    thresholds: tuple[float, float]
 
 
 def reduce(task: MultimodeTask) -> NoisyEnsemble:
@@ -161,12 +159,7 @@ def classify(ens: NoisyEnsemble) -> Regime:
         prob_tag = (
             RegimeTag.PROB_PLATEAU if g >= prob_thr else RegimeTag.PROB_AMPLIFY
         )
-    return Regime(
-        tag=tag,
-        prob_tag=prob_tag,
-        above_prob_threshold=g >= prob_thr,
-        thresholds=(det_thr, prob_thr),
-    )
+    return Regime(tag=tag, prob_tag=prob_tag)
 
 
 def is_pure_input(ens: NoisyEnsemble) -> bool:

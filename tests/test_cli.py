@@ -189,6 +189,25 @@ def test_sweep_unwritable_output_exits_four(capsys):
     assert "i/o error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # g'^2 overflows in the closed forms
+        ["eval", "--lambda", "1", "--mu", "1", "--g", "1e200"],
+        ["sweep", "--axis", "g", "--start", "1", "--stop", "1e200", "--steps", "3",
+         "--lambda", "1", "--mu", "1", "--json"],
+        # the filter-plateau threshold is infinite; JSON has no token for it
+        ["eval", "--lambda", "1e-300", "--mu", "1", "--g", "2", "--json"],
+        ["regimes", "--lambda", "1e-300", "--mu", "1", "--g", "2", "--json"],
+    ],
+)
+def test_non_finite_results_exit_three(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("domain error: ")
+
+
 def test_unknown_axis_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--axis", "q", "--start", "1", "--stop", "2", "--steps", "3",

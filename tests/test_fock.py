@@ -121,6 +121,29 @@ def test_filter_cut_must_fit_inside_the_cutoff():
         apply_filter(rho, FilterSpec(k_cut=16, y=1.1))
 
 
+@pytest.mark.parametrize(
+    "channel",
+    [
+        lambda rho: apply_two_mode_squeezer(rho, 0.4, dim_anc=16),
+        lambda rho: apply_attenuator(rho, 0.6),
+        lambda rho: apply_filter(rho, FilterSpec(k_cut=20, y=1.1)),
+    ],
+    ids=["squeezer", "attenuator", "filter"],
+)
+def test_shift_diagonal_channels_are_phase_covariant(channel):
+    # avg_fidelity_numeric's radial-only reduction rests on this symmetry
+    phi = 0.7
+    rho = displaced_thermal_density(0.9 + 0.5j, 0.4, 32)
+    u_in = np.exp(1j * phi * np.arange(rho.dim))
+    rotated = channel(FockDensity(rho.dim, u_in[:, None] * rho.mat * u_in.conj()[None, :]))
+    out = channel(rho)
+    u_out = np.exp(1j * phi * np.arange(out.dim))
+    expected = u_out[:, None] * out.mat * u_out.conj()[None, :]
+    assert rotated.dim == out.dim
+    assert np.abs(rotated.mat - expected).max() <= 1e-12
+    assert np.abs(out.mat - out.mat.conj().T).max() <= 1e-12
+
+
 def test_heterodyne_mp_on_vacuum_prepares_thermal():
     # Q-function sampling then re-preparation at scale z turns vacuum into
     # a thermal state of occupation z^2

@@ -1,0 +1,67 @@
+"""Print one sha256 per CLI command over its stdout, stderr and exit code.
+
+    python3 tools/output_digest.py TREE
+
+runs ``python -m ampurify`` from TREE/src on a fixed command list; diff the
+output of two trees to prove a refactor byte-identical.  A sweep's CSV file
+counts as stdout.  For ``verify`` only stdout and the exit code count, since
+its stderr holds wall times.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+
+POINTS = ["--lambda 1 --mu 1 --g 2", "--lambda 1 --mu 1 --g 1.5", "--lambda 0.5 --mu 2 --g 2",
+          "--lambda 1 --mu 1 --g 1.2", "--lambda 1 --mu 1 --g 0.5", "--lambda 1 --mu 1 --g 4",
+          "--lambda 1 --mu 1e15 --g 1", "--lambda 2 --mu 1 --g 1 --n 2 --m 1"]
+SWEEPS = ["--axis g --start 1 --stop 4 --steps 31 --lambda 1 --mu 1",
+          "--axis lambda --start 0.2 --stop 3 --steps 15 --mu 1 --g 2",
+          "--axis mu --start 0.2 --stop 3 --steps 15 --lambda 1 --g 2",
+          "--axis n --start 1 --stop 4 --steps 4 --lambda 2 --mu 1 --g 2",
+          "--axis m --start 1 --stop 4 --steps 4 --lambda 2 --mu 1 --g 1"]
+#: results that overflow or are not finite (a domain error, exit 3)
+BOUNDARY = ["eval --lambda 1 --mu 1 --g 1e200",
+            "sweep --axis g --start 1 --stop 1e200 --steps 3 --lambda 1 --mu 1 --json",
+            "eval --lambda 1e-300 --mu 1 --g 2 --json",
+            "regimes --lambda 1e-300 --mu 1 --g 2 --json"]
+#: the usage errors of tests/test_cli.py::test_sweep_usage_errors_exit_two
+USAGE = ["sweep --axis g --start 1 --stop 2 --steps 3 --lambda 1 --mu 1 --g 2 --json",
+         "sweep --axis g --start 1 --stop 2 --steps 3 --lambda 1 --json",
+         "sweep --axis g --start 2 --stop 1 --steps 3 --lambda 1 --mu 1 --json",
+         "sweep --axis g --start 1 --stop 2 --steps 1 --lambda 1 --mu 1 --json",
+         "sweep --axis n --start 1 --stop 4 --steps 5 --lambda 1 --mu 1 --g 2 --json",
+         "sweep --axis g --start 1 --stop 2 --steps 3 --lambda 1 --mu 1"]
+
+
+def commands() -> list[str]:
+    cmds = [f"verify --level {lv} --seed 7 --dim 64{js}" for lv in ("fast", "full")
+            for js in ("", " --json")]
+    cmds += [f"{sub} {p}{js}" for p in POINTS
+             for sub in ("eval", "regimes", "photons --mode det", "photons --mode prob")
+             for js in ("", " --json")]
+    cmds += [f"sweep {s} {sink}" for s in SWEEPS for sink in ("--out CSV", "--json")]
+    return cmds + BOUNDARY + USAGE
+
+
+def main(tree: str) -> None:
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = os.path.join(tmp, "sweep.csv")
+        for cmd in commands():
+            argv = [csv if a == "CSV" else a for a in cmd.split()]
+            p = subprocess.run([sys.executable, "-m", "ampurify"] + argv, env=env, cwd=tmp,
+                               capture_output=True)
+            out = p.stdout
+            if os.path.exists(csv):
+                with open(csv, "rb") as fh:
+                    out += fh.read()
+                os.remove(csv)
+            err = b"" if argv[0] == "verify" else p.stderr.replace(csv.encode(), b"CSV")
+            print(hashlib.sha256(out + b"\0" + err + b"\0" + b"%d" % p.returncode).hexdigest(), cmd)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1])
