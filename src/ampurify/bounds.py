@@ -331,10 +331,8 @@ def _cft_operator_lambda_max(ens: NoisyEnsemble, dim: int, radial_nodes: int) ->
     return top / cft_bound_terms(ens).c1
 
 
-def cft_norm_check(
-    ens: NoisyEnsemble, dim: int = 48, radial_nodes: int = 160
-) -> tuple[float, float]:
+def cft_norm_check(ens: NoisyEnsemble) -> tuple[float, float]:
     """(c1 * numerical operator norm, closed-form bound) for direct comparison."""
     terms = cft_bound_terms(ens)
-    lam_max = _cft_operator_lambda_max(ens, dim, radial_nodes)
+    lam_max = _cft_operator_lambda_max(ens, dim=48, radial_nodes=160)
     return terms.c1 * lam_max, cft_bound(ens)

@@ -12,6 +12,8 @@ Subcommands:
 Exit codes: 0 success, 2 usage, 3 domain error (including a result that
 overflows or is not finite), 4 I/O failure, 5 verification failure.
 
+Each subcommand builds its result once, and ``_emit`` prints it as the JSON
+envelope (``--json``) or as text lines; ``sweep`` writes CSV and/or JSON.
 All output is deterministic given the flags (and the verify seed); the
 only non-reproducible bytes -- per-check wall times -- go to stderr.
 Tables round to 5 significant digits, CSV to 10.
@@ -20,6 +22,7 @@ Tables round to 5 significant digits, CSV to 10.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -65,6 +68,10 @@ def _f5(v: float) -> str:
     return format(float(v), ".5g")
 
 
+def _opt5(v: float | None) -> str:
+    return "-" if v is None else _f5(v)
+
+
 def _opt10(v: float | None) -> str:
     return "" if v is None else format(float(v), ".10g")
 
@@ -76,7 +83,25 @@ def _regime_label(ens: NoisyEnsemble) -> str:
     return f"{reg.tag.value}+{reg.prob_tag.value}"
 
 
-def _print_json(payload: dict) -> None:
+def _reduced_line(ens: NoisyEnsemble) -> str:
+    return f"reduced: lambda'={_f5(ens.lambda_prime)} mu={_f5(ens.mu)} g'={_f5(ens.g_prime)}"
+
+
+def _pure_note(ens: NoisyEnsemble) -> list[str]:
+    """The pure-input note line, or no line."""
+    note = "note: mu at or above the pure-input sentinel; input treated as pure"
+    return [note] if is_pure_input(ens) else []
+
+
+def _print_json(command: str, params: dict, result: dict) -> None:
+    """Print the JSON envelope of one result."""
+    payload = {
+        "tool": "ampurify",
+        "version": __version__,
+        "command": command,
+        "params": params,
+        "result": result,
+    }
     try:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
@@ -84,18 +109,18 @@ def _print_json(payload: dict) -> None:
     print(text)
 
 
-def _envelope(command: str, params: dict, result: dict) -> dict:
-    return {
-        "tool": "ampurify",
-        "version": __version__,
-        "command": command,
-        "params": params,
-        "result": result,
-    }
+def _emit(args: argparse.Namespace, command: str, params: dict, result: dict,
+          text: list[str]) -> int:
+    """Print one result: its JSON envelope under ``--json``, else its text lines."""
+    if args.json:
+        _print_json(command, params, result)
+    else:
+        print("\n".join(text))
+    return EXIT_OK
 
 
-def _task_params(task: MultimodeTask) -> dict:
-    ens = reduce(task)
+def _task_params(task: MultimodeTask, ens: NoisyEnsemble) -> dict:
+    """The task flags and their reduction ``ens``."""
     return {
         "lambda": task.lam,
         "mu": task.mu,
@@ -107,8 +132,10 @@ def _task_params(task: MultimodeTask) -> dict:
     }
 
 
-def _task_from_args(args: argparse.Namespace) -> MultimodeTask:
-    return MultimodeTask(lam=args.lam, mu=args.mu, g=args.g, n_in=args.n, m_out=args.m)
+def _task_from_args(args: argparse.Namespace) -> tuple[MultimodeTask, NoisyEnsemble]:
+    """The task the flags name, and its reduction."""
+    task = MultimodeTask(lam=args.lam, mu=args.mu, g=args.g, n_in=args.n, m_out=args.m)
+    return task, reduce(task)
 
 
 # ---------------------------------------------------------------------------
@@ -117,58 +144,39 @@ def _task_from_args(args: argparse.Namespace) -> MultimodeTask:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    task = _task_from_args(args)
-    ens = reduce(task)
+    task, ens = _task_from_args(args)
     book = photon_book(ens)
     report = formulas.fidelity_report(ens)
     tuning = formulas.tune(ens)
     det_thr, prob_thr = thresholds(ens)
+    regime = _regime_label(ens)
 
-    if args.json:
-        result = {
-            "regime": _regime_label(ens),
-            "thresholds": {"det": det_thr, "prob": prob_thr},
-            "fidelities": {"det": report.det, "prob": report.prob, "cft": report.cft},
-            "tuning": {
-                "cosh_r": tuning.cosh_r,
-                "y": tuning.y,
-                "cos_theta": tuning.cos_theta,
-                "z": tuning.z,
-                "plateau": tuning.plateau,
-            },
-            "photons": {
-                "n_c": book.n_c,
-                "n_t": book.n_t,
-                "s": book.total,
-                "pure_input": is_pure_input(ens),
-            },
-        }
-        _print_json(_envelope("eval", _task_params(task), result))
-        return EXIT_OK
-
-    print(
-        f"task: lambda={_f5(task.lam)} mu={_f5(task.mu)} g={_f5(task.g)} "
-        f"n={task.n_in} m={task.m_out}"
-    )
-    print(f"reduced: lambda'={_f5(ens.lambda_prime)} mu={_f5(ens.mu)} g'={_f5(ens.g_prime)}")
-    print(
-        f"regime: {_regime_label(ens)} "
-        f"(amplify threshold {_f5(det_thr)}, filter plateau {_f5(prob_thr)})"
-    )
-    if is_pure_input(ens):
-        print("note: mu at or above the pure-input sentinel; input treated as pure")
-    print(
-        f"fidelities: det={_f5(report.det)} prob={_f5(report.prob)} cft={_f5(report.cft)}"
-    )
-    cosh_r = "-" if tuning.cosh_r is None else _f5(tuning.cosh_r)
-    y = "-" if tuning.y is None else _f5(tuning.y)
-    cos_theta = "-" if tuning.cos_theta is None else _f5(tuning.cos_theta)
+    result = {
+        "regime": regime,
+        "thresholds": {"det": det_thr, "prob": prob_thr},
+        "fidelities": dataclasses.asdict(report),
+        "tuning": dataclasses.asdict(tuning),
+        "photons": {
+            "n_c": book.n_c,
+            "n_t": book.n_t,
+            "s": book.total,
+            "pure_input": is_pure_input(ens),
+        },
+    }
     plateau = " (plateau)" if tuning.plateau else ""
-    print(
-        f"tuning: cosh_r={cosh_r} y={y}{plateau} cos_theta={cos_theta} z={_f5(tuning.z)}"
-    )
-    print(f"photons: N_C={_f5(book.n_c)} N_T={_f5(book.n_t)} S={_f5(book.total)}")
-    return EXIT_OK
+    text = [
+        f"task: lambda={_f5(task.lam)} mu={_f5(task.mu)} g={_f5(task.g)} "
+        f"n={task.n_in} m={task.m_out}",
+        _reduced_line(ens),
+        f"regime: {regime} "
+        f"(amplify threshold {_f5(det_thr)}, filter plateau {_f5(prob_thr)})",
+        *_pure_note(ens),
+        f"fidelities: det={_f5(report.det)} prob={_f5(report.prob)} cft={_f5(report.cft)}",
+        f"tuning: cosh_r={_opt5(tuning.cosh_r)} y={_opt5(tuning.y)}{plateau} "
+        f"cos_theta={_opt5(tuning.cos_theta)} z={_f5(tuning.z)}",
+        f"photons: N_C={_f5(book.n_c)} N_T={_f5(book.n_t)} S={_f5(book.total)}",
+    ]
+    return _emit(args, "eval", _task_params(task, ens), result, text)
 
 
 def _sweep_row(value: float, task: MultimodeTask) -> dict:
@@ -244,36 +252,32 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     if args.json:
         result = {"axis": args.axis, "rows": rows}
-        params = _task_params(fixed)
+        params = _task_params(fixed, reduce(fixed))
         params.update(
             {"axis": args.axis, "start": args.start, "stop": args.stop, "steps": args.steps}
         )
-        _print_json(_envelope("sweep", params, result))
+        _print_json("sweep", params, result)
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     report = verify.run_suite(level=args.level, seed=args.seed, dim=args.dim)
-    if args.json:
-        params = {"level": args.level, "seed": args.seed, "dim": args.dim}
-        _print_json(_envelope("verify", params, report.to_json_dict()))
-    else:
-        print(report.render())
+    params = {"level": args.level, "seed": args.seed, "dim": args.dim}
+    _emit(args, "verify", params, report.to_json_dict(), [report.render()])
     print(report.render_timings(), file=sys.stderr)
     return EXIT_OK if report.all_passed else EXIT_VERIFY
 
 
 def cmd_photons(args: argparse.Namespace) -> int:
-    task = _task_from_args(args)
-    ens = reduce(task)
-    book = photon_book(ens)
-    n_single_in = book.n_t
+    task, ens = _task_from_args(args)
+    n_single_in = photon_book(ens).n_t
     n_total_in = task.n_in * n_single_in
 
+    result = {"mode": args.mode, "n_single": n_single_in, "n_total": n_total_in}
+    rows = []  # (label, value) lines of the table
     notes = []
     if args.mode == "det":
         n_total_out, n_single_out = formulas.photon_output_det(task)
-        extra = {}
         if formulas.tune(ens).cosh_r <= 1.0:
             notes.append("identity channel (g' below the amplify threshold)")
     else:
@@ -283,76 +287,53 @@ def cmd_photons(args: argparse.Namespace) -> int:
                 f"probabilistic bookkeeping needs g' >= 1, got {ens.g_prime!r}"
             )
         n_t_out, n_total_out, n_single_out = formulas.photon_output_prob(task, tuning.y)
-        extra = {"y": tuning.y, "n_t_out": n_t_out}
+        result.update({"y": tuning.y, "n_t_out": n_t_out})
+        rows = [("filter ratio y", tuning.y), ("N_T", n_single_in), ("N'_T", n_t_out)]
         if tuning.y == 1.0:
             notes.append("no change (passive filter, y = 1)")
     if n_single_out < n_single_in:
         notes.append("net purification (N'_single < N_single)")
 
-    if args.json:
-        result = {
-            "mode": args.mode,
-            "n_single": n_single_in,
-            "n_total": n_total_in,
-            "n_single_out": n_single_out,
-            "n_total_out": n_total_out,
-            "notes": notes,
-        }
-        for key, value in extra.items():
-            result[key] = value
-        _print_json(_envelope("photons", _task_params(task), result))
-        return EXIT_OK
-
-    print(f"photon bookkeeping ({'deterministic' if args.mode == 'det' else 'probabilistic'} protocol)")
-    if "y" in extra:
-        print(f"filter ratio y = {_f5(extra['y'])}")
-        print(f"N_T        = {_f5(book.n_t)}")
-        print(f"N'_T       = {_f5(extra['n_t_out'])}")
-    print(f"N_single   = {_f5(n_single_in)}")
-    print(f"N_total    = {_f5(n_total_in)}")
-    print(f"N'_single  = {_f5(n_single_out)}")
-    print(f"N'_total   = {_f5(n_total_out)}")
-    for note in notes:
-        print(f"note: {note}")
-    return EXIT_OK
+    result.update({"n_single_out": n_single_out, "n_total_out": n_total_out, "notes": notes})
+    rows += [("N_single", n_single_in), ("N_total", n_total_in),
+             ("N'_single", n_single_out), ("N'_total", n_total_out)]
+    text = [f"photon bookkeeping ({'deterministic' if args.mode == 'det' else 'probabilistic'} protocol)"]
+    text += [f"{label:<10} = {_f5(value)}" for label, value in rows]
+    text += [f"note: {note}" for note in notes]
+    return _emit(args, "photons", _task_params(task, ens), result, text)
 
 
 def cmd_regimes(args: argparse.Namespace) -> int:
-    task = _task_from_args(args)
-    ens = reduce(task)
+    task, ens = _task_from_args(args)
     book = photon_book(ens)
     det_thr, prob_thr = thresholds(ens)
     tangency = book.total / book.n_c
+    regime = _regime_label(ens)
 
-    if args.json:
-        result = {
-            "regime": _regime_label(ens),
-            "unit_gain": 1.0,
-            "passive_filter_gain": tangency,
-            "prob_threshold": prob_thr,
-            "det_threshold": det_thr,
-            "pure_input": is_pure_input(ens),
-        }
-        _print_json(_envelope("regimes", _task_params(task), result))
-        return EXIT_OK
-
-    print(f"reduced: lambda'={_f5(ens.lambda_prime)} mu={_f5(ens.mu)} g'={_f5(ens.g_prime)}")
-    print("gain landmarks:")
-    print("  1          purification ends; amplification begins")
-    print(
+    result = {
+        "regime": regime,
+        "unit_gain": 1.0,
+        "passive_filter_gain": tangency,
+        "prob_threshold": prob_thr,
+        "det_threshold": det_thr,
+        "pure_input": is_pure_input(ens),
+    }
+    text = [
+        _reduced_line(ens),
+        "gain landmarks:",
+        "  1          purification ends; amplification begins",
         f"  {_f5(tangency):<10} passive-filter gain S/N_C "
-        "(probabilistic advantage vanishes here)"
-    )
-    print(f"  {_f5(prob_thr):<10} filter plateau threshold sqrt(S(S+1))/N_C")
-    print(f"  {_f5(det_thr):<10} amplify threshold (S+1)/N_C")
-    print(f"current regime: {_regime_label(ens)}")
-    if is_pure_input(ens):
-        print("note: mu at or above the pure-input sentinel; input treated as pure")
-    return EXIT_OK
+        "(probabilistic advantage vanishes here)",
+        f"  {_f5(prob_thr):<10} filter plateau threshold sqrt(S(S+1))/N_C",
+        f"  {_f5(det_thr):<10} amplify threshold (S+1)/N_C",
+        f"current regime: {regime}",
+        *_pure_note(ens),
+    ]
+    return _emit(args, "regimes", _task_params(task, ens), result, text)
 
 
 # ---------------------------------------------------------------------------
-# parser / dispatch
+# parser
 # ---------------------------------------------------------------------------
 
 
@@ -394,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate one task")
     _add_task_flags(p_eval)
-    p_eval.add_argument("--json", action="store_true", help="emit a JSON envelope")
+    p_eval.set_defaults(run=cmd_eval)
 
     p_sweep = sub.add_parser("sweep", help="sweep one axis to CSV/JSON")
     p_sweep.add_argument("--axis", choices=sorted(_AXIS_FIELD), required=True)
@@ -403,41 +384,35 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--steps", type=_positive_int, required=True)
     p_sweep.add_argument("--out", default=None, help="CSV output path")
     _add_task_flags(p_sweep, required=False)
-    p_sweep.add_argument("--json", action="store_true", help="emit a JSON envelope")
+    p_sweep.set_defaults(run=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the self-verification suite")
     p_verify.add_argument("--level", choices=("fast", "full"), default="fast")
     p_verify.add_argument("--seed", type=_nonneg_int, default=7)
     p_verify.add_argument("--dim", type=_positive_int, default=64,
                           help="Fock cutoff for the compact numeric checks")
-    p_verify.add_argument("--json", action="store_true", help="emit a JSON envelope")
+    p_verify.set_defaults(run=cmd_verify)
 
     p_photons = sub.add_parser("photons", help="photon bookkeeping for one protocol")
     p_photons.add_argument("--mode", choices=("det", "prob"), required=True)
     _add_task_flags(p_photons)
-    p_photons.add_argument("--json", action="store_true", help="emit a JSON envelope")
+    p_photons.set_defaults(run=cmd_photons)
 
     p_regimes = sub.add_parser("regimes", help="gain thresholds of the reduced task")
     _add_task_flags(p_regimes)
-    p_regimes.add_argument("--json", action="store_true", help="emit a JSON envelope")
+    p_regimes.set_defaults(run=cmd_regimes)
 
+    # last on every subcommand, so that it closes each usage line
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", help="emit a JSON envelope")
     return parser
-
-
-_DISPATCH = {
-    "eval": cmd_eval,
-    "sweep": cmd_sweep,
-    "verify": cmd_verify,
-    "photons": cmd_photons,
-    "regimes": cmd_regimes,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

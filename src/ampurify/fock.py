@@ -151,10 +151,7 @@ def _displacement(amp: complex, dim: int) -> np.ndarray:
 
 
 def _thermal_diag(nbar: float, dim: int) -> np.ndarray:
-    if nbar == 0.0:
-        p = np.zeros(dim)
-        p[0] = 1.0
-        return p
+    """Thermal occupation probabilities for nbar > 0."""
     q = nbar / (nbar + 1.0)
     return np.exp(np.arange(dim) * math.log(q)) / (nbar + 1.0)
 

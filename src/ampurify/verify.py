@@ -611,7 +611,7 @@ def _check_cft_norm_points(seed: int, dim: int) -> Pair:
     worst = 0.0
     for lam, mu, g in ((1.0, 1.0, 1.5), (0.5, 2.0, 1.5), (1.0, 0.5, 2.0)):
         ens = _ens(lam, mu, g)
-        numeric, closed = bounds.cft_norm_check(ens, dim=48, radial_nodes=160)
+        numeric, closed = bounds.cft_norm_check(ens)
         worst = max(worst, abs(numeric - closed) / closed)
     return 0.0, worst
 

@@ -9,6 +9,7 @@ the interfaces, not about internal consistency alone.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -269,10 +270,14 @@ def test_criterion_10_fast_verification_is_clean_fast_and_reproducible():
         sys.executable, "-m", "ampurify",
         "verify", "--level", "fast", "--seed", "7", "--json",
     ]
+    # the child does not inherit pytest's pythonpath, so hand it this checkout's src
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     t0 = time.monotonic()
-    first = subprocess.run(cmd, capture_output=True, timeout=120)
+    first = subprocess.run(cmd, capture_output=True, timeout=120, env=env)
     elapsed = time.monotonic() - t0
-    second = subprocess.run(cmd, capture_output=True, timeout=120)
+    second = subprocess.run(cmd, capture_output=True, timeout=120, env=env)
 
     assert first.returncode == 0, first.stdout.decode() + first.stderr.decode()
     assert second.returncode == 0

@@ -1,5 +1,8 @@
+import importlib.util
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -300,3 +303,67 @@ def test_verify_exit_five_on_any_failure(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--level", "fast")
     assert code == 5
     assert "FAIL" in out
+
+
+# ---------------------------------------------------------------------------
+# text view against --json
+# ---------------------------------------------------------------------------
+
+
+def _digest_points():
+    path = Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
+    spec = importlib.util.spec_from_file_location("output_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.POINTS
+
+
+#: a number in the text view; digits inside formulas such as (S+1) are not
+_NUMBER = re.compile(r"(?<![\w+(])\d+(?:\.\d+)?(?:e[+-]\d+)?")
+_PURE_NOTE = "note: mu at or above the pure-input sentinel; input treated as pure"
+
+
+def _shown_values(command, params, result):
+    """The JSON values the text view of ``command`` shows, in text order."""
+    if command == "eval":
+        return (
+            [params[k] for k in ("lambda", "mu", "g", "n", "m", "lambda_prime", "mu", "g_prime")]
+            + [result["thresholds"]["det"], result["thresholds"]["prob"]]
+            + [result["fidelities"][k] for k in ("det", "prob", "cft")]
+            + [result["tuning"][k] for k in ("cosh_r", "y", "cos_theta", "z")]
+            + [result["photons"][k] for k in ("n_c", "n_t", "s")]
+        )
+    if command == "regimes":
+        return [params["lambda_prime"], params["mu"], params["g_prime"]] + [
+            result[k]
+            for k in ("unit_gain", "passive_filter_gain", "prob_threshold", "det_threshold")
+        ]
+    filter_rows = [result["y"], result["n_single"], result["n_t_out"]] if "y" in result else []
+    return filter_rows + [result[k] for k in ("n_single", "n_total", "n_single_out", "n_total_out")]
+
+
+@pytest.mark.parametrize("sub", ["eval", "regimes", "photons --mode det", "photons --mode prob"])
+@pytest.mark.parametrize("point", _digest_points())
+def test_text_and_json_print_the_same_numbers(capsys, sub, point):
+    argv = sub.split() + point.split()
+    code, text, _ = run_cli(capsys, *argv)
+    json_code, out, _ = run_cli(capsys, *argv, "--json")
+    if code == json_code == 3:
+        pytest.skip("domain error in both forms")
+    assert code == json_code == 0
+    payload = json.loads(out)
+    params, result = payload["params"], payload["result"]
+
+    lines = text.splitlines()
+    notes = [line for line in lines if line.startswith("note: ")]
+    shown = _NUMBER.findall("\n".join(line for line in lines if line not in notes))
+    values = _shown_values(argv[0], params, result)
+    assert shown == [format(float(v), ".5g") for v in values if v is not None]
+    for key, value in result.get("tuning", {}).items():
+        if value is None:
+            assert f"{key}=-" in text
+
+    if "regime" in result:
+        assert result["regime"] in text
+    pure = result.get("pure_input", result.get("photons", {}).get("pure_input"))
+    assert notes == [f"note: {n}" for n in result.get("notes", [])] + ([_PURE_NOTE] if pure else [])

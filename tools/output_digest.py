@@ -4,8 +4,10 @@
 
 runs ``python -m ampurify`` from TREE/src on a fixed command list; diff the
 output of two trees to prove a refactor byte-identical.  A sweep's CSV file
-counts as stdout.  For ``verify`` only stdout and the exit code count, since
-its stderr holds wall times.
+counts as stdout.  For a ``verify`` run only stdout and the exit code count,
+since its stderr holds wall times; a rejected ``verify`` command line counts
+whole.  ``COLUMNS`` is pinned so that ``--help`` wraps the same way on every
+terminal.
 """
 
 import hashlib
@@ -34,6 +36,12 @@ USAGE = ["sweep --axis g --start 1 --stop 2 --steps 3 --lambda 1 --mu 1 --g 2 --
          "sweep --axis g --start 1 --stop 2 --steps 1 --lambda 1 --mu 1 --json",
          "sweep --axis n --start 1 --stop 4 --steps 5 --lambda 1 --mu 1 --g 2 --json",
          "sweep --axis g --start 1 --stop 2 --steps 3 --lambda 1 --mu 1"]
+#: the other exit paths of main: an I/O failure (exit 4), argparse rejections
+#: and help (SystemExit 2 and 0), and a tune underflow (exit 3)
+EXITS = ["sweep --axis g --start 1 --stop 2 --steps 3 --lambda 1 --mu 1 --out missing/x.csv",
+         "verify --dim abc", "eval --lambda 1 --mu 1", "--help"]
+EXITS += [f"{sub} --help" for sub in ("eval", "sweep", "verify", "photons", "regimes")]
+EXITS += ["photons --mode det --lambda 1e300 --mu 1e-100 --g 1.5"]
 
 
 def commands() -> list[str]:
@@ -43,11 +51,11 @@ def commands() -> list[str]:
              for sub in ("eval", "regimes", "photons --mode det", "photons --mode prob")
              for js in ("", " --json")]
     cmds += [f"sweep {s} {sink}" for s in SWEEPS for sink in ("--out CSV", "--json")]
-    return cmds + BOUNDARY + USAGE
+    return cmds + BOUNDARY + USAGE + EXITS
 
 
 def main(tree: str) -> None:
-    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"), COLUMNS="80")
     with tempfile.TemporaryDirectory() as tmp:
         csv = os.path.join(tmp, "sweep.csv")
         for cmd in commands():
@@ -59,7 +67,8 @@ def main(tree: str) -> None:
                 with open(csv, "rb") as fh:
                     out += fh.read()
                 os.remove(csv)
-            err = b"" if argv[0] == "verify" else p.stderr.replace(csv.encode(), b"CSV")
+            timed = argv[0] == "verify" and p.returncode != 2
+            err = b"" if timed else p.stderr.replace(csv.encode(), b"CSV")
             print(hashlib.sha256(out + b"\0" + err + b"\0" + b"%d" % p.returncode).hexdigest(), cmd)
 
 
