@@ -11,7 +11,7 @@ Usage: python3 demos/advantage_window.py
 """
 
 from ampurify.formulas import fidelity_report, tune
-from ampurify.params import NoisyEnsemble, photon_book, thresholds
+from ampurify.params import NoisyEnsemble, passive_filter_gain, photon_book, thresholds
 
 
 def main() -> None:
@@ -19,7 +19,7 @@ def main() -> None:
     ens1 = NoisyEnsemble(lam, mu, 1.0)
     det_thr, prob_thr = thresholds(ens1)
     book = photon_book(ens1)
-    tangency = book.total / book.n_c
+    tangency = passive_filter_gain(ens1)
 
     print(f"unit-rate ensemble: N_C = {book.n_c:g}, N_T = {book.n_t:g}")
     print(f"landmarks: unit gain 1, passive filter {tangency:g}, "

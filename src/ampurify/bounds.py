@@ -27,6 +27,10 @@ from .params import NoisyEnsemble
 from .scalaropt import golden_section_min
 from . import fock
 
+#: Fock cutoff per mode and prior nodes of the classical-threshold norm check
+_CFT_DIM = 48
+_CFT_RADIAL_NODES = 160
+
 
 @dataclass(frozen=True)
 class BoundWorkspace:
@@ -53,19 +57,6 @@ class CirculantTriple:
     def __post_init__(self) -> None:
         if not isinstance(self.size, int) or self.size < 2:
             raise DomainError(f"circulant size must be an integer >= 2, got {self.size!r}")
-
-
-@dataclass(frozen=True)
-class CftBoundTerms:
-    """Coefficients of the classical-threshold norm bound."""
-
-    c1: float
-    c2: float
-    x_prime: float
-
-    def __post_init__(self) -> None:
-        if not (self.c1 > 0.0 and self.c2 > 0.0 and 0.0 < self.x_prime < 1.0):
-            raise DomainError(f"ill-formed bound terms {self!r}")
 
 
 def kappa_prime(ens: NoisyEnsemble) -> float:
@@ -265,74 +256,53 @@ def filter_deficit_bound(ens: NoisyEnsemble, y: float, k_cut: int) -> float:
     return 2.0 * math.sqrt(e1 * e2)
 
 
-def cft_bound_terms(ens: NoisyEnsemble) -> CftBoundTerms:
-    """Coefficients (c1, c2, x') of the classical-threshold norm bound.
+def cft_bound(ens: NoisyEnsemble) -> float:
+    """Classical-threshold upper bound c1 * ||Omega|| in closed form, c1/(c1 + g'^2).
 
         c1 = (lambda' mu + lambda' + mu)/(mu + 1)
-        c2 = sqrt((lambda' mu + lambda' + mu)(lambda' + mu))/mu
-        x' = (lambda' mu + lambda' + mu)/((lambda' + mu)(mu + 1))
     """
     lam, mu = ens.lambda_prime, ens.mu
-    s = lam * mu + lam + mu
-    return CftBoundTerms(
-        c1=s / (mu + 1.0),
-        c2=math.sqrt(s * (lam + mu)) / mu,
-        x_prime=s / ((lam + mu) * (mu + 1.0)),
-    )
-
-
-def cft_bound(ens: NoisyEnsemble) -> float:
-    """Classical-threshold upper bound c1 * ||Omega|| in closed form, c1/(c1 + g'^2)."""
-    c1 = cft_bound_terms(ens).c1
+    c1 = (lam * mu + lam + mu) / (mu + 1.0)
     return c1 / (c1 + ens.g_prime**2)
 
 
-def _cft_operator_lambda_max(ens: NoisyEnsemble, dim: int, radial_nodes: int) -> float:
-    """Largest eigenvalue of the truncated bound operator, times 1/c1.
+def cft_norm_check(ens: NoisyEnsemble) -> tuple[float, float]:
+    """(numerical bound, closed-form cft_bound) for direct comparison.
 
-    The operator whose norm the classical-threshold bound needs is
+    The bound is the operator norm of
 
         Gamma = integral (d^2 a / pi) p(a) |g'a><g'a| (x) s^(-1/2) rho(a) s^(-1/2)
 
-    where p is the Gaussian prior, rho(a) the displaced noisy input and s
-    the prior-averaged (thermal) state.  The whitened factor
-    s^(-1/2) rho(a) s^(-1/2) is itself a displaced geometric operator:
-    ratio x' at amplitude c2*a, with total weight growing as
-    exp(+lambda'|a|^2) -- exactly cancelling the prior, which is why the
-    equivalent flat-measure form c1 * integral D(c2 a) x'^n D^dag (x)
-    |g'a><g'a| carries no prior factor.  The whitened product is the
-    better-conditioned quadrature target, so that is what is assembled
-    here, per total-photon-number block (the operator is phase covariant,
-    so the angular integral only enforces block-diagonality and the radial
-    rule is exact up to truncation).
+    with p the Gaussian prior, rho(a) the displaced noisy input and s the
+    prior-averaged (thermal) state.  The whitened factor s^(-1/2) rho(a)
+    s^(-1/2) is a displaced geometric operator of ratio
+    x' = (lambda' mu + lambda' + mu)/((lambda' + mu)(mu + 1)) at amplitude
+    c2 a, c2 = sqrt((lambda' mu + lambda' + mu)(lambda' + mu))/mu, whose
+    weight grows as exp(+lambda'|a|^2) and cancels the prior: Gamma equals
+    the flat-measure form c1 * integral D(c2 a) x'^n D^dag (x) |g'a><g'a|.
+    Gamma is the better-conditioned quadrature target, so the numerical
+    value is its largest eigenvalue at _CFT_DIM levels per mode and
+    _CFT_RADIAL_NODES prior nodes.  Being phase covariant, Gamma is
+    block-diagonal in the total photon number: it is assembled per sector,
+    and the radial rule is exact up to truncation.
 
     Truncation converges from above; it slows as g' decreases toward 1
     because the top eigenvector spreads to high photon number, so norm
     checks near the no-amplification boundary need a larger cutoff.
     """
+    dim = _CFT_DIM
     q_sigma = 1.0 / (1.0 + kappa_prime(ens))
-    n = np.arange(dim)
-    whiten = q_sigma ** (-n / 2.0) / math.sqrt(1.0 - q_sigma)
-    blocks = [
-        np.zeros((min(tot, dim - 1) - max(0, tot - dim + 1) + 1,) * 2)
-        for tot in range(2 * dim - 1)
-    ]
-    for alpha, w in fock.prior_nodes(ens.lambda_prime, radial_nodes):
+    whiten = q_sigma ** (-np.arange(dim) / 2.0) / math.sqrt(1.0 - q_sigma)
+    # sector tot: index pairs (tot - m2, m2) inside the cutoff, and its block
+    sectors = []
+    for tot in range(2 * dim - 1):
+        m2 = np.arange(max(0, tot - dim + 1), min(tot, dim - 1) + 1)
+        sectors.append((tot - m2, np.ix_(m2, m2), np.zeros((m2.size, m2.size))))
+    for alpha, w in fock.prior_nodes(ens.lambda_prime, _CFT_RADIAL_NODES):
         rho = fock._displaced_thermal_raw(alpha, 1.0 / ens.mu, dim).real
         xmat = whiten[:, None] * rho * whiten[None, :]
         v = fock._coherent_ket_raw(ens.g_prime * alpha, dim).real * math.sqrt(w)
-        for tot in range(2 * dim - 1):
-            lo = max(0, tot - dim + 1)
-            hi = min(tot, dim - 1)
-            m2 = np.arange(lo, hi + 1)
-            m1 = tot - m2
-            blocks[tot] += np.outer(v[m1], v[m1]) * xmat[np.ix_(m2, m2)]
-    top = max(float(np.linalg.eigvalsh(b).max()) for b in blocks)
-    return top / cft_bound_terms(ens).c1
-
-
-def cft_norm_check(ens: NoisyEnsemble) -> tuple[float, float]:
-    """(c1 * numerical operator norm, closed-form bound) for direct comparison."""
-    terms = cft_bound_terms(ens)
-    lam_max = _cft_operator_lambda_max(ens, dim=48, radial_nodes=160)
-    return terms.c1 * lam_max, cft_bound(ens)
+        for m1, m2m2, block in sectors:
+            block += np.outer(v[m1], v[m1]) * xmat[m2m2]
+    top = max(float(np.linalg.eigvalsh(block).max()) for _, _, block in sectors)
+    return top, cft_bound(ens)

@@ -36,6 +36,7 @@ from .params import (
     NoisyEnsemble,
     classify,
     is_pure_input,
+    passive_filter_gain,
     photon_book,
     reduce,
     thresholds,
@@ -305,9 +306,8 @@ def cmd_photons(args: argparse.Namespace) -> int:
 
 def cmd_regimes(args: argparse.Namespace) -> int:
     task, ens = _task_from_args(args)
-    book = photon_book(ens)
     det_thr, prob_thr = thresholds(ens)
-    tangency = book.total / book.n_c
+    tangency = passive_filter_gain(ens)
     regime = _regime_label(ens)
 
     result = {

@@ -75,6 +75,13 @@ class FilterSpec:
             raise DomainError(f"y must be finite and > 0, got {self.y!r}")
 
 
+def _laguerre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Laguerre nodes and weights, less those weighing at most _WEIGHT_FLOOR."""
+    t, w = roots_laguerre(nodes)
+    keep = w > _WEIGHT_FLOOR
+    return t[keep], w[keep]
+
+
 @dataclass(frozen=True, eq=False)
 class QuadratureGrid:
     """Polar grid: Gauss-Laguerre in t = |beta|^2 times uniform angles."""
@@ -87,7 +94,7 @@ class QuadratureGrid:
     def polar(cls, radial_nodes: int = 80, angular_nodes: int = 32) -> "QuadratureGrid":
         if radial_nodes < 1 or angular_nodes < 1:
             raise DomainError("quadrature grid needs at least one node per axis")
-        t, w = roots_laguerre(radial_nodes)
+        t, w = _laguerre_rule(radial_nodes)
         return cls(radial_t=t, radial_w=w, n_angles=angular_nodes)
 
 
@@ -306,9 +313,7 @@ def apply_heterodyne_mp(rho: FockDensity, z: float, grid: QuadratureGrid) -> Foc
         raise QuadratureError(
             f"radial grid covers the Husimi support to tail mass {tail:.3g} > 1e-8"
         )
-    keep = grid.radial_w > _WEIGHT_FLOOR
-    t = grid.radial_t[keep]
-    w = grid.radial_w[keep]
+    t, w = grid.radial_t, grid.radial_w
     n_ang = grid.n_angles
     angles = 2.0 * math.pi * np.arange(n_ang) / n_ang
 
@@ -353,10 +358,8 @@ def prior_nodes(lambda_prime: float, radial_nodes: int) -> Iterator[tuple[float,
     covariant integrand into sum_i w_i f(sqrt(t_i / lambda')).  Nodes whose
     weight is at or below _WEIGHT_FLOOR are skipped.
     """
-    t_nodes, w_nodes = roots_laguerre(radial_nodes)
-    for t, w in zip(t_nodes, w_nodes):
-        if w > _WEIGHT_FLOOR:
-            yield math.sqrt(t / lambda_prime), w
+    for t, w in zip(*_laguerre_rule(radial_nodes)):
+        yield math.sqrt(t / lambda_prime), w
 
 
 def avg_fidelity_numeric(

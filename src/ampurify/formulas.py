@@ -26,6 +26,7 @@ from .errors import DomainError
 from .params import (
     MultimodeTask,
     NoisyEnsemble,
+    passive_filter_gain,
     photon_book,
     reduce,
     thresholds,
@@ -217,9 +218,8 @@ def fidelity_report(ens: NoisyEnsemble) -> FidelityReport:
     # g' >= S/N_C (or trivially g' <= 1); in the window between, a plain
     # attenuator beats it and may even dip below the classical threshold, so
     # the quantum-beats-classical check is restricted to where it must hold.
-    book = photon_book(ens)
     g = ens.g_prime
-    if (g <= 1.0 or g >= book.total / book.n_c) and det < threshold - _ORDER_TOL:
+    if (g <= 1.0 or g >= passive_filter_gain(ens)) and det < threshold - _ORDER_TOL:
         raise DomainError(
             f"fidelity ordering violated: det {det!r} < cft {threshold!r}"
         )

@@ -2,17 +2,18 @@
 phase-insensitive Gaussian channels.
 
 A state is the pair (amp, nbar): rho = D(amp) rho_th(nbar) D(amp)^dagger with
-rho_th the thermal state of mean photon number nbar.  The three channels
-tracked here act on ladder operators as
+rho_th the thermal state of mean photon number nbar.  Every channel here maps
+amp -> s amp and nbar -> s^2 (nbar + before) + after, with (s, before, after)
 
-    TwoModeSqueeze(r):  a -> cosh(r) a + sinh(r) b^dag   (b in vacuum, traced)
-    Attenuate(theta):   a -> cos(theta) a + sin(theta) b (b in vacuum, traced)
-    Identity:           a -> a
+    TwoModeSqueeze(r):  (cosh r, 0, sinh^2 r)  a -> cosh(r) a + sinh(r) b^dag
+    Attenuate(theta):   (cos theta, 0, 0)      a -> cos(theta) a + sin(theta) b
+    MeasurePrepare(z):  (z, 1, 0)              heterodyne, then prepare |z beta>
+    Identity:           (1, 0, 0)
 
-so amplitudes scale by cosh(r) / cos(theta) / 1 and thermal occupation maps to
-cosh(r)^2 nbar + sinh(r)^2 / cos(theta)^2 nbar / nbar.  Both nontrivial
-channels keep displaced thermal states displaced thermal, which is what makes
-the averaged fidelity a one-line Gaussian integral.
+(b a vacuum ancilla, traced out; heterodyne adds one vacuum unit before the
+re-preparation scales it), so displaced thermal states stay displaced
+thermal, which is what makes the averaged fidelity a one-line Gaussian
+integral.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ class DisplacedThermal:
 class ChannelKind(enum.Enum):
     TWO_MODE_SQUEEZE = "TwoModeSqueeze"
     ATTENUATE = "Attenuate"
+    MEASURE_PREPARE = "MeasurePrepare"
     IDENTITY = "Identity"
 
 
@@ -50,41 +52,35 @@ class ChannelParam:
     """A channel tag plus its single real parameter.
 
     value is the squeeze parameter r >= 0, the beamsplitter angle
-    theta in [0, pi/2], or ignored for Identity.
+    theta in [0, pi/2], the re-preparation scale z >= 0, or ignored for
+    Identity.
     """
 
     kind: ChannelKind
     value: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind is ChannelKind.TWO_MODE_SQUEEZE:
+        if self.kind in (ChannelKind.TWO_MODE_SQUEEZE, ChannelKind.MEASURE_PREPARE):
             if not (math.isfinite(self.value) and self.value >= 0.0):
-                raise DomainError(f"squeeze parameter must be >= 0, got {self.value!r}")
+                raise DomainError(f"{self.kind.value} parameter must be >= 0, got {self.value!r}")
         elif self.kind is ChannelKind.ATTENUATE:
             if not (0.0 <= self.value <= math.pi / 2.0):
                 raise DomainError(
                     f"attenuation angle must be in [0, pi/2], got {self.value!r}"
                 )
 
-    def amp_scale(self) -> float:
-        """Factor multiplying the displacement amplitude."""
-        if self.kind is ChannelKind.TWO_MODE_SQUEEZE:
-            return math.cosh(self.value)
-        if self.kind is ChannelKind.ATTENUATE:
-            return math.cos(self.value)
-        return 1.0
-
-    def added_noise(self) -> float:
-        """Thermal photons added to vacuum input (cosh^2 - 1 for the squeezer)."""
-        if self.kind is ChannelKind.TWO_MODE_SQUEEZE:
-            return math.sinh(self.value) ** 2
-        return 0.0
-
 
 def apply_gaussian(state: DisplacedThermal, ch: ChannelParam) -> DisplacedThermal:
     """Push a displaced thermal state through a channel, in closed form."""
-    s = ch.amp_scale()
-    return DisplacedThermal(amp=s * state.amp, nbar=s * s * state.nbar + ch.added_noise())
+    v = ch.value
+    s, before, after = 1.0, 0.0, 0.0  # Identity
+    if ch.kind is ChannelKind.TWO_MODE_SQUEEZE:
+        s, before, after = math.cosh(v), 0.0, math.sinh(v) ** 2
+    elif ch.kind is ChannelKind.ATTENUATE:
+        s, before, after = math.cos(v), 0.0, 0.0
+    elif ch.kind is ChannelKind.MEASURE_PREPARE:
+        s, before, after = v, 1.0, 0.0
+    return DisplacedThermal(amp=s * state.amp, nbar=s * s * (state.nbar + before) + after)
 
 
 def coherent_overlap(state: DisplacedThermal, target_amp: complex) -> float:
@@ -106,7 +102,8 @@ def avg_fidelity_gaussian(ens: NoisyEnsemble, ch: ChannelParam) -> float:
 
     with s the channel's amplitude scale and nbar_out its output occupation
     on the thermal input nbar = 1/mu.  For the squeezer this is
-    lambda' mu / (lambda'(mu+1) cosh^2 r + mu (g' - cosh r)^2).
+    lambda' mu / (lambda'(mu+1) cosh^2 r + mu (g' - cosh r)^2); measure and
+    prepare at z = g' N_C/(S + 1) attains the classical threshold cft.
     """
     out = apply_gaussian(DisplacedThermal(amp=1.0, nbar=1.0 / ens.mu), ch)
     s = out.amp.real

@@ -148,6 +148,12 @@ def thresholds(ens: NoisyEnsemble) -> tuple[float, float]:
     return det, prob
 
 
+def passive_filter_gain(ens: NoisyEnsemble) -> float:
+    """S/N_C, where the tuned filter is passive (y = 1) and prob touches det."""
+    book = photon_book(ens)
+    return book.total / book.n_c
+
+
 def classify(ens: NoisyEnsemble) -> Regime:
     """Tag the ensemble's operating regime; thresholds use the >= convention."""
     det_thr, prob_thr = thresholds(ens)

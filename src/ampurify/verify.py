@@ -38,7 +38,7 @@ from .gaussian import (
     apply_gaussian,
     avg_fidelity_gaussian,
 )
-from .params import MultimodeTask, NoisyEnsemble, photon_book, thresholds
+from .params import MultimodeTask, NoisyEnsemble, passive_filter_gain, photon_book, thresholds
 from .scalaropt import golden_section_min
 
 #: (lambda', mu) pairs for the scalar property checks
@@ -151,15 +151,6 @@ def _scan_max(f: Callable[[float], float], lo: float, hi: float) -> tuple[float,
     return x, -fx
 
 
-def _mp_value(ens: NoisyEnsemble, z: float) -> float:
-    # heterodyne + re-prepare |z beta>: the output is displaced thermal with
-    # amplitude z alpha and occupation z^2 (nbar + 1), so the prior average
-    # takes the usual Gaussian overlap form
-    lam = ens.lambda_prime
-    nbar_out = z * z * (1.0 / ens.mu + 1.0)
-    return lam / (lam * (nbar_out + 1.0) + (ens.g_prime - z) ** 2)
-
-
 # ---------------------------------------------------------------------------
 # fast checks: closed forms against independent scalar routes
 # ---------------------------------------------------------------------------
@@ -227,8 +218,7 @@ def _check_tangency_point(seed: int, dim: int) -> Pair:
     # filter turns passive: g' = S/N_C, strictly inside the window
     worst = 0.0
     for lam, mu in _LAM_MU:
-        book = photon_book(_ens(lam, mu, 1.0))
-        ens = _ens(lam, mu, book.total / book.n_c)
+        ens = _ens(lam, mu, passive_filter_gain(_ens(lam, mu, 1.0)))
         worst = max(worst, abs(formulas.prob_fidelity(ens) - formulas.det_fidelity(ens)))
     return 0.0, worst
 
@@ -306,7 +296,11 @@ def _check_mp_scan(seed: int, dim: int) -> tuple[Pair, Pair]:
     for lam, mu, g in _MP_SCAN:
         ens = _ens(lam, mu, g)
         target = formulas.cft(ens)
-        z_num, best = _scan_max(lambda z, e=ens: _mp_value(e, z), 1e-9, 2.0 * g + 1.0)
+        z_num, best = _scan_max(
+            lambda z, e=ens: avg_fidelity_gaussian(e, ChannelParam(ChannelKind.MEASURE_PREPARE, z)),
+            1e-9,
+            2.0 * g + 1.0,
+        )
         worst_value = max(worst_value, abs(best - target) / target)
         worst_arg = max(worst_arg, abs(z_num - formulas.tune(ens).z))
     return (0.0, worst_value), (0.0, worst_arg)
@@ -356,8 +350,7 @@ def _check_det_bound_minimum(seed: int, dim: int) -> tuple[Pair, Pair]:
     for lam, mu in _LAM_MU:
         ens1 = _ens(lam, mu, 1.0)
         det_thr, _ = thresholds(ens1)
-        book = photon_book(ens1)
-        tangency = book.total / book.n_c
+        tangency = passive_filter_gain(ens1)
         for g in (tangency, 0.5 * (tangency + det_thr), det_thr, det_thr + 0.5, 2.0 * det_thr):
             ens = _ens(lam, mu, g)
             k_num, f_num = bounds.minimize_det_bound(ens)
@@ -385,8 +378,7 @@ def _check_below_window_edge(seed: int, dim: int) -> Pair:
     # certifies the probabilistic value, not the deterministic one
     worst = 0.0
     for lam, mu in _LAM_MU:
-        book = photon_book(_ens(lam, mu, 1.0))
-        tangency = book.total / book.n_c
+        tangency = passive_filter_gain(_ens(lam, mu, 1.0))
         for g in (1.0 + 0.3 * (tangency - 1.0), 1.0 + 0.8 * (tangency - 1.0)):
             ens = _ens(lam, mu, g)
             k_num, f_num = bounds.minimize_det_bound(ens)

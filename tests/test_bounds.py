@@ -7,7 +7,7 @@ from ampurify.bounds import (
     CirculantTriple,
     amp_convergence_terms,
     cft_bound,
-    cft_bound_terms,
+    cft_norm_check,
     circulant_dense,
     circulant_eigs,
     coeffs,
@@ -22,7 +22,7 @@ from ampurify.bounds import (
 )
 from ampurify.errors import DomainError, NonConvergentError, RootError, ValidityError
 from ampurify.formulas import cft, det_fidelity, prob_fidelity
-from ampurify.params import NoisyEnsemble, photon_book, thresholds
+from ampurify.params import NoisyEnsemble, passive_filter_gain, photon_book, thresholds
 
 
 def _ens(lam, mu, g):
@@ -263,20 +263,20 @@ def test_brackets_refuse_the_input_mass_boundary():
 # ---------------------------------------------------------------------------
 
 
-def test_cft_bound_terms_worked_point():
-    terms = cft_bound_terms(_ens(1.0, 1.0, 2.0))
-    assert terms.c1 == pytest.approx(1.5, abs=1e-15)
-    assert terms.c2 == pytest.approx(math.sqrt(6.0), abs=1e-14)
-    assert terms.x_prime == pytest.approx(0.75, abs=1e-15)
-
-
 @pytest.mark.parametrize("lam,mu,g", [(1.0, 1.0, 2.0), (0.5, 2.0, 0.8), (2.0, 0.5, 1.5)])
 def test_cft_bound_matches_the_closed_form_fidelity(lam, mu, g):
     ens = _ens(lam, mu, g)
     assert cft_bound(ens) == pytest.approx(cft(ens), rel=1e-14)
 
 
+def test_cft_norm_check_converges_from_above():
+    numeric, closed = cft_norm_check(_ens(1.0, 1.0, 1.5))
+    assert closed == cft(_ens(1.0, 1.0, 1.5))
+    assert numeric >= closed
+    assert (numeric - closed) / closed <= 1e-3
+
+
 def test_tangency_gain_equals_photon_ratio():
     # sanity anchor for the window used above: S/N_C = 2 at unit rates
     book = photon_book(_ens(1.0, 1.0, 1.0))
-    assert book.total / book.n_c == 2.0
+    assert book.total / book.n_c == passive_filter_gain(_ens(1.0, 1.0, 1.0)) == 2.0

@@ -31,6 +31,14 @@ def test_attenuator_noise_law():
     assert out.nbar == pytest.approx(c * c * 2.0, rel=1e-14)
 
 
+def test_measure_prepare_noise_law():
+    # heterodyne adds a vacuum unit, re-preparation at scale z: nbar -> z^2 (nbar + 1)
+    st = DisplacedThermal(amp=0.7 + 0.2j, nbar=0.5)
+    out = apply_gaussian(st, ChannelParam(ChannelKind.MEASURE_PREPARE, 0.8))
+    assert out.amp == pytest.approx(0.8 * (0.7 + 0.2j), rel=1e-15)
+    assert out.nbar == pytest.approx(0.64 * 1.5, rel=1e-14)
+
+
 def test_identity_channel_is_inert():
     st = DisplacedThermal(amp=0.3, nbar=1.5)
     out = apply_gaussian(st, ChannelParam(ChannelKind.IDENTITY))
@@ -48,8 +56,9 @@ def test_channels_compose_like_their_scales():
 
 @pytest.mark.parametrize("value", [-0.1, math.nan])
 def test_bad_squeeze_parameter_rejected(value):
-    with pytest.raises(DomainError):
-        ChannelParam(ChannelKind.TWO_MODE_SQUEEZE, value)
+    for kind in (ChannelKind.TWO_MODE_SQUEEZE, ChannelKind.MEASURE_PREPARE):
+        with pytest.raises(DomainError):
+            ChannelParam(kind, value)
 
 
 def test_bad_attenuation_angle_rejected():
