@@ -20,14 +20,16 @@ def main() -> None:
     rows = []
 
     ens = NoisyEnsemble(1.0, 1.0, 2.0)
-    numeric = fock.avg_fidelity_numeric(ens, lambda rho: rho, dim=64, radial_nodes=80)
+    numeric = fock.avg_fidelity_numeric(
+        ens, fock.ShiftKraus.identity(64), dim=64, radial_nodes=80
+    )
     rows.append(("identity, g' = 2", numeric, det_fidelity(ens)))
 
     ens = NoisyEnsemble(1.0, 1.0, 3.5)
     r = math.acosh(tune(ens).cosh_r)
     numeric = fock.avg_fidelity_numeric(
         ens,
-        lambda rho: fock.apply_two_mode_squeezer(rho, r, dim_anc=64),
+        fock.ShiftKraus.squeezer(r, 64, dim_anc=64),
         dim=64,
         radial_nodes=80,
     )
@@ -37,7 +39,7 @@ def main() -> None:
     spec = fock.FilterSpec(k_cut=40, y=tune(ens).y)
     numeric = fock.avg_fidelity_numeric(
         ens,
-        lambda rho: fock.apply_filter(rho, spec),
+        fock.ShiftKraus.filter(spec, 64),
         dim=64,
         radial_nodes=96,
         probabilistic=True,
@@ -49,7 +51,7 @@ def main() -> None:
     z = tune(ens).z
     numeric = fock.avg_fidelity_numeric(
         ens,
-        lambda rho: fock.apply_heterodyne_mp(rho, z, grid),
+        fock.Heterodyne(z, grid),
         dim=64,
         radial_nodes=80,
     )

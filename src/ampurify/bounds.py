@@ -284,7 +284,8 @@ def cft_norm_check(ens: NoisyEnsemble) -> tuple[float, float]:
     value is its largest eigenvalue at _CFT_DIM levels per mode and
     _CFT_RADIAL_NODES prior nodes.  Being phase covariant, Gamma is
     block-diagonal in the total photon number: it is assembled per sector,
-    and the radial rule is exact up to truncation.
+    each block in one contraction over the stacked prior nodes, and the
+    radial rule is exact up to truncation.
 
     Truncation converges from above; it slows as g' decreases toward 1
     because the top eigenvector spreads to high photon number, so norm
@@ -293,16 +294,17 @@ def cft_norm_check(ens: NoisyEnsemble) -> tuple[float, float]:
     dim = _CFT_DIM
     q_sigma = 1.0 / (1.0 + kappa_prime(ens))
     whiten = q_sigma ** (-np.arange(dim) / 2.0) / math.sqrt(1.0 - q_sigma)
-    # sector tot: index pairs (tot - m2, m2) inside the cutoff, and its block
-    sectors = []
-    for tot in range(2 * dim - 1):
-        m2 = np.arange(max(0, tot - dim + 1), min(tot, dim - 1) + 1)
-        sectors.append((tot - m2, np.ix_(m2, m2), np.zeros((m2.size, m2.size))))
+    xs, vs = [], []
     for alpha, w in fock.prior_nodes(ens.lambda_prime, _CFT_RADIAL_NODES):
         rho = fock._displaced_thermal_raw(alpha, 1.0 / ens.mu, dim).real
-        xmat = whiten[:, None] * rho * whiten[None, :]
-        v = fock._coherent_ket_raw(ens.g_prime * alpha, dim).real * math.sqrt(w)
-        for m1, m2m2, block in sectors:
-            block += np.outer(v[m1], v[m1]) * xmat[m2m2]
-    top = max(float(np.linalg.eigvalsh(block).max()) for _, _, block in sectors)
+        xs.append(whiten[:, None] * rho * whiten[None, :])
+        vs.append(fock._coherent_ket_raw(ens.g_prime * alpha, dim).real * math.sqrt(w))
+    x, v = np.array(xs), np.array(vs)
+    top = -math.inf
+    for tot in range(2 * dim - 1):
+        # sector tot: index pairs (tot - m2, m2) inside the cutoff
+        m2 = np.arange(max(0, tot - dim + 1), min(tot, dim - 1) + 1)
+        vm = v[:, tot - m2]
+        block = np.einsum("pi,pj,pij->ij", vm, vm, x[:, m2[:, None], m2[None, :]])
+        top = max(top, float(np.linalg.eigvalsh(block).max()))
     return top, cft_bound(ens)

@@ -1,17 +1,28 @@
 """Truncated Fock-space brute-force oracle.
 
 Everything works on dense numpy matrices in the number basis {|0>, ...,
-|dim-1>}.  Every channel but the heterodyne measure-and-prepare is diagonal
-up to a photon-number shift, with Kraus operators
-A_k = sum_n W[n, k] |n + shift k><n| applied by ``_apply_shift_kraus``: the
-two-mode squeezer has shift +1, the beamsplitter -1 and the diagonal filter
-0 (one weight column).  Squeezer and beamsplitter weights come from the
-sectors their generators conserve (n_a - n_b resp. n_a + n_b): each sector
-column is the exponential of a truncated antisymmetric tridiagonal
-(``_sector_column``), which is exactly orthogonal, so probability never
-leaks; the only approximation relative to the infinite-dimensional channel
-is the reflecting boundary at the sector cutoff, controlled by the energy
-preconditions.
+|dim-1>}.  A channel is a description, of one of two kinds:
+
+* ``ShiftKraus(weights, shift, dim_out)``: diagonal up to a photon-number
+  shift, with Kraus operators A_k = sum_n W[n, k] |n + shift k><n|.  The
+  two-mode squeezer has shift +1, the beamsplitter -1, and the diagonal
+  filter and the identity 0 (one weight column).  Squeezer and beamsplitter
+  weights come from the sectors their generators conserve (n_a - n_b resp.
+  n_a + n_b): each sector column is the exponential of a truncated
+  antisymmetric tridiagonal (``_sector_column``), which is exactly
+  orthogonal, so probability never leaks; the only approximation relative
+  to the infinite-dimensional channel is the reflecting boundary at the
+  sector cutoff, controlled by the energy preconditions.
+* ``Heterodyne(z, grid)``: the measure-and-prepare benchmark, a Husimi
+  sample on a polar grid re-prepared as the coherent state |z beta>.
+
+``avg_fidelity_numeric`` scores a description in the adjoint picture and
+never builds the output state: <t|A_k rho A_k^dag|t> = v_k^dag rho v_k with
+v_k = A_k^dag |t>, and the heterodyne score is sum_j c_j(rho) |<t|z beta_j>|^2
+over coherent rows built once per call.  The output trace (the heralding
+weight, and every trace guard) comes from the same pieces.  The ``apply_*``
+functions build the output state from the same description, for callers
+that need the state itself.
 
 Prior averages reduce to a radial integral: every state, channel and target
 in the protocols is phase covariant, so the 2-D Gaussian prior integral
@@ -23,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterator
 
 import numpy as np
@@ -37,6 +48,9 @@ from .params import NoisyEnsemble
 
 #: quadrature weights below this are skipped (they underflow any integrand)
 _WEIGHT_FLOOR = 1e-280
+
+#: (input state matrix, target amplitude) -> (<t|out|t>, output trace)
+_Scorer = Callable[[np.ndarray, complex], tuple[float, float]]
 
 
 @dataclass(eq=False)
@@ -197,22 +211,111 @@ def _sector_column(couplings: np.ndarray, angle: float) -> np.ndarray:
     return scipy.linalg.expm(angle * gen)[:, 0]
 
 
-def _apply_shift_kraus(
-    rho: FockDensity, weights: np.ndarray, shift: int, dim_out: int
-) -> FockDensity:
-    """sum_k A_k rho A_k^dag with A_k = sum_n W[n, k] |n + shift k><n|; levels
-    mapped outside [0, dim_out) are dropped (the beamsplitter's n < k, of
-    zero weight)."""
-    out = np.zeros((dim_out, dim_out), dtype=complex)
-    for k in range(weights.shape[1]):
-        lo = max(0, -shift * k)
-        hi = min(rho.dim, dim_out - shift * k)
-        a = lo + shift * k
-        col = weights[lo:hi, k]
+@dataclass(frozen=True, eq=False)
+class ShiftKraus:
+    """Channel rho -> sum_k A_k rho A_k^dag, A_k = sum_n W[n, k] |n + shift k><n|.
+
+    ``weights`` holds W with one row per input level; levels mapped outside
+    [0, dim_out) are dropped (the beamsplitter's n < k, of zero weight).
+    ``lossless`` declares the channel trace preserving: an output trace off
+    the input trace by more than 1e-6 raises TruncationError (the squeezer's
+    ancilla-headroom guard).
+    """
+
+    weights: np.ndarray = field(repr=False)
+    shift: int
+    dim_out: int
+    lossless: bool = False
+
+    @classmethod
+    def identity(cls, dim: int) -> "ShiftKraus":
+        """The channel that does nothing, at cutoff dim."""
+        return cls(np.ones((dim, 1)), 0, dim)
+
+    @classmethod
+    def squeezer(cls, r: float, dim: int, dim_anc: int = 64) -> "ShiftKraus":
+        """Quantum-limited amplifier: couple to a vacuum ancilla with
+        exp(r(a^dag b^dag - a b)) and trace the ancilla out.
+
+        The output cutoff grows to dim + dim_anc - 1 to hold the amplified
+        energy; dim_anc should comfortably exceed the amplified photon spread
+        (the sector exponentials reflect at the ancilla cutoff).
+        """
+        if not (math.isfinite(r) and r >= 0.0):
+            raise DomainError(f"squeeze parameter must be >= 0, got {r!r}")
+        if dim_anc < 2:
+            raise DomainError(f"dim_anc must be >= 2, got {dim_anc!r}")
+        if r == 0.0:
+            return cls.identity(dim)
+        return cls(_squeezer_weights(float(r), dim, dim_anc), 1, dim + dim_anc - 1, True)
+
+    @classmethod
+    def attenuator(cls, theta: float, dim: int) -> "ShiftKraus":
+        """Beamsplitter of angle theta against a vacuum ancilla (amp -> cos(theta) amp)."""
+        if not 0.0 <= theta <= math.pi / 2.0:
+            raise DomainError(f"theta must be in [0, pi/2], got {theta!r}")
+        if theta == 0.0:
+            return cls.identity(dim)
+        return cls(_attenuator_weights(float(theta), dim), -1, dim)
+
+    @classmethod
+    def filter(cls, f: FilterSpec, dim: int) -> "ShiftKraus":
+        """The diagonal filter Q = y^(-K) sum_{n <= K} y^n |n><n|."""
+        if f.k_cut >= dim:
+            raise DomainError(
+                f"filter rank k_cut = {f.k_cut} must be below the cutoff dim = {dim}"
+            )
+        n = np.arange(dim)
+        return cls(np.where(n <= f.k_cut, f.y ** (n - float(f.k_cut)), 0.0)[:, None], 0, dim)
+
+    @cached_property
+    def _kept(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(W with dropped levels zeroed, output level of each entry, and the
+        per-input-level output weight sum_k |W[n, k]|^2)."""
+        n = np.arange(self.weights.shape[0])[:, None]
+        level = n + self.shift * np.arange(self.weights.shape[1])[None, :]
+        inside = (level >= 0) & (level < self.dim_out)
+        kept = np.where(inside, self.weights, 0.0)
+        return kept, np.where(inside, level, 0), (np.abs(kept) ** 2).sum(axis=1)
+
+    def _check_trace(self, tr_in: float, tr_out: float) -> None:
+        if self.lossless and abs(tr_out - tr_in) > 1e-6:
+            raise TruncationError(
+                f"lossless channel lost trace: {tr_in!r} -> {tr_out!r}; increase dim_anc"
+            )
+
+    def _scorer(self, dim: int) -> _Scorer:
+        if self.weights.shape[0] != dim:
+            raise DomainError(
+                f"channel built for {self.weights.shape[0]} input levels, got dim {dim}"
+            )
+        kept, level, out_weight = self._kept
+        kept_conj = kept.conj()
+
+        def score(rho: np.ndarray, target: complex) -> tuple[float, float]:
+            # column k of v is A_k^dag |t>, so <t|A_k rho A_k^dag|t> = v_k^dag rho v_k
+            v = kept_conj * _coherent_ket_raw(target, self.dim_out)[level]
+            tr_out = float(np.real(np.diag(rho)) @ out_weight)
+            self._check_trace(float(np.trace(rho).real), tr_out)
+            return float(np.vdot(v, rho @ v).real), tr_out
+
+        return score
+
+
+def _apply_shift_kraus(rho: FockDensity, ch: ShiftKraus) -> FockDensity:
+    """The output state sum_k A_k rho A_k^dag of a shift-Kraus channel."""
+    out = np.zeros((ch.dim_out, ch.dim_out), dtype=complex)
+    for k in range(ch.weights.shape[1]):
+        lo = max(0, -ch.shift * k)
+        hi = min(rho.dim, ch.dim_out - ch.shift * k)
+        a = lo + ch.shift * k
+        col = ch.weights[lo:hi, k]
         out[a : a + hi - lo, a : a + hi - lo] += (
-            col[:, None] * rho.mat[lo:hi, lo:hi] * col[None, :]
+            col[:, None] * rho.mat[lo:hi, lo:hi] * col[None, :].conj()
         )
-    return FockDensity(dim_out, out)
+    res = FockDensity(ch.dim_out, out)
+    ch._check_trace(rho.trace(), res.trace())
+    return res
 
 
 @lru_cache(maxsize=64)
@@ -227,30 +330,6 @@ def _squeezer_weights(r: float, n_levels: int, dim_anc: int) -> np.ndarray:
     for n in range(n_levels):
         W[n] = _sector_column(np.sqrt((n + k) * k), r)
     return W
-
-
-def apply_two_mode_squeezer(rho: FockDensity, r: float, dim_anc: int = 64) -> FockDensity:
-    """Quantum-limited amplifier: couple to a vacuum ancilla with
-    exp(r(a^dag b^dag - a b)) and trace the ancilla out.
-
-    The output cutoff grows to rho.dim + dim_anc - 1 to hold the amplified
-    energy; dim_anc should comfortably exceed the amplified photon spread
-    (the sector exponentials reflect at the ancilla cutoff).
-    """
-    if not (math.isfinite(r) and r >= 0.0):
-        raise DomainError(f"squeeze parameter must be >= 0, got {r!r}")
-    if dim_anc < 2:
-        raise DomainError(f"dim_anc must be >= 2, got {dim_anc!r}")
-    if r == 0.0:
-        return FockDensity(rho.dim, rho.mat.copy())
-    weights = _squeezer_weights(float(r), rho.dim, dim_anc)
-    out = _apply_shift_kraus(rho, weights, 1, rho.dim + dim_anc - 1)
-    tr_in, tr_out = rho.trace(), out.trace()
-    if abs(tr_out - tr_in) > 1e-6:
-        raise TruncationError(
-            f"squeezer lost trace: {tr_in!r} -> {tr_out!r}; increase dim_anc"
-        )
-    return out
 
 
 @lru_cache(maxsize=64)
@@ -268,35 +347,33 @@ def _attenuator_weights(theta: float, n_levels: int) -> np.ndarray:
     return W
 
 
+def apply_two_mode_squeezer(rho: FockDensity, r: float, dim_anc: int = 64) -> FockDensity:
+    """Output state of ``ShiftKraus.squeezer``."""
+    return _apply_shift_kraus(rho, ShiftKraus.squeezer(r, rho.dim, dim_anc))
+
+
 def apply_attenuator(rho: FockDensity, theta: float) -> FockDensity:
-    """Beamsplitter of angle theta against a vacuum ancilla (amp -> cos(theta) amp)."""
-    if not 0.0 <= theta <= math.pi / 2.0:
-        raise DomainError(f"theta must be in [0, pi/2], got {theta!r}")
-    if theta == 0.0:
-        return FockDensity(rho.dim, rho.mat.copy())
-    return _apply_shift_kraus(rho, _attenuator_weights(float(theta), rho.dim), -1, rho.dim)
+    """Output state of ``ShiftKraus.attenuator``."""
+    return _apply_shift_kraus(rho, ShiftKraus.attenuator(theta, rho.dim))
 
 
 def apply_filter(rho: FockDensity, f: FilterSpec) -> FockDensity:
-    """Apply the diagonal filter: Q rho Q^dag with Q = y^(-K) sum y^n |n><n|."""
-    if f.k_cut >= rho.dim:
-        raise DomainError(
-            f"filter rank k_cut = {f.k_cut} must be below the cutoff dim = {rho.dim}"
-        )
-    n = np.arange(rho.dim)
-    coeff = np.where(n <= f.k_cut, f.y ** (n - float(f.k_cut)), 0.0)
-    return _apply_shift_kraus(rho, coeff[:, None], 0, rho.dim)
+    """Output state of ``ShiftKraus.filter``: Q rho Q^dag."""
+    return _apply_shift_kraus(rho, ShiftKraus.filter(f, rho.dim))
 
 
-def apply_heterodyne_mp(rho: FockDensity, z: float, grid: QuadratureGrid) -> FockDensity:
+@dataclass(frozen=True, eq=False)
+class Heterodyne:
     """Heterodyne measure-and-prepare channel.
 
         rho -> integral (d^2 beta / pi) <beta|rho|beta> |z beta><z beta|
 
-    evaluated on the polar grid.  The Husimi factor is computed as
-    u^dag rho u with the *unnormalised* coherent rows u_n = beta^n/sqrt(n!),
-    absorbing exp(-|beta|^2) into the Gauss-Laguerre weight, so nothing
-    overflows.
+    evaluated on the polar ``grid``.  The Husimi factor is u^dag rho u with
+    the *unnormalised* coherent rows u_n = beta^n/sqrt(n!), absorbing
+    exp(-|beta|^2) into the Gauss-Laguerre weight, so nothing overflows.
+    In the adjoint picture the fidelity against a target |t> is
+    sum_j c_j(rho) |<t|z beta_j>|^2 and the output trace sum_j c_j(rho), with
+    c_j the quadrature-weighted Husimi factor at node j.
 
     Trace conservation is enforced to 1e-6 plus the grid's angular aliasing
     allowance: an n_angles-point angular rule cannot separate Fock
@@ -305,50 +382,97 @@ def apply_heterodyne_mp(rho: FockDensity, z: float, grid: QuadratureGrid) -> Foc
     allowance is the summed magnitude of those far coherences in the input
     (zero for states narrower than the angular grid).
     """
-    if not (math.isfinite(z) and z >= 0.0):
-        raise DomainError(f"re-preparation scale z must be >= 0, got {z!r}")
-    dim = rho.dim
-    tail = float(gammaincc(dim, grid.radial_t[-1]))
-    if tail > 1e-8:
-        raise QuadratureError(
-            f"radial grid covers the Husimi support to tail mass {tail:.3g} > 1e-8"
-        )
-    t, w = grid.radial_t, grid.radial_w
-    n_ang = grid.n_angles
-    angles = 2.0 * math.pi * np.arange(n_ang) / n_ang
 
-    n = np.arange(dim)
-    half_lg = 0.5 * gammaln(n + 1.0)
-    phases = np.exp(1j * np.outer(n, angles))                    # dim x A
-    log_t = np.log(t)
-    u_base = np.exp(0.5 * n[:, None] * log_t[None, :] - half_lg[:, None])  # dim x R
-    u_all = (u_base[:, :, None] * phases[:, None, :]).reshape(dim, -1)
+    z: float
+    grid: QuadratureGrid
 
-    husimi = np.einsum("nk,nk->k", u_all.conj(), rho.mat @ u_all).real
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.z) and self.z >= 0.0):
+            raise DomainError(f"re-preparation scale z must be >= 0, got {self.z!r}")
 
-    if z == 0.0:
-        k_base = np.zeros((dim, t.size))
-        k_base[0] = 1.0
-    else:
-        zt = z * z * t
-        k_base = np.exp(
-            -0.5 * zt[None, :] + 0.5 * n[:, None] * np.log(zt)[None, :] - half_lg[:, None]
-        )
-    k_all = (k_base[:, :, None] * phases[:, None, :]).reshape(dim, -1)
+    def _rows(self, dim: int) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
+        """The state-independent part at cutoff dim, for the grid nodes j:
+        the map rho -> c_j (the Husimi factor at beta_j times its quadrature
+        weight) and the re-prepared kets |z beta_j>, one column each.
 
-    coeff = husimi * np.repeat(w / n_ang, n_ang)
-    out = (k_all * coeff[None, :]) @ k_all.conj().T
+        With beta = sqrt(t) e^(i phi), the Husimi factor is summed diagonal
+        by diagonal, sum_d e^(i d phi) sum_m rho[m, m+d] u_m(t) u_(m+d)(t),
+        which is u^dag rho u for the coherent row u_n = beta^n/sqrt(n!) at
+        a fraction of the cost.
+        """
+        tail = float(gammaincc(dim, self.grid.radial_t[-1]))
+        if tail > 1e-8:
+            raise QuadratureError(
+                f"radial grid covers the Husimi support to tail mass {tail:.3g} > 1e-8"
+            )
+        t, w = self.grid.radial_t, self.grid.radial_w
+        n_ang = self.grid.n_angles
+        angles = 2.0 * math.pi * np.arange(n_ang) / n_ang
+        quad_w = np.repeat(w / n_ang, n_ang)
 
-    tr_in, tr_out = rho.trace(), float(np.trace(out).real)
-    allowance = 0.0
-    for d in range(n_ang, dim, n_ang):
-        allowance += 2.0 * float(np.abs(np.diagonal(rho.mat, offset=d)).sum())
-    if abs(tr_out - tr_in) > 1e-6 + allowance:
-        raise TruncationError(
-            f"measure-and-prepare lost trace: {tr_in!r} -> {tr_out!r}; "
-            "increase dim or the grid"
-        )
-    return FockDensity(dim, out)
+        n = np.arange(dim)
+        half_lg = 0.5 * gammaln(n + 1.0)
+        # u_n(t), unnormalised: exp(-t) sits in the Gauss-Laguerre weight
+        u_base = np.exp(0.5 * n[:, None] * np.log(t)[None, :] - half_lg[:, None])  # dim x R
+        offsets = np.arange(1 - dim, dim)
+        col = n[None, :] + offsets[:, None]                           # D x dim
+        inside = (col >= 0) & (col < dim)
+        col = np.where(inside, col, 0)
+        uu = np.where(inside[:, :, None], u_base[None, :, :] * u_base[col, :], 0.0)
+        spin = np.exp(1j * np.outer(offsets, angles))                 # D x A
+        spin_re, spin_im = np.ascontiguousarray(spin.real), np.ascontiguousarray(spin.imag)
+
+        def weights(rho: np.ndarray) -> np.ndarray:
+            diag = np.where(inside, rho[n[None, :], col], 0.0)        # rho[m, m + d]
+            s_re = np.matmul(diag.real[:, None, :], uu)[:, 0, :]
+            s_im = np.matmul(diag.imag[:, None, :], uu)[:, 0, :]
+            return (s_re.T @ spin_re - s_im.T @ spin_im).ravel() * quad_w
+
+        if self.z == 0.0:
+            k_base = np.zeros((dim, t.size))
+            k_base[0] = 1.0
+        else:
+            zt = self.z * self.z * t
+            k_base = np.exp(
+                -0.5 * zt[None, :] + 0.5 * n[:, None] * np.log(zt)[None, :] - half_lg[:, None]
+            )
+        phases = np.exp(1j * np.outer(n, angles))                    # dim x A
+        return weights, (k_base[:, :, None] * phases[:, None, :]).reshape(dim, -1)
+
+    def _check_trace(self, rho: np.ndarray, tr_out: float) -> None:
+        tr_in = float(np.trace(rho).real)
+        n_ang = self.grid.n_angles
+        allowance = 0.0
+        for d in range(n_ang, rho.shape[0], n_ang):
+            allowance += 2.0 * float(np.abs(np.diagonal(rho, offset=d)).sum())
+        if abs(tr_out - tr_in) > 1e-6 + allowance:
+            raise TruncationError(
+                f"measure-and-prepare lost trace: {tr_in!r} -> {tr_out!r}; "
+                "increase dim or the grid"
+            )
+
+    def _scorer(self, dim: int) -> _Scorer:
+        husimi_weights, k_all = self._rows(dim)
+        k_norm2 = np.einsum("nk,nk->k", k_all.conj(), k_all).real
+
+        def score(rho: np.ndarray, target: complex) -> tuple[float, float]:
+            c = husimi_weights(rho)
+            tr_out = float(c @ k_norm2)
+            self._check_trace(rho, tr_out)
+            overlap = _coherent_ket_raw(target, dim).conj() @ k_all
+            return float(c @ (overlap.real ** 2 + overlap.imag ** 2)), tr_out
+
+        return score
+
+
+def apply_heterodyne_mp(rho: FockDensity, z: float, grid: QuadratureGrid) -> FockDensity:
+    """Output state of ``Heterodyne(z, grid)``."""
+    ch = Heterodyne(z, grid)
+    husimi_weights, k_all = ch._rows(rho.dim)
+    c = husimi_weights(rho.mat)
+    out = FockDensity(rho.dim, (k_all * c[None, :]) @ k_all.conj().T)
+    ch._check_trace(rho.mat, out.trace())
+    return out
 
 
 def prior_nodes(lambda_prime: float, radial_nodes: int) -> Iterator[tuple[float, float]]:
@@ -364,20 +488,21 @@ def prior_nodes(lambda_prime: float, radial_nodes: int) -> Iterator[tuple[float,
 
 def avg_fidelity_numeric(
     ens: NoisyEnsemble,
-    channel: Callable[[FockDensity], FockDensity],
+    channel: ShiftKraus | Heterodyne,
     dim: int = 64,
     radial_nodes: int = 80,
     *,
     probabilistic: bool = False,
     angular_nodes: int | None = None,
 ) -> float:
-    """Gaussian-prior average fidelity of an arbitrary Fock-space channel.
+    """Gaussian-prior average fidelity of a described Fock-space channel.
 
     For each radial node t, the input D(alpha) rho_th D^dag with
-    alpha = sqrt(t / lambda') is pushed through ``channel`` and projected on
-    the target |g' alpha>.  The caller declares the channel phase covariant,
-    which justifies the radial-only reduction; pass ``angular_nodes`` to
-    re-check that numerically with a full polar grid.
+    alpha = sqrt(t / lambda') is scored against the target |g' alpha> in the
+    adjoint picture, without building the output state (see ``ShiftKraus``
+    and ``Heterodyne``).  Both channel kinds are phase covariant, which
+    justifies the radial-only reduction; pass ``angular_nodes`` to re-check
+    that numerically with a full polar grid.
 
     probabilistic=True returns the ratio form: prior-averaged numerator over
     prior-averaged success weight (output trace), matching how heralded
@@ -385,6 +510,7 @@ def avg_fidelity_numeric(
     """
     if dim < 2 or radial_nodes < 2:
         raise DomainError("need dim >= 2 and radial_nodes >= 2")
+    score = channel._scorer(dim)
     nbar = 1.0 / ens.mu
     if angular_nodes:
         phases = np.exp(2j * math.pi * np.arange(angular_nodes) / angular_nodes)
@@ -397,10 +523,9 @@ def avg_fidelity_numeric(
         p_avg = 0.0
         for ph in phases:
             alpha = radius * ph
-            rho_out = channel(FockDensity(dim, _displaced_thermal_raw(alpha, nbar, dim)))
-            target = _coherent_ket_raw(ens.g_prime * alpha, rho_out.dim)
-            f_avg += float(np.real(target.conj() @ (rho_out.mat @ target)))
-            p_avg += rho_out.trace() if probabilistic else 1.0
+            fid, trace = score(_displaced_thermal_raw(alpha, nbar, dim), ens.g_prime * alpha)
+            f_avg += fid
+            p_avg += trace if probabilistic else 1.0
         num += w * f_avg / phases.size
         den += w * p_avg / phases.size
     return num / den if probabilistic else num

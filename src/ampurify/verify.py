@@ -410,7 +410,9 @@ def _check_filter_pole_rejected(seed: int, dim: int) -> Pair:
 
 def _check_fock_identity(seed: int, dim: int) -> Pair:
     ens = _ens(1.0, 1.0, 2.0)
-    value = fock.avg_fidelity_numeric(ens, lambda rho: rho, dim=dim, radial_nodes=80)
+    value = fock.avg_fidelity_numeric(
+        ens, fock.ShiftKraus.identity(dim), dim=dim, radial_nodes=80
+    )
     return 1.0 / 3.0, value
 
 
@@ -436,10 +438,9 @@ def _check_fock_attenuator_amp(seed: int, dim: int) -> Pair:
 def _check_fock_filter_prob(seed: int, dim: int) -> Pair:
     ens = _ens(1.0, 1.0, 1.5)
     y = formulas.tune(ens).y
-    spec = fock.FilterSpec(k_cut=30, y=y)
     value = fock.avg_fidelity_numeric(
         ens,
-        lambda rho: fock.apply_filter(rho, spec),
+        fock.ShiftKraus.filter(fock.FilterSpec(k_cut=30, y=y), dim),
         dim=dim,
         radial_nodes=80,
         probabilistic=True,
@@ -515,7 +516,7 @@ def _check_oracle_squeezer(seed: int, dim: int) -> Pair:
                 r = math.acosh(formulas.tune(ens).cosh_r)
                 value = fock.avg_fidelity_numeric(
                     ens,
-                    lambda rho, rr=r: fock.apply_two_mode_squeezer(rho, rr, dim_anc=64),
+                    fock.ShiftKraus.squeezer(r, 64, dim_anc=64),
                     dim=64,
                     radial_nodes=80,
                 )
@@ -530,7 +531,7 @@ def _check_oracle_identity(seed: int, dim: int) -> Pair:
             for g in (1.0, 1.2):
                 ens = _ens(1.0 / n_c, 1.0 / n_t, g)
                 value = fock.avg_fidelity_numeric(
-                    ens, lambda rho: rho, dim=64, radial_nodes=80
+                    ens, fock.ShiftKraus.identity(64), dim=64, radial_nodes=80
                 )
                 closed = 1.0 / ((g - 1.0) ** 2 * n_c + n_t + 1.0)
                 worst = max(worst, abs(value - closed))
@@ -541,11 +542,12 @@ def _check_filter_sweep(seed: int, dim: int) -> tuple[Pair, Pair, Pair]:
     ens = _ens(1.0, 1.0, 1.5)
     y = formulas.tune(ens).y
     cuts = [5, 10, 20, 40]
+    cutoff = max(dim, 64)
     values = [
         fock.avg_fidelity_numeric(
             ens,
-            lambda rho, s=fock.FilterSpec(k_cut=k, y=y): fock.apply_filter(rho, s),
-            dim=max(dim, 64),
+            fock.ShiftKraus.filter(fock.FilterSpec(k_cut=k, y=y), cutoff),
+            dim=cutoff,
             radial_nodes=96,
             probabilistic=True,
         )
@@ -570,7 +572,7 @@ def _check_oracle_heterodyne(seed: int, dim: int) -> Pair:
         z = formulas.tune(ens).z
         value = fock.avg_fidelity_numeric(
             ens,
-            lambda rho, zz=z: fock.apply_heterodyne_mp(rho, zz, grid),
+            fock.Heterodyne(z, grid),
             dim=max(dim, 64),
             radial_nodes=80,
         )
@@ -615,24 +617,24 @@ def _check_gaussian_vs_fock(seed: int, dim: int) -> Pair:
         (_ens(0.5, 2.0, 1.3), ChannelParam(ChannelKind.TWO_MODE_SQUEEZE, 0.3)),
         (_ens(1.0, 0.5, 0.8), ChannelParam(ChannelKind.ATTENUATE, 0.5)),
     )
+    cutoff = max(dim, 64)
     for ens, ch in pairs:
         closed = avg_fidelity_gaussian(ens, ch)
         if ch.kind is ChannelKind.TWO_MODE_SQUEEZE:
-            channel = lambda rho, rr=ch.value: fock.apply_two_mode_squeezer(
-                rho, rr, dim_anc=64
-            )
+            channel = fock.ShiftKraus.squeezer(ch.value, cutoff, dim_anc=64)
         else:
-            channel = lambda rho, th=ch.value: fock.apply_attenuator(rho, th)
-        value = fock.avg_fidelity_numeric(ens, channel, dim=max(dim, 64), radial_nodes=80)
+            channel = fock.ShiftKraus.attenuator(ch.value, cutoff)
+        value = fock.avg_fidelity_numeric(ens, channel, dim=cutoff, radial_nodes=80)
         worst = max(worst, abs(value - closed))
     return 0.0, worst
 
 
 def _check_angular_reduction(seed: int, dim: int) -> Pair:
     ens = _ens(1.0, 1.0, 1.3)
-    radial = fock.avg_fidelity_numeric(ens, lambda rho: rho, dim=dim, radial_nodes=64)
+    identity = fock.ShiftKraus.identity(dim)
+    radial = fock.avg_fidelity_numeric(ens, identity, dim=dim, radial_nodes=64)
     polar = fock.avg_fidelity_numeric(
-        ens, lambda rho: rho, dim=dim, radial_nodes=64, angular_nodes=12
+        ens, identity, dim=dim, radial_nodes=64, angular_nodes=12
     )
     return radial, polar
 

@@ -47,7 +47,7 @@ def test_criterion_01_squeezer_oracle_matches_deterministic_optimum():
                 r = math.acosh(formulas.tune(ens).cosh_r)
                 numeric = fock.avg_fidelity_numeric(
                     ens,
-                    lambda rho, rr=r: fock.apply_two_mode_squeezer(rho, rr, dim_anc=64),
+                    fock.ShiftKraus.squeezer(r, 64, dim_anc=64),
                     dim=64,
                     radial_nodes=80,
                 )
@@ -65,12 +65,12 @@ def test_criterion_02_identity_oracle_matches_passive_closed_form():
             for g in (1.0, 1.2):
                 ens = _ens_from_photons(n_c, n_t, g)
                 numeric = fock.avg_fidelity_numeric(
-                    ens, lambda rho: rho, dim=64, radial_nodes=80
+                    ens, fock.ShiftKraus.identity(64), dim=64, radial_nodes=80
                 )
                 closed = 1.0 / ((g - 1.0) ** 2 * n_c + n_t + 1.0)
                 assert abs(numeric - closed) <= 1e-6, (n_c, n_t, g)
     worked = fock.avg_fidelity_numeric(
-        NoisyEnsemble(1.0, 1.0, 2.0), lambda rho: rho, dim=64, radial_nodes=80
+        NoisyEnsemble(1.0, 1.0, 2.0), fock.ShiftKraus.identity(64), dim=64, radial_nodes=80
     )
     assert abs(worked - 1.0 / 3.0) <= 1e-6
 
@@ -91,7 +91,7 @@ def test_criterion_03_rank_k_filter_converges_inside_certified_brackets():
         values.append(
             fock.avg_fidelity_numeric(
                 ens,
-                lambda rho, s=spec: fock.apply_filter(rho, s),
+                fock.ShiftKraus.filter(spec, 64),
                 dim=64,
                 radial_nodes=96,
                 probabilistic=True,
@@ -118,7 +118,7 @@ def test_criterion_04_heterodyne_oracle_matches_classical_threshold():
         z = formulas.tune(ens).z
         numeric = fock.avg_fidelity_numeric(
             ens,
-            lambda rho, zz=z: fock.apply_heterodyne_mp(rho, zz, grid),
+            fock.Heterodyne(z, grid),
             dim=64,
             radial_nodes=80,
         )

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from ampurify import fock
 from ampurify.errors import DomainError, QuadratureError, TruncationError
 from ampurify.fock import (
     FilterSpec,
     FockDensity,
+    Heterodyne,
     QuadratureGrid,
+    ShiftKraus,
     apply_attenuator,
     apply_filter,
     apply_heterodyne_mp,
@@ -177,18 +180,88 @@ def test_quadrature_grid_guard():
 
 def test_identity_protocol_matches_closed_form():
     ens = NoisyEnsemble(1.0, 1.0, 2.0)
-    got = avg_fidelity_numeric(ens, lambda rho: rho, dim=48, radial_nodes=64)
+    got = avg_fidelity_numeric(ens, ShiftKraus.identity(48), dim=48, radial_nodes=64)
     assert got == pytest.approx(1.0 / 3.0, abs=1e-7)
 
 
 def test_ratio_form_is_scale_invariant():
     ens = NoisyEnsemble(1.0, 1.0, 1.5)
+    damped_identity = ShiftKraus(np.full((32, 1), 0.37 ** 0.5), 0, 32)
 
-    def damped_identity(rho):
-        return FockDensity(rho.dim, 0.37 * rho.mat)
-
-    plain = avg_fidelity_numeric(ens, lambda r: r, dim=32, radial_nodes=48,
+    plain = avg_fidelity_numeric(ens, ShiftKraus.identity(32), dim=32, radial_nodes=48,
                                  probabilistic=True)
     scaled = avg_fidelity_numeric(ens, damped_identity, dim=32, radial_nodes=48,
                                   probabilistic=True)
     assert scaled == pytest.approx(plain, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# adjoint-picture scoring against the built output state
+# ---------------------------------------------------------------------------
+
+_EQUIV_DIM = 32
+
+
+@pytest.mark.parametrize(
+    "channel, apply",
+    [
+        (ShiftKraus.identity(_EQUIV_DIM), lambda rho: rho),
+        (
+            ShiftKraus.squeezer(0.4, _EQUIV_DIM, dim_anc=16),
+            lambda rho: apply_two_mode_squeezer(rho, 0.4, dim_anc=16),
+        ),
+        (ShiftKraus.attenuator(0.6, _EQUIV_DIM), lambda rho: apply_attenuator(rho, 0.6)),
+        (
+            ShiftKraus.filter(FilterSpec(k_cut=20, y=1.1), _EQUIV_DIM),
+            lambda rho: apply_filter(rho, FilterSpec(k_cut=20, y=1.1)),
+        ),
+        (
+            Heterodyne(0.7, QuadratureGrid.polar(80, 32)),
+            lambda rho: apply_heterodyne_mp(rho, 0.7, QuadratureGrid.polar(80, 32)),
+        ),
+    ],
+    ids=["identity", "squeezer", "attenuator", "filter", "heterodyne"],
+)
+def test_adjoint_score_equals_projection_of_built_output(channel, apply):
+    rho = displaced_thermal_density(0.9 + 0.5j, 0.4, _EQUIV_DIM)
+    amp = 0.8 - 0.6j
+    fidelity, trace = channel._scorer(_EQUIV_DIM)(rho.mat, amp)
+    out = apply(rho)
+    target = coherent_ket(amp, out.dim)
+    assert fidelity == pytest.approx(float(np.real(target.conj() @ out.mat @ target)), abs=1e-13)
+    assert trace == pytest.approx(out.trace(), abs=1e-13)
+
+
+def test_heterodyne_husimi_sum_matches_the_coherent_row_form():
+    # the diagonal-by-diagonal Husimi sum against u^dag rho u, u_n = beta^n/sqrt(n!)
+    # at every grid node; a complex input amplitude tells beta from conj(beta)
+    dim, grid = 24, QuadratureGrid.polar(40, 12)
+    rho = displaced_thermal_density(0.9 + 0.5j, 0.4, dim)
+    husimi_weights, _ = Heterodyne(0.7, grid)._rows(dim)
+    phases = np.exp(2j * np.pi * np.arange(grid.n_angles) / grid.n_angles)
+    beta = (np.sqrt(grid.radial_t)[:, None] * phases[None, :]).ravel()
+    n = np.arange(dim)
+    u = beta[None, :] ** n[:, None] / np.sqrt(np.cumprod(np.r_[1.0, n[1:]]))[:, None]
+    husimi = np.einsum("nj,nj->j", u.conj(), rho.mat @ u).real
+    expected = husimi * np.repeat(grid.radial_w / grid.n_angles, grid.n_angles)
+    assert np.abs(husimi_weights(rho.mat) - expected).sum() <= 1e-13
+
+
+def test_lossless_declaration_rejects_a_lossy_channel_in_both_pictures():
+    lossy = ShiftKraus(np.full((16, 1), 0.5), 0, 16, lossless=True)
+    rho = displaced_thermal_density(0.5, 0.2, 16)
+    with pytest.raises(TruncationError, match="lost trace"):
+        lossy._scorer(16)(rho.mat, 0.5)
+    with pytest.raises(TruncationError, match="lost trace"):
+        fock._apply_shift_kraus(rho, lossy)
+
+
+def test_heterodyne_score_rejects_a_grid_that_misses_the_state():
+    ens = NoisyEnsemble(1.0, 0.5, 1.0)
+    with pytest.raises(QuadratureError):
+        avg_fidelity_numeric(ens, Heterodyne(0.5, QuadratureGrid.polar(6, 16)), dim=64)
+
+
+def test_channel_must_match_the_input_cutoff():
+    with pytest.raises(DomainError):
+        avg_fidelity_numeric(NoisyEnsemble(1.0, 1.0, 2.0), ShiftKraus.identity(32), dim=48)
