@@ -23,7 +23,6 @@ from .formulas import (
     photon_output_det,
     photon_output_prob,
     prob_fidelity,
-    puri_fidelity,
     tune,
 )
 from .params import (
@@ -59,7 +58,6 @@ __all__ = [
     "photon_output_det",
     "photon_output_prob",
     "prob_fidelity",
-    "puri_fidelity",
     "reduce",
     "thresholds",
     "tune",

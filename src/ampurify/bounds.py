@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonConvergentError, RootError, ValidityError
-from .params import NoisyEnsemble
+from .params import NoisyEnsemble, RegimeTag, classify
 from .scalaropt import golden_section_min
 from . import fock
 
@@ -167,23 +167,15 @@ def det_upper_bound(ens: NoisyEnsemble, kappa: float) -> float:
 def kappa_star(ens: NoisyEnsemble) -> float:
     """Minimising ansatz parameter of det_upper_bound, in closed form.
 
-    Equals kappa' at or above the deterministic threshold
-    (lambda' + mu + lambda' mu)/mu; below it the stationary point moves to
-    (mu (g'-1)^2 + lambda'(mu+1)) / (g'(g' + mu)).
-
-    Caveat: for g' < (lambda' + mu)/mu that stationary point exceeds
-    kappa', i.e. it leaves the interval where the bound derivation holds
-    (det_upper_bound raises ValidityError there).  Over the admissible
-    interval the bound is then strictly decreasing and its edge value at
-    kappa' reproduces the probabilistic optimum, not the deterministic
-    one — which delimits where the deterministic closed form is actually
-    certified.
+    Equals kappa' up to the passive-filter gain (lambda' + mu)/mu and at or
+    above the deterministic threshold (lambda' + mu + lambda' mu)/mu; between
+    the two the stationary point moves inside the interval, to
+    (mu (g'-1)^2 + lambda'(mu+1)) / (g'(g' + mu)).  The minimum is the
+    deterministic optimum at every gain.
     """
-    if ens.g_prime < 1.0:
-        raise DomainError(f"ansatz minimiser needs g' >= 1, got {ens.g_prime!r}")
-    lam, mu, g = ens.lambda_prime, ens.mu, ens.g_prime
-    if g >= (lam + mu + lam * mu) / mu:
+    if classify(ens).tag is not RegimeTag.DET_IDENTITY:
         return kappa_prime(ens)
+    lam, mu, g = ens.lambda_prime, ens.mu, ens.g_prime
     return (mu * (g - 1.0) ** 2 + lam * (mu + 1.0)) / (g * (g + mu))
 
 

@@ -34,6 +34,7 @@ from .errors import AmpurifyError, DomainError
 from .params import (
     MultimodeTask,
     NoisyEnsemble,
+    RegimeTag,
     classify,
     is_pure_input,
     passive_filter_gain,
@@ -79,8 +80,6 @@ def _opt10(v: float | None) -> str:
 
 def _regime_label(ens: NoisyEnsemble) -> str:
     reg = classify(ens)
-    if ens.g_prime <= 1.0:
-        return reg.tag.value
     return f"{reg.tag.value}+{reg.prob_tag.value}"
 
 
@@ -279,14 +278,10 @@ def cmd_photons(args: argparse.Namespace) -> int:
     notes = []
     if args.mode == "det":
         n_total_out, n_single_out = formulas.photon_output_det(task)
-        if formulas.tune(ens).cosh_r <= 1.0:
+        if classify(ens).tag is RegimeTag.DET_IDENTITY:
             notes.append("identity channel (g' below the amplify threshold)")
     else:
         tuning = formulas.tune(ens)
-        if tuning.y is None:
-            raise DomainError(
-                f"probabilistic bookkeeping needs g' >= 1, got {ens.g_prime!r}"
-            )
         n_t_out, n_total_out, n_single_out = formulas.photon_output_prob(task, tuning.y)
         result.update({"y": tuning.y, "n_t_out": n_t_out})
         rows = [("filter ratio y", tuning.y), ("N_T", n_single_in), ("N'_T", n_t_out)]

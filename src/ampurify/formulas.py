@@ -5,16 +5,14 @@ mean-photon variables
 
     N_C = 1/lambda',  N_T = 1/mu,  Ntilde_T = N_T + 1,  S = N_C + N_T.
 
-Three protocol families are covered: the deterministic optimum (a two-mode
-squeezer on the bright mode), the probabilistic optimum (noiseless-amplifier
-filter followed by the squeezer), and pure purification for g' <= 1 (a
-beamsplitter).  The classical benchmark ``cft`` is the best
-measure-and-prepare value and holds for every gain.
-
-Deterministic and probabilistic optima are only defined for g' >= 1; below
-that the purification formula applies and the report helper switches over
-automatically.  Requesting a formula outside its gain range raises
-DomainError rather than silently returning the other branch.
+Three optima are covered, each for every gain g' > 0.  The deterministic
+optimum is a Gaussian channel on the bright mode: a beamsplitter that
+attenuates up to the passive-filter gain S/N_C, the identity up to the
+amplify threshold (S+1)/N_C, and a two-mode squeezer beyond.  The
+probabilistic optimum is a noiseless-amplifier filter followed by the
+squeezer.  The classical benchmark ``cft`` is the best measure-and-prepare
+value.  Branches are picked by ``params.classify`` alone, so the printed
+regime always names the branch behind the printed value.
 """
 
 from __future__ import annotations
@@ -26,76 +24,75 @@ from .errors import DomainError
 from .params import (
     MultimodeTask,
     NoisyEnsemble,
-    passive_filter_gain,
+    RegimeTag,
+    classify,
     photon_book,
     reduce,
-    thresholds,
 )
 
 #: slack used by the report-level ordering checks
 _ORDER_TOL = 1e-12
 
 
-def det_fidelity(ens: NoisyEnsemble) -> float:
-    """Best deterministic average fidelity for g' >= 1.
+def _filter_value(ens: NoisyEnsemble) -> float:
+    """S / (S + g'^2 N_C N_T), the value of the tuned filter below its plateau
+    and of the attenuator up to S/N_C, written in lambda', mu so that
+    N_C N_T cannot overflow."""
+    lam, mu = ens.lambda_prime, ens.mu
+    return (lam + mu) / (lam + mu + ens.g_prime * ens.g_prime)
 
-    Above the gain threshold (S+1)/N_C the optimal squeezer amplifies and
 
-        F = (S + 1) / (g'^2 N_C Ntilde_T);
-
-    below it amplification does not pay, the squeezer stays at cosh r = 1 and
-
-        F = 1 / ((g'-1)^2 N_C + Ntilde_T).
-
-    The two branches agree at the threshold.
-    """
-    if ens.g_prime < 1.0:
-        raise DomainError(
-            f"deterministic optimum needs g' >= 1, got {ens.g_prime!r}; "
-            "use puri_fidelity below unit gain"
-        )
+def _squeezer_value(ens: NoisyEnsemble) -> float:
+    """(S + 1) / (g'^2 N_C Ntilde_T), the value of the optimal squeezer from
+    the amplify threshold on, where the filter has long saturated."""
     book = photon_book(ens)
-    s, g = book.total, ens.g_prime
-    if g >= thresholds(ens)[0]:
-        return (s + 1.0) / (g * g * book.n_c * book.n_t_tilde)
-    return 1.0 / ((g - 1.0) ** 2 * book.n_c + book.n_t_tilde)
+    g = ens.g_prime
+    return (book.total + 1.0) / (g * g * book.n_c * book.n_t_tilde)
+
+
+def det_fidelity(ens: NoisyEnsemble) -> float:
+    """Best deterministic average fidelity.
+
+    Up to the passive-filter gain S/N_C a beamsplitter at
+    cos theta = g' N_C / S attenuates, and
+
+        F = S / (S + g'^2 N_C N_T)  =  (lambda' + mu) / (lambda' + mu + g'^2);
+
+    up to the amplify threshold (S+1)/N_C leaving the bright mode alone is
+    optimal, and
+
+        F = 1 / ((g'-1)^2 N_C + Ntilde_T);
+
+    beyond it the optimal squeezer amplifies, and
+
+        F = (S + 1) / (g'^2 N_C Ntilde_T).
+
+    Neighbouring branches agree at their join.
+    """
+    tag = classify(ens).tag
+    if tag is RegimeTag.DET_ATTENUATE:
+        return _filter_value(ens)
+    if tag is RegimeTag.DET_AMPLIFY:
+        return _squeezer_value(ens)
+    book = photon_book(ens)
+    return 1.0 / ((ens.g_prime - 1.0) ** 2 * book.n_c + book.n_t_tilde)
 
 
 def prob_fidelity(ens: NoisyEnsemble) -> float:
-    """Best probabilistic average fidelity (ratio form) for g' >= 1.
+    """Best probabilistic average fidelity (ratio form).
 
     Up to the filter plateau at sqrt(S(S+1))/N_C,
 
         F = S / (S + g'^2 N_C N_T),
 
     beyond it the filter saturates and F matches the amplifying branch of
-    the deterministic optimum, (S+1)/(g'^2 N_C Ntilde_T).
+    the deterministic optimum, (S+1)/(g'^2 N_C Ntilde_T).  Up to S/N_C the
+    tuned filter does not amplify (y <= 1) and F equals the deterministic
+    optimum.
     """
-    if ens.g_prime < 1.0:
-        raise DomainError(
-            f"probabilistic optimum needs g' >= 1, got {ens.g_prime!r}; "
-            "use puri_fidelity below unit gain"
-        )
-    book = photon_book(ens)
-    s, g = book.total, ens.g_prime
-    if g >= thresholds(ens)[1]:
-        return (s + 1.0) / (g * g * book.n_c * book.n_t_tilde)
-    return s / (s + g * g * book.n_c * book.n_t)
-
-
-def puri_fidelity(ens: NoisyEnsemble) -> float:
-    """Best average fidelity for g' <= 1 (purification regime).
-
-    Achieved deterministically by a beamsplitter; filtering adds nothing:
-
-        F = S / (S + g'^2 N_C N_T)  =  (lambda' + mu) / (lambda' + mu + g'^2).
-    """
-    if ens.g_prime > 1.0:
-        raise DomainError(
-            f"purification formula needs g' <= 1, got {ens.g_prime!r}"
-        )
-    lam, mu = ens.lambda_prime, ens.mu
-    return (lam + mu) / (lam + mu + ens.g_prime**2)
+    if classify(ens).prob_tag is RegimeTag.PROB_PLATEAU:
+        return _squeezer_value(ens)
+    return _filter_value(ens)
 
 
 def cft(ens: NoisyEnsemble) -> float:
@@ -115,27 +112,25 @@ def cft(ens: NoisyEnsemble) -> float:
 class TuningReport:
     """Optimal channel parameters for a reduced ensemble.
 
-    Fields are populated only in the regime where the respective device is
-    part of the optimal protocol (both sides at g' = 1 exactly):
-
-    cosh_r    : squeezer gain, g' >= 1 (clamped at 1 below the amplify threshold)
-    y         : filter transmissivity ratio, g' >= 1; y = 1 on the plateau
-    cos_theta : beamsplitter transmission, g' <= 1
+    cosh_r    : squeezer gain, clamped at 1 below the amplify threshold
+    y         : filter transmissivity ratio; y = 1 on the plateau
+    cos_theta : beamsplitter transmission, set only up to the passive-filter
+                gain S/N_C, where the attenuator is the deterministic optimum
     z         : heterodyne re-preparation scale of the classical benchmark
     plateau   : True when g' has reached the deterministic threshold, where
                 the filter confers no advantage and y is reported as 1
     """
 
-    cosh_r: float | None
-    y: float | None
+    cosh_r: float
+    y: float
     cos_theta: float | None
     z: float
     plateau: bool
 
     def __post_init__(self) -> None:
-        if self.cosh_r is not None and not self.cosh_r >= 1.0:
+        if not self.cosh_r >= 1.0:
             raise DomainError(f"cosh_r must be >= 1, got {self.cosh_r!r}")
-        if self.y is not None and not self.y > 0.0:
+        if not self.y > 0.0:
             raise DomainError(f"y must be > 0, got {self.y!r}")
         if self.cos_theta is not None and not 0.0 < self.cos_theta <= 1.0:
             raise DomainError(f"cos_theta must be in (0, 1], got {self.cos_theta!r}")
@@ -147,47 +142,40 @@ def tune(ens: NoisyEnsemble) -> TuningReport:
     """Optimal device settings for each protocol family.
 
         cosh r    = max(1, g' N_C / (S + 1))
-        y         = g' N_C / S          for 1 <= g' <= sqrt(S(S+1))/N_C
+        y         = g' N_C / S          up to sqrt(S(S+1))/N_C
                   = (S + 1) / (g' N_C)  up to (S+1)/N_C
                   = 1                   beyond (plateau)
-        cos theta = min(1, g' / (1 + N_T/N_C))
+        cos theta = g' N_C / S          up to S/N_C
         z         = g' N_C / (S + 1)
 
-    The y rule is continuous across both joins.  Note y < 1 whenever
-    N_T > (g' - 1) N_C: the optimal filter then *suppresses* large Fock
-    components rather than amplifying.
+    The y rule is continuous across both joins.  Note y < 1 below S/N_C:
+    the optimal filter then *suppresses* large Fock components rather than
+    amplifying, and y equals the beamsplitter's cos theta.
     """
     if ens.g_prime <= 0.0:
         raise DomainError("tuning undefined for zero gain")
     book = photon_book(ens)
     s, g = book.total, ens.g_prime
-    det_thr, prob_thr = thresholds(ens)
+    regime = classify(ens)
     z = g * book.n_c / (s + 1.0)
-
-    cosh_r: float | None = None
-    y: float | None = None
-    cos_theta: float | None = None
-    plateau = False
-    if g >= 1.0:
-        cosh_r = max(1.0, z)
-        if g >= det_thr:
-            y = 1.0
-            plateau = True
-        elif g >= prob_thr:
-            y = (s + 1.0) / (g * book.n_c)
-        else:
-            y = g * book.n_c / s
-    if g <= 1.0:
-        cos_theta = min(1.0, g / (1.0 + book.n_t / book.n_c))
-    return TuningReport(cosh_r=cosh_r, y=y, cos_theta=cos_theta, z=z, plateau=plateau)
+    passive = g * book.n_c / s
+    plateau = regime.tag is RegimeTag.DET_AMPLIFY
+    if plateau:
+        y = 1.0
+    elif regime.prob_tag is RegimeTag.PROB_PLATEAU:
+        y = (s + 1.0) / (g * book.n_c)
+    else:
+        y = passive
+    cos_theta = min(1.0, passive) if regime.tag is RegimeTag.DET_ATTENUATE else None
+    return TuningReport(cosh_r=max(1.0, z), y=y, cos_theta=cos_theta, z=z, plateau=plateau)
 
 
 @dataclass(frozen=True)
 class FidelityReport:
     """The three headline fidelities of a reduced ensemble.
 
-    det and prob fall back to the purification value for g' <= 1.  Basic
-    ordering (prob >= det, everything in [0, 1]) is checked on construction.
+    The ordering 0 <= cft <= det <= prob <= 1 is checked on construction,
+    to a slack of 1e-12, at every gain.
     """
 
     det: float
@@ -203,27 +191,15 @@ class FidelityReport:
             raise DomainError(
                 f"fidelity ordering violated: prob {self.prob!r} < det {self.det!r}"
             )
+        if self.det < self.cft - _ORDER_TOL:
+            raise DomainError(
+                f"fidelity ordering violated: det {self.det!r} < cft {self.cft!r}"
+            )
 
 
 def fidelity_report(ens: NoisyEnsemble) -> FidelityReport:
-    """Evaluate det/prob/cft in the regime-appropriate way."""
-    if ens.g_prime <= 1.0:
-        det = prob = puri_fidelity(ens)
-    else:
-        det = det_fidelity(ens)
-        prob = prob_fidelity(ens)
-    threshold = cft(ens)
-    report = FidelityReport(det=det, prob=prob, cft=threshold)
-    # The squeezer-family deterministic formula is the true optimum only for
-    # g' >= S/N_C (or trivially g' <= 1); in the window between, a plain
-    # attenuator beats it and may even dip below the classical threshold, so
-    # the quantum-beats-classical check is restricted to where it must hold.
-    g = ens.g_prime
-    if (g <= 1.0 or g >= passive_filter_gain(ens)) and det < threshold - _ORDER_TOL:
-        raise DomainError(
-            f"fidelity ordering violated: det {det!r} < cft {threshold!r}"
-        )
-    return report
+    """Evaluate det/prob/cft; the report checks their ordering."""
+    return FidelityReport(det=det_fidelity(ens), prob=prob_fidelity(ens), cft=cft(ens))
 
 
 def photon_output_det(task: MultimodeTask) -> tuple[float, float]:
@@ -231,18 +207,20 @@ def photon_output_det(task: MultimodeTask) -> tuple[float, float]:
 
     Returns (n_total_out, n_single_out): total over the M output modes and
     per single output mode, counting noise photons (signal excluded).  The
-    bright mode carries cosh^2(r) (N_single + 1) - 1 photons after squeezing
-    and is split evenly over M outputs; below the amplify threshold the
-    protocol is passive and the input noise N_single is merely redistributed.
+    bright mode carries cos^2(theta) N_single photons behind the attenuating
+    beamsplitter, N_single when the channel is the identity, and
+    cosh^2(r) (N_single + 1) - 1 after squeezing; it is split evenly over
+    the M outputs.
     """
     ens = reduce(task)
-    if ens.g_prime < 1.0:
-        raise DomainError(f"deterministic protocol needs g' >= 1, got {ens.g_prime!r}")
     n_single_in = photon_book(ens).n_t
-    cosh_r = tune(ens).cosh_r
-    if cosh_r <= 1.0:
-        return n_single_in, n_single_in / task.m_out
-    bright = cosh_r**2 * (n_single_in + 1.0) - 1.0
+    tuning = tune(ens)
+    if tuning.cos_theta is not None:
+        bright = tuning.cos_theta**2 * n_single_in
+    elif tuning.cosh_r > 1.0:
+        bright = tuning.cosh_r**2 * (n_single_in + 1.0) - 1.0
+    else:
+        bright = n_single_in
     return bright, bright / task.m_out
 
 

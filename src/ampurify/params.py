@@ -13,6 +13,11 @@ gain by sqrt(M).  Every optimum therefore depends only on the reduced triple
 
 Photon bookkeeping uses mean photon numbers N_C = 1/lambda' (signal),
 N_T = 1/mu (thermal per mode) and the convenience Ntilde_T = N_T + 1.
+
+Three gain landmarks, all >= 1 and in this order, split every g' > 0 into
+regimes: the passive-filter gain S/N_C, the filter plateau sqrt(S(S+1))/N_C
+and the amplify threshold (S+1)/N_C, with S = N_C + N_T.  ``classify`` is
+the one place that compares g' with them.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -76,8 +82,7 @@ class NoisyEnsemble:
             raise DomainError(f"g_prime must be finite and >= 0, got {self.g_prime!r}")
 
 
-@dataclass(frozen=True)
-class PhotonBook:
+class PhotonBook(NamedTuple):
     """Mean photon numbers of the reduced ensemble."""
 
     n_c: float        # signal photons 1/lambda'
@@ -93,26 +98,24 @@ class PhotonBook:
 class RegimeTag(enum.Enum):
     """Operating regimes of the reduced task.
 
-    The deterministic side splits at the gain threshold
-    (N_C + N_T + 1)/N_C where amplification starts to pay; the
-    probabilistic side splits at sqrt((N_C+N_T+1)(N_C+N_T))/N_C where the
-    filter plateaus.  Gains at or below 1 are pure purification.
+    The deterministic side attenuates up to the passive-filter gain
+    (N_C + N_T)/N_C, leaves the bright mode alone up to the amplify
+    threshold (N_C + N_T + 1)/N_C and squeezes beyond it; the probabilistic
+    side splits at sqrt((N_C+N_T+1)(N_C+N_T))/N_C where the filter plateaus.
     """
 
-    PURIFY = "Purify"
+    DET_ATTENUATE = "DetAttenuate"
     DET_IDENTITY = "DetIdentity"
     DET_AMPLIFY = "DetAmplify"
     PROB_AMPLIFY = "ProbAmplify"
     PROB_PLATEAU = "ProbPlateau"
 
 
-@dataclass(frozen=True)
-class Regime:
+class Regime(NamedTuple):
     """Classification of a reduced ensemble.
 
-    ``tag`` is the deterministic-side label (Purify / DetIdentity /
-    DetAmplify); ``prob_tag`` the probabilistic-side one.  The gain
-    thresholds behind them come from ``thresholds``.
+    ``tag`` is the deterministic-side label (DetAttenuate / DetIdentity /
+    DetAmplify); ``prob_tag`` the probabilistic-side one.
     """
 
     tag: RegimeTag
@@ -133,6 +136,14 @@ def photon_book(ens: NoisyEnsemble) -> PhotonBook:
     return PhotonBook(n_c=1.0 / ens.lambda_prime, n_t=n_t, n_t_tilde=n_t + 1.0)
 
 
+def _landmarks(ens: NoisyEnsemble) -> tuple[float, float, float]:
+    """(S/N_C, sqrt(S(S+1))/N_C, (S+1)/N_C), in increasing order."""
+    book = photon_book(ens)
+    s = book.total
+    tangency = s / book.n_c
+    return tangency, tangency * math.sqrt(1.0 + 1.0 / s), (s + 1.0) / book.n_c
+
+
 def thresholds(ens: NoisyEnsemble) -> tuple[float, float]:
     """(deterministic, probabilistic) gain thresholds of the reduced task.
 
@@ -140,31 +151,35 @@ def thresholds(ens: NoisyEnsemble) -> tuple[float, float]:
            beats doing nothing, and the probabilistic advantage closes.
     prob = sqrt((N_C + N_T + 1)(N_C + N_T)) / N_C : above it the optimal
            filter saturates (geometric mean of det threshold and S/N_C).
+           It is evaluated as S/N_C sqrt(1 + 1/S), which cannot overflow
+           where S(S+1) would.
     """
-    book = photon_book(ens)
-    s = book.total
-    det = (s + 1.0) / book.n_c
-    prob = math.sqrt((s + 1.0) * s) / book.n_c
+    _, prob, det = _landmarks(ens)
     return det, prob
 
 
 def passive_filter_gain(ens: NoisyEnsemble) -> float:
-    """S/N_C, where the tuned filter is passive (y = 1) and prob touches det."""
-    book = photon_book(ens)
-    return book.total / book.n_c
+    """S/N_C, where the tuned filter is passive (y = 1) and the optimal
+    deterministic beamsplitter stops attenuating (cos theta = 1)."""
+    return _landmarks(ens)[0]
 
 
 def classify(ens: NoisyEnsemble) -> Regime:
-    """Tag the ensemble's operating regime; thresholds use the >= convention."""
-    det_thr, prob_thr = thresholds(ens)
+    """Tag the ensemble's operating regime.
+
+    The thresholds use the >= convention and the passive-filter gain the <=
+    one, so S/N_C itself attenuates (at cos theta = 1).  The closed forms
+    agree at every join, so the choice only names the branch.
+    """
+    tangency, prob_thr, det_thr = _landmarks(ens)
     g = ens.g_prime
-    if g <= 1.0:
-        tag = prob_tag = RegimeTag.PURIFY
+    if g >= det_thr:
+        tag = RegimeTag.DET_AMPLIFY
+    elif g <= tangency:
+        tag = RegimeTag.DET_ATTENUATE
     else:
-        tag = RegimeTag.DET_AMPLIFY if g >= det_thr else RegimeTag.DET_IDENTITY
-        prob_tag = (
-            RegimeTag.PROB_PLATEAU if g >= prob_thr else RegimeTag.PROB_AMPLIFY
-        )
+        tag = RegimeTag.DET_IDENTITY
+    prob_tag = RegimeTag.PROB_PLATEAU if g >= prob_thr else RegimeTag.PROB_AMPLIFY
     return Regime(tag=tag, prob_tag=prob_tag)
 
 

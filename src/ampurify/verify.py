@@ -44,9 +44,8 @@ from .scalaropt import golden_section_min
 #: (lambda', mu) pairs for the scalar property checks
 _LAM_MU = tuple((lam, mu) for lam in (0.5, 1.0, 2.0) for mu in (0.5, 1.0, 2.0))
 
-#: fractions of the open window 1 < g' < deterministic threshold sampled by
-#: the advantage check; they deliberately avoid 1/(1+mu) for the mu values
-#: above, where the probabilistic and deterministic curves touch
+#: fractions of the advantage window S/N_C < g' < (S+1)/N_C sampled by the
+#: advantage check
 _WINDOW_FRACTIONS = (0.15, 0.62, 0.9)
 
 #: smallest margin the one-sided advantage and quantum-vs-classical checks
@@ -180,12 +179,22 @@ def _check_prob_branch_join(seed: int, dim: int) -> Pair:
     return 0.0, worst
 
 
-def _check_unit_gain_join(seed: int, dim: int) -> Pair:
-    worst = 0.0
+def _check_attenuate_branch(seed: int, dim: int) -> tuple[Pair, Pair]:
+    # the attenuating branch meets the identity one at S/N_C, and below it the
+    # heralded optimum is no better (at S/N_C itself see _check_tangency_point)
+    worst_join = worst_gap = 0.0
     for lam, mu in _LAM_MU:
-        ens = _ens(lam, mu, 1.0)
-        worst = max(worst, abs(formulas.prob_fidelity(ens) - formulas.puri_fidelity(ens)))
-    return 0.0, worst
+        book = photon_book(_ens(lam, mu, 1.0))
+        tangency = book.total / book.n_c
+        attenuate = (lam + mu) / (lam + mu + tangency**2)
+        identity = 1.0 / ((tangency - 1.0) ** 2 * book.n_c + book.n_t_tilde)
+        worst_join = max(worst_join, abs(attenuate - identity))
+        for g in (0.1, 0.5, 1.0, 0.5 * (1.0 + tangency)):
+            ens = _ens(lam, mu, g)
+            worst_gap = max(
+                worst_gap, abs(formulas.prob_fidelity(ens) - formulas.det_fidelity(ens))
+            )
+    return (0.0, worst_join), (0.0, worst_gap)
 
 
 def _check_det_prob_coincide(seed: int, dim: int) -> Pair:
@@ -203,9 +212,11 @@ def _check_det_prob_coincide(seed: int, dim: int) -> Pair:
 def _check_advantage_window(seed: int, dim: int) -> Pair:
     min_gap = math.inf
     for lam, mu in _LAM_MU:
-        det_thr, _ = thresholds(_ens(lam, mu, 1.0))
+        ens1 = _ens(lam, mu, 1.0)
+        det_thr, _ = thresholds(ens1)
+        tangency = passive_filter_gain(ens1)
         for frac in _WINDOW_FRACTIONS:
-            g = 1.0 + frac * (det_thr - 1.0)
+            g = tangency + frac * (det_thr - tangency)
             ens = _ens(lam, mu, g)
             min_gap = min(
                 min_gap, formulas.prob_fidelity(ens) - formulas.det_fidelity(ens)
@@ -215,7 +226,7 @@ def _check_advantage_window(seed: int, dim: int) -> Pair:
 
 def _check_tangency_point(seed: int, dim: int) -> Pair:
     # the probabilistic advantage gap has a double root where the tuned
-    # filter turns passive: g' = S/N_C, strictly inside the window
+    # filter turns passive: g' = S/N_C, the left edge of the window
     worst = 0.0
     for lam, mu in _LAM_MU:
         ens = _ens(lam, mu, passive_filter_gain(_ens(lam, mu, 1.0)))
@@ -228,8 +239,7 @@ def _check_quantum_beats_classical(seed: int, dim: int) -> Pair:
     for lam, mu in _LAM_MU:
         for g in (0.5, 0.9, 1.0, 1.4, 2.0, 3.0):
             ens = _ens(lam, mu, g)
-            best = formulas.puri_fidelity(ens) if g <= 1.0 else formulas.prob_fidelity(ens)
-            min_margin = min(min_margin, best - formulas.cft(ens))
+            min_margin = min(min_margin, formulas.det_fidelity(ens) - formulas.cft(ens))
     return 0.0, max(0.0, _MARGIN_FLOOR - min_margin)
 
 
@@ -251,7 +261,7 @@ def _check_gaussian_noise_laws(seed: int, dim: int) -> Pair:
 
 
 _SQUEEZE_SCAN = ((1.0, 1.0, 3.5), (0.5, 0.5, 2.5), (2.0, 2.0, 9.0))
-_ATTEN_SCAN = ((1.0, 1.0, 0.7), (0.5, 0.5, 0.9), (2.0, 2.0, 0.4))
+_ATTEN_SCAN = ((1.0, 1.0, 0.7), (0.5, 0.5, 0.9), (2.0, 2.0, 0.4), (1.0, 0.5, 1.5))
 _MP_SCAN = ((1.0, 1.0, 2.0), (0.5, 2.0, 0.8), (2.0, 0.5, 1.5))
 
 
@@ -278,7 +288,7 @@ def _check_attenuator_scan(seed: int, dim: int) -> tuple[Pair, Pair]:
     worst_value = worst_arg = 0.0
     for lam, mu, g in _ATTEN_SCAN:
         ens = _ens(lam, mu, g)
-        target = formulas.puri_fidelity(ens)
+        target = formulas.det_fidelity(ens)
         theta_num, best = _scan_max(
             lambda th, e=ens: avg_fidelity_gaussian(
                 e, ChannelParam(ChannelKind.ATTENUATE, th)
@@ -345,13 +355,16 @@ def _check_root_worked_point(seed: int, dim: int) -> Pair:
 
 
 def _check_det_bound_minimum(seed: int, dim: int) -> tuple[Pair, Pair]:
-    # one minimisation per point feeds both the minimiser and the minimum
+    # one minimisation per point feeds both the minimiser and the minimum;
+    # the gains cover all three branches of the deterministic optimum
     worst_kappa = worst_value = 0.0
     for lam, mu in _LAM_MU:
         ens1 = _ens(lam, mu, 1.0)
         det_thr, _ = thresholds(ens1)
         tangency = passive_filter_gain(ens1)
-        for g in (tangency, 0.5 * (tangency + det_thr), det_thr, det_thr + 0.5, 2.0 * det_thr):
+        gains = (0.5, 0.5 * (1.0 + tangency), tangency, 0.5 * (tangency + det_thr),
+                 det_thr, det_thr + 0.5, 2.0 * det_thr)
+        for g in gains:
             ens = _ens(lam, mu, g)
             k_num, f_num = bounds.minimize_det_bound(ens)
             worst_kappa = max(worst_kappa, abs(k_num - bounds.kappa_star(ens)))
@@ -365,25 +378,11 @@ def _check_bound_edge_prob(seed: int, dim: int) -> Pair:
         ens1 = _ens(lam, mu, 1.0)
         _, prob_thr = thresholds(ens1)
         for g in (1.1, 0.6 * prob_thr + 0.4, prob_thr, prob_thr + 1.0):
-            ens = _ens(lam, mu, max(g, 1.0))
+            ens = _ens(lam, mu, g)
             worst = max(
                 worst,
                 abs(bounds.prob_via_kappa_prime(ens) - formulas.prob_fidelity(ens)),
             )
-    return 0.0, worst
-
-
-def _check_below_window_edge(seed: int, dim: int) -> Pair:
-    # below the tangency gain the admissible bound is edge-minimised and
-    # certifies the probabilistic value, not the deterministic one
-    worst = 0.0
-    for lam, mu in _LAM_MU:
-        tangency = passive_filter_gain(_ens(lam, mu, 1.0))
-        for g in (1.0 + 0.3 * (tangency - 1.0), 1.0 + 0.8 * (tangency - 1.0)):
-            ens = _ens(lam, mu, g)
-            k_num, f_num = bounds.minimize_det_bound(ens)
-            worst = max(worst, abs(k_num - bounds.kappa_prime(ens)))
-            worst = max(worst, abs(f_num - formulas.prob_fidelity(ens)))
     return 0.0, worst
 
 
@@ -451,7 +450,11 @@ def _check_fock_filter_prob(seed: int, dim: int) -> Pair:
 FAST_CHECKS = (
     (_check_det_branch_join, ("det_branches_join_at_threshold", 1e-12)),
     (_check_prob_branch_join, ("prob_branches_join_at_plateau", 1e-12)),
-    (_check_unit_gain_join, ("prob_meets_purification_at_unit_gain", 1e-12)),
+    (
+        _check_attenuate_branch,
+        ("det_branches_join_at_passive_filter_gain", 1e-12),
+        ("det_prob_coincide_up_to_passive_filter_gain", 1e-12),
+    ),
     (_check_det_prob_coincide, ("det_prob_coincide_past_threshold", 1e-12)),
     (_check_advantage_window, ("prob_beats_det_inside_window_shortfall", 0.0)),
     (_check_tangency_point, ("prob_det_tangent_at_passive_filter_gain", 1e-13)),
@@ -472,7 +475,7 @@ FAST_CHECKS = (
     ),
     (
         _check_attenuator_scan,
-        ("attenuator_scan_attains_puri", 1e-9),
+        ("attenuator_scan_attains_det", 1e-9),
         ("attenuator_scan_argmax_matches_tuning", 1e-6),
     ),
     (
@@ -490,7 +493,6 @@ FAST_CHECKS = (
         ("minimized_bound_matches_det", 1e-12),
     ),
     (_check_bound_edge_prob, ("bound_edge_matches_prob", 1e-12)),
-    (_check_below_window_edge, ("below_window_minimum_sits_at_edge", 1e-9)),
     (_check_det_limit_finite_product, ("det_limit_matches_finite_product", 1e-3)),
     (_check_deficit_terms_worked, ("filter_deficit_terms_worked_point", 1e-15)),
     (_check_filter_pole_rejected, ("filter_pole_rejected", 0.0)),
@@ -536,6 +538,16 @@ def _check_oracle_identity(seed: int, dim: int) -> Pair:
                 closed = 1.0 / ((g - 1.0) ** 2 * n_c + n_t + 1.0)
                 worst = max(worst, abs(value - closed))
     return 0.0, worst
+
+
+def _check_oracle_attenuator(seed: int, dim: int) -> Pair:
+    # inside (1, S/N_C) the tuned beamsplitter attains the deterministic optimum
+    ens = _ens(1.0, 0.5, 1.5)
+    theta = math.acos(formulas.tune(ens).cos_theta)
+    value = fock.avg_fidelity_numeric(
+        ens, fock.ShiftKraus.attenuator(theta, 64), dim=64, radial_nodes=80
+    )
+    return formulas.det_fidelity(ens), value
 
 
 def _check_filter_sweep(seed: int, dim: int) -> tuple[Pair, Pair, Pair]:
@@ -653,6 +665,7 @@ def _check_filtered_nbar_fit(seed: int, dim: int) -> Pair:
 FULL_CHECKS = (
     (_check_oracle_squeezer, ("oracle_squeezer_grid_max_dev", 1e-4)),
     (_check_oracle_identity, ("oracle_identity_grid_max_dev", 1e-6)),
+    (_check_oracle_attenuator, ("oracle_attenuator_attains_det", 1e-6)),
     (
         _check_filter_sweep,
         ("oracle_filter_sweep_monotone_shortfall", 0.0),

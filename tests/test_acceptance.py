@@ -127,34 +127,29 @@ def test_criterion_04_heterodyne_oracle_matches_classical_threshold():
 
 
 def test_criterion_05_quantum_strictly_beats_classical_on_dense_grid():
-    """On the 5x5x5 grid over N_C, N_T, g' the optimal quantum fidelity
-    exceeds the classical threshold by at least 1e-6 everywhere (purification
-    branch at or below unit gain, probabilistic branch above)."""
+    """On the 5x5x5 grid over N_C, N_T, g' the deterministic optimum, and
+    with it the heralded one, exceeds the classical threshold by at least
+    1e-6 everywhere, with no branch singled out."""
     for n_c in np.linspace(0.25, 2.0, 5):
         for n_t in np.linspace(0.0, 1.0, 5):
             mu = PURE_MU_SENTINEL if n_t == 0.0 else 1.0 / n_t
             for g in np.linspace(0.5, 3.0, 5):
                 ens = NoisyEnsemble(1.0 / n_c, mu, float(g))
-                if g <= 1.0:
-                    best = formulas.puri_fidelity(ens)
-                else:
-                    best = formulas.prob_fidelity(ens)
-                assert best - formulas.cft(ens) >= 1e-6, (n_c, n_t, float(g))
+                assert formulas.det_fidelity(ens) - formulas.cft(ens) >= 1e-6, (
+                    n_c, n_t, float(g)
+                )
 
 
 def test_criterion_06_probabilistic_advantage_opens_and_closes_exactly():
-    """Between unit gain and the amplify threshold the heralded optimum is
-    strictly better at sampled gains; at or beyond the threshold, and at or
-    below unit gain, the two coincide to 1e-12.
-
-    Sampled window fractions dodge the tangency gain S/N_C, where the gap
-    has a double root and equality is exact.
-    """
+    """Between the passive-filter gain S/N_C and the amplify threshold the
+    heralded optimum is strictly better at sampled gains; at or beyond the
+    threshold, and at or below S/N_C, the two coincide to 1e-12."""
     for n_c in N_C_GRID:
         for n_t in N_T_GRID:
             thr, beyond = _gain_points(n_c, n_t)
+            tangency = (n_c + n_t) / n_c
             for frac in (0.15, 0.62, 0.9):
-                g = 1.0 + frac * (thr - 1.0)
+                g = tangency + frac * (thr - tangency)
                 ens = _ens_from_photons(n_c, n_t, g)
                 gap = formulas.prob_fidelity(ens) - formulas.det_fidelity(ens)
                 assert gap > 0.0, (n_c, n_t, g)
@@ -162,16 +157,17 @@ def test_criterion_06_probabilistic_advantage_opens_and_closes_exactly():
                 ens = _ens_from_photons(n_c, n_t, g)
                 gap = formulas.prob_fidelity(ens) - formulas.det_fidelity(ens)
                 assert abs(gap) <= 1e-12, (n_c, n_t, g)
-            for g in (0.5, 1.0):
+            for g in (0.5, 1.0, 0.5 * (1.0 + tangency), tangency):
                 ens = _ens_from_photons(n_c, n_t, g)
                 rep = formulas.fidelity_report(ens)
                 assert abs(rep.prob - rep.det) <= 1e-12, (n_c, n_t, g)
 
 
 def test_criterion_07_closed_forms_are_continuous_across_every_branch_join():
-    """Both deterministic branches agree at the amplify threshold, both
-    probabilistic branches at the plateau threshold, and the probabilistic
-    form meets the purification form at unit gain, all to 1e-12."""
+    """The attenuating and identity deterministic branches agree at the
+    passive-filter gain S/N_C, the identity and amplifying ones at the
+    amplify threshold, and both probabilistic branches at the plateau
+    threshold, all to 1e-12."""
     for n_c in N_C_GRID:
         for n_t in N_T_GRID:
             ens1 = _ens_from_photons(n_c, n_t, 1.0)
@@ -187,8 +183,10 @@ def test_criterion_07_closed_forms_are_continuous_across_every_branch_join():
             filtered = s / (s + prob_thr**2 * n_c * n_t)
             assert abs(plateau - filtered) <= 1e-12
 
-            at_unit = formulas.prob_fidelity(ens1) - formulas.puri_fidelity(ens1)
-            assert abs(at_unit) <= 1e-12
+            tangency = s / n_c
+            attenuator = s / (s + tangency**2 * n_c * n_t)
+            identity = 1.0 / ((tangency - 1.0) ** 2 * n_c + n_tilde)
+            assert abs(attenuator - identity) <= 1e-12
 
 
 def test_criterion_08_determinant_machinery_certifies_the_optimum():

@@ -160,9 +160,9 @@ def test_kappa_star_interior_value_meets_the_edge_at_the_tangency():
     assert kappa_star(_ens(1.0, 1.0, 2.0)) == pytest.approx(0.5, abs=1e-15)
 
 
-def test_kappa_star_requires_amplification():
-    with pytest.raises(DomainError):
-        kappa_star(_ens(1.0, 1.0, 0.9))
+def test_kappa_star_sits_at_the_edge_below_passive_filter_gain():
+    for g in (0.5, 0.9, 1.5):
+        assert kappa_star(_ens(1.0, 1.0, g)) == kappa_prime(_ens(1.0, 1.0, g))
 
 
 @pytest.mark.parametrize("lam,mu", [(0.5, 0.5), (1.0, 1.0), (2.0, 0.5), (0.5, 2.0)])
@@ -186,20 +186,18 @@ def test_prob_via_kappa_prime_worked_point():
 
 
 def test_below_tangency_the_minimum_moves_to_the_edge():
-    """For 1 < g' < S/N_C the stationary point leaves the admissible interval.
+    """Below g' = S/N_C the bound decreases over the whole admissible interval.
 
-    The bound is monotone decreasing there, its edge value is the
-    probabilistic optimum, and evaluating it at the ejected stationary point
-    must be refused rather than silently extrapolated.
+    Its minimum sits at the edge kappa', where it equals both optima: the
+    attenuator's deterministic value and the passive filter's heralded one.
     """
-    ens = _ens(1.0, 1.0, 1.5)
-    ejected = kappa_star(ens)
-    assert ejected > kappa_prime(ens)
-    with pytest.raises(ValidityError):
-        det_upper_bound(ens, ejected)
-    kappa_num, value = minimize_det_bound(ens)
-    assert kappa_num == pytest.approx(kappa_prime(ens), abs=1e-12)
-    assert value == pytest.approx(prob_fidelity(ens), abs=1e-12)
+    for g in (0.5, 1.5):
+        ens = _ens(1.0, 1.0, g)
+        kappa_num, value = minimize_det_bound(ens)
+        assert kappa_num == pytest.approx(kappa_prime(ens), abs=1e-12)
+        assert kappa_star(ens) == kappa_prime(ens)
+        assert value == pytest.approx(det_fidelity(ens), abs=1e-12)
+        assert value == pytest.approx(prob_fidelity(ens), abs=1e-12)
 
 
 def test_bound_dominates_det_everywhere_on_the_interval():

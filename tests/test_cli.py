@@ -60,6 +60,16 @@ def test_eval_table_lists_the_reduced_parameters(capsys):
     assert "det=0.33333 prob=0.33333 cft=0.27273" in out
 
 
+def test_eval_attenuates_between_unit_and_passive_filter_gain(capsys):
+    # 1 < g' = 1.5 < S/N_C = 3: the beamsplitter at cos theta = 0.5 gives 0.4,
+    # above the classical threshold 16/43 = 0.37209
+    code, out, _ = run_cli(capsys, "eval", "--lambda", "1", "--mu", "0.5", "--g", "1.5")
+    assert code == 0
+    assert "regime: DetAttenuate+ProbAmplify" in out
+    assert "det=0.4 prob=0.4 cft=0.37209" in out
+    assert "cos_theta=0.5" in out
+
+
 def test_eval_rejects_nonpositive_rates(capsys):
     code, _, err = run_cli(capsys, "eval", "--lambda", "-1", "--mu", "1", "--g", "2")
     assert code == 3
@@ -92,8 +102,8 @@ def test_sweep_csv_contract(tmp_path, capsys):
         if g >= 3.0:
             assert det == prob
     # out-of-regime tuning cells are empty strings, never placeholders
-    amplifying = rows[2]
-    assert amplifying[8] == ""
+    assert rows[2][8] == "1"  # g' = S/N_C: the beamsplitter's last setting
+    assert all(row[8] == "" for row in rows[3:])
 
 
 def test_sweep_deamplification_rows_keep_det_equal_prob(tmp_path, capsys):
@@ -105,7 +115,8 @@ def test_sweep_deamplification_rows_keep_det_equal_prob(tmp_path, capsys):
     assert code == 0
     _, rows = _read_csv(out)
     assert all(row[2] == row[3] for row in rows)
-    assert all(row[6] == "" for row in rows[:-1])  # no squeezer below unit gain
+    assert all(row[6] == "1" for row in rows)  # the squeezer stays off
+    assert all(row[5] == "DetAttenuate+ProbAmplify" for row in rows)
 
 
 def test_sweep_two_steps_gives_two_rows(tmp_path, capsys):
@@ -138,7 +149,8 @@ def test_sweep_json_mirrors_the_rows(capsys):
     rows = payload["result"]["rows"]
     assert [r["axis_value"] for r in rows] == [1.0, 1.5, 2.0]
     assert rows[1]["f_prob"] == pytest.approx(8.0 / 17.0, abs=1e-12)
-    assert rows[1]["cos_theta"] is None
+    assert rows[1]["f_det"] == rows[1]["f_prob"]
+    assert rows[1]["cos_theta"] == 0.75
 
 
 def test_sweep_over_input_copies_takes_integer_grid(tmp_path, capsys):
@@ -199,9 +211,9 @@ def test_sweep_unwritable_output_exits_four(capsys):
         ["eval", "--lambda", "1", "--mu", "1", "--g", "1e200"],
         ["sweep", "--axis", "g", "--start", "1", "--stop", "1e200", "--steps", "3",
          "--lambda", "1", "--mu", "1", "--json"],
-        # the filter-plateau threshold is infinite; JSON has no token for it
-        ["eval", "--lambda", "1e-300", "--mu", "1", "--g", "2", "--json"],
-        ["regimes", "--lambda", "1e-300", "--mu", "1", "--g", "2", "--json"],
+        # ... and in the photon bookkeeping of both protocols
+        ["photons", "--mode", "det", "--lambda", "1", "--mu", "1", "--g", "1e200", "--json"],
+        ["photons", "--mode", "prob", "--lambda", "1", "--mu", "1", "--g", "1e200", "--json"],
     ],
 )
 def test_non_finite_results_exit_three(capsys, argv):
@@ -209,6 +221,26 @@ def test_non_finite_results_exit_three(capsys, argv):
     assert code == 3
     assert out == ""
     assert err.startswith("domain error: ")
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_huge_signal_collapses_the_landmarks_onto_unit_gain(capsys, json_flag):
+    # N_C = 1e300: every landmark is 1, so g' = 2 amplifies and prob = det
+    argv = ["eval", "--lambda", "1e-300", "--mu", "1", "--g", "2", *json_flag]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    if json_flag:
+        result = json.loads(out)["result"]
+        assert result["thresholds"] == {"det": 1.0, "prob": 1.0}
+        assert result["regime"] == "DetAmplify+ProbPlateau"
+        assert result["fidelities"]["det"] == result["fidelities"]["prob"] == 0.125
+    else:
+        assert "filter plateau 1)" in out
+        assert "regime: DetAmplify+ProbPlateau" in out
+        assert "det=0.125 prob=0.125" in out
+    code, _, _ = run_cli(capsys, "regimes", "--lambda", "1e-300", "--mu", "1", "--g", "2",
+                         *json_flag)
+    assert code == 0
 
 
 def test_unknown_axis_is_an_argparse_error(capsys):
@@ -241,18 +273,31 @@ def test_photons_prob_passive_filter_reports_no_change(capsys):
 
 def test_photons_det_below_threshold_reports_identity(capsys):
     code, out, _ = run_cli(
-        capsys, "photons", "--mode", "det", "--lambda", "1", "--mu", "1", "--g", "2"
+        capsys, "photons", "--mode", "det", "--lambda", "1", "--mu", "1", "--g", "2.5"
     )
     assert code == 0
     assert "identity channel" in out
 
 
-def test_photons_prob_needs_amplification(capsys):
-    code, _, err = run_cli(
+def test_photons_det_attenuator_purifies(capsys):
+    # cos theta = 1/2 at lambda = 1, mu = 0.5, g = 1.5: N_single 2 -> 0.5
+    code, payload = run_json(
+        capsys, "photons", "--mode", "det", "--lambda", "1", "--mu", "0.5", "--g", "1.5"
+    )
+    assert code == 0
+    result = payload["result"]
+    assert result["n_single"] == 2.0
+    assert result["n_single_out"] == pytest.approx(0.5, abs=1e-15)
+    assert result["notes"] == ["net purification (N'_single < N_single)"]
+
+
+def test_photons_prob_below_unit_gain_filters(capsys):
+    code, payload = run_json(
         capsys, "photons", "--mode", "prob", "--lambda", "1", "--mu", "1", "--g", "0.5"
     )
-    assert code == 3
-    assert "domain error" in err
+    assert code == 0
+    assert payload["result"]["y"] == pytest.approx(0.25, abs=1e-15)
+    assert any("net purification" in n for n in payload["result"]["notes"])
 
 
 def test_photons_subunit_filter_flags_net_purification(capsys):

@@ -10,10 +10,15 @@ from ampurify.formulas import (
     photon_output_det,
     photon_output_prob,
     prob_fidelity,
-    puri_fidelity,
     tune,
 )
-from ampurify.params import MultimodeTask, NoisyEnsemble, photon_book, thresholds
+from ampurify.params import (
+    MultimodeTask,
+    NoisyEnsemble,
+    passive_filter_gain,
+    photon_book,
+    thresholds,
+)
 
 RATE_GRID = [(0.5, 0.5), (0.5, 2.0), (1.0, 1.0), (2.0, 0.5), (2.0, 2.0)]
 
@@ -42,8 +47,18 @@ def test_prob_worked_point_below_plateau():
 
 
 def test_puri_worked_point():
-    # (lam' + mu)/(lam' + mu + g'^2)
-    assert puri_fidelity(_ens(1.0, 1.0, 0.5)) == pytest.approx(2.0 / 2.25, abs=1e-15)
+    # below unit gain det and prob share the attenuator value (lam' + mu)/(lam' + mu + g'^2)
+    assert det_fidelity(_ens(1.0, 1.0, 0.5)) == pytest.approx(2.0 / 2.25, abs=1e-15)
+    assert prob_fidelity(_ens(1.0, 1.0, 0.5)) == pytest.approx(2.0 / 2.25, abs=1e-15)
+
+
+def test_det_worked_point_attenuator_branch():
+    # inside (1, S/N_C) a beamsplitter at cos theta = 0.5 beats doing nothing:
+    # (lam' + mu)/(lam' + mu + g'^2) = 1.5/3.75, above cft = 16/43
+    ens = _ens(1.0, 0.5, 1.5)
+    assert det_fidelity(ens) == pytest.approx(0.4, abs=1e-15)
+    assert tune(ens).cos_theta == pytest.approx(0.5, abs=1e-15)
+    assert cft(ens) == pytest.approx(16.0 / 43.0, abs=1e-15)
 
 
 def test_cft_worked_point():
@@ -52,23 +67,6 @@ def test_cft_worked_point():
 
 def test_cft_pure_limit_at_unit_gain():
     assert cft(_ens(1.0, 1e12, 1.0)) == pytest.approx(2.0 / 3.0, rel=1e-11)
-
-
-# ---------------------------------------------------------------------------
-# domain guards
-# ---------------------------------------------------------------------------
-
-
-def test_det_and_prob_require_amplification():
-    with pytest.raises(DomainError):
-        det_fidelity(_ens(1.0, 1.0, 0.9))
-    with pytest.raises(DomainError):
-        prob_fidelity(_ens(1.0, 1.0, 0.9))
-
-
-def test_puri_requires_deamplification():
-    with pytest.raises(DomainError):
-        puri_fidelity(_ens(1.0, 1.0, 1.1))
 
 
 # ---------------------------------------------------------------------------
@@ -95,26 +93,40 @@ def test_prob_branches_join_at_plateau_threshold(lam, mu):
 
 
 @pytest.mark.parametrize("lam,mu", RATE_GRID)
+def test_det_branches_join_at_passive_filter_gain(lam, mu):
+    g_t = passive_filter_gain(_ens(lam, mu, 1.0))
+    book = photon_book(_ens(lam, mu, g_t))
+    attenuate = (lam + mu) / (lam + mu + g_t**2)
+    identity = 1.0 / ((g_t - 1.0) ** 2 * book.n_c + book.n_t_tilde)
+    assert abs(attenuate - identity) <= 1e-12
+    below = det_fidelity(_ens(lam, mu, g_t * (1.0 - 1e-13)))
+    above = det_fidelity(_ens(lam, mu, g_t * (1.0 + 1e-13)))
+    assert abs(below - above) <= 1e-12
+
+
+@pytest.mark.parametrize("lam,mu", RATE_GRID)
 def test_prob_meets_purification_at_unit_gain(lam, mu):
-    assert abs(prob_fidelity(_ens(lam, mu, 1.0)) - puri_fidelity(_ens(lam, mu, 1.0))) <= 1e-12
+    assert abs(prob_fidelity(_ens(lam, mu, 1.0)) - (lam + mu) / (lam + mu + 1.0)) <= 1e-12
 
 
 @pytest.mark.parametrize("lam,mu", RATE_GRID)
 def test_prob_equals_det_exactly_at_passive_filter_gain(lam, mu):
-    """The advantage gap has a double root where the tuned filter is passive.
+    """The advantage window opens where the tuned filter turns passive.
 
-    prob - det over the window 1 < g' < (S+1)/N_C is a perfect square in
-    (g'-1) that vanishes at g' = S/N_C; the equality is exact, not a
-    crossing, so strict-advantage assertions must sample around it.
+    Up to g' = S/N_C the filter does not amplify and the attenuator is the
+    deterministic optimum, so prob equals det; inside the window
+    S/N_C < g' < (S+1)/N_C the heralded optimum is strictly better.
     """
     book = photon_book(_ens(lam, mu, 1.0))
     g_t = book.total / book.n_c
     e = _ens(lam, mu, g_t)
     assert abs(prob_fidelity(e) - det_fidelity(e)) <= 1e-13
     assert tune(e).y == pytest.approx(1.0, abs=1e-15)
-    for g in (0.5 * (1.0 + g_t), 0.5 * (g_t + thresholds(e)[0])):
+    for g in (0.5, 1.0, 0.5 * (1.0 + g_t)):
         probe = _ens(lam, mu, g)
-        assert prob_fidelity(probe) > det_fidelity(probe) + 1e-9
+        assert abs(prob_fidelity(probe) - det_fidelity(probe)) <= 1e-12
+    probe = _ens(lam, mu, 0.5 * (g_t + thresholds(e)[0]))
+    assert prob_fidelity(probe) > det_fidelity(probe) + 1e-9
 
 
 @pytest.mark.parametrize("lam,mu", RATE_GRID)
@@ -156,9 +168,15 @@ def test_tuning_never_engages_squeezer_and_filter_together():
 
 def test_tuning_purification_side():
     t = tune(_ens(1.0, 1.0, 0.5))
-    assert t.cosh_r is None and t.y is None
+    assert t.cosh_r == 1.0 and not t.plateau
     assert t.cos_theta == pytest.approx(0.25, abs=1e-15)
+    assert t.y == t.cos_theta
     assert t.z == pytest.approx(0.5 / 3.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("g,cos_theta", [(0.5, 0.25), (1.5, 0.75), (2.0, 1.0), (2.2, None)])
+def test_tuning_sets_the_beamsplitter_up_to_passive_filter_gain(g, cos_theta):
+    assert tune(_ens(1.0, 1.0, g)).cos_theta == cos_theta
 
 
 def test_tuning_y_is_continuous_at_both_joins():
@@ -178,17 +196,23 @@ def test_tuning_y_is_continuous_at_both_joins():
 @pytest.mark.parametrize("g", [0.3, 0.8, 1.0])
 def test_report_unifies_fidelities_below_unit_gain(g):
     rep = fidelity_report(_ens(1.0, 1.0, g))
-    assert rep.det == rep.prob == puri_fidelity(_ens(1.0, 1.0, g))
+    assert rep.det == rep.prob == pytest.approx(2.0 / (2.0 + g * g), abs=1e-15)
     assert rep.cft < rep.det
 
 
-@pytest.mark.parametrize("lam,mu", RATE_GRID)
-@pytest.mark.parametrize("g", [0.5, 1.0, 1.5, 2.5, 4.0])
+#: log grid over lambda', mu in [1e-3, 1e3] and g' in [1e-2, 1e2] for the ordering test
+LOG_RATES = [(lam, mu) for lam in (1e-3, 1e-1, 1e1, 1e3) for mu in (1e-3, 1e-1, 1e1, 1e3)]
+LOG_GAINS = [1e-2, 0.1, 0.3, 3.0, 10.0, 30.0, 100.0]
+
+
+@pytest.mark.parametrize("lam,mu", RATE_GRID + LOG_RATES)
+@pytest.mark.parametrize("g", [0.5, 1.0, 1.5, 2.5, 4.0] + LOG_GAINS)
 def test_report_is_ordered_and_bounded(lam, mu, g):
+    # no exemption anywhere: the attenuating branch keeps det above cft
     rep = fidelity_report(_ens(lam, mu, g))
     assert 0.0 < rep.cft < 1.0
     assert rep.cft < rep.prob <= 1.0
-    assert rep.det <= rep.prob
+    assert rep.cft <= rep.det <= rep.prob
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +231,13 @@ def test_photon_output_det_worked_ratio():
 def test_photon_output_det_identity_below_threshold():
     total, single = photon_output_det(MultimodeTask(lam=1.0, mu=1.0, g=2.0))
     assert total == single == 1.0
+
+
+def test_photon_output_det_attenuator_worked_point():
+    # N_C = 1, N_single = 2, g' = 1.5 <= S/N_C = 3: cos theta = 1/2 keeps
+    # cos^2(theta) N_single = 0.5 noise photons
+    total, single = photon_output_det(MultimodeTask(lam=1.0, mu=0.5, g=1.5))
+    assert single == total == pytest.approx(0.5, abs=1e-15)
 
 
 def test_photon_output_det_splits_over_output_modes():

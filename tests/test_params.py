@@ -10,6 +10,7 @@ from ampurify.params import (
     RegimeTag,
     classify,
     is_pure_input,
+    passive_filter_gain,
     photon_book,
     reduce,
     thresholds,
@@ -44,6 +45,12 @@ def test_thresholds_worked_point():
     assert prob_thr == pytest.approx(math.sqrt(6.0), abs=1e-15)
 
 
+def test_plateau_threshold_stays_finite_at_huge_signal():
+    # S(S+1) overflows at N_C = 1e300; S/N_C sqrt(1 + 1/S) does not
+    det_thr, prob_thr = thresholds(NoisyEnsemble(1e-300, 1.0, 1.0))
+    assert det_thr == prob_thr == 1.0
+
+
 def test_threshold_ordering_is_universal():
     for lam in (0.25, 1.0, 4.0):
         for mu in (0.25, 1.0, 4.0):
@@ -54,9 +61,11 @@ def test_threshold_ordering_is_universal():
 @pytest.mark.parametrize(
     "g,tag,prob_tag",
     [
-        (0.5, RegimeTag.PURIFY, RegimeTag.PURIFY),
-        (1.0, RegimeTag.PURIFY, RegimeTag.PURIFY),
-        (2.0, RegimeTag.DET_IDENTITY, RegimeTag.PROB_AMPLIFY),
+        (0.5, RegimeTag.DET_ATTENUATE, RegimeTag.PROB_AMPLIFY),
+        (1.0, RegimeTag.DET_ATTENUATE, RegimeTag.PROB_AMPLIFY),
+        (1.5, RegimeTag.DET_ATTENUATE, RegimeTag.PROB_AMPLIFY),
+        (2.0, RegimeTag.DET_ATTENUATE, RegimeTag.PROB_AMPLIFY),
+        (2.2, RegimeTag.DET_IDENTITY, RegimeTag.PROB_AMPLIFY),
         (2.5, RegimeTag.DET_IDENTITY, RegimeTag.PROB_PLATEAU),
         (3.0, RegimeTag.DET_AMPLIFY, RegimeTag.PROB_PLATEAU),
         (4.0, RegimeTag.DET_AMPLIFY, RegimeTag.PROB_PLATEAU),
@@ -72,6 +81,9 @@ def test_classify_threshold_membership_uses_geq():
     det_thr, prob_thr = thresholds(NoisyEnsemble(1.0, 1.0, 1.0))
     assert classify(NoisyEnsemble(1.0, 1.0, det_thr)).tag is RegimeTag.DET_AMPLIFY
     assert classify(NoisyEnsemble(1.0, 1.0, prob_thr)).prob_tag is RegimeTag.PROB_PLATEAU
+    # the passive-filter gain itself still attenuates
+    tangency = passive_filter_gain(NoisyEnsemble(1.0, 1.0, 1.0))
+    assert classify(NoisyEnsemble(1.0, 1.0, tangency)).tag is RegimeTag.DET_ATTENUATE
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])

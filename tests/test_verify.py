@@ -12,7 +12,8 @@ from ampurify.verify import run_suite
 FAST_ROSTER = [
     "det_branches_join_at_threshold",
     "prob_branches_join_at_plateau",
-    "prob_meets_purification_at_unit_gain",
+    "det_branches_join_at_passive_filter_gain",
+    "det_prob_coincide_up_to_passive_filter_gain",
     "det_prob_coincide_past_threshold",
     "prob_beats_det_inside_window_shortfall",
     "prob_det_tangent_at_passive_filter_gain",
@@ -22,7 +23,7 @@ FAST_ROSTER = [
     "gaussian_channel_noise_laws",
     "squeezer_scan_attains_det",
     "squeezer_scan_argmax_matches_tuning",
-    "attenuator_scan_attains_puri",
+    "attenuator_scan_attains_det",
     "attenuator_scan_argmax_matches_tuning",
     "heterodyne_scan_attains_cft",
     "heterodyne_scan_argmax_matches_tuning",
@@ -33,7 +34,6 @@ FAST_ROSTER = [
     "kappa_star_matches_search",
     "minimized_bound_matches_det",
     "bound_edge_matches_prob",
-    "below_window_minimum_sits_at_edge",
     "det_limit_matches_finite_product",
     "filter_deficit_terms_worked_point",
     "filter_pole_rejected",
@@ -46,6 +46,7 @@ FAST_ROSTER = [
 FULL_ROSTER = [
     "oracle_squeezer_grid_max_dev",
     "oracle_identity_grid_max_dev",
+    "oracle_attenuator_attains_det",
     "oracle_filter_sweep_monotone_shortfall",
     "oracle_filter_terminal_value",
     "oracle_filter_deficit_within_bound_shortfall",
@@ -120,7 +121,7 @@ def test_check_tables_pin_the_ordered_roster():
     assert _names(verify.FAST_CHECKS) == FAST_ROSTER
     assert _names(verify.FULL_CHECKS) == FULL_ROSTER
     everything = FAST_ROSTER + FULL_ROSTER
-    assert len(everything) == len(set(everything)) == 43
+    assert len(everything) == len(set(everything)) == 44
 
 
 def test_crashed_check_fails_with_its_exception(monkeypatch):
