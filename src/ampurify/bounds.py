@@ -12,7 +12,8 @@ b y^2 - a y + c = 0, and (det)^(1/p) -> b y+ whenever y+ >= 1 >= y-.
 The classical-threshold side bounds a cross norm by c1 times the operator
 norm of a prior-averaged displaced-filter/coherent-projector operator; that
 operator is phase covariant, so its norm is computed exactly per
-total-photon-number block and compared against the closed form.
+total-photon-number block and compared against the closed form
+``formulas.cft``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .errors import DomainError, NonConvergentError, RootError, ValidityError
 from .params import NoisyEnsemble, RegimeTag, classify
 from .scalaropt import golden_section_min
-from . import fock
+from . import fock, formulas
 
 #: Fock cutoff per mode and prior nodes of the classical-threshold norm check
 _CFT_DIM = 48
@@ -248,18 +249,8 @@ def filter_deficit_bound(ens: NoisyEnsemble, y: float, k_cut: int) -> float:
     return 2.0 * math.sqrt(e1 * e2)
 
 
-def cft_bound(ens: NoisyEnsemble) -> float:
-    """Classical-threshold upper bound c1 * ||Omega|| in closed form, c1/(c1 + g'^2).
-
-        c1 = (lambda' mu + lambda' + mu)/(mu + 1)
-    """
-    lam, mu = ens.lambda_prime, ens.mu
-    c1 = (lam * mu + lam + mu) / (mu + 1.0)
-    return c1 / (c1 + ens.g_prime**2)
-
-
 def cft_norm_check(ens: NoisyEnsemble) -> tuple[float, float]:
-    """(numerical bound, closed-form cft_bound) for direct comparison.
+    """(numerical bound, closed-form ``formulas.cft``) for direct comparison.
 
     The bound is the operator norm of
 
@@ -271,7 +262,8 @@ def cft_norm_check(ens: NoisyEnsemble) -> tuple[float, float]:
     x' = (lambda' mu + lambda' + mu)/((lambda' + mu)(mu + 1)) at amplitude
     c2 a, c2 = sqrt((lambda' mu + lambda' + mu)(lambda' + mu))/mu, whose
     weight grows as exp(+lambda'|a|^2) and cancels the prior: Gamma equals
-    the flat-measure form c1 * integral D(c2 a) x'^n D^dag (x) |g'a><g'a|.
+    the flat-measure form c1 * integral D(c2 a) x'^n D^dag (x) |g'a><g'a|,
+    c1 = lambda' + mu/(mu + 1) as in ``formulas``.
     Gamma is the better-conditioned quadrature target, so the numerical
     value is its largest eigenvalue at _CFT_DIM levels per mode and
     _CFT_RADIAL_NODES prior nodes.  Being phase covariant, Gamma is
@@ -299,4 +291,4 @@ def cft_norm_check(ens: NoisyEnsemble) -> tuple[float, float]:
         vm = v[:, tot - m2]
         block = np.einsum("pi,pj,pij->ij", vm, vm, x[:, m2[:, None], m2[None, :]])
         top = max(top, float(np.linalg.eigvalsh(block).max()))
-    return top, cft_bound(ens)
+    return top, formulas.cft(ens)

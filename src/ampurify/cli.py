@@ -10,7 +10,8 @@ Subcommands:
 * ``regimes`` -- the gain thresholds and regime map of the reduced task
 
 Exit codes: 0 success, 2 usage, 3 domain error (including a result that
-overflows or is not finite), 4 I/O failure, 5 verification failure.
+overflows or is not finite, in every output format), 4 I/O failure,
+5 verification failure.
 
 Each subcommand builds its result once, and ``_emit`` prints it as the JSON
 envelope (``--json``) or as text lines; ``sweep`` writes CSV and/or JSON.
@@ -93,8 +94,10 @@ def _pure_note(ens: NoisyEnsemble) -> list[str]:
     return [note] if is_pure_input(ens) else []
 
 
-def _print_json(command: str, params: dict, result: dict) -> None:
-    """Print the JSON envelope of one result."""
+def _envelope(args: argparse.Namespace, command: str, params: dict, result: dict) -> str:
+    """The JSON envelope of one result, dumped with ``allow_nan=False``.  Text
+    and CSV views pass through it too (unindented, which is cheaper), so a
+    non-finite result exits 3 in every format with nothing printed or written."""
     payload = {
         "tool": "ampurify",
         "version": __version__,
@@ -103,19 +106,17 @@ def _print_json(command: str, params: dict, result: dict) -> None:
         "result": result,
     }
     try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        return json.dumps(payload, indent=2 if args.json else None, sort_keys=True,
+                          allow_nan=False)
     except ValueError as exc:
         raise DomainError(f"result is not finite ({exc})") from exc
-    print(text)
 
 
 def _emit(args: argparse.Namespace, command: str, params: dict, result: dict,
           text: list[str]) -> int:
     """Print one result: its JSON envelope under ``--json``, else its text lines."""
-    if args.json:
-        _print_json(command, params, result)
-    else:
-        print("\n".join(text))
+    envelope = _envelope(args, command, params, result)
+    print(envelope if args.json else "\n".join(text))
     return EXIT_OK
 
 
@@ -240,6 +241,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         cell = int(value) if args.axis in _INT_AXES else value
         rows.append(_sweep_row(value, MultimodeTask(**{**vars(fixed), swept: cell})))
 
+    params = _task_params(fixed, reduce(fixed))
+    params.update(
+        {"axis": args.axis, "start": args.start, "stop": args.stop, "steps": args.steps}
+    )
+    envelope = _envelope(args, "sweep", params, {"axis": args.axis, "rows": rows})
     if args.out is not None:
         keys = CSV_HEADER.split(",")
         lines = [CSV_HEADER]
@@ -249,14 +255,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             )
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
-
     if args.json:
-        result = {"axis": args.axis, "rows": rows}
-        params = _task_params(fixed, reduce(fixed))
-        params.update(
-            {"axis": args.axis, "start": args.start, "stop": args.stop, "steps": args.steps}
-        )
-        _print_json("sweep", params, result)
+        print(envelope)
     return EXIT_OK
 
 

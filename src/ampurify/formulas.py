@@ -1,9 +1,10 @@
 """Optimal-fidelity closed forms, channel tuning rules and photon bookkeeping.
 
-All formulas act on the reduced ensemble (lambda', mu, g') and are written in
-mean-photon variables
-
-    N_C = 1/lambda',  N_T = 1/mu,  Ntilde_T = N_T + 1,  S = N_C + N_T.
+Every optimum depends only on the reduced triple (lambda', mu, g') and is
+written once in those variables, so no photon number or g'^2 can overflow
+where the result is representable.  With N_C = 1/lambda', N_T = 1/mu,
+Ntilde_T = N_T + 1 and S = N_C + N_T, the one shared constant is
+c1 = (S + 1)/(N_C Ntilde_T) = lambda' + mu/(mu + 1).
 
 Three optima are covered, each for every gain g' > 0.  The deterministic
 optimum is a Gaussian channel on the bright mode: a beamsplitter that
@@ -26,46 +27,51 @@ from .params import (
     NoisyEnsemble,
     RegimeTag,
     classify,
+    passive_filter_gain,
     photon_book,
     reduce,
+    thresholds,
 )
 
 #: slack used by the report-level ordering checks
 _ORDER_TOL = 1e-12
 
 
+def _c1(ens: NoisyEnsemble) -> float:
+    """c1 = (S + 1)/(N_C Ntilde_T) = lambda' + mu/(mu + 1)."""
+    return ens.lambda_prime + ens.mu / (ens.mu + 1.0)
+
+
 def _filter_value(ens: NoisyEnsemble) -> float:
-    """S / (S + g'^2 N_C N_T), the value of the tuned filter below its plateau
-    and of the attenuator up to S/N_C, written in lambda', mu so that
-    N_C N_T cannot overflow."""
-    lam, mu = ens.lambda_prime, ens.mu
-    return (lam + mu) / (lam + mu + ens.g_prime * ens.g_prime)
+    """S/(S + g'^2 N_C N_T) = 1/(1 + g'^2/(lambda' + mu)), the value of the
+    tuned filter below its plateau and of the attenuator up to S/N_C."""
+    g = ens.g_prime
+    return 1.0 / (1.0 + g * (g / (ens.lambda_prime + ens.mu)))
 
 
 def _squeezer_value(ens: NoisyEnsemble) -> float:
-    """(S + 1) / (g'^2 N_C Ntilde_T), the value of the optimal squeezer from
-    the amplify threshold on, where the filter has long saturated."""
-    book = photon_book(ens)
+    """(S + 1)/(g'^2 N_C Ntilde_T) = c1/g'^2, the optimal squeezer's value
+    from the amplify threshold on, where the filter has long saturated."""
     g = ens.g_prime
-    return (book.total + 1.0) / (g * g * book.n_c * book.n_t_tilde)
+    return _c1(ens) / g / g
 
 
 def det_fidelity(ens: NoisyEnsemble) -> float:
     """Best deterministic average fidelity.
 
     Up to the passive-filter gain S/N_C a beamsplitter at
-    cos theta = g' N_C / S attenuates, and
+    cos theta = g'/(S/N_C) attenuates, and
 
-        F = S / (S + g'^2 N_C N_T)  =  (lambda' + mu) / (lambda' + mu + g'^2);
+        F = S/(S + g'^2 N_C N_T)      = 1/(1 + g'^2/(lambda' + mu));
 
     up to the amplify threshold (S+1)/N_C leaving the bright mode alone is
     optimal, and
 
-        F = 1 / ((g'-1)^2 N_C + Ntilde_T);
+        F = 1/((g'-1)^2 N_C + Ntilde_T) = 1/((g'-1)^2/lambda' + 1/mu + 1);
 
     beyond it the optimal squeezer amplifies, and
 
-        F = (S + 1) / (g'^2 N_C Ntilde_T).
+        F = (S + 1)/(g'^2 N_C Ntilde_T) = c1/g'^2.
 
     Neighbouring branches agree at their join.
     """
@@ -74,8 +80,8 @@ def det_fidelity(ens: NoisyEnsemble) -> float:
         return _filter_value(ens)
     if tag is RegimeTag.DET_AMPLIFY:
         return _squeezer_value(ens)
-    book = photon_book(ens)
-    return 1.0 / ((ens.g_prime - 1.0) ** 2 * book.n_c + book.n_t_tilde)
+    d = ens.g_prime - 1.0
+    return 1.0 / (d * (d / ens.lambda_prime) + 1.0 / ens.mu + 1.0)
 
 
 def prob_fidelity(ens: NoisyEnsemble) -> float:
@@ -83,12 +89,11 @@ def prob_fidelity(ens: NoisyEnsemble) -> float:
 
     Up to the filter plateau at sqrt(S(S+1))/N_C,
 
-        F = S / (S + g'^2 N_C N_T),
+        F = S/(S + g'^2 N_C N_T) = 1/(1 + g'^2/(lambda' + mu)),
 
     beyond it the filter saturates and F matches the amplifying branch of
-    the deterministic optimum, (S+1)/(g'^2 N_C Ntilde_T).  Up to S/N_C the
-    tuned filter does not amplify (y <= 1) and F equals the deterministic
-    optimum.
+    the deterministic optimum, c1/g'^2.  Up to S/N_C the tuned filter does
+    not amplify (y <= 1) and F equals the deterministic optimum.
     """
     if classify(ens).prob_tag is RegimeTag.PROB_PLATEAU:
         return _squeezer_value(ens)
@@ -98,14 +103,13 @@ def prob_fidelity(ens: NoisyEnsemble) -> float:
 def cft(ens: NoisyEnsemble) -> float:
     """Classical (measure-and-prepare) fidelity threshold, any gain.
 
-        F = c1 / (c1 + g'^2),   c1 = (N_C + Ntilde_T) / (N_C Ntilde_T),
+        F = c1/(c1 + g'^2) = 1/(1 + g'^2/c1),
 
     saturated by heterodyne detection plus coherent re-preparation with
-    amplitude scale g' N_C / (S + 1).
+    amplitude scale z = g'/((S+1)/N_C).
     """
-    book = photon_book(ens)
-    c1 = (book.n_c + book.n_t_tilde) / (book.n_c * book.n_t_tilde)
-    return c1 / (c1 + ens.g_prime**2)
+    g = ens.g_prime
+    return 1.0 / (1.0 + g * (g / _c1(ens)))
 
 
 @dataclass(frozen=True)
@@ -139,31 +143,32 @@ class TuningReport:
 
 
 def tune(ens: NoisyEnsemble) -> TuningReport:
-    """Optimal device settings for each protocol family.
+    """Optimal device settings for each protocol family, read off the
+    landmarks S/N_C and (S+1)/N_C of ``params``.
 
-        cosh r    = max(1, g' N_C / (S + 1))
-        y         = g' N_C / S          up to sqrt(S(S+1))/N_C
-                  = (S + 1) / (g' N_C)  up to (S+1)/N_C
+        cosh r    = max(1, z)
+        y         = g'/(S/N_C)          up to sqrt(S(S+1))/N_C
+                  = ((S+1)/N_C)/g'      up to (S+1)/N_C
                   = 1                   beyond (plateau)
-        cos theta = g' N_C / S          up to S/N_C
-        z         = g' N_C / (S + 1)
+        cos theta = g'/(S/N_C)          up to S/N_C
+        z         = g'/((S+1)/N_C)
 
     The y rule is continuous across both joins.  Note y < 1 below S/N_C:
     the optimal filter then *suppresses* large Fock components rather than
     amplifying, and y equals the beamsplitter's cos theta.
     """
-    if ens.g_prime <= 0.0:
+    g = ens.g_prime
+    if g <= 0.0:
         raise DomainError("tuning undefined for zero gain")
-    book = photon_book(ens)
-    s, g = book.total, ens.g_prime
     regime = classify(ens)
-    z = g * book.n_c / (s + 1.0)
-    passive = g * book.n_c / s
+    amplify, _ = thresholds(ens)
+    passive = g / passive_filter_gain(ens)
+    z = g / amplify
     plateau = regime.tag is RegimeTag.DET_AMPLIFY
     if plateau:
         y = 1.0
     elif regime.prob_tag is RegimeTag.PROB_PLATEAU:
-        y = (s + 1.0) / (g * book.n_c)
+        y = amplify / g
     else:
         y = passive
     cos_theta = min(1.0, passive) if regime.tag is RegimeTag.DET_ATTENUATE else None

@@ -11,13 +11,16 @@ gain by sqrt(M).  Every optimum therefore depends only on the reduced triple
 
     lambda' = lambda / N,    mu' = mu,    g' = g * sqrt(M / N).
 
-Photon bookkeeping uses mean photon numbers N_C = 1/lambda' (signal),
-N_T = 1/mu (thermal per mode) and the convenience Ntilde_T = N_T + 1.
+Photon bookkeeping (``photon_book``) uses mean photon numbers N_C =
+1/lambda' (signal), N_T = 1/mu (thermal per mode), Ntilde_T = N_T + 1 and
+S = N_C + N_T; the closed forms never go through it.
 
 Three gain landmarks, all >= 1 and in this order, split every g' > 0 into
-regimes: the passive-filter gain S/N_C, the filter plateau sqrt(S(S+1))/N_C
-and the amplify threshold (S+1)/N_C, with S = N_C + N_T.  ``classify`` is
-the one place that compares g' with them.
+regimes; they are written in lambda', mu, so no photon number has to be
+representable: the passive-filter gain S/N_C = 1 + lambda'/mu, the filter
+plateau sqrt(S(S+1))/N_C = S/N_C sqrt(1 + 1/S) with 1/S = 1/(1/lambda' +
+1/mu), and the amplify threshold (S+1)/N_C = 1 + lambda'/mu + lambda'.
+``classify`` is the one place that compares g' with them.
 """
 
 from __future__ import annotations
@@ -138,29 +141,28 @@ def photon_book(ens: NoisyEnsemble) -> PhotonBook:
 
 def _landmarks(ens: NoisyEnsemble) -> tuple[float, float, float]:
     """(S/N_C, sqrt(S(S+1))/N_C, (S+1)/N_C), in increasing order."""
-    book = photon_book(ens)
-    s = book.total
-    tangency = s / book.n_c
-    return tangency, tangency * math.sqrt(1.0 + 1.0 / s), (s + 1.0) / book.n_c
+    lam, mu = ens.lambda_prime, ens.mu
+    passive = 1.0 + lam / mu
+    inv_s = 1.0 / (1.0 / lam + 1.0 / mu)
+    return passive, passive * math.sqrt(1.0 + inv_s), passive + lam
 
 
 def thresholds(ens: NoisyEnsemble) -> tuple[float, float]:
     """(deterministic, probabilistic) gain thresholds of the reduced task.
 
-    det  = (N_C + N_T + 1) / N_C : above it deterministic amplification
-           beats doing nothing, and the probabilistic advantage closes.
-    prob = sqrt((N_C + N_T + 1)(N_C + N_T)) / N_C : above it the optimal
+    det  = (S + 1)/N_C = 1 + lambda'/mu + lambda' : above it deterministic
+           amplification beats doing nothing, and the probabilistic
+           advantage closes.
+    prob = sqrt(S(S+1))/N_C = S/N_C sqrt(1 + 1/S) : above it the optimal
            filter saturates (geometric mean of det threshold and S/N_C).
-           It is evaluated as S/N_C sqrt(1 + 1/S), which cannot overflow
-           where S(S+1) would.
     """
     _, prob, det = _landmarks(ens)
     return det, prob
 
 
 def passive_filter_gain(ens: NoisyEnsemble) -> float:
-    """S/N_C, where the tuned filter is passive (y = 1) and the optimal
-    deterministic beamsplitter stops attenuating (cos theta = 1)."""
+    """S/N_C = 1 + lambda'/mu, where the tuned filter is passive (y = 1) and
+    the optimal deterministic beamsplitter stops attenuating (cos theta = 1)."""
     return _landmarks(ens)[0]
 
 
@@ -169,18 +171,18 @@ def classify(ens: NoisyEnsemble) -> Regime:
 
     The thresholds use the >= convention and the passive-filter gain the <=
     one, so S/N_C itself attenuates (at cos theta = 1).  The closed forms
-    agree at every join, so the choice only names the branch.
+    agree at every join, so the choice only names the branch.  Amplifying
+    implies the plateau and attenuating excludes it even where rounding
+    merges the landmarks, so det == prob whenever the label says so.
     """
-    tangency, prob_thr, det_thr = _landmarks(ens)
+    passive, prob_thr, det_thr = _landmarks(ens)
     g = ens.g_prime
     if g >= det_thr:
-        tag = RegimeTag.DET_AMPLIFY
-    elif g <= tangency:
-        tag = RegimeTag.DET_ATTENUATE
-    else:
-        tag = RegimeTag.DET_IDENTITY
+        return Regime(RegimeTag.DET_AMPLIFY, RegimeTag.PROB_PLATEAU)
+    if g <= passive:
+        return Regime(RegimeTag.DET_ATTENUATE, RegimeTag.PROB_AMPLIFY)
     prob_tag = RegimeTag.PROB_PLATEAU if g >= prob_thr else RegimeTag.PROB_AMPLIFY
-    return Regime(tag=tag, prob_tag=prob_tag)
+    return Regime(RegimeTag.DET_IDENTITY, prob_tag)
 
 
 def is_pure_input(ens: NoisyEnsemble) -> bool:

@@ -38,7 +38,7 @@ from .gaussian import (
     apply_gaussian,
     avg_fidelity_gaussian,
 )
-from .params import MultimodeTask, NoisyEnsemble, passive_filter_gain, photon_book, thresholds
+from .params import MultimodeTask, NoisyEnsemble, passive_filter_gain, thresholds
 from .scalaropt import golden_section_min
 
 #: (lambda', mu) pairs for the scalar property checks
@@ -155,28 +155,27 @@ def _scan_max(f: Callable[[float], float], lo: float, hi: float) -> tuple[float,
 # ---------------------------------------------------------------------------
 
 
+def _join_gap(value: Callable[[NoisyEnsemble], float], lam: float, mu: float,
+              landmark: float) -> float:
+    """|value| one float below a landmark gain against one float above it,
+    where the two neighbouring branches of ``value`` meet."""
+    below = value(_ens(lam, mu, math.nextafter(landmark, 0.0)))
+    above = value(_ens(lam, mu, math.nextafter(landmark, math.inf)))
+    return abs(below - above)
+
+
 def _check_det_branch_join(seed: int, dim: int) -> Pair:
-    worst = 0.0
-    for lam, mu in _LAM_MU:
-        book = photon_book(_ens(lam, mu, 1.0))
-        s = book.total
-        g = (s + 1.0) / book.n_c
-        amplify = (s + 1.0) / (g * g * book.n_c * book.n_t_tilde)
-        identity = 1.0 / ((g - 1.0) ** 2 * book.n_c + book.n_t_tilde)
-        worst = max(worst, abs(amplify - identity))
-    return 0.0, worst
+    return 0.0, max(
+        _join_gap(formulas.det_fidelity, lam, mu, thresholds(_ens(lam, mu, 1.0))[0])
+        for lam, mu in _LAM_MU
+    )
 
 
 def _check_prob_branch_join(seed: int, dim: int) -> Pair:
-    worst = 0.0
-    for lam, mu in _LAM_MU:
-        book = photon_book(_ens(lam, mu, 1.0))
-        s = book.total
-        g = math.sqrt(s * (s + 1.0)) / book.n_c
-        plateau = (s + 1.0) / (g * g * book.n_c * book.n_t_tilde)
-        filtered = s / (s + g * g * book.n_c * book.n_t)
-        worst = max(worst, abs(plateau - filtered))
-    return 0.0, worst
+    return 0.0, max(
+        _join_gap(formulas.prob_fidelity, lam, mu, thresholds(_ens(lam, mu, 1.0))[1])
+        for lam, mu in _LAM_MU
+    )
 
 
 def _check_attenuate_branch(seed: int, dim: int) -> tuple[Pair, Pair]:
@@ -184,11 +183,8 @@ def _check_attenuate_branch(seed: int, dim: int) -> tuple[Pair, Pair]:
     # heralded optimum is no better (at S/N_C itself see _check_tangency_point)
     worst_join = worst_gap = 0.0
     for lam, mu in _LAM_MU:
-        book = photon_book(_ens(lam, mu, 1.0))
-        tangency = book.total / book.n_c
-        attenuate = (lam + mu) / (lam + mu + tangency**2)
-        identity = 1.0 / ((tangency - 1.0) ** 2 * book.n_c + book.n_t_tilde)
-        worst_join = max(worst_join, abs(attenuate - identity))
+        tangency = passive_filter_gain(_ens(lam, mu, 1.0))
+        worst_join = max(worst_join, _join_gap(formulas.det_fidelity, lam, mu, tangency))
         for g in (0.1, 0.5, 1.0, 0.5 * (1.0 + tangency)):
             ens = _ens(lam, mu, g)
             worst_gap = max(
@@ -535,7 +531,7 @@ def _check_oracle_identity(seed: int, dim: int) -> Pair:
                 value = fock.avg_fidelity_numeric(
                     ens, fock.ShiftKraus.identity(64), dim=64, radial_nodes=80
                 )
-                closed = 1.0 / ((g - 1.0) ** 2 * n_c + n_t + 1.0)
+                closed = avg_fidelity_gaussian(ens, ChannelParam(ChannelKind.IDENTITY))
                 worst = max(worst, abs(value - closed))
     return 0.0, worst
 

@@ -6,7 +6,6 @@ import pytest
 from ampurify.bounds import (
     CirculantTriple,
     amp_convergence_terms,
-    cft_bound,
     cft_norm_check,
     circulant_dense,
     circulant_eigs,
@@ -259,12 +258,6 @@ def test_brackets_refuse_the_input_mass_boundary():
 # ---------------------------------------------------------------------------
 # classical-threshold norm bound
 # ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("lam,mu,g", [(1.0, 1.0, 2.0), (0.5, 2.0, 0.8), (2.0, 0.5, 1.5)])
-def test_cft_bound_matches_the_closed_form_fidelity(lam, mu, g):
-    ens = _ens(lam, mu, g)
-    assert cft_bound(ens) == pytest.approx(cft(ens), rel=1e-14)
 
 
 def test_cft_norm_check_converges_from_above():

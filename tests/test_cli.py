@@ -3,6 +3,7 @@ import json
 import math
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -207,11 +208,11 @@ def test_sweep_unwritable_output_exits_four(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        # g'^2 overflows in the closed forms
-        ["eval", "--lambda", "1", "--mu", "1", "--g", "1e200"],
-        ["sweep", "--axis", "g", "--start", "1", "--stop", "1e200", "--steps", "3",
-         "--lambda", "1", "--mu", "1", "--json"],
-        # ... and in the photon bookkeeping of both protocols
+        # every landmark is +inf at lambda' = 1e300, mu = 1e-300; the text
+        # view passes the same finiteness gate as the JSON one
+        ["regimes", "--lambda", "1e300", "--mu", "1e-300", "--g", "1"],
+        ["regimes", "--lambda", "1e300", "--mu", "1e-300", "--g", "1", "--json"],
+        # photon numbers near 1e400 overflow the bookkeeping of both protocols
         ["photons", "--mode", "det", "--lambda", "1", "--mu", "1", "--g", "1e200", "--json"],
         ["photons", "--mode", "prob", "--lambda", "1", "--mu", "1", "--g", "1e200", "--json"],
     ],
@@ -221,6 +222,49 @@ def test_non_finite_results_exit_three(capsys, argv):
     assert code == 3
     assert out == ""
     assert err.startswith("domain error: ")
+
+
+def test_non_finite_sweep_row_writes_no_csv(tmp_path, capsys, monkeypatch):
+    # no closed form yields a non-finite row any more, so plant one: the CSV
+    # sink passes the same gate as the JSON one, before anything is written
+    monkeypatch.setattr(
+        "ampurify.formulas.fidelity_report",
+        lambda ens: SimpleNamespace(det=math.inf, prob=1.0, cft=0.5),
+    )
+    out_path = tmp_path / "rows.csv"
+    code, out, err = run_cli(
+        capsys, "sweep", "--axis", "g", "--start", "1", "--stop", "2", "--steps", "3",
+        "--lambda", "1", "--mu", "1", "--out", str(out_path),
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("domain error: result is not finite")
+    assert not out_path.exists()
+
+
+def test_overflowing_gain_evaluates_to_zero_fidelity(capsys):
+    # g'^2 = 1e400 is not representable, but every fidelity is: it underflows to 0
+    code, payload = run_json(capsys, "eval", "--lambda", "1", "--mu", "1", "--g", "1e200")
+    assert code == 0
+    assert payload["result"]["regime"] == "DetAmplify+ProbPlateau"
+    assert payload["result"]["fidelities"] == {"det": 0.0, "prob": 0.0, "cft": 0.0}
+    code, payload = run_json(capsys, "sweep", "--axis", "g", "--start", "1", "--stop", "1e200",
+                             "--steps", "3", "--lambda", "1", "--mu", "1")
+    assert code == 0
+    last = payload["result"]["rows"][-1]
+    assert last["g_prime"] == 1e200
+    assert last["f_det"] == last["f_prob"] == last["f_cft"] == 0.0
+
+
+def test_tiny_rates_and_gain_are_perfect(capsys):
+    # N_C = N_T = 1e200 and g' = 1e-200: the filter value is 1/(1 + 5e-201) = 1
+    # and y = g'/(S/N_C) = 5e-201 stays a normal float
+    code, payload = run_json(capsys, "eval", "--lambda", "1e-200", "--mu", "1e-200",
+                             "--g", "1e-200")
+    assert code == 0
+    assert payload["result"]["regime"] == "DetAttenuate+ProbAmplify"
+    assert payload["result"]["fidelities"] == {"det": 1.0, "prob": 1.0, "cft": 1.0}
+    assert payload["result"]["tuning"]["y"] == 5e-201
 
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])

@@ -24,11 +24,14 @@ SWEEPS = ["--axis g --start 1 --stop 4 --steps 31 --lambda 1 --mu 1",
           "--axis mu --start 0.2 --stop 3 --steps 15 --lambda 1 --g 2",
           "--axis n --start 1 --stop 4 --steps 4 --lambda 2 --mu 1 --g 2",
           "--axis m --start 1 --stop 4 --steps 4 --lambda 2 --mu 1 --g 1"]
-#: results that overflow or are not finite (a domain error, exit 3)
-BOUNDARY = ["eval --lambda 1 --mu 1 --g 1e200",
+#: extreme inputs whose results are representable (exit 0)
+EXTREMES = ["eval --lambda 1 --mu 1 --g 1e200",
             "sweep --axis g --start 1 --stop 1e200 --steps 3 --lambda 1 --mu 1 --json",
             "eval --lambda 1e-300 --mu 1 --g 2 --json",
-            "regimes --lambda 1e-300 --mu 1 --g 2 --json"]
+            "regimes --lambda 1e-300 --mu 1 --g 2 --json",
+            "eval --lambda 1e-200 --mu 1e-200 --g 1e-200 --json"]
+#: results that are not finite (a domain error, exit 3), in the text view too
+BOUNDARY = ["regimes --lambda 1e300 --mu 1e-300 --g 1"]
 #: the usage errors of tests/test_cli.py::test_sweep_usage_errors_exit_two
 USAGE = ["sweep --axis g --start 1 --stop 2 --steps 3 --lambda 1 --mu 1 --g 2 --json",
          "sweep --axis g --start 1 --stop 2 --steps 3 --lambda 1 --json",
@@ -51,7 +54,7 @@ def commands() -> list[str]:
              for sub in ("eval", "regimes", "photons --mode det", "photons --mode prob")
              for js in ("", " --json")]
     cmds += [f"sweep {s} {sink}" for s in SWEEPS for sink in ("--out CSV", "--json")]
-    return cmds + BOUNDARY + USAGE + EXITS
+    return cmds + EXTREMES + BOUNDARY + USAGE + EXITS
 
 
 def main(tree: str) -> None:
