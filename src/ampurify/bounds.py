@@ -280,9 +280,9 @@ def cft_norm_check(ens: NoisyEnsemble) -> tuple[float, float]:
     whiten = q_sigma ** (-np.arange(dim) / 2.0) / math.sqrt(1.0 - q_sigma)
     xs, vs = [], []
     for alpha, w in fock.prior_nodes(ens.lambda_prime, _CFT_RADIAL_NODES):
-        rho = fock._displaced_thermal_raw(alpha, 1.0 / ens.mu, dim).real
+        rho = fock._displaced_thermal_raw(alpha, 1.0 / ens.mu, dim)
         xs.append(whiten[:, None] * rho * whiten[None, :])
-        vs.append(fock._coherent_ket_raw(ens.g_prime * alpha, dim).real * math.sqrt(w))
+        vs.append(fock._coherent_ket_raw(ens.g_prime * alpha, dim) * math.sqrt(w))
     x, v = np.array(xs), np.array(vs)
     top = -math.inf
     for tot in range(2 * dim - 1):

@@ -94,10 +94,20 @@ def _pure_note(ens: NoisyEnsemble) -> list[str]:
     return [note] if is_pure_input(ens) else []
 
 
+def _leaves(value: object, path: str) -> list[tuple[str, object]]:
+    """(key path, value) of every scalar in value, in sorted-key order."""
+    if isinstance(value, dict):
+        return [leaf for key in sorted(value)
+                for leaf in _leaves(value[key], f"{path}.{key}" if path else key)]
+    if isinstance(value, (list, tuple)):
+        return [leaf for i, item in enumerate(value) for leaf in _leaves(item, f"{path}[{i}]")]
+    return [(path, value)]
+
+
 def _envelope(args: argparse.Namespace, command: str, params: dict, result: dict) -> str:
-    """The JSON envelope of one result, dumped with ``allow_nan=False``.  Text
-    and CSV views pass through it too (unindented, which is cheaper), so a
-    non-finite result exits 3 in every format with nothing printed or written."""
+    """The JSON envelope of one result.  Text and CSV views pass through it too
+    (unindented, which is cheaper), so a non-finite result exits 3 in every
+    format with the same message, naming its field, and nothing printed."""
     payload = {
         "tool": "ampurify",
         "version": __version__,
@@ -108,8 +118,10 @@ def _envelope(args: argparse.Namespace, command: str, params: dict, result: dict
     try:
         return json.dumps(payload, indent=2 if args.json else None, sort_keys=True,
                           allow_nan=False)
-    except ValueError as exc:
-        raise DomainError(f"result is not finite ({exc})") from exc
+    except ValueError:
+        path, value = next((p, v) for p, v in _leaves(payload, "")
+                           if isinstance(v, float) and not math.isfinite(v))
+        raise DomainError(f"result is not finite: {path} = {value!r}") from None
 
 
 def _emit(args: argparse.Namespace, command: str, params: dict, result: dict,

@@ -6,13 +6,11 @@ Everything works on dense numpy matrices in the number basis {|0>, ...,
 * ``ShiftKraus(weights, shift, dim_out)``: diagonal up to a photon-number
   shift, with Kraus operators A_k = sum_n W[n, k] |n + shift k><n|.  The
   two-mode squeezer has shift +1, the beamsplitter -1, and the diagonal
-  filter and the identity 0 (one weight column).  Squeezer and beamsplitter
-  weights come from the sectors their generators conserve (n_a - n_b resp.
-  n_a + n_b): each sector column is the exponential of a truncated
-  antisymmetric tridiagonal (``_sector_column``), which is exactly
-  orthogonal, so probability never leaks; the only approximation relative
-  to the infinite-dimensional channel is the reflecting boundary at the
-  sector cutoff, controlled by the energy preconditions.
+  filter and the identity 0 (one weight column).  Weights come from the
+  sectors the generators conserve: a beamsplitter sector is finite, with a
+  binomial closed form; a squeezer sector column is an exactly orthogonal
+  truncated exponential, so the only approximation is the reflecting
+  boundary at the ancilla cutoff, controlled by the energy preconditions.
 * ``Heterodyne(z, grid)``: the measure-and-prepare benchmark, a Husimi
   sample on a polar grid re-prepared as the coherent state |z beta>.
 
@@ -23,6 +21,10 @@ over coherent rows built once per call.  The output trace (the heralding
 weight, and every trace guard) comes from the same pieces.  The ``apply_*``
 functions build the output state from the same description, for callers
 that need the state itself.
+
+Every displacement and squeezer-sector exponential is ``_exp_tridiagonal``
+over a cached eigenbasis: one real (batched) product per amplitude or
+squeeze parameter.  Displaced states of real amplitude are real matrices.
 
 Prior averages reduce to a radial integral: every state, channel and target
 in the protocols is phase covariant, so the 2-D Gaussian prior integral
@@ -38,10 +40,8 @@ from functools import cached_property, lru_cache
 from typing import Callable, Iterator
 
 import numpy as np
-# scipy.special before scipy.linalg: the other order measured ~50 ms slower
-# on a cold `import ampurify.cli` (numpy 2.4, scipy 1.17)
-from scipy.special import gammaincc, gammaln, roots_laguerre
-import scipy.linalg
+# imported here rather than on first use: numpy loads numpy.polynomial lazily
+from numpy.polynomial.laguerre import laggauss
 
 from .errors import DomainError, QuadratureError, TruncationError
 from .params import NoisyEnsemble
@@ -89,11 +89,24 @@ class FilterSpec:
             raise DomainError(f"y must be finite and > 0, got {self.y!r}")
 
 
+@lru_cache(maxsize=8)
 def _laguerre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Laguerre nodes and weights, less those weighing at most _WEIGHT_FLOOR."""
-    t, w = roots_laguerre(nodes)
+    t, w = laggauss(nodes)
     keep = w > _WEIGHT_FLOOR
     return t[keep], w[keep]
+
+
+@lru_cache(maxsize=8)
+def _log_factorials(size: int) -> np.ndarray:
+    """log(n!) for n < size."""
+    return np.array([math.lgamma(n + 1.0) for n in range(size)])
+
+
+def _poisson_cdf(dim: int, t: float) -> float:
+    """P(N < dim) for N ~ Poisson(t), the regularised upper incomplete gamma
+    Q(dim, t): the mass of the coherent state at |beta|^2 = t below the cutoff."""
+    return float(np.exp(np.arange(dim) * math.log(t) - t - _log_factorials(dim)).sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +126,7 @@ class QuadratureGrid:
 
 
 def _coherent_ket_raw(amp: complex, dim: int) -> np.ndarray:
-    """Truncated coherent vector for any amplitude.
+    """Truncated coherent vector for any amplitude (real for a real one).
 
     Components are assembled from log magnitudes, so amplitudes far beyond
     the cutoff underflow to zero entries instead of overflowing partial
@@ -121,16 +134,13 @@ def _coherent_ket_raw(amp: complex, dim: int) -> np.ndarray:
     """
     a = complex(amp)
     mod = abs(a)
-    ket = np.zeros(dim, dtype=complex)
-    if mod == 0.0:
-        ket[0] = 1.0
-        return ket
     n = np.arange(dim)
-    logmag = -0.5 * mod * mod + n * math.log(mod) - 0.5 * gammaln(n + 1.0)
-    ket[:] = np.exp(logmag)
+    if mod == 0.0:
+        return (n == 0).astype(float)
+    ket = np.exp(-0.5 * mod * mod + n * math.log(mod) - 0.5 * _log_factorials(dim))
     phi = math.atan2(a.imag, a.real)
     if phi != 0.0:
-        ket *= np.exp(1j * phi * n)
+        ket = ket * np.exp(1j * phi * n)
     return ket
 
 
@@ -149,26 +159,44 @@ def coherent_ket(amp: complex, dim: int) -> np.ndarray:
     return _coherent_ket_raw(amp, dim)
 
 
+def _tridiagonal_eigh(couplings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the symmetric tridiagonal T[j, j+1] = T[j+1, j] =
+    couplings[..., j], batched over any leading axes."""
+    size = couplings.shape[-1] + 1
+    t = np.zeros(couplings.shape[:-1] + (size, size))
+    j = np.arange(size - 1)
+    t[..., j + 1, j] = t[..., j, j + 1] = couplings
+    return np.linalg.eigh(t)
+
+
+def _exp_tridiagonal(basis: tuple[np.ndarray, np.ndarray], angle: float,
+                     cols: slice = slice(None)) -> np.ndarray:
+    """Columns ``cols`` of exp(angle G), G antisymmetric tridiagonal with
+    G[j+1, j] = c_j = -G[j, j+1], from the eigenpairs (w, V) of the symmetric
+    T with the same couplings (batched like ``basis``).
+
+    G = -i S T S^-1 with S = diag(i^j), and T is bipartite: cos(angle T)
+    fills the even diagonals and sin(angle T) the odd ones, so
+    exp(angle G)[m, n] = (-1)^floor((m - n)/2) (V diag(cos + sin)(angle w) V^T)[m, n].
+    """
+    w, v = basis
+    m = np.arange(w.shape[-1])
+    sign = 1.0 - 2.0 * ((m[:, None] - m[cols][None, :]) // 2 % 2)
+    spectral = v * (np.cos(angle * w) + np.sin(angle * w))[..., None, :]
+    return sign * (spectral @ np.swapaxes(v[..., cols, :], -1, -2))
+
+
 @lru_cache(maxsize=8)
 def _displacement_basis(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    # eigendecomposition of the Hermitian i(a - a^dag); reused for every
-    # displacement amplitude at this cutoff
-    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
-    h = 1j * (a - a.conj().T)
-    w, v = np.linalg.eigh(h)
-    return w, v
+    # a^dag - a couples |k-1> and |k> with sqrt(k); reused for every amplitude
+    return _tridiagonal_eigh(np.sqrt(np.arange(1.0, dim)))
 
 
-def _displacement(amp: complex, dim: int) -> np.ndarray:
-    """Truncated displacement operator exp(amp a^dag - conj(amp) a)."""
-    w, v = _displacement_basis(dim)
-    mod = abs(complex(amp))
-    d = (v * np.exp(1j * mod * w)) @ v.conj().T
-    phi = math.atan2(complex(amp).imag, complex(amp).real)
-    if phi != 0.0:
-        ph = np.exp(1j * phi * np.arange(dim))
-        d = ph[:, None] * d * ph.conj()[None, :]
-    return d
+@lru_cache(maxsize=8)
+def _squeezer_basis(n_levels: int, dim_anc: int) -> tuple[np.ndarray, np.ndarray]:
+    # sector n of a^dag b^dag - a b: |n+k-1, k-1> -> |n+k, k> with sqrt((n+k)k)
+    k = np.arange(1.0, dim_anc)
+    return _tridiagonal_eigh(np.sqrt((np.arange(n_levels)[:, None] + k) * k))
 
 
 def _thermal_diag(nbar: float, dim: int) -> np.ndarray:
@@ -178,11 +206,19 @@ def _thermal_diag(nbar: float, dim: int) -> np.ndarray:
 
 
 def _displaced_thermal_raw(amp: complex, nbar: float, dim: int) -> np.ndarray:
+    """D(amp) rho_th(nbar) D(amp)^dag, real for a real amplitude: the state at
+    |amp|, rotated by the phase of amp."""
     if nbar == 0.0:
         k = _coherent_ket_raw(amp, dim)
         return np.outer(k, k.conj())
-    d = _displacement(amp, dim)
-    return (d * _thermal_diag(nbar, dim)) @ d.conj().T
+    a = complex(amp)
+    d = _exp_tridiagonal(_displacement_basis(dim), abs(a))
+    rho = (d * _thermal_diag(nbar, dim)) @ d.T
+    phi = math.atan2(a.imag, a.real)
+    if phi != 0.0:
+        ph = np.exp(1j * phi * np.arange(dim))
+        rho = ph[:, None] * rho * ph.conj()[None, :]
+    return rho
 
 
 def displaced_thermal_density(amp: complex, nbar: float, dim: int) -> FockDensity:
@@ -202,13 +238,6 @@ def displaced_thermal_density(amp: complex, nbar: float, dim: int) -> FockDensit
     if abs(tr - 1.0) > 1e-8:
         raise TruncationError(f"displaced thermal trace {tr!r} deviates from 1")
     return FockDensity(dim, mat)
-
-
-def _sector_column(couplings: np.ndarray, angle: float) -> np.ndarray:
-    """First column of exp(angle G), G the antisymmetric tridiagonal with
-    G[j+1, j] = couplings[j] = -G[j, j+1]."""
-    gen = np.diag(couplings, -1) - np.diag(couplings, 1)
-    return scipy.linalg.expm(angle * gen)[:, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,9 +266,11 @@ class ShiftKraus:
         """Quantum-limited amplifier: couple to a vacuum ancilla with
         exp(r(a^dag b^dag - a b)) and trace the ancilla out.
 
-        The output cutoff grows to dim + dim_anc - 1 to hold the amplified
-        energy; dim_anc should comfortably exceed the amplified photon spread
-        (the sector exponentials reflect at the ancilla cutoff).
+        W[n, k] = <n+k, k|exp(...)|n, 0> comes from the sector {|n+k, k>} of
+        conserved n_a - n_b, all sectors in one batched product.  The output
+        cutoff grows to dim + dim_anc - 1 to hold the amplified energy;
+        dim_anc should comfortably exceed the amplified photon spread (the
+        sector exponentials reflect at the ancilla cutoff).
         """
         if not (math.isfinite(r) and r >= 0.0):
             raise DomainError(f"squeeze parameter must be >= 0, got {r!r}")
@@ -247,16 +278,26 @@ class ShiftKraus:
             raise DomainError(f"dim_anc must be >= 2, got {dim_anc!r}")
         if r == 0.0:
             return cls.identity(dim)
-        return cls(_squeezer_weights(float(r), dim, dim_anc), 1, dim + dim_anc - 1, True)
+        weights = _exp_tridiagonal(_squeezer_basis(dim, dim_anc), r, slice(0, 1))[..., 0]
+        return cls(weights, 1, dim + dim_anc - 1, True)
 
     @classmethod
     def attenuator(cls, theta: float, dim: int) -> "ShiftKraus":
-        """Beamsplitter of angle theta against a vacuum ancilla (amp -> cos(theta) amp)."""
+        """Beamsplitter of angle theta against a vacuum ancilla (amp -> cos(theta) amp).
+
+        n_a + n_b is conserved, so every sector is finite and
+        W[n, k] = <n-k, k|exp(...)|n, 0> = (-1)^k sqrt(C(n, k)) cos^(n-k) sin^k.
+        """
         if not 0.0 <= theta <= math.pi / 2.0:
             raise DomainError(f"theta must be in [0, pi/2], got {theta!r}")
         if theta == 0.0:
             return cls.identity(dim)
-        return cls(_attenuator_weights(float(theta), dim), -1, dim)
+        n, k = np.ogrid[:dim, :dim]
+        n_k = np.maximum(n - k, 0)
+        lf = _log_factorials(dim)
+        terms = (-1.0) ** k * np.exp(0.5 * (lf[n] - lf[k] - lf[n_k])) * (
+            math.cos(theta) ** n_k * math.sin(theta) ** k)
+        return cls(np.tril(terms), -1, dim)  # k <= n
 
     @classmethod
     def filter(cls, f: FilterSpec, dim: int) -> "ShiftKraus":
@@ -318,35 +359,6 @@ def _apply_shift_kraus(rho: FockDensity, ch: ShiftKraus) -> FockDensity:
     return res
 
 
-@lru_cache(maxsize=64)
-def _squeezer_weights(r: float, n_levels: int, dim_anc: int) -> np.ndarray:
-    """Amplitudes <n+k, k| exp(r(a^dag b^dag - a b)) |n, 0> as W[n, k].
-
-    The generator conserves n_a - n_b, so level n evolves inside the sector
-    {|n+k, k>} with couplings sqrt((n+k+1)(k+1)).
-    """
-    W = np.zeros((n_levels, dim_anc))
-    k = np.arange(1.0, dim_anc)
-    for n in range(n_levels):
-        W[n] = _sector_column(np.sqrt((n + k) * k), r)
-    return W
-
-
-@lru_cache(maxsize=64)
-def _attenuator_weights(theta: float, n_levels: int) -> np.ndarray:
-    """Amplitudes <n-k, k| exp(theta(a^dag b - b^dag a)) |n, 0> as W[n, k].
-
-    Here n_a + n_b is conserved: sectors are finite regardless of cutoff, so
-    the beamsplitter needs no ancilla headroom at all.  The sector generator
-    is the transpose of the squeezer's form, hence the angle -theta.
-    """
-    W = np.zeros((n_levels, n_levels))
-    for n in range(n_levels):
-        j = np.arange(1.0, n + 1)
-        W[n, : n + 1] = _sector_column(np.sqrt(j * (n - j + 1.0)), -theta)
-    return W
-
-
 def apply_two_mode_squeezer(rho: FockDensity, r: float, dim_anc: int = 64) -> FockDensity:
     """Output state of ``ShiftKraus.squeezer``."""
     return _apply_shift_kraus(rho, ShiftKraus.squeezer(r, rho.dim, dim_anc))
@@ -400,7 +412,7 @@ class Heterodyne:
         which is u^dag rho u for the coherent row u_n = beta^n/sqrt(n!) at
         a fraction of the cost.
         """
-        tail = float(gammaincc(dim, self.grid.radial_t[-1]))
+        tail = _poisson_cdf(dim, float(self.grid.radial_t[-1]))
         if tail > 1e-8:
             raise QuadratureError(
                 f"radial grid covers the Husimi support to tail mass {tail:.3g} > 1e-8"
@@ -411,9 +423,8 @@ class Heterodyne:
         quad_w = np.repeat(w / n_ang, n_ang)
 
         n = np.arange(dim)
-        half_lg = 0.5 * gammaln(n + 1.0)
         # u_n(t), unnormalised: exp(-t) sits in the Gauss-Laguerre weight
-        u_base = np.exp(0.5 * n[:, None] * np.log(t)[None, :] - half_lg[:, None])  # dim x R
+        u_base = np.exp(0.5 * np.outer(n, np.log(t)) - 0.5 * _log_factorials(dim)[:, None])
         offsets = np.arange(1 - dim, dim)
         col = n[None, :] + offsets[:, None]                           # D x dim
         inside = (col >= 0) & (col < dim)
@@ -428,14 +439,7 @@ class Heterodyne:
             s_im = np.matmul(diag.imag[:, None, :], uu)[:, 0, :]
             return (s_re.T @ spin_re - s_im.T @ spin_im).ravel() * quad_w
 
-        if self.z == 0.0:
-            k_base = np.zeros((dim, t.size))
-            k_base[0] = 1.0
-        else:
-            zt = self.z * self.z * t
-            k_base = np.exp(
-                -0.5 * zt[None, :] + 0.5 * n[:, None] * np.log(zt)[None, :] - half_lg[:, None]
-            )
+        k_base = np.stack([_coherent_ket_raw(self.z * math.sqrt(ti), dim) for ti in t], axis=1)
         phases = np.exp(1j * np.outer(n, angles))                    # dim x A
         return weights, (k_base[:, :, None] * phases[:, None, :]).reshape(dim, -1)
 

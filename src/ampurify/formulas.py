@@ -221,9 +221,9 @@ def photon_output_det(task: MultimodeTask) -> tuple[float, float]:
     n_single_in = photon_book(ens).n_t
     tuning = tune(ens)
     if tuning.cos_theta is not None:
-        bright = tuning.cos_theta**2 * n_single_in
+        bright = tuning.cos_theta * tuning.cos_theta * n_single_in
     elif tuning.cosh_r > 1.0:
-        bright = tuning.cosh_r**2 * (n_single_in + 1.0) - 1.0
+        bright = tuning.cosh_r * tuning.cosh_r * (n_single_in + 1.0) - 1.0
     else:
         bright = n_single_in
     return bright, bright / task.m_out
@@ -258,12 +258,13 @@ def photon_output_prob(task: MultimodeTask, y: float) -> tuple[float, float, flo
 
     n_single_in = n_t
     n_c = book.n_c
-    g, n, m = task.g, task.n_in, task.m_out
-    denom = (1.0 + mu) * (n_c + n_single_in) ** 2 - (g * n_c) ** 2 * m / n
+    # squares as products, so that an overflow reaches the check below as inf
+    n, m, gain, width = task.n_in, task.m_out, task.g * n_c, n_c + n_single_in
+    denom = (1.0 + mu) * (width * width) - gain * gain * m / n
     if denom <= 0.0:
         raise DomainError(
             "tuned probabilistic protocol outside its validity region: "
             f"(1 + mu)(N_C + N_single)^2 <= g^2 N_C^2 M/N for task {task!r}"
         )
-    n_single_out = n_single_in * mu * (g * n_c) ** 2 / (n * denom)
+    n_single_out = n_single_in * mu * (gain * gain) / (n * denom)
     return n_t_out, m * n_single_out, n_single_out

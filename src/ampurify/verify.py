@@ -28,6 +28,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+# imported here rather than on first use: numpy loads numpy.random lazily
+from numpy.random import default_rng
 
 from . import bounds, fock, formulas
 from .errors import DomainError, NonConvergentError
@@ -261,55 +263,38 @@ _ATTEN_SCAN = ((1.0, 1.0, 0.7), (0.5, 0.5, 0.9), (2.0, 2.0, 0.4), (1.0, 0.5, 1.5
 _MP_SCAN = ((1.0, 1.0, 2.0), (0.5, 2.0, 0.8), (2.0, 0.5, 1.5))
 
 
-def _check_squeezer_scan(seed: int, dim: int) -> tuple[Pair, Pair]:
-    # one scan per point feeds both the attained value and the argmax
+def _scan_check(kind: ChannelKind, points: tuple, optimum: Callable[[NoisyEnsemble], float],
+                interval: Callable, setting: Callable, tuned: Callable) -> tuple[Pair, Pair]:
+    """One golden-section scan of a Gaussian protocol over ``interval(ens)`` per point: its
+    maximum against ``optimum`` (relative), ``setting`` at its argmax against ``tuned``."""
     worst_value = worst_arg = 0.0
-    for lam, mu, g in _SQUEEZE_SCAN:
+    for lam, mu, g in points:
         ens = _ens(lam, mu, g)
-        target = formulas.det_fidelity(ens)
-        r_star = math.acosh(formulas.tune(ens).cosh_r)
-        r_num, best = _scan_max(
-            lambda r, e=ens: avg_fidelity_gaussian(
-                e, ChannelParam(ChannelKind.TWO_MODE_SQUEEZE, r)
-            ),
-            0.0,
-            2.0 * r_star + 1.0,
+        target = optimum(ens)
+        x_num, best = _scan_max(
+            lambda x, e=ens: avg_fidelity_gaussian(e, ChannelParam(kind, x)), *interval(ens)
         )
         worst_value = max(worst_value, abs(best - target) / target)
-        worst_arg = max(worst_arg, abs(math.cosh(r_num) - math.cosh(r_star)))
+        worst_arg = max(worst_arg, abs(setting(x_num) - tuned(ens)))
     return (0.0, worst_value), (0.0, worst_arg)
+
+
+def _check_squeezer_scan(seed: int, dim: int) -> tuple[Pair, Pair]:
+    return _scan_check(ChannelKind.TWO_MODE_SQUEEZE, _SQUEEZE_SCAN, formulas.det_fidelity,
+                       lambda e: (0.0, 2.0 * math.acosh(formulas.tune(e).cosh_r) + 1.0),
+                       math.cosh, lambda e: math.cosh(math.acosh(formulas.tune(e).cosh_r)))
 
 
 def _check_attenuator_scan(seed: int, dim: int) -> tuple[Pair, Pair]:
-    worst_value = worst_arg = 0.0
-    for lam, mu, g in _ATTEN_SCAN:
-        ens = _ens(lam, mu, g)
-        target = formulas.det_fidelity(ens)
-        theta_num, best = _scan_max(
-            lambda th, e=ens: avg_fidelity_gaussian(
-                e, ChannelParam(ChannelKind.ATTENUATE, th)
-            ),
-            0.0,
-            math.pi / 2.0,
-        )
-        worst_value = max(worst_value, abs(best - target) / target)
-        worst_arg = max(worst_arg, abs(math.cos(theta_num) - formulas.tune(ens).cos_theta))
-    return (0.0, worst_value), (0.0, worst_arg)
+    return _scan_check(ChannelKind.ATTENUATE, _ATTEN_SCAN, formulas.det_fidelity,
+                       lambda e: (0.0, math.pi / 2.0), math.cos,
+                       lambda e: formulas.tune(e).cos_theta)
 
 
 def _check_mp_scan(seed: int, dim: int) -> tuple[Pair, Pair]:
-    worst_value = worst_arg = 0.0
-    for lam, mu, g in _MP_SCAN:
-        ens = _ens(lam, mu, g)
-        target = formulas.cft(ens)
-        z_num, best = _scan_max(
-            lambda z, e=ens: avg_fidelity_gaussian(e, ChannelParam(ChannelKind.MEASURE_PREPARE, z)),
-            1e-9,
-            2.0 * g + 1.0,
-        )
-        worst_value = max(worst_value, abs(best - target) / target)
-        worst_arg = max(worst_arg, abs(z_num - formulas.tune(ens).z))
-    return (0.0, worst_value), (0.0, worst_arg)
+    return _scan_check(ChannelKind.MEASURE_PREPARE, _MP_SCAN, formulas.cft,
+                       lambda e: (1e-9, 2.0 * e.g_prime + 1.0), lambda z: z,
+                       lambda e: formulas.tune(e).z)
 
 
 def _check_photon_det_worked(seed: int, dim: int) -> Pair:
@@ -328,7 +313,7 @@ def _check_photon_prob_passive(seed: int, dim: int) -> Pair:
 
 
 def _check_circulant_dense(seed: int, dim: int) -> Pair:
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     worst = 0.0
     for _ in range(100):
         size = int(rng.integers(2, 9))
@@ -412,10 +397,8 @@ def _check_fock_identity(seed: int, dim: int) -> Pair:
 
 
 def _check_fock_amplifier_noise(seed: int, dim: int) -> Pair:
-    cutoff = 24
-    vac = np.zeros((cutoff, cutoff), dtype=complex)
-    vac[0, 0] = 1.0
-    out = fock.apply_two_mode_squeezer(fock.FockDensity(cutoff, vac), 0.5, dim_anc=48)
+    vac = fock.displaced_thermal_density(0.0, 0.0, 24)
+    out = fock.apply_two_mode_squeezer(vac, 0.5, dim_anc=48)
     n_mean = float(np.real(np.diag(out.mat) @ np.arange(out.dim)))
     return math.sinh(0.5) ** 2, n_mean
 

@@ -1,7 +1,10 @@
 import importlib.util
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -222,6 +225,30 @@ def test_non_finite_results_exit_three(capsys, argv):
     assert code == 3
     assert out == ""
     assert err.startswith("domain error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["regimes", "--lambda", "1e300", "--mu", "1e-300", "--g", "1"], "result.det_threshold"),
+        (["photons", "--mode", "det", "--lambda", "1", "--mu", "1", "--g", "1e200"],
+         "result.n_single_out"),
+    ],
+)
+def test_non_finite_result_names_its_field_alike_in_text_and_json(capsys, argv, field):
+    text_code, _, text_err = run_cli(capsys, *argv)
+    json_code, _, json_err = run_cli(capsys, *argv, "--json")
+    assert text_code == json_code == 3
+    assert text_err == json_err == f"domain error: result is not finite: {field} = inf\n"
+
+
+def test_overflowing_filter_gain_names_the_violated_condition(capsys):
+    code, out, err = run_cli(
+        capsys, "photons", "--mode", "prob", "--lambda", "1", "--mu", "1", "--g", "1e200"
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("domain error: tuned probabilistic protocol outside its validity region")
 
 
 def test_non_finite_sweep_row_writes_no_csv(tmp_path, capsys, monkeypatch):
@@ -456,3 +483,25 @@ def test_text_and_json_print_the_same_numbers(capsys, sub, point):
         assert result["regime"] in text
     pure = result.get("pure_input", result.get("photons", {}).get("pure_input"))
     assert notes == [f"note: {n}" for n in result.get("notes", [])] + ([_PURE_NOTE] if pure else [])
+
+
+# ---------------------------------------------------------------------------
+# dependencies
+# ---------------------------------------------------------------------------
+
+
+def test_cli_import_needs_numpy_only_and_loads_every_traced_module():
+    # bench/spans.py wraps functions of these modules right after importing the CLI
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = (
+        "import sys, ampurify.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))); "
+        "print([m for m in ('fock', 'bounds', 'verify', 'gaussian', 'scalaropt') "
+        "if 'ampurify.' + m not in sys.modules])"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "[]"]

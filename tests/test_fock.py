@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -265,3 +266,62 @@ def test_heterodyne_score_rejects_a_grid_that_misses_the_state():
 def test_channel_must_match_the_input_cutoff():
     with pytest.raises(DomainError):
         avg_fidelity_numeric(NoisyEnsemble(1.0, 1.0, 2.0), ShiftKraus.identity(32), dim=48)
+
+
+# ---------------------------------------------------------------------------
+# the tridiagonal exponential and the special functions, against closed forms
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("amp", [0.5, 1.5, 3.0])
+def test_displacement_first_column_is_the_coherent_ket(amp):
+    d = fock._exp_tridiagonal(fock._displacement_basis(64), amp)
+    assert np.abs(d[:, 0] - fock._coherent_ket_raw(amp, 64)).max() <= 1e-14
+
+
+def test_squeezer_weights_match_the_negative_binomial_amplitudes():
+    # <n+k, k| S(r) |n, 0> = sqrt(C(n+k, k)) tanh^k r / cosh^(n+1) r
+    r = 0.3
+    weights = ShiftKraus.squeezer(r, 16, dim_anc=64).weights
+    expected = np.array([
+        [math.sqrt(math.comb(n + k, k)) * math.tanh(r) ** k / math.cosh(r) ** (n + 1)
+         for k in range(64)]
+        for n in range(16)
+    ])
+    assert np.abs(weights - expected).max() <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "basis, angle",
+    [(fock._displacement_basis(64), 2.5), (fock._squeezer_basis(16, 64), 0.7)],
+    ids=["displacement", "squeezer-sectors"],
+)
+def test_tridiagonal_exponential_is_orthogonal(basis, angle):
+    e = fock._exp_tridiagonal(basis, angle)
+    assert np.abs(np.swapaxes(e, -1, -2) @ e - np.eye(e.shape[-1])).max() <= 1e-12
+
+
+def test_attenuator_closed_form_is_the_sector_exponential():
+    # sector n of theta(a^dag b - b^dag a), couplings sqrt(j(n - j + 1)), at angle -theta
+    theta, dim = 0.6, 32
+    weights = ShiftKraus.attenuator(theta, dim).weights
+    for n in range(1, dim):
+        j = np.arange(1.0, n + 1)
+        basis = fock._tridiagonal_eigh(np.sqrt(j * (n - j + 1.0)))
+        column = fock._exp_tridiagonal(basis, -theta, slice(0, 1))[:, 0]
+        assert np.abs(weights[n, : n + 1] - column).max() <= 1e-14
+        assert not weights[n, n + 1 :].any()
+
+
+@pytest.mark.parametrize("dim, t", [(64, 40.0), (64, 64.0), (24, 15.0), (24, 30.0), (64, None)])
+def test_poisson_cdf_is_the_regularised_upper_gamma(dim, t):
+    if t is None:  # the largest radial node of the default heterodyne grid
+        t = float(QuadratureGrid.polar().radial_t[-1])
+    expected = float(mpmath.gammainc(dim, t, mpmath.inf, regularized=True))
+    assert fock._poisson_cdf(dim, t) == pytest.approx(expected, rel=1e-13)
+
+
+def test_laguerre_rule_integrates_monomials():
+    t, w = fock._laguerre_rule(80)
+    for k in range(21):
+        assert float(w @ t**k) == pytest.approx(math.factorial(k), rel=1e-12)

@@ -30,8 +30,12 @@ EXTREMES = ["eval --lambda 1 --mu 1 --g 1e200",
             "eval --lambda 1e-300 --mu 1 --g 2 --json",
             "regimes --lambda 1e-300 --mu 1 --g 2 --json",
             "eval --lambda 1e-200 --mu 1e-200 --g 1e-200 --json"]
-#: results that are not finite (a domain error, exit 3), in the text view too
-BOUNDARY = ["regimes --lambda 1e300 --mu 1e-300 --g 1"]
+#: results that are not finite or overflow (a domain error, exit 3), in the
+#: text view too
+BOUNDARY = ["regimes --lambda 1e300 --mu 1e-300 --g 1",
+            "regimes --lambda 1e300 --mu 1e-300 --g 1 --json",
+            "photons --mode det --lambda 1 --mu 1 --g 1e200",
+            "photons --mode prob --lambda 1 --mu 1 --g 1e200"]
 #: the usage errors of tests/test_cli.py::test_sweep_usage_errors_exit_two
 USAGE = ["sweep --axis g --start 1 --stop 2 --steps 3 --lambda 1 --mu 1 --g 2 --json",
          "sweep --axis g --start 1 --stop 2 --steps 3 --lambda 1 --json",
