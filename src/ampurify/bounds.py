@@ -266,10 +266,11 @@ def cft_norm_check(ens: NoisyEnsemble) -> tuple[float, float]:
     c1 = lambda' + mu/(mu + 1) as in ``formulas``.
     Gamma is the better-conditioned quadrature target, so the numerical
     value is its largest eigenvalue at _CFT_DIM levels per mode and
-    _CFT_RADIAL_NODES prior nodes.  Being phase covariant, Gamma is
-    block-diagonal in the total photon number: it is assembled per sector,
-    each block in one contraction over the stacked prior nodes, and the
-    radial rule is exact up to truncation.
+    _CFT_RADIAL_NODES prior nodes, whose input states are the oracle's own
+    stack, ``fock.prior_states``.  Being phase covariant, Gamma is
+    block-diagonal in the total photon number: each sector's block is one
+    contraction over the node axis of a contiguous slice of the whitened
+    stack, and the radial rule is exact up to truncation.
 
     Truncation converges from above; it slows as g' decreases toward 1
     because the top eigenvector spreads to high photon number, so norm
@@ -278,17 +279,16 @@ def cft_norm_check(ens: NoisyEnsemble) -> tuple[float, float]:
     dim = _CFT_DIM
     q_sigma = 1.0 / (1.0 + kappa_prime(ens))
     whiten = q_sigma ** (-np.arange(dim) / 2.0) / math.sqrt(1.0 - q_sigma)
-    xs, vs = [], []
-    for alpha, w in fock.prior_nodes(ens.lambda_prime, _CFT_RADIAL_NODES):
-        rho = fock._displaced_thermal_raw(alpha, 1.0 / ens.mu, dim)
-        xs.append(whiten[:, None] * rho * whiten[None, :])
-        vs.append(fock._coherent_ket_raw(ens.g_prime * alpha, dim) * math.sqrt(w))
-    x, v = np.array(xs), np.array(vs)
+    radii, w, states = fock.prior_states(ens.lambda_prime, ens.mu, dim, _CFT_RADIAL_NODES)
+    x = np.ascontiguousarray(np.moveaxis(states, 0, -1))  # node axis last, contracted
+    x *= whiten[:, None, None]
+    x *= whiten[:, None]
+    v = (fock._coherent_kets(ens.g_prime * radii, dim) * np.sqrt(w)[:, None]).T
     top = -math.inf
     for tot in range(2 * dim - 1):
-        # sector tot: index pairs (tot - m2, m2) inside the cutoff
-        m2 = np.arange(max(0, tot - dim + 1), min(tot, dim - 1) + 1)
-        vm = v[:, tot - m2]
-        block = np.einsum("pi,pj,pij->ij", vm, vm, x[:, m2[:, None], m2[None, :]])
+        # sector tot: index pairs (tot - m2, m2) inside the cutoff, m2 in [lo, hi)
+        lo, hi = max(0, tot - dim + 1), min(tot, dim - 1) + 1
+        vm = v[tot - np.arange(lo, hi)]
+        block = np.einsum("ip,jp,ijp->ij", vm, vm, x[lo:hi, lo:hi])
         top = max(top, float(np.linalg.eigvalsh(block).max()))
     return top, formulas.cft(ens)

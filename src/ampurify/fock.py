@@ -4,32 +4,28 @@ Everything works on dense numpy matrices in the number basis {|0>, ...,
 |dim-1>}.  A channel is a description, of one of two kinds:
 
 * ``ShiftKraus(weights, shift, dim_out)``: diagonal up to a photon-number
-  shift, with Kraus operators A_k = sum_n W[n, k] |n + shift k><n|.  The
-  two-mode squeezer has shift +1, the beamsplitter -1, and the diagonal
-  filter and the identity 0 (one weight column).  Weights come from the
-  sectors the generators conserve: a beamsplitter sector is finite, with a
-  binomial closed form; a squeezer sector column is an exactly orthogonal
-  truncated exponential, so the only approximation is the reflecting
-  boundary at the ancilla cutoff, controlled by the energy preconditions.
+  shift, with Kraus operators A_k = sum_n W[n, k] |n + shift k><n|: the
+  two-mode squeezer (shift +1), the beamsplitter (-1), and the diagonal
+  filter and the identity (0).  Weights come from the sectors the generators
+  conserve, so the only approximation is the squeezer's reflecting boundary
+  at the ancilla cutoff, controlled by the energy preconditions.
 * ``Heterodyne(z, grid)``: the measure-and-prepare benchmark, a Husimi
   sample on a polar grid re-prepared as the coherent state |z beta>.
 
-``avg_fidelity_numeric`` scores a description in the adjoint picture and
-never builds the output state: <t|A_k rho A_k^dag|t> = v_k^dag rho v_k with
-v_k = A_k^dag |t>, and the heterodyne score is sum_j c_j(rho) |<t|z beta_j>|^2
-over coherent rows built once per call.  The output trace (the heralding
-weight, and every trace guard) comes from the same pieces.  The ``apply_*``
-functions build the output state from the same description, for callers
-that need the state itself.
+A description's ``scorer`` scores a (P, dim, dim) stack of input states
+against P target amplitudes in the adjoint picture, never building an
+output: <t|A_k rho A_k^dag|t> = v_k^dag rho v_k with v_k = A_k^dag |t>, and
+the heterodyne score is sum_j c_j(rho) |<t|z beta_j>|^2.  It returns each
+state's fidelity and output trace (the heralding weight, and every trace
+guard).  The ``apply_*`` functions build the output from the same description.
 
-Every displacement and squeezer-sector exponential is ``_exp_tridiagonal``
-over a cached eigenbasis: one real (batched) product per amplitude or
-squeeze parameter.  Displaced states of real amplitude are real matrices.
-
-Prior averages reduce to a radial integral: every state, channel and target
-in the protocols is phase covariant, so the 2-D Gaussian prior integral
-collapses to the Gauss-Laguerre rule of ``prior_nodes`` in
-t = lambda'|alpha|^2 (an optional angular grid re-checks this numerically).
+Displacements and squeezer sectors are ``_exp_tridiagonal`` over a cached
+eigenbasis, batched over amplitudes or sectors.  Prior averages reduce to a
+radial Gauss-Laguerre rule, as every state, channel and target here is
+phase covariant (an optional angular grid re-checks this).  Its input
+states, ``prior_states``, are one cached, read-only real stack shared by
+every channel scored at the same (lambda', mu, dim) and by
+``bounds.cft_norm_check``, built and scored ``_CHUNK`` nodes at a time.
 """
 
 from __future__ import annotations
@@ -37,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 # imported here rather than on first use: numpy loads numpy.polynomial lazily
@@ -49,8 +45,11 @@ from .params import NoisyEnsemble
 #: quadrature weights below this are skipped (they underflow any integrand)
 _WEIGHT_FLOOR = 1e-280
 
-#: (input state matrix, target amplitude) -> (<t|out|t>, output trace)
-_Scorer = Callable[[np.ndarray, complex], tuple[float, float]]
+#: prior nodes built or scored per batch, bounding every transient array
+_CHUNK = 16
+
+#: (P input states, P target amplitudes) -> per-state (<t|out|t>, output trace)
+Scorer = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(eq=False)
@@ -62,9 +61,7 @@ class FockDensity:
 
     def __post_init__(self) -> None:
         if self.mat.shape != (self.dim, self.dim):
-            raise DomainError(
-                f"matrix shape {self.mat.shape} does not match dim {self.dim}"
-            )
+            raise DomainError(f"matrix shape {self.mat.shape} does not match dim {self.dim}")
 
     def trace(self) -> float:
         return float(np.trace(self.mat).real)
@@ -125,23 +122,16 @@ class QuadratureGrid:
         return cls(radial_t=t, radial_w=w, n_angles=angular_nodes)
 
 
-def _coherent_ket_raw(amp: complex, dim: int) -> np.ndarray:
-    """Truncated coherent vector for any amplitude (real for a real one).
-
-    Components are assembled from log magnitudes, so amplitudes far beyond
-    the cutoff underflow to zero entries instead of overflowing partial
-    products (the exact limit of the truncated series).
-    """
-    a = complex(amp)
-    mod = abs(a)
-    n = np.arange(dim)
-    if mod == 0.0:
-        return (n == 0).astype(float)
-    ket = np.exp(-0.5 * mod * mod + n * math.log(mod) - 0.5 * _log_factorials(dim))
-    phi = math.atan2(a.imag, a.real)
-    if phi != 0.0:
-        ket = ket * np.exp(1j * phi * n)
-    return ket
+def _coherent_kets(amps: np.ndarray, dim: int) -> np.ndarray:
+    """Truncated coherent vectors, one row per amplitude (real unless an
+    amplitude has a nonzero phase), assembled from log magnitudes: amplitudes
+    far beyond the cutoff underflow to zero entries instead of overflowing
+    partial products (the exact limit of the truncated series)."""
+    mod, phi, n = np.abs(amps)[:, None], np.angle(amps)[:, None], np.arange(dim)
+    with np.errstate(divide="ignore", invalid="ignore"):  # n log 0 is 0 at n = 0
+        n_log_mod = np.where(n > 0, n * np.log(mod), 0.0)
+    kets = np.exp(-0.5 * mod * mod + n_log_mod - 0.5 * _log_factorials(dim))
+    return kets * np.exp(1j * phi * n) if phi.any() else kets
 
 
 def coherent_ket(amp: complex, dim: int) -> np.ndarray:
@@ -153,10 +143,8 @@ def coherent_ket(amp: complex, dim: int) -> np.ndarray:
     if dim < 1:
         raise DomainError(f"dim must be >= 1, got {dim!r}")
     if abs(amp) ** 2 > dim / 4.0:
-        raise TruncationError(
-            f"|amp|^2 = {abs(amp)**2:.3g} exceeds dim/4 = {dim / 4.0:.3g}"
-        )
-    return _coherent_ket_raw(amp, dim)
+        raise TruncationError(f"|amp|^2 = {abs(amp)**2:.3g} exceeds dim/4 = {dim / 4.0:.3g}")
+    return _coherent_kets(np.array([amp]), dim)[0]
 
 
 def _tridiagonal_eigh(couplings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -169,11 +157,11 @@ def _tridiagonal_eigh(couplings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(t)
 
 
-def _exp_tridiagonal(basis: tuple[np.ndarray, np.ndarray], angle: float,
+def _exp_tridiagonal(basis: tuple[np.ndarray, np.ndarray], angle: float | np.ndarray,
                      cols: slice = slice(None)) -> np.ndarray:
     """Columns ``cols`` of exp(angle G), G antisymmetric tridiagonal with
     G[j+1, j] = c_j = -G[j, j+1], from the eigenpairs (w, V) of the symmetric
-    T with the same couplings (batched like ``basis``).
+    T with the same couplings (batched like ``basis``, and first over ``angle``).
 
     G = -i S T S^-1 with S = diag(i^j), and T is bipartite: cos(angle T)
     fills the even diagonals and sin(angle T) the odd ones, so
@@ -182,7 +170,8 @@ def _exp_tridiagonal(basis: tuple[np.ndarray, np.ndarray], angle: float,
     w, v = basis
     m = np.arange(w.shape[-1])
     sign = 1.0 - 2.0 * ((m[:, None] - m[cols][None, :]) // 2 % 2)
-    spectral = v * (np.cos(angle * w) + np.sin(angle * w))[..., None, :]
+    aw = np.multiply.outer(angle, w)
+    spectral = v * (np.cos(aw) + np.sin(aw))[..., None, :]
     return sign * (spectral @ np.swapaxes(v[..., cols, :], -1, -2))
 
 
@@ -205,20 +194,23 @@ def _thermal_diag(nbar: float, dim: int) -> np.ndarray:
     return np.exp(np.arange(dim) * math.log(q)) / (nbar + 1.0)
 
 
-def _displaced_thermal_raw(amp: complex, nbar: float, dim: int) -> np.ndarray:
-    """D(amp) rho_th(nbar) D(amp)^dag, real for a real amplitude: the state at
-    |amp|, rotated by the phase of amp."""
-    if nbar == 0.0:
-        k = _coherent_ket_raw(amp, dim)
-        return np.outer(k, k.conj())
-    a = complex(amp)
-    d = _exp_tridiagonal(_displacement_basis(dim), abs(a))
-    rho = (d * _thermal_diag(nbar, dim)) @ d.T
-    phi = math.atan2(a.imag, a.real)
-    if phi != 0.0:
-        ph = np.exp(1j * phi * np.arange(dim))
-        rho = ph[:, None] * rho * ph.conj()[None, :]
-    return rho
+def _displaced_thermal_stack(radii: np.ndarray, nbar: float, dim: int) -> np.ndarray:
+    """D(r) rho_th(nbar) D(r)^dag for each real amplitude r, one real
+    (P, dim, dim) stack, built ``_CHUNK`` amplitudes at a time."""
+    out = np.empty((radii.size, dim, dim))
+    th = _thermal_diag(nbar, dim)
+    for lo in range(0, radii.size, _CHUNK):
+        d = _exp_tridiagonal(_displacement_basis(dim), radii[lo : lo + _CHUNK])
+        np.matmul(d * th, np.swapaxes(d, -1, -2), out=out[lo : lo + _CHUNK])
+    return out
+
+
+def _rotated(states: np.ndarray, phi: float) -> np.ndarray:
+    """exp(i phi n) rho exp(-i phi n) for each state rho: a phase rotation by phi."""
+    if phi == 0.0:
+        return states
+    ph = np.exp(1j * phi * np.arange(states.shape[-1]))
+    return ph[:, None] * states * ph.conj()
 
 
 def displaced_thermal_density(amp: complex, nbar: float, dim: int) -> FockDensity:
@@ -231,13 +223,45 @@ def displaced_thermal_density(amp: complex, nbar: float, dim: int) -> FockDensit
         raise DomainError(f"nbar must be finite and >= 0, got {nbar!r}")
     if abs(amp) ** 2 + nbar > dim / 4.0:
         raise TruncationError(
-            f"|amp|^2 + nbar = {abs(amp)**2 + nbar:.3g} exceeds dim/4 = {dim / 4.0:.3g}"
-        )
-    mat = _displaced_thermal_raw(amp, nbar, dim)
+            f"|amp|^2 + nbar = {abs(amp)**2 + nbar:.3g} exceeds dim/4 = {dim / 4.0:.3g}")
+    a = complex(amp)
+    if nbar == 0.0:
+        k = coherent_ket(a, dim)
+        mat = np.outer(k, k.conj())
+    else:
+        mat = _rotated(_displaced_thermal_stack(np.array([abs(a)]), nbar, dim)[0],
+                       math.atan2(a.imag, a.real))
     tr = float(np.trace(mat).real)
     if abs(tr - 1.0) > 1e-8:
         raise TruncationError(f"displaced thermal trace {tr!r} deviates from 1")
     return FockDensity(dim, mat)
+
+
+@lru_cache(maxsize=1)
+def prior_states(lambda_prime: float, mu: float, dim: int,
+                 radial_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only radii |alpha_i|, weights w_i and real (P, dim, dim) input
+    states D(alpha_i) rho_th(1/mu) D(alpha_i)^dag of the Gaussian prior: with
+    t = lambda'|alpha|^2, a phase covariant prior average is
+    sum_i w_i f(sqrt(t_i / lambda')) over ``_laguerre_rule``.  The last stack
+    is kept for the next call, since it serves every channel at its arguments."""
+    t, weights = _laguerre_rule(radial_nodes)
+    radii = np.sqrt(t / lambda_prime)
+    states = _displaced_thermal_stack(radii, 1.0 / mu, dim)
+    for a in (radii, weights, states):
+        a.flags.writeable = False
+    return radii, weights, states
+
+
+def _check_trace(states: np.ndarray, tr_out: np.ndarray | float,
+                 slack: np.ndarray | float, message: str) -> None:
+    """TruncationError naming the first of the states (one, or a stack) whose
+    output trace strays from its own trace by more than ``slack``."""
+    tr_in, tr_out = np.atleast_1d(np.trace(states, axis1=-2, axis2=-1).real, tr_out)
+    bad = np.abs(tr_out - tr_in) > slack
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise TruncationError(message.format(float(tr_in[i]), float(tr_out[i])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,9 +292,8 @@ class ShiftKraus:
 
         W[n, k] = <n+k, k|exp(...)|n, 0> comes from the sector {|n+k, k>} of
         conserved n_a - n_b, all sectors in one batched product.  The output
-        cutoff grows to dim + dim_anc - 1 to hold the amplified energy;
-        dim_anc should comfortably exceed the amplified photon spread (the
-        sector exponentials reflect at the ancilla cutoff).
+        cutoff grows to dim + dim_anc - 1; dim_anc should comfortably exceed
+        the amplified photon spread (the sectors reflect at its cutoff).
         """
         if not (math.isfinite(r) and r >= 0.0):
             raise DomainError(f"squeeze parameter must be >= 0, got {r!r}")
@@ -304,8 +327,7 @@ class ShiftKraus:
         """The diagonal filter Q = y^(-K) sum_{n <= K} y^n |n><n|."""
         if f.k_cut >= dim:
             raise DomainError(
-                f"filter rank k_cut = {f.k_cut} must be below the cutoff dim = {dim}"
-            )
+                f"filter rank k_cut = {f.k_cut} must be below the cutoff dim = {dim}")
         n = np.arange(dim)
         return cls(np.where(n <= f.k_cut, f.y ** (n - float(f.k_cut)), 0.0)[:, None], 0, dim)
 
@@ -319,26 +341,24 @@ class ShiftKraus:
         kept = np.where(inside, self.weights, 0.0)
         return kept, np.where(inside, level, 0), (np.abs(kept) ** 2).sum(axis=1)
 
-    def _check_trace(self, tr_in: float, tr_out: float) -> None:
-        if self.lossless and abs(tr_out - tr_in) > 1e-6:
-            raise TruncationError(
-                f"lossless channel lost trace: {tr_in!r} -> {tr_out!r}; increase dim_anc"
-            )
+    def _check_trace(self, states: np.ndarray, tr_out: np.ndarray | float) -> None:
+        if self.lossless:
+            _check_trace(states, tr_out, 1e-6,
+                         "lossless channel lost trace: {!r} -> {!r}; increase dim_anc")
 
-    def _scorer(self, dim: int) -> _Scorer:
+    def scorer(self, dim: int) -> Scorer:
+        """The stacked adjoint-picture score of this channel at input cutoff dim."""
         if self.weights.shape[0] != dim:
             raise DomainError(
-                f"channel built for {self.weights.shape[0]} input levels, got dim {dim}"
-            )
+                f"channel built for {self.weights.shape[0]} input levels, got dim {dim}")
         kept, level, out_weight = self._kept
-        kept_conj = kept.conj()
 
-        def score(rho: np.ndarray, target: complex) -> tuple[float, float]:
+        def score(states: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             # column k of v is A_k^dag |t>, so <t|A_k rho A_k^dag|t> = v_k^dag rho v_k
-            v = kept_conj * _coherent_ket_raw(target, self.dim_out)[level]
-            tr_out = float(np.real(np.diag(rho)) @ out_weight)
-            self._check_trace(float(np.trace(rho).real), tr_out)
-            return float(np.vdot(v, rho @ v).real), tr_out
+            v = kept.conj() * _coherent_kets(targets, self.dim_out)[:, level]
+            tr_out = np.diagonal(states, axis1=-2, axis2=-1).real @ out_weight
+            self._check_trace(states, tr_out)
+            return np.einsum("pnk,pnk->p", v.conj(), states @ v).real, tr_out
 
         return score
 
@@ -351,11 +371,9 @@ def _apply_shift_kraus(rho: FockDensity, ch: ShiftKraus) -> FockDensity:
         hi = min(rho.dim, ch.dim_out - ch.shift * k)
         a = lo + ch.shift * k
         col = ch.weights[lo:hi, k]
-        out[a : a + hi - lo, a : a + hi - lo] += (
-            col[:, None] * rho.mat[lo:hi, lo:hi] * col[None, :].conj()
-        )
+        out[a : a + hi - lo, a : a + hi - lo] += col[:, None] * rho.mat[lo:hi, lo:hi] * col.conj()
     res = FockDensity(ch.dim_out, out)
-    ch._check_trace(rho.trace(), res.trace())
+    ch._check_trace(rho.mat, res.trace())
     return res
 
 
@@ -388,11 +406,9 @@ class Heterodyne:
     c_j the quadrature-weighted Husimi factor at node j.
 
     Trace conservation is enforced to 1e-6 plus the grid's angular aliasing
-    allowance: an n_angles-point angular rule cannot separate Fock
-    coherences whose index distance is a multiple of n_angles, and each such
-    coherence enters the output trace with weight at most 1, so the
-    allowance is the summed magnitude of those far coherences in the input
-    (zero for states narrower than the angular grid).
+    allowance: an n_angles-point rule cannot separate Fock coherences a
+    multiple of n_angles apart, each entering the output trace with weight at
+    most 1, so the allowance is their summed magnitude in the input.
     """
 
     z: float
@@ -402,23 +418,20 @@ class Heterodyne:
         if not (math.isfinite(self.z) and self.z >= 0.0):
             raise DomainError(f"re-preparation scale z must be >= 0, got {self.z!r}")
 
-    def _rows(self, dim: int) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
-        """The state-independent part at cutoff dim, for the grid nodes j:
-        the map rho -> c_j (the Husimi factor at beta_j times its quadrature
-        weight) and the re-prepared kets |z beta_j>, one column each.
+    def _rows(self, dim: int) -> tuple[Callable, np.ndarray, np.ndarray]:
+        """At cutoff dim, for the grid nodes j = (r, a), radius-major: the map
+        from a (P, dim, dim) state stack to its (P, J) c_j (the Husimi factor
+        at beta_j times its quadrature weight), and the kets |z beta_j> as
+        real radial factors (dim x R) times phases e^(i n phi_a) (dim x A).
 
-        With beta = sqrt(t) e^(i phi), the Husimi factor is summed diagonal
-        by diagonal, sum_d e^(i d phi) sum_m rho[m, m+d] u_m(t) u_(m+d)(t),
-        which is u^dag rho u for the coherent row u_n = beta^n/sqrt(n!) at
-        a fraction of the cost.
+        With beta = sqrt(t) e^(i phi) the Husimi factor u^dag rho u is summed
+        diagonal by diagonal, sum_d e^(i d phi) sum_m rho[m, m+d] u_m u_(m+d).
         """
         tail = _poisson_cdf(dim, float(self.grid.radial_t[-1]))
         if tail > 1e-8:
             raise QuadratureError(
-                f"radial grid covers the Husimi support to tail mass {tail:.3g} > 1e-8"
-            )
-        t, w = self.grid.radial_t, self.grid.radial_w
-        n_ang = self.grid.n_angles
+                f"radial grid covers the Husimi support to tail mass {tail:.3g} > 1e-8")
+        t, w, n_ang = self.grid.radial_t, self.grid.radial_w, self.grid.n_angles
         angles = 2.0 * math.pi * np.arange(n_ang) / n_ang
         quad_w = np.repeat(w / n_ang, n_ang)
 
@@ -427,44 +440,51 @@ class Heterodyne:
         u_base = np.exp(0.5 * np.outer(n, np.log(t)) - 0.5 * _log_factorials(dim)[:, None])
         offsets = np.arange(1 - dim, dim)
         col = n[None, :] + offsets[:, None]                           # D x dim
-        inside = (col >= 0) & (col < dim)
-        col = np.where(inside, col, 0)
-        uu = np.where(inside[:, :, None], u_base[None, :, :] * u_base[col, :], 0.0)
+        outside = (col < 0) | (col >= dim)
+        col[outside] = 0
+        uu = u_base[col]                                              # D x dim x R
+        uu *= u_base
+        uu[outside] = 0.0
         spin = np.exp(1j * np.outer(offsets, angles))                 # D x A
         spin_re, spin_im = np.ascontiguousarray(spin.real), np.ascontiguousarray(spin.imag)
 
-        def weights(rho: np.ndarray) -> np.ndarray:
-            diag = np.where(inside, rho[n[None, :], col], 0.0)        # rho[m, m + d]
-            s_re = np.matmul(diag.real[:, None, :], uu)[:, 0, :]
-            s_im = np.matmul(diag.imag[:, None, :], uu)[:, 0, :]
-            return (s_re.T @ spin_re - s_im.T @ spin_im).ravel() * quad_w
+        def weights(states: np.ndarray) -> np.ndarray:
+            # s[p r, d] = sum_m rho_p[m, m + d] u_m(t_r) u_(m+d)(t_r)
+            s = np.matmul(states[:, n[None, :], col].transpose(1, 0, 2), uu)
+            s = s.reshape(len(offsets), -1).T
+            c = s.real @ spin_re
+            if np.iscomplexobj(s):  # a real stack skips its zero imaginary half
+                c -= s.imag @ spin_im
+            return c.reshape(len(states), -1) * quad_w
 
-        k_base = np.stack([_coherent_ket_raw(self.z * math.sqrt(ti), dim) for ti in t], axis=1)
-        phases = np.exp(1j * np.outer(n, angles))                    # dim x A
-        return weights, (k_base[:, :, None] * phases[:, None, :]).reshape(dim, -1)
+        k_base = _coherent_kets(self.z * np.sqrt(t), dim).T
+        return weights, k_base, np.exp(1j * np.outer(n, angles))
 
-    def _check_trace(self, rho: np.ndarray, tr_out: float) -> None:
-        tr_in = float(np.trace(rho).real)
+    def _check_trace(self, states: np.ndarray, tr_out: np.ndarray | float) -> None:
         n_ang = self.grid.n_angles
-        allowance = 0.0
-        for d in range(n_ang, rho.shape[0], n_ang):
-            allowance += 2.0 * float(np.abs(np.diagonal(rho, offset=d)).sum())
-        if abs(tr_out - tr_in) > 1e-6 + allowance:
-            raise TruncationError(
-                f"measure-and-prepare lost trace: {tr_in!r} -> {tr_out!r}; "
-                "increase dim or the grid"
-            )
+        allowance = sum(2.0 * np.abs(np.diagonal(states, d, -2, -1)).sum(-1)
+                        for d in range(n_ang, states.shape[-1], n_ang))
+        _check_trace(states, tr_out, 1e-6 + allowance,
+                     "measure-and-prepare lost trace: {!r} -> {!r}; increase dim or the grid")
 
-    def _scorer(self, dim: int) -> _Scorer:
-        husimi_weights, k_all = self._rows(dim)
-        k_norm2 = np.einsum("nk,nk->k", k_all.conj(), k_all).real
+    def scorer(self, dim: int) -> Scorer:
+        """The stacked adjoint-picture score of this channel at cutoff dim."""
+        husimi, k_base, phases = self._rows(dim)
+        cos, sin = np.ascontiguousarray(phases.real), np.ascontiguousarray(phases.imag)
+        # |<n|z beta_j>|^2 does not depend on the angle of beta_j
+        k_norm2 = np.repeat((k_base * k_base).sum(axis=0), self.grid.n_angles)
 
-        def score(rho: np.ndarray, target: complex) -> tuple[float, float]:
-            c = husimi_weights(rho)
-            tr_out = float(c @ k_norm2)
-            self._check_trace(rho, tr_out)
-            overlap = _coherent_ket_raw(target, dim).conj() @ k_all
-            return float(c @ (overlap.real ** 2 + overlap.imag ** 2)), tr_out
+        def score(states: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            c = husimi(states)
+            tr_out = c @ k_norm2
+            self._check_trace(states, tr_out)
+            # <t|z beta_j> = sum_n conj(t_n) k_base[n, r] e^(i n phi_a)
+            x = (_coherent_kets(targets, dim).conj()[:, None, :] * k_base.T).reshape(-1, dim)
+            re, im = x.real @ cos, x.real @ sin
+            if np.iscomplexobj(x):
+                re -= x.imag @ sin
+                im += x.imag @ cos
+            return np.einsum("pj,pj->p", c, (re * re + im * im).reshape(c.shape)), tr_out
 
         return score
 
@@ -472,41 +492,23 @@ class Heterodyne:
 def apply_heterodyne_mp(rho: FockDensity, z: float, grid: QuadratureGrid) -> FockDensity:
     """Output state of ``Heterodyne(z, grid)``."""
     ch = Heterodyne(z, grid)
-    husimi_weights, k_all = ch._rows(rho.dim)
-    c = husimi_weights(rho.mat)
-    out = FockDensity(rho.dim, (k_all * c[None, :]) @ k_all.conj().T)
+    husimi, k_base, phases = ch._rows(rho.dim)
+    k_all = (k_base[:, :, None] * phases[:, None, :]).reshape(rho.dim, -1)
+    out = FockDensity(rho.dim, (k_all * husimi(rho.mat[None])) @ k_all.conj().T)
     ch._check_trace(rho.mat, out.trace())
     return out
 
 
-def prior_nodes(lambda_prime: float, radial_nodes: int) -> Iterator[tuple[float, float]]:
-    """Gauss-Laguerre rule for the Gaussian prior as (|alpha|, weight) pairs.
-
-    Substituting t = lambda'|alpha|^2 turns the prior average of a phase
-    covariant integrand into sum_i w_i f(sqrt(t_i / lambda')).  Nodes whose
-    weight is at or below _WEIGHT_FLOOR are skipped.
-    """
-    for t, w in zip(*_laguerre_rule(radial_nodes)):
-        yield math.sqrt(t / lambda_prime), w
-
-
-def avg_fidelity_numeric(
-    ens: NoisyEnsemble,
-    channel: ShiftKraus | Heterodyne,
-    dim: int = 64,
-    radial_nodes: int = 80,
-    *,
-    probabilistic: bool = False,
-    angular_nodes: int | None = None,
-) -> float:
+def avg_fidelity_numeric(ens: NoisyEnsemble, channel: ShiftKraus | Heterodyne, dim: int = 64,
+                         radial_nodes: int = 80, *, probabilistic: bool = False,
+                         angular_nodes: int | None = None) -> float:
     """Gaussian-prior average fidelity of a described Fock-space channel.
 
-    For each radial node t, the input D(alpha) rho_th D^dag with
-    alpha = sqrt(t / lambda') is scored against the target |g' alpha> in the
-    adjoint picture, without building the output state (see ``ShiftKraus``
-    and ``Heterodyne``).  Both channel kinds are phase covariant, which
-    justifies the radial-only reduction; pass ``angular_nodes`` to re-check
-    that numerically with a full polar grid.
+    Each input state D(alpha) rho_th D^dag of ``prior_states`` is scored
+    against its target |g' alpha> by the channel's ``scorer``.  Both channel
+    kinds are phase covariant, which justifies the radial-only reduction;
+    ``angular_nodes`` re-checks it numerically on a polar grid, each angle
+    rotating the states and their targets in phase.
 
     probabilistic=True returns the ratio form: prior-averaged numerator over
     prior-averaged success weight (output trace), matching how heralded
@@ -514,25 +516,19 @@ def avg_fidelity_numeric(
     """
     if dim < 2 or radial_nodes < 2:
         raise DomainError("need dim >= 2 and radial_nodes >= 2")
-    score = channel._scorer(dim)
-    nbar = 1.0 / ens.mu
-    if angular_nodes:
-        phases = np.exp(2j * math.pi * np.arange(angular_nodes) / angular_nodes)
-    else:
-        phases = np.array([1.0 + 0.0j])
-    num = 0.0
-    den = 0.0
-    for radius, w in prior_nodes(ens.lambda_prime, radial_nodes):
-        f_avg = 0.0
-        p_avg = 0.0
-        for ph in phases:
-            alpha = radius * ph
-            fid, trace = score(_displaced_thermal_raw(alpha, nbar, dim), ens.g_prime * alpha)
-            f_avg += fid
-            p_avg += trace if probabilistic else 1.0
-        num += w * f_avg / phases.size
-        den += w * p_avg / phases.size
-    return num / den if probabilistic else num
+    score = channel.scorer(dim)
+    radii, weights, states = prior_states(ens.lambda_prime, ens.mu, dim, radial_nodes)
+    n_ang = angular_nodes or 1
+    fid, trace = np.zeros((2, radii.size))
+    for lo in range(0, radii.size, _CHUNK):
+        block = slice(lo, lo + _CHUNK)
+        for k in range(n_ang):
+            phi = 2.0 * math.pi * k / n_ang
+            alpha = radii[block] * np.exp(1j * phi) if k else radii[block]
+            f, tr = score(_rotated(states[block], phi), ens.g_prime * alpha)
+            fid[block] += f
+            trace[block] += tr
+    return float(weights @ fid) / (float(weights @ trace) if probabilistic else n_ang)
 
 
 def fit_thermal_nbar(rho: FockDensity) -> float:

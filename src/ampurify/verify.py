@@ -487,8 +487,10 @@ FAST_CHECKS = (
 # ---------------------------------------------------------------------------
 
 
-def _check_oracle_squeezer(seed: int, dim: int) -> Pair:
-    worst = 0.0
+def _check_oracle_grid(seed: int, dim: int) -> tuple[Pair, Pair]:
+    # the tuned squeezer and the identity, scored on the same prior states
+    # (fock.prior_states keeps them between consecutive calls)
+    worst_squeezer = worst_identity = 0.0
     for n_c in _ORACLE_N_C:
         for n_t in _ORACLE_N_T:
             det_thr, _ = thresholds(_ens(1.0 / n_c, 1.0 / n_t, 1.0))
@@ -501,22 +503,15 @@ def _check_oracle_squeezer(seed: int, dim: int) -> Pair:
                     dim=64,
                     radial_nodes=80,
                 )
-                worst = max(worst, abs(value - formulas.det_fidelity(ens)))
-    return 0.0, worst
-
-
-def _check_oracle_identity(seed: int, dim: int) -> Pair:
-    worst = 0.0
-    for n_c in _ORACLE_N_C:
-        for n_t in _ORACLE_N_T:
+                worst_squeezer = max(worst_squeezer, abs(value - formulas.det_fidelity(ens)))
             for g in (1.0, 1.2):
                 ens = _ens(1.0 / n_c, 1.0 / n_t, g)
                 value = fock.avg_fidelity_numeric(
                     ens, fock.ShiftKraus.identity(64), dim=64, radial_nodes=80
                 )
                 closed = avg_fidelity_gaussian(ens, ChannelParam(ChannelKind.IDENTITY))
-                worst = max(worst, abs(value - closed))
-    return 0.0, worst
+                worst_identity = max(worst_identity, abs(value - closed))
+    return (0.0, worst_squeezer), (0.0, worst_identity)
 
 
 def _check_oracle_attenuator(seed: int, dim: int) -> Pair:
@@ -642,8 +637,11 @@ def _check_filtered_nbar_fit(seed: int, dim: int) -> Pair:
 
 
 FULL_CHECKS = (
-    (_check_oracle_squeezer, ("oracle_squeezer_grid_max_dev", 1e-4)),
-    (_check_oracle_identity, ("oracle_identity_grid_max_dev", 1e-6)),
+    (
+        _check_oracle_grid,
+        ("oracle_squeezer_grid_max_dev", 1e-4),
+        ("oracle_identity_grid_max_dev", 1e-6),
+    ),
     (_check_oracle_attenuator, ("oracle_attenuator_attains_det", 1e-6)),
     (
         _check_filter_sweep,

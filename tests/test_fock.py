@@ -197,6 +197,54 @@ def test_ratio_form_is_scale_invariant():
 
 
 # ---------------------------------------------------------------------------
+# the prior-state stack
+# ---------------------------------------------------------------------------
+
+_NODES = 37  # not a multiple of the chunk, so the last chunk is partial
+
+
+@pytest.mark.parametrize("mu", [0.7, 1e12], ids=["thermal", "tiny-nbar"])
+def test_prior_states_match_per_node_densities(mu):
+    assert _NODES % fock._CHUNK != 0
+    radii, weights, states = fock.prior_states(20.0, mu, 48, _NODES)
+    t, w = np.polynomial.laguerre.laggauss(_NODES)
+    assert np.array_equal(radii, np.sqrt(t / 20.0)) and np.array_equal(weights, w)
+    assert states.shape == (_NODES, 48, 48) and states.dtype == float
+    for radius, state in zip(radii, states):
+        rho = displaced_thermal_density(radius, 1.0 / mu, 48)
+        assert np.abs(state - rho.mat).max() <= 1e-14
+
+
+def test_prior_states_are_read_only():
+    for array in fock.prior_states(1.0, 1.0, 16, 20):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "channel",
+    [
+        ShiftKraus.squeezer(0.4, 32, dim_anc=32),
+        ShiftKraus.filter(FilterSpec(k_cut=20, y=1.1), 32),
+        Heterodyne(0.7, QuadratureGrid.polar(96, 16)),
+    ],
+    ids=["squeezer", "filter", "heterodyne"],
+)
+def test_chunked_average_equals_an_unchunked_one(channel, monkeypatch):
+    ens = NoisyEnsemble(2.0, 1.0, 1.3)
+
+    def average(chunk: int) -> float:
+        monkeypatch.setattr(fock, "_CHUNK", chunk)
+        fock.prior_states.cache_clear()  # rebuild the stack in chunks of this size too
+        return avg_fidelity_numeric(ens, channel, dim=32, radial_nodes=_NODES,
+                                    probabilistic=True)
+
+    unchunked = average(_NODES)
+    for chunk in (fock._CHUNK, 3):
+        assert average(chunk) == pytest.approx(unchunked, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
 # adjoint-picture scoring against the built output state
 # ---------------------------------------------------------------------------
 
@@ -226,7 +274,7 @@ _EQUIV_DIM = 32
 def test_adjoint_score_equals_projection_of_built_output(channel, apply):
     rho = displaced_thermal_density(0.9 + 0.5j, 0.4, _EQUIV_DIM)
     amp = 0.8 - 0.6j
-    fidelity, trace = channel._scorer(_EQUIV_DIM)(rho.mat, amp)
+    (fidelity,), (trace,) = channel.scorer(_EQUIV_DIM)(rho.mat[None], np.array([amp]))
     out = apply(rho)
     target = coherent_ket(amp, out.dim)
     assert fidelity == pytest.approx(float(np.real(target.conj() @ out.mat @ target)), abs=1e-13)
@@ -238,21 +286,21 @@ def test_heterodyne_husimi_sum_matches_the_coherent_row_form():
     # at every grid node; a complex input amplitude tells beta from conj(beta)
     dim, grid = 24, QuadratureGrid.polar(40, 12)
     rho = displaced_thermal_density(0.9 + 0.5j, 0.4, dim)
-    husimi_weights, _ = Heterodyne(0.7, grid)._rows(dim)
+    husimi_weights, _, _ = Heterodyne(0.7, grid)._rows(dim)
     phases = np.exp(2j * np.pi * np.arange(grid.n_angles) / grid.n_angles)
     beta = (np.sqrt(grid.radial_t)[:, None] * phases[None, :]).ravel()
     n = np.arange(dim)
     u = beta[None, :] ** n[:, None] / np.sqrt(np.cumprod(np.r_[1.0, n[1:]]))[:, None]
     husimi = np.einsum("nj,nj->j", u.conj(), rho.mat @ u).real
     expected = husimi * np.repeat(grid.radial_w / grid.n_angles, grid.n_angles)
-    assert np.abs(husimi_weights(rho.mat) - expected).sum() <= 1e-13
+    assert np.abs(husimi_weights(rho.mat[None])[0] - expected).sum() <= 1e-13
 
 
 def test_lossless_declaration_rejects_a_lossy_channel_in_both_pictures():
     lossy = ShiftKraus(np.full((16, 1), 0.5), 0, 16, lossless=True)
     rho = displaced_thermal_density(0.5, 0.2, 16)
     with pytest.raises(TruncationError, match="lost trace"):
-        lossy._scorer(16)(rho.mat, 0.5)
+        lossy.scorer(16)(rho.mat[None], np.array([0.5]))
     with pytest.raises(TruncationError, match="lost trace"):
         fock._apply_shift_kraus(rho, lossy)
 
@@ -276,7 +324,7 @@ def test_channel_must_match_the_input_cutoff():
 @pytest.mark.parametrize("amp", [0.5, 1.5, 3.0])
 def test_displacement_first_column_is_the_coherent_ket(amp):
     d = fock._exp_tridiagonal(fock._displacement_basis(64), amp)
-    assert np.abs(d[:, 0] - fock._coherent_ket_raw(amp, 64)).max() <= 1e-14
+    assert np.abs(d[:, 0] - coherent_ket(amp, 64)).max() <= 1e-14
 
 
 def test_squeezer_weights_match_the_negative_binomial_amplitudes():

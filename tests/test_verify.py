@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from ampurify import verify
+from ampurify import fock, verify
 from ampurify.errors import DomainError
 from ampurify.verify import run_suite
 
@@ -114,6 +114,18 @@ def test_undersized_cutoff_rejected():
 def test_each_fast_check_passes(fast_report, name):
     (check,) = [c for c in fast_report.checks if c.name == name]
     assert check.passed, check
+
+
+def test_full_suite_is_clean_and_the_same_with_a_cold_and_a_warm_cache():
+    for cached in (fock.prior_states, fock._laguerre_rule, fock._log_factorials,
+                   fock._displacement_basis, fock._squeezer_basis):
+        cached.cache_clear()
+    cold = run_suite(level="full", seed=7, dim=64)
+    warm = run_suite(level="full", seed=7, dim=64)
+    failed = [c.name for c in cold.checks if not c.passed]
+    assert cold.all_passed, f"failing checks: {failed}"
+    assert [c.name for c in cold.checks] == FAST_ROSTER + FULL_ROSTER
+    assert cold.to_json_dict() == warm.to_json_dict()
 
 
 def test_check_tables_pin_the_ordered_roster():
