@@ -47,11 +47,10 @@ def main() -> None:
     rows.append(("rank-40 filter, g' = 1.5", numeric, prob_fidelity(ens)))
 
     ens = NoisyEnsemble(1.0, 1.0, 2.0)
-    grid = fock.QuadratureGrid.polar(radial_nodes=96, angular_nodes=64)
     z = tune(ens).z
     numeric = fock.avg_fidelity_numeric(
         ens,
-        fock.Heterodyne(z, grid),
+        fock.Heterodyne(z),
         dim=64,
         radial_nodes=80,
     )

@@ -11,7 +11,6 @@ from .errors import (
     AmpurifyError,
     DomainError,
     NonConvergentError,
-    QuadratureError,
     RootError,
     TruncationError,
     ValidityError,
@@ -42,7 +41,6 @@ __all__ = [
     "MultimodeTask",
     "NoisyEnsemble",
     "NonConvergentError",
-    "QuadratureError",
     "RootError",
     "TruncationError",
     "ValidityError",

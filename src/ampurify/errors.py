@@ -13,10 +13,6 @@ class TruncationError(AmpurifyError):
     """The Fock cutoff is too small for the requested state or channel."""
 
 
-class QuadratureError(AmpurifyError):
-    """The quadrature grid cannot resolve the requested integral."""
-
-
 class RootError(AmpurifyError):
     """The characteristic roots of a bound workspace are complex or degenerate."""
 

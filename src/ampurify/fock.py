@@ -9,15 +9,18 @@ Everything works on dense numpy matrices in the number basis {|0>, ...,
   filter and the identity (0).  Weights come from the sectors the generators
   conserve, so the only approximation is the squeezer's reflecting boundary
   at the ancilla cutoff, controlled by the energy preconditions.
-* ``Heterodyne(z, grid)``: the measure-and-prepare benchmark, a Husimi
-  sample on a polar grid re-prepared as the coherent state |z beta>.
+* ``Heterodyne(z)``: the measure-and-prepare benchmark, heterodyne
+  detection re-prepared as the coherent state |z beta>, in closed form: one
+  kernel K_d per coherence order d carries order d of the input onto the
+  same order of the output.
 
 A description's ``scorer`` scores a (P, dim, dim) stack of input states
 against P target amplitudes in the adjoint picture, never building an
 output: <t|A_k rho A_k^dag|t> = v_k^dag rho v_k with v_k = A_k^dag |t>, and
-the heterodyne score is sum_j c_j(rho) |<t|z beta_j>|^2.  It returns each
-state's fidelity and output trace (the heralding weight, and every trace
-guard).  The ``apply_*`` functions build the output from the same description.
+the heterodyne score is sum_d sum_(m,a) rho[m, m+d] K_d[m, a] conj(t_a)
+t_(a+d).  It returns each state's fidelity and output trace (the heralding
+weight, and every trace guard).  The ``apply_*`` functions build the output
+from the same description.
 
 Displacements and squeezer sectors are ``_exp_tridiagonal`` over a cached
 eigenbasis, batched over amplitudes or sectors.  Prior averages reduce to a
@@ -36,10 +39,11 @@ from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 # imported here rather than on first use: numpy loads numpy.polynomial lazily
 from numpy.polynomial.laguerre import laggauss
 
-from .errors import DomainError, QuadratureError, TruncationError
+from .errors import DomainError, TruncationError
 from .params import NoisyEnsemble
 
 #: quadrature weights below this are skipped (they underflow any integrand)
@@ -98,28 +102,6 @@ def _laguerre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 def _log_factorials(size: int) -> np.ndarray:
     """log(n!) for n < size."""
     return np.array([math.lgamma(n + 1.0) for n in range(size)])
-
-
-def _poisson_cdf(dim: int, t: float) -> float:
-    """P(N < dim) for N ~ Poisson(t), the regularised upper incomplete gamma
-    Q(dim, t): the mass of the coherent state at |beta|^2 = t below the cutoff."""
-    return float(np.exp(np.arange(dim) * math.log(t) - t - _log_factorials(dim)).sum())
-
-
-@dataclass(frozen=True, eq=False)
-class QuadratureGrid:
-    """Polar grid: Gauss-Laguerre in t = |beta|^2 times uniform angles."""
-
-    radial_t: np.ndarray = field(repr=False)
-    radial_w: np.ndarray = field(repr=False)
-    n_angles: int
-
-    @classmethod
-    def polar(cls, radial_nodes: int = 80, angular_nodes: int = 32) -> "QuadratureGrid":
-        if radial_nodes < 1 or angular_nodes < 1:
-            raise DomainError("quadrature grid needs at least one node per axis")
-        t, w = _laguerre_rule(radial_nodes)
-        return cls(radial_t=t, radial_w=w, n_angles=angular_nodes)
 
 
 def _coherent_kets(amps: np.ndarray, dim: int) -> np.ndarray:
@@ -398,105 +380,85 @@ class Heterodyne:
 
         rho -> integral (d^2 beta / pi) <beta|rho|beta> |z beta><z beta|
 
-    evaluated on the polar ``grid``.  The Husimi factor is u^dag rho u with
-    the *unnormalised* coherent rows u_n = beta^n/sqrt(n!), absorbing
-    exp(-|beta|^2) into the Gauss-Laguerre weight, so nothing overflows.
-    In the adjoint picture the fidelity against a target |t> is
-    sum_j c_j(rho) |<t|z beta_j>|^2 and the output trace sum_j c_j(rho), with
-    c_j the quadrature-weighted Husimi factor at node j.
+    in closed form.  The channel is phase covariant, so coherence order d of
+    rho feeds the same order of the output, out[a, a+d] = sum_m K_d[m, a]
+    rho[m, m+d], the beta integral done exactly:
 
-    Trace conservation is enforced to 1e-6 plus the grid's angular aliasing
-    allowance: an n_angles-point rule cannot separate Fock coherences a
-    multiple of n_angles apart, each entering the output trace with weight at
-    most 1, so the allowance is their summed magnitude in the input.
+        K_d[m, a] = z^(2a+d) (m+a+d)! / ((1+z^2)^(m+a+d+1) sqrt(m! (m+d)! a! (a+d)!))
+
+    Orders d < 0 are the Hermitian conjugates of d > 0.  In the adjoint
+    picture the fidelity against a target |t> is
+    sum_d sum_(m,a) rho[m, m+d] K_d[m, a] conj(t_a) t_(a+d).  The output
+    keeps 2 dim - 1 levels; input level m spreads over them with total weight
+    sum_a K_0[m, a] = 1 before the cut, so a trace lost past it by more than
+    1e-6 raises TruncationError.
     """
 
     z: float
-    grid: QuadratureGrid
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.z) and self.z >= 0.0):
             raise DomainError(f"re-preparation scale z must be >= 0, got {self.z!r}")
 
-    def _rows(self, dim: int) -> tuple[Callable, np.ndarray, np.ndarray]:
-        """At cutoff dim, for the grid nodes j = (r, a), radius-major: the map
-        from a (P, dim, dim) state stack to its (P, J) c_j (the Husimi factor
-        at beta_j times its quadrature weight), and the kets |z beta_j> as
-        real radial factors (dim x R) times phases e^(i n phi_a) (dim x A).
-
-        With beta = sqrt(t) e^(i phi) the Husimi factor u^dag rho u is summed
-        diagonal by diagonal, sum_d e^(i d phi) sum_m rho[m, m+d] u_m u_(m+d).
-        """
-        tail = _poisson_cdf(dim, float(self.grid.radial_t[-1]))
-        if tail > 1e-8:
-            raise QuadratureError(
-                f"radial grid covers the Husimi support to tail mass {tail:.3g} > 1e-8")
-        t, w, n_ang = self.grid.radial_t, self.grid.radial_w, self.grid.n_angles
-        angles = 2.0 * math.pi * np.arange(n_ang) / n_ang
-        quad_w = np.repeat(w / n_ang, n_ang)
-
-        n = np.arange(dim)
-        # u_n(t), unnormalised: exp(-t) sits in the Gauss-Laguerre weight
-        u_base = np.exp(0.5 * np.outer(n, np.log(t)) - 0.5 * _log_factorials(dim)[:, None])
-        offsets = np.arange(1 - dim, dim)
-        col = n[None, :] + offsets[:, None]                           # D x dim
-        outside = (col < 0) | (col >= dim)
-        col[outside] = 0
-        uu = u_base[col]                                              # D x dim x R
-        uu *= u_base
-        uu[outside] = 0.0
-        spin = np.exp(1j * np.outer(offsets, angles))                 # D x A
-        spin_re, spin_im = np.ascontiguousarray(spin.real), np.ascontiguousarray(spin.imag)
-
-        def weights(states: np.ndarray) -> np.ndarray:
-            # s[p r, d] = sum_m rho_p[m, m + d] u_m(t_r) u_(m+d)(t_r)
-            s = np.matmul(states[:, n[None, :], col].transpose(1, 0, 2), uu)
-            s = s.reshape(len(offsets), -1).T
-            c = s.real @ spin_re
-            if np.iscomplexobj(s):  # a real stack skips its zero imaginary half
-                c -= s.imag @ spin_im
-            return c.reshape(len(states), -1) * quad_w
-
-        k_base = _coherent_kets(self.z * np.sqrt(t), dim).T
-        return weights, k_base, np.exp(1j * np.outer(n, angles))
+    def _kernel(self, dim: int) -> list[np.ndarray]:
+        """K_d for d = 0, ..., dim - 1 at input cutoff dim, each kept to its
+        valid (dim - d) x (2 dim - 1 - d) block, exponentiated in place from
+        logs: the Hankel factor log (m+a+d)! plus a row and a column term."""
+        n_out = 2 * dim - 1
+        lf = _log_factorials(3 * dim - 2)
+        log_s = math.log1p(self.z * self.z)
+        log_z = math.log(self.z) if self.z > 0.0 else -math.inf
+        blocks = []
+        for d in range(dim):
+            m, a = np.arange(dim - d), np.arange(n_out - d)
+            with np.errstate(invalid="ignore"):  # z^0 is 1 at z = 0
+                z_pow = np.where(2 * a + d > 0, (2 * a + d) * log_z, 0.0)
+            row = -(m + 1.0) * log_s - 0.5 * (lf[m] + lf[m + d])
+            col = z_pow - (a + d) * log_s - 0.5 * (lf[a] + lf[a + d])
+            k = sliding_window_view(lf[d:], n_out - d)[: dim - d] + row[:, None]
+            k += col
+            blocks.append(np.exp(k, out=k))
+        return blocks
 
     def _check_trace(self, states: np.ndarray, tr_out: np.ndarray | float) -> None:
-        n_ang = self.grid.n_angles
-        allowance = sum(2.0 * np.abs(np.diagonal(states, d, -2, -1)).sum(-1)
-                        for d in range(n_ang, states.shape[-1], n_ang))
-        _check_trace(states, tr_out, 1e-6 + allowance,
-                     "measure-and-prepare lost trace: {!r} -> {!r}; increase dim or the grid")
+        _check_trace(states, tr_out, 1e-6,
+                     "measure-and-prepare lost trace: {!r} -> {!r}; increase dim")
 
     def scorer(self, dim: int) -> Scorer:
         """The stacked adjoint-picture score of this channel at cutoff dim."""
-        husimi, k_base, phases = self._rows(dim)
-        cos, sin = np.ascontiguousarray(phases.real), np.ascontiguousarray(phases.imag)
-        # |<n|z beta_j>|^2 does not depend on the angle of beta_j
-        k_norm2 = np.repeat((k_base * k_base).sum(axis=0), self.grid.n_angles)
+        kernel = self._kernel(dim)
+        n_out, out_weight = 2 * dim - 1, kernel[0].sum(axis=1)
 
         def score(states: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            c = husimi(states)
-            tr_out = c @ k_norm2
+            tr_out = np.diagonal(states, axis1=-2, axis2=-1).real @ out_weight
             self._check_trace(states, tr_out)
-            # <t|z beta_j> = sum_n conj(t_n) k_base[n, r] e^(i n phi_a)
-            x = (_coherent_kets(targets, dim).conj()[:, None, :] * k_base.T).reshape(-1, dim)
-            re, im = x.real @ cos, x.real @ sin
-            if np.iscomplexobj(x):
-                re -= x.imag @ sin
-                im += x.imag @ cos
-            return np.einsum("pj,pj->p", c, (re * re + im * im).reshape(c.shape)), tr_out
+            t = _coherent_kets(targets, n_out)
+            both_complex = np.iscomplexobj(states) and np.iscomplexobj(t)
+            fid = np.zeros(len(states))
+            for d, k in enumerate(kernel):
+                # Re(r K s) for real K; order -d adds the conjugate of order d
+                r, s = np.diagonal(states, d, -2, -1), t[:, : n_out - d].conj() * t[:, d:]
+                term = np.einsum("pa,pa->p", r.real @ k, s.real)
+                if both_complex:
+                    term -= np.einsum("pa,pa->p", r.imag @ k, s.imag)
+                fid += term if d == 0 else 2.0 * term
+            return fid, tr_out
 
         return score
 
 
-def apply_heterodyne_mp(rho: FockDensity, z: float, grid: QuadratureGrid) -> FockDensity:
-    """Output state of ``Heterodyne(z, grid)``."""
-    ch = Heterodyne(z, grid)
-    husimi, k_base, phases = ch._rows(rho.dim)
-    k_all = (k_base[:, :, None] * phases[:, None, :]).reshape(rho.dim, -1)
-    out = FockDensity(rho.dim, (k_all * husimi(rho.mat[None])) @ k_all.conj().T)
-    ch._check_trace(rho.mat, out.trace())
-    return out
+def apply_heterodyne_mp(rho: FockDensity, z: float) -> FockDensity:
+    """Output state of ``Heterodyne(z)``, at cutoff 2 rho.dim - 1."""
+    ch, n_out = Heterodyne(z), 2 * rho.dim - 1
+    out = np.zeros((n_out, n_out), dtype=complex)
+    a = np.arange(n_out)
+    for d, k in enumerate(ch._kernel(rho.dim)):
+        v = np.diagonal(rho.mat, d) @ k
+        out[a[d:], a[: n_out - d]] = v.conj()
+        out[a[: n_out - d], a[d:]] = v
+    res = FockDensity(n_out, out)
+    ch._check_trace(rho.mat, res.trace())
+    return res
 
 
 def avg_fidelity_numeric(ens: NoisyEnsemble, channel: ShiftKraus | Heterodyne, dim: int = 64,
@@ -507,7 +469,7 @@ def avg_fidelity_numeric(ens: NoisyEnsemble, channel: ShiftKraus | Heterodyne, d
     Each input state D(alpha) rho_th D^dag of ``prior_states`` is scored
     against its target |g' alpha> by the channel's ``scorer``.  Both channel
     kinds are phase covariant, which justifies the radial-only reduction;
-    ``angular_nodes`` re-checks it numerically on a polar grid, each angle
+    ``angular_nodes`` re-checks it numerically on uniform angles, each angle
     rotating the states and their targets in phase.
 
     probabilistic=True returns the ratio form: prior-averaged numerator over

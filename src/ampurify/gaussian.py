@@ -83,20 +83,12 @@ def apply_gaussian(state: DisplacedThermal, ch: ChannelParam) -> DisplacedTherma
     return DisplacedThermal(amp=s * state.amp, nbar=s * s * (state.nbar + before) + after)
 
 
-def coherent_overlap(state: DisplacedThermal, target_amp: complex) -> float:
-    """<beta| rho |beta> for a displaced thermal rho and coherent |beta>.
-
-    Equals exp(-|beta - amp|^2 / (nbar + 1)) / (nbar + 1).
-    """
-    d = abs(complex(target_amp) - complex(state.amp))
-    return math.exp(-d * d / (state.nbar + 1.0)) / (state.nbar + 1.0)
-
-
 def avg_fidelity_gaussian(ens: NoisyEnsemble, ch: ChannelParam) -> float:
     """Prior-averaged fidelity of a one-parameter Gaussian protocol.
 
-    Averaging coherent_overlap(applied state, g' alpha) over the Gaussian
-    prior gives
+    Averaging the overlap <g' alpha| rho_out |g' alpha> =
+    exp(-|g' alpha - s alpha|^2 / (nbar_out + 1)) / (nbar_out + 1) of the
+    applied state over the Gaussian prior gives
 
         F = lambda' / (lambda' (nbar_out + 1) + (g' - s)^2)
 

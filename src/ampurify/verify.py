@@ -551,14 +551,13 @@ def _check_filter_sweep(seed: int, dim: int) -> tuple[Pair, Pair, Pair]:
 
 
 def _check_oracle_heterodyne(seed: int, dim: int) -> Pair:
-    grid = fock.QuadratureGrid.polar(radial_nodes=96, angular_nodes=64)
     worst = 0.0
     for lam, mu, g in ((1.0, 1e12, 1.0), (1.0, 1.0, 2.0)):
         ens = _ens(lam, mu, g)
         z = formulas.tune(ens).z
         value = fock.avg_fidelity_numeric(
             ens,
-            fock.Heterodyne(z, grid),
+            fock.Heterodyne(z),
             dim=max(dim, 64),
             radial_nodes=80,
         )
@@ -670,13 +669,15 @@ def run_suite(level: str = "fast", seed: int = 7, dim: int = 64) -> VerifyReport
             determinant convergence envelopes, and the norm-check points.
     seed  : seeds the random-triple spectral check (and nothing else), so
             a fixed seed makes the whole report reproducible bit for bit.
-    dim   : Fock cutoff for the compact numeric checks; the oracle grids
-            pin their own cutoffs and ignore it.  Must be >= 32.
+    dim   : Fock cutoff for the compact numeric checks, and for the oracle
+            checks that raise it to at least 64; the squeezer, identity and
+            attenuator grids pin 64.  Must lie in [32, 128], as the
+            heterodyne kernel grows as dim^3.
     """
     if level not in ("fast", "full"):
         raise DomainError(f"verification level must be 'fast' or 'full', got {level!r}")
-    if dim < 32:
-        raise DomainError(f"verification needs dim >= 32, got {dim!r}")
+    if not 32 <= dim <= 128:
+        raise DomainError(f"verification needs dim in [32, 128], got {dim!r}")
     report = VerifyReport(level=level, seed=int(seed), dim=int(dim))
     table = FAST_CHECKS + FULL_CHECKS if level == "full" else FAST_CHECKS
     for fn, *results in table:

@@ -109,7 +109,6 @@ def test_criterion_04_heterodyne_oracle_matches_classical_threshold():
     """Measure-and-prepare numerics at the optimal re-preparation scale meet
     the classical threshold closed form: 2/3 for a pure input at unit gain,
     3/11 at unit rates and g' = 2, both to 1e-4."""
-    grid = fock.QuadratureGrid.polar(radial_nodes=96, angular_nodes=64)
     for lam, mu, g, expected in (
         (1.0, PURE_MU_SENTINEL, 1.0, 2.0 / 3.0),
         (1.0, 1.0, 2.0, 3.0 / 11.0),
@@ -118,7 +117,7 @@ def test_criterion_04_heterodyne_oracle_matches_classical_threshold():
         z = formulas.tune(ens).z
         numeric = fock.avg_fidelity_numeric(
             ens,
-            fock.Heterodyne(z, grid),
+            fock.Heterodyne(z),
             dim=64,
             radial_nodes=80,
         )

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from ampurify import fock
-from ampurify.errors import DomainError, QuadratureError, TruncationError
+from ampurify.errors import DomainError, TruncationError
 from ampurify.fock import (
     FilterSpec,
     FockDensity,
     Heterodyne,
-    QuadratureGrid,
     ShiftKraus,
     apply_attenuator,
     apply_filter,
@@ -131,8 +130,9 @@ def test_filter_cut_must_fit_inside_the_cutoff():
         lambda rho: apply_two_mode_squeezer(rho, 0.4, dim_anc=16),
         lambda rho: apply_attenuator(rho, 0.6),
         lambda rho: apply_filter(rho, FilterSpec(k_cut=20, y=1.1)),
+        lambda rho: apply_heterodyne_mp(rho, 0.7),
     ],
-    ids=["squeezer", "attenuator", "filter"],
+    ids=["squeezer", "attenuator", "filter", "heterodyne"],
 )
 def test_shift_diagonal_channels_are_phase_covariant(channel):
     # avg_fidelity_numeric's radial-only reduction rests on this symmetry
@@ -152,26 +152,47 @@ def test_heterodyne_mp_on_vacuum_prepares_thermal():
     # Q-function sampling then re-preparation at scale z turns vacuum into
     # a thermal state of occupation z^2
     vac = displaced_thermal_density(0.0, 0.0, 48)
-    out = apply_heterodyne_mp(vac, 0.8, QuadratureGrid.polar(64, 24))
+    out = apply_heterodyne_mp(vac, 0.8)
     assert out.trace() == pytest.approx(1.0, abs=1e-8)
     assert fit_thermal_nbar(out) == pytest.approx(0.64, rel=1e-6)
 
 
 def test_heterodyne_mp_scales_the_mean_amplitude():
     rho = displaced_thermal_density(1.1, 0.3, 64)
-    out = apply_heterodyne_mp(rho, 0.6, QuadratureGrid.polar(80, 32))
+    out = apply_heterodyne_mp(rho, 0.6)
     assert _mean_amp(out) == pytest.approx(0.6 * 1.1, rel=1e-7)
 
 
-def test_heterodyne_mp_rejects_a_grid_that_misses_the_state():
-    rho = displaced_thermal_density(0.0, 2.0, 64)
-    with pytest.raises(QuadratureError):
-        apply_heterodyne_mp(rho, 0.5, QuadratureGrid.polar(6, 16))
+def test_heterodyne_rejects_an_output_past_its_cutoff_in_both_pictures():
+    # about z^2 (<n> + 1) = 24 photons out of a 24-level input spill past 47 levels
+    rho = displaced_thermal_density(0.5, 0.25, 24)
+    with pytest.raises(TruncationError, match="lost trace"):
+        apply_heterodyne_mp(rho, 4.0)
+    with pytest.raises(TruncationError, match="lost trace"):
+        Heterodyne(4.0).scorer(24)(rho.mat[None], np.array([2.0]))
 
 
-def test_quadrature_grid_guard():
-    with pytest.raises(DomainError):
-        QuadratureGrid.polar(0, 8)
+def _kernel_entry(z: float, d: int, m: int, a: int) -> float:
+    """<a| Phi(|m><m+d|) |a+d> as a quadrature over |beta|, the angle
+    integrating to 2 pi: <beta|m><m+d|beta> <a|z beta><z beta|a+d> / pi."""
+    z = mpmath.mpf(z)
+    norm = mpmath.sqrt(mpmath.factorial(m) * mpmath.factorial(m + d)
+                       * mpmath.factorial(a) * mpmath.factorial(a + d))
+    radial = mpmath.quad(lambda r: 2 * r * mpmath.exp(-(1 + z * z) * r * r)
+                         * r ** (2 * m + d) * (z * r) ** (2 * a + d), [0, mpmath.inf])
+    return float(radial / norm)
+
+
+@pytest.mark.parametrize(
+    "z, d, m, a",
+    [(0.7, 0, 0, 0), (0.7, 0, 3, 5), (1.3, 2, 4, 1), (1.3, 7, 8, 22), (0.7, 15, 0, 0),
+     (1.3, 15, 0, 15), (0.0, 0, 5, 0), (0.0, 0, 5, 3), (0.0, 4, 2, 0)],
+)
+def test_heterodyne_kernel_is_the_beta_integral(z, d, m, a):
+    # d = 15 is the largest order inside a 16-level cutoff; at z = 0 only vacuum survives
+    kernel = Heterodyne(z)._kernel(16)
+    assert len(kernel) == 16 and kernel[d].shape == (16 - d, 31 - d)
+    assert kernel[d][m, a] == pytest.approx(_kernel_entry(z, d, m, a), rel=1e-13, abs=1e-16)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +247,7 @@ def test_prior_states_are_read_only():
     [
         ShiftKraus.squeezer(0.4, 32, dim_anc=32),
         ShiftKraus.filter(FilterSpec(k_cut=20, y=1.1), 32),
-        Heterodyne(0.7, QuadratureGrid.polar(96, 16)),
+        Heterodyne(0.7),
     ],
     ids=["squeezer", "filter", "heterodyne"],
 )
@@ -265,8 +286,8 @@ _EQUIV_DIM = 32
             lambda rho: apply_filter(rho, FilterSpec(k_cut=20, y=1.1)),
         ),
         (
-            Heterodyne(0.7, QuadratureGrid.polar(80, 32)),
-            lambda rho: apply_heterodyne_mp(rho, 0.7, QuadratureGrid.polar(80, 32)),
+            Heterodyne(0.7),
+            lambda rho: apply_heterodyne_mp(rho, 0.7),
         ),
     ],
     ids=["identity", "squeezer", "attenuator", "filter", "heterodyne"],
@@ -281,21 +302,6 @@ def test_adjoint_score_equals_projection_of_built_output(channel, apply):
     assert trace == pytest.approx(out.trace(), abs=1e-13)
 
 
-def test_heterodyne_husimi_sum_matches_the_coherent_row_form():
-    # the diagonal-by-diagonal Husimi sum against u^dag rho u, u_n = beta^n/sqrt(n!)
-    # at every grid node; a complex input amplitude tells beta from conj(beta)
-    dim, grid = 24, QuadratureGrid.polar(40, 12)
-    rho = displaced_thermal_density(0.9 + 0.5j, 0.4, dim)
-    husimi_weights, _, _ = Heterodyne(0.7, grid)._rows(dim)
-    phases = np.exp(2j * np.pi * np.arange(grid.n_angles) / grid.n_angles)
-    beta = (np.sqrt(grid.radial_t)[:, None] * phases[None, :]).ravel()
-    n = np.arange(dim)
-    u = beta[None, :] ** n[:, None] / np.sqrt(np.cumprod(np.r_[1.0, n[1:]]))[:, None]
-    husimi = np.einsum("nj,nj->j", u.conj(), rho.mat @ u).real
-    expected = husimi * np.repeat(grid.radial_w / grid.n_angles, grid.n_angles)
-    assert np.abs(husimi_weights(rho.mat[None])[0] - expected).sum() <= 1e-13
-
-
 def test_lossless_declaration_rejects_a_lossy_channel_in_both_pictures():
     lossy = ShiftKraus(np.full((16, 1), 0.5), 0, 16, lossless=True)
     rho = displaced_thermal_density(0.5, 0.2, 16)
@@ -303,12 +309,6 @@ def test_lossless_declaration_rejects_a_lossy_channel_in_both_pictures():
         lossy.scorer(16)(rho.mat[None], np.array([0.5]))
     with pytest.raises(TruncationError, match="lost trace"):
         fock._apply_shift_kraus(rho, lossy)
-
-
-def test_heterodyne_score_rejects_a_grid_that_misses_the_state():
-    ens = NoisyEnsemble(1.0, 0.5, 1.0)
-    with pytest.raises(QuadratureError):
-        avg_fidelity_numeric(ens, Heterodyne(0.5, QuadratureGrid.polar(6, 16)), dim=64)
 
 
 def test_channel_must_match_the_input_cutoff():
@@ -359,14 +359,6 @@ def test_attenuator_closed_form_is_the_sector_exponential():
         column = fock._exp_tridiagonal(basis, -theta, slice(0, 1))[:, 0]
         assert np.abs(weights[n, : n + 1] - column).max() <= 1e-14
         assert not weights[n, n + 1 :].any()
-
-
-@pytest.mark.parametrize("dim, t", [(64, 40.0), (64, 64.0), (24, 15.0), (24, 30.0), (64, None)])
-def test_poisson_cdf_is_the_regularised_upper_gamma(dim, t):
-    if t is None:  # the largest radial node of the default heterodyne grid
-        t = float(QuadratureGrid.polar().radial_t[-1])
-    expected = float(mpmath.gammainc(dim, t, mpmath.inf, regularized=True))
-    assert fock._poisson_cdf(dim, t) == pytest.approx(expected, rel=1e-13)
 
 
 def test_laguerre_rule_integrates_monomials():

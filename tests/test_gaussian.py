@@ -9,7 +9,6 @@ from ampurify.gaussian import (
     DisplacedThermal,
     apply_gaussian,
     avg_fidelity_gaussian,
-    coherent_overlap,
 )
 from ampurify.params import NoisyEnsemble
 
@@ -64,16 +63,6 @@ def test_bad_squeeze_parameter_rejected(value):
 def test_bad_attenuation_angle_rejected():
     with pytest.raises(DomainError):
         ChannelParam(ChannelKind.ATTENUATE, math.pi)
-
-
-def test_coherent_overlap_peaks_at_matching_amplitude():
-    st = DisplacedThermal(amp=1.2, nbar=0.7)
-    assert coherent_overlap(st, 1.2) == pytest.approx(1.0 / 1.7, rel=1e-15)
-    assert coherent_overlap(st, 0.0) < coherent_overlap(st, 1.2)
-
-
-def test_coherent_overlap_of_pure_match_is_unity():
-    assert coherent_overlap(DisplacedThermal(amp=0.4j, nbar=0.0), 0.4j) == 1.0
 
 
 def test_avg_fidelity_squeezer_formula():

@@ -110,6 +110,11 @@ def test_undersized_cutoff_rejected():
         run_suite(level="fast", dim=16)
 
 
+def test_oversized_cutoff_rejected():
+    with pytest.raises(DomainError, match=r"\[32, 128\]"):
+        run_suite(level="fast", dim=129)
+
+
 @pytest.mark.parametrize("name", _names(verify.FAST_CHECKS))
 def test_each_fast_check_passes(fast_report, name):
     (check,) = [c for c in fast_report.checks if c.name == name]
