@@ -163,11 +163,18 @@ def test_heterodyne_mp_scales_the_mean_amplitude():
     assert _mean_amp(out) == pytest.approx(0.6 * 1.1, rel=1e-7)
 
 
-def test_heterodyne_rejects_an_output_past_its_cutoff_in_both_pictures():
-    # about z^2 (<n> + 1) = 24 photons out of a 24-level input spill past 47 levels
+def test_heterodyne_mp_rejects_a_grid_that_misses_the_state():
+    # the closed form has no quadrature grid: its one approximation is the
+    # output cutoff, and about z^2 (<n> + 1) = 24 photons out of a 24-level
+    # input spill past 47 levels
     rho = displaced_thermal_density(0.5, 0.25, 24)
     with pytest.raises(TruncationError, match="lost trace"):
         apply_heterodyne_mp(rho, 4.0)
+
+
+def test_heterodyne_score_rejects_a_grid_that_misses_the_state():
+    # the scorer's adjoint picture keeps the same output-trace guard
+    rho = displaced_thermal_density(0.5, 0.25, 24)
     with pytest.raises(TruncationError, match="lost trace"):
         Heterodyne(4.0).scorer(24)(rho.mat[None], np.array([2.0]))
 
