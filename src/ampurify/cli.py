@@ -18,6 +18,9 @@ envelope (``--json``) or as text lines; ``sweep`` writes CSV and/or JSON.
 All output is deterministic given the flags (and the verify seed); the
 only non-reproducible bytes -- per-check wall times -- go to stderr.
 Tables round to 5 significant digits, CSV to 10.
+
+``sweep`` computes numpy columns, re-runs rows they cannot clear through the
+scalar path (to raise its error), gates them with np.isfinite, then renders.
 """
 
 from __future__ import annotations
@@ -33,8 +36,10 @@ import numpy as np
 from . import __version__, formulas, verify
 from .errors import AmpurifyError, DomainError
 from .params import (
+    REGIMES,
     MultimodeTask,
     NoisyEnsemble,
+    Regime,
     RegimeTag,
     classify,
     is_pure_input,
@@ -57,6 +62,9 @@ CSV_HEADER = "axis_value,g_prime,f_det,f_prob,f_cft,regime,cosh_r,y,cos_theta,z"
 _AXIS_FIELD = {"g": "g", "lambda": "lam", "mu": "mu", "n": "n_in", "m": "m_out"}
 _INT_AXES = ("n", "m")
 
+_MAX_STEPS = 1_000_000  # the most rows one sweep computes
+_CHUNK = 16384  # the rows rendered per write
+
 
 class _UsageError(Exception):
     """Flag combinations argparse cannot catch on its own."""
@@ -75,13 +83,8 @@ def _opt5(v: float | None) -> str:
     return "-" if v is None else _f5(v)
 
 
-def _opt10(v: float | None) -> str:
-    return "" if v is None else format(float(v), ".10g")
-
-
-def _regime_label(ens: NoisyEnsemble) -> str:
-    reg = classify(ens)
-    return f"{reg.tag.value}+{reg.prob_tag.value}"
+def _regime_label(regime: Regime) -> str:
+    return f"{regime.tag.value}+{regime.prob_tag.value}"
 
 
 def _reduced_line(ens: NoisyEnsemble) -> str:
@@ -104,6 +107,10 @@ def _leaves(value: object, path: str) -> list[tuple[str, object]]:
     return [(path, value)]
 
 
+def _non_finite(path: str, value: float) -> DomainError:
+    return DomainError(f"result is not finite: {path} = {value!r}")
+
+
 def _envelope(args: argparse.Namespace, command: str, params: dict, result: dict) -> str:
     """The JSON envelope of one result.  Text and CSV views pass through it too
     (unindented, which is cheaper), so a non-finite result exits 3 in every
@@ -121,7 +128,7 @@ def _envelope(args: argparse.Namespace, command: str, params: dict, result: dict
     except ValueError:
         path, value = next((p, v) for p, v in _leaves(payload, "")
                            if isinstance(v, float) and not math.isfinite(v))
-        raise DomainError(f"result is not finite: {path} = {value!r}") from None
+        raise _non_finite(path, value) from None
 
 
 def _emit(args: argparse.Namespace, command: str, params: dict, result: dict,
@@ -162,7 +169,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report = formulas.fidelity_report(ens)
     tuning = formulas.tune(ens)
     det_thr, prob_thr = thresholds(ens)
-    regime = _regime_label(ens)
+    regime = _regime_label(classify(ens))
 
     result = {
         "regime": regime,
@@ -192,32 +199,26 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return _emit(args, "eval", _task_params(task, ens), result, text)
 
 
-def _sweep_row(value: float, task: MultimodeTask) -> dict:
-    """One sweep row, keyed by the CSV header (None where a knob is unset)."""
-    ens = reduce(task)
-    report = formulas.fidelity_report(ens)
-    tuning = formulas.tune(ens)
-    return {
-        "axis_value": value,
-        "g_prime": ens.g_prime,
-        "f_det": report.det,
-        "f_prob": report.prob,
-        "f_cft": report.cft,
-        "regime": _regime_label(ens),
-        "cosh_r": tuning.cosh_r,
-        "y": tuning.y,
-        "cos_theta": tuning.cos_theta,
-        "z": tuning.z,
-    }
+def _write_rows(write, table: dict, keys: list[str], cell: str, unset: str, label: str,
+                line, sep: str) -> None:
+    """Write ``table``'s rows ``_CHUNK`` at a time, each by its regime's template:
+    ``cell`` formats a float, ``label`` the regime, ``unset`` cos_theta outside
+    DetAttenuate (``%.0s`` consumes it); ``line`` joins (key, cell) pairs."""
+    templates = [line([(key, label % _regime_label(regime) if key == "regime" else cell
+                        if key != "cos_theta" or regime.tag is RegimeTag.DET_ATTENUATE
+                        else unset) for key in keys]) for regime in REGIMES]
+    floats = [key for key in keys if key != "regime"]
+    for lo in range(0, len(table["regime"]), _CHUNK):
+        rows = zip(table["regime"][lo:lo + _CHUNK].tolist(),
+                   *[table[key][lo:lo + _CHUNK].tolist() for key in floats])
+        write(sep * (lo > 0) + sep.join([templates[row[0]] % row[1:] for row in rows]))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     fields = {"lam": args.lam, "mu": args.mu, "g": args.g, "n_in": args.n, "m_out": args.m}
     swept = _AXIS_FIELD[args.axis]
     if fields[swept] is not None:
-        raise _UsageError(
-            f"--{args.axis} cannot be fixed while sweeping --axis {args.axis}"
-        )
+        raise _UsageError(f"--{args.axis} cannot be fixed while sweeping --axis {args.axis}")
     # placeholder on the swept axis; rows overwrite it
     fields[swept] = 1 if args.axis in _INT_AXES else 1.0
     for name in ("lam", "mu", "g"):
@@ -225,50 +226,59 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             flag = "lambda" if name == "lam" else name
             raise _UsageError(f"--{flag} is required when sweeping --axis {args.axis}")
     for name in ("n_in", "m_out"):
-        if fields[name] is None:
-            fields[name] = 1
+        fields[name] = fields[name] or 1
     fixed = MultimodeTask(**fields)
     # Bad start/stop/steps come straight from the flags, so they are usage
     # errors (exit 2), not domain errors.
     if not args.start < args.stop:
-        raise _UsageError(
-            f"sweep needs start < stop, got [{args.start!r}, {args.stop!r}]"
-        )
+        raise _UsageError(f"sweep needs start < stop, got [{args.start!r}, {args.stop!r}]")
     if args.steps < 2:
         raise _UsageError(f"sweep needs steps >= 2, got {args.steps!r}")
-    values = [float(v) for v in np.linspace(args.start, args.stop, args.steps)]
-    if args.axis in _INT_AXES:
-        for v in values:
-            if abs(v - round(v)) > 1e-9 * max(1.0, abs(v)):
+    if args.steps > _MAX_STEPS:
+        raise _UsageError(f"sweep takes at most {_MAX_STEPS} steps, got {args.steps!r}")
+    # every branch runs on every row, so rows that do not pick one may overflow
+    with np.errstate(all="ignore"):
+        values = np.linspace(args.start, args.stop, args.steps)
+        if args.axis in _INT_AXES:
+            on_grid = np.abs(values - np.round(values)) <= 1e-9 * np.maximum(1.0, np.abs(values))
+            if not on_grid.all():
                 raise _UsageError(
                     f"axis {args.axis!r} is integer-valued but the grid hits "
-                    f"{v!r}; choose start/stop/steps on integers"
+                    f"{float(values[on_grid.argmin()])!r}; choose start/stop/steps on integers"
                 )
-        values = [float(round(v)) for v in values]
-    if args.out is None and not args.json:
-        raise _UsageError("sweep needs --out PATH and/or --json")
+            values = np.round(values)
+        if args.out is None and not args.json:
+            raise _UsageError("sweep needs --out PATH and/or --json")
+        table = {"axis_value": values, **formulas.columns(**{**fields, swept: values})}
 
-    rows = []
-    for value in values:
-        cell = int(value) if args.axis in _INT_AXES else value
-        rows.append(_sweep_row(value, MultimodeTask(**{**vars(fixed), swept: cell})))
+    # the scalar path raises on the first row it rejects, as if every row were built
+    for i in np.flatnonzero(~table["valid"]):
+        cell = int(values[i]) if args.axis in _INT_AXES else float(values[i])
+        ens = reduce(MultimodeTask(**{**fields, swept: cell}))
+        formulas.fidelity_report(ens)
+        formulas.tune(ens)
 
     params = _task_params(fixed, reduce(fixed))
-    params.update(
-        {"axis": args.axis, "start": args.start, "stop": args.stop, "steps": args.steps}
-    )
-    envelope = _envelope(args, "sweep", params, {"axis": args.axis, "rows": rows})
+    params.update(axis=args.axis, start=args.start, stop=args.stop, steps=args.steps)
+    envelope = _envelope(args, "sweep", params, {"axis": args.axis, "rows": []})
+    keys = CSV_HEADER.split(",")
+    bad = [(int(finite.argmin()), key) for key in sorted(keys)
+           if not (finite := np.isfinite(table[key])).all()]
+    if bad:
+        i, key = min(bad)
+        raise _non_finite(f"result.rows[{i}].{key}", float(table[key][i]))
     if args.out is not None:
-        keys = CSV_HEADER.split(",")
-        lines = [CSV_HEADER]
-        for row in rows:
-            lines.append(
-                ",".join(row[k] if k == "regime" else _opt10(row[k]) for k in keys)
-            )
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(CSV_HEADER + "\n")
+            _write_rows(fh.write, table, keys, "%.10g", "%.0s", "%s",
+                        lambda pairs: ",".join(c for _, c in pairs) + "\n", "")
     if args.json:
-        print(envelope)
+        head, tail = envelope.split('"rows": []')
+        sys.stdout.write(head + '"rows": [')
+        _write_rows(sys.stdout.write, table, sorted(keys), "%r", "null%.0s", '"%s"',
+                    lambda pairs: "\n      {\n" + ",\n".join(
+                        f'        "{k}": {c}' for k, c in pairs) + "\n      }", ",")
+        sys.stdout.write("\n    ]" + tail + "\n")
     return EXIT_OK
 
 
@@ -315,7 +325,7 @@ def cmd_regimes(args: argparse.Namespace) -> int:
     task, ens = _task_from_args(args)
     det_thr, prob_thr = thresholds(ens)
     tangency = passive_filter_gain(ens)
-    regime = _regime_label(ens)
+    regime = _regime_label(classify(ens))
 
     result = {
         "regime": regime,

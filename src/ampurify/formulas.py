@@ -12,8 +12,10 @@ attenuates up to the passive-filter gain S/N_C, the identity up to the
 amplify threshold (S+1)/N_C, and a two-mode squeezer beyond.  The
 probabilistic optimum is a noiseless-amplifier filter followed by the
 squeezer.  The classical benchmark ``cft`` is the best measure-and-prepare
-value.  Branches are picked by ``params.classify`` alone, so the printed
-regime always names the branch behind the printed value.
+value.  Branches are picked by the regime codes of ``params`` alone, so
+the printed regime always names the branch behind the printed value.  The
+branch values and tuning rules are array-generic: the scalar API evaluates
+the picked branch on floats, ``columns`` every branch over a whole sweep.
 """
 
 from __future__ import annotations
@@ -21,39 +23,69 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 from .params import (
     MultimodeTask,
     NoisyEnsemble,
-    RegimeTag,
-    classify,
-    passive_filter_gain,
+    _finite_positive,
+    _landmarks,
+    _reduced,
+    _regime_codes,
     photon_book,
     reduce,
-    thresholds,
 )
 
 #: slack used by the report-level ordering checks
 _ORDER_TOL = 1e-12
 
 
-def _c1(ens: NoisyEnsemble) -> float:
+def _pick(code, branches, *args):
+    """``branches[code](*args)``; over a column of codes, every branch, row by row."""
+    if isinstance(code, np.ndarray):
+        return np.choose(code, [branch(*args) for branch in branches])
+    return branches[code](*args)
+
+
+def _where(cond, a, b):
+    """``a if cond else b``, row by row over a column ``cond``."""
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
+def _c1(lam, mu):
     """c1 = (S + 1)/(N_C Ntilde_T) = lambda' + mu/(mu + 1)."""
-    return ens.lambda_prime + ens.mu / (ens.mu + 1.0)
+    return lam + mu / (mu + 1.0)
 
 
-def _filter_value(ens: NoisyEnsemble) -> float:
+def _filter_value(lam, mu, g):
     """S/(S + g'^2 N_C N_T) = 1/(1 + g'^2/(lambda' + mu)), the value of the
     tuned filter below its plateau and of the attenuator up to S/N_C."""
-    g = ens.g_prime
-    return 1.0 / (1.0 + g * (g / (ens.lambda_prime + ens.mu)))
+    return 1.0 / (1.0 + g * (g / (lam + mu)))
 
 
-def _squeezer_value(ens: NoisyEnsemble) -> float:
+def _identity_value(lam, mu, g):  # 1/((g'-1)^2/lambda' + 1/mu + 1), see det_fidelity
+    d = g - 1.0
+    return 1.0 / (d * (d / lam) + 1.0 / mu + 1.0)
+
+
+def _squeezer_value(lam, mu, g):
     """(S + 1)/(g'^2 N_C Ntilde_T) = c1/g'^2, the optimal squeezer's value
     from the amplify threshold on, where the filter has long saturated."""
-    g = ens.g_prime
-    return _c1(ens) / g / g
+    return _c1(lam, mu) / g / g
+
+
+def _cft_value(lam, mu, g):  # c1/(c1 + g'^2), see cft
+    return 1.0 / (1.0 + g * (g / _c1(lam, mu)))
+
+
+#: the branch of F_det at det code 0, 1, 2, and of F_prob off and on the plateau
+_DET_BRANCHES = (_filter_value, _identity_value, _squeezer_value)
+_PROB_BRANCHES = (_filter_value, _squeezer_value)
+
+
+def _codes(ens: NoisyEnsemble):
+    return _regime_codes(ens.g_prime, _landmarks(ens.lambda_prime, ens.mu))
 
 
 def det_fidelity(ens: NoisyEnsemble) -> float:
@@ -75,13 +107,7 @@ def det_fidelity(ens: NoisyEnsemble) -> float:
 
     Neighbouring branches agree at their join.
     """
-    tag = classify(ens).tag
-    if tag is RegimeTag.DET_ATTENUATE:
-        return _filter_value(ens)
-    if tag is RegimeTag.DET_AMPLIFY:
-        return _squeezer_value(ens)
-    d = ens.g_prime - 1.0
-    return 1.0 / (d * (d / ens.lambda_prime) + 1.0 / ens.mu + 1.0)
+    return _pick(_codes(ens)[0], _DET_BRANCHES, ens.lambda_prime, ens.mu, ens.g_prime)
 
 
 def prob_fidelity(ens: NoisyEnsemble) -> float:
@@ -95,9 +121,7 @@ def prob_fidelity(ens: NoisyEnsemble) -> float:
     the deterministic optimum, c1/g'^2.  Up to S/N_C the tuned filter does
     not amplify (y <= 1) and F equals the deterministic optimum.
     """
-    if classify(ens).prob_tag is RegimeTag.PROB_PLATEAU:
-        return _squeezer_value(ens)
-    return _filter_value(ens)
+    return _pick(_codes(ens)[1], _PROB_BRANCHES, ens.lambda_prime, ens.mu, ens.g_prime)
 
 
 def cft(ens: NoisyEnsemble) -> float:
@@ -108,8 +132,7 @@ def cft(ens: NoisyEnsemble) -> float:
     saturated by heterodyne detection plus coherent re-preparation with
     amplitude scale z = g'/((S+1)/N_C).
     """
-    g = ens.g_prime
-    return 1.0 / (1.0 + g * (g / _c1(ens)))
+    return _cft_value(ens.lambda_prime, ens.mu, ens.g_prime)
 
 
 @dataclass(frozen=True)
@@ -142,6 +165,14 @@ class TuningReport:
             raise DomainError(f"z must be > 0, got {self.z!r}")
 
 
+def _tuning(g, landmarks, det, plateau):
+    """(cosh_r, y, cos_theta, z) at gain g' > 0, cos_theta at every gain (see ``tune``)."""
+    passive, _, amplify = landmarks
+    cos_theta, z = g / passive, g / amplify
+    y = _where(det == 2, 1.0, _where(plateau, amplify / g, cos_theta))
+    return _where(z > 1.0, z, 1.0), y, cos_theta, z
+
+
 def tune(ens: NoisyEnsemble) -> TuningReport:
     """Optimal device settings for each protocol family, read off the
     landmarks S/N_C and (S+1)/N_C of ``params``.
@@ -155,24 +186,16 @@ def tune(ens: NoisyEnsemble) -> TuningReport:
 
     The y rule is continuous across both joins.  Note y < 1 below S/N_C:
     the optimal filter then *suppresses* large Fock components rather than
-    amplifying, and y equals the beamsplitter's cos theta.
+    amplifying, and y equals the beamsplitter's cos theta, which cannot
+    exceed 1 there: g' <= S/N_C bounds the rounded quotient too.
     """
     g = ens.g_prime
     if g <= 0.0:
         raise DomainError("tuning undefined for zero gain")
-    regime = classify(ens)
-    amplify, _ = thresholds(ens)
-    passive = g / passive_filter_gain(ens)
-    z = g / amplify
-    plateau = regime.tag is RegimeTag.DET_AMPLIFY
-    if plateau:
-        y = 1.0
-    elif regime.prob_tag is RegimeTag.PROB_PLATEAU:
-        y = amplify / g
-    else:
-        y = passive
-    cos_theta = min(1.0, passive) if regime.tag is RegimeTag.DET_ATTENUATE else None
-    return TuningReport(cosh_r=max(1.0, z), y=y, cos_theta=cos_theta, z=z, plateau=plateau)
+    landmarks = _landmarks(ens.lambda_prime, ens.mu)
+    det, plateau, _ = _regime_codes(g, landmarks)
+    cosh_r, y, cos_theta, z = _tuning(g, landmarks, det, plateau)
+    return TuningReport(cosh_r, y, cos_theta if det == 0 else None, z, plateau=det == 2)
 
 
 @dataclass(frozen=True)
@@ -205,6 +228,26 @@ class FidelityReport:
 def fidelity_report(ens: NoisyEnsemble) -> FidelityReport:
     """Evaluate det/prob/cft; the report checks their ordering."""
     return FidelityReport(det=det_fidelity(ens), prob=prob_fidelity(ens), cft=cft(ens))
+
+
+def columns(lam, mu, g, n_in, m_out) -> dict:
+    """Every sweep field, keyed like a sweep row, by the scalar API's code: the
+    task fields as numbers, one a numpy column.  Every branch runs on every row
+    (call it under ``np.errstate``); ``regime`` indexes ``params.REGIMES``.
+    ``valid`` asks mu, lambda', g' finite and positive, 0 <= cft <= det <= prob
+    <= 1 and z, cos_theta (so y) > 0, so it is false where any check fails."""
+    lam_p, g_p = _reduced(lam, g, n_in, m_out)
+    landmarks = _landmarks(lam_p, mu)
+    det, plateau, regime = _regime_codes(g_p, landmarks)
+    f_det = _pick(det, _DET_BRANCHES, lam_p, mu, g_p)
+    f_prob, f_cft = _pick(plateau, _PROB_BRANCHES, lam_p, mu, g_p), _cft_value(lam_p, mu, g_p)
+    cosh_r, y, cos_theta, z = _tuning(g_p, landmarks, det, plateau)
+    valid = (_finite_positive(mu) & _finite_positive(lam_p) & _finite_positive(g_p)
+             & (0.0 <= f_cft) & (f_cft <= f_det) & (f_det <= f_prob) & (f_prob <= 1.0)
+             & (z > 0.0) & (cos_theta > 0.0))
+    names = "g_prime f_det f_prob f_cft regime cosh_r y cos_theta z valid".split()
+    return dict(zip(names, np.broadcast_arrays(
+        g_p, f_det, f_prob, f_cft, regime, cosh_r, y, cos_theta, z, valid)))
 
 
 def photon_output_det(task: MultimodeTask) -> tuple[float, float]:

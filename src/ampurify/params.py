@@ -20,7 +20,9 @@ regimes; they are written in lambda', mu, so no photon number has to be
 representable: the passive-filter gain S/N_C = 1 + lambda'/mu, the filter
 plateau sqrt(S(S+1))/N_C = S/N_C sqrt(1 + 1/S) with 1/S = 1/(1/lambda' +
 1/mu), and the amplify threshold (S+1)/N_C = 1 + lambda'/mu + lambda'.
-``classify`` is the one place that compares g' with them.
+``_regime_codes`` is the one place that compares g' with them.  Like
+``reduce``'s arithmetic it is array-generic: floats in, Python floats out;
+numpy columns in, columns out, bit for bit alike.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import DomainError
 
 #: mu at or above this value is reported as an effectively pure input
@@ -38,8 +42,16 @@ from .errors import DomainError
 PURE_MU_SENTINEL = 1e12
 
 
+def _sqrt(x):  # np.sqrt of a column; math.sqrt of a float, which stays a Python float
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _finite_positive(value):  # 0 < value < inf, row by row over a column; NaN fails
+    return (value > 0.0) & (value < math.inf)
+
+
 def _require_finite_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
+    if not _finite_positive(value):
         raise DomainError(f"{name} must be finite and > 0, got {value!r}")
 
 
@@ -125,13 +137,20 @@ class Regime(NamedTuple):
     prob_tag: RegimeTag
 
 
+#: every Regime, in the order of the index ``_regime_codes`` returns
+REGIMES = tuple(Regime(tag, prob_tag)
+                for tag in (RegimeTag.DET_ATTENUATE, RegimeTag.DET_IDENTITY, RegimeTag.DET_AMPLIFY)
+                for prob_tag in (RegimeTag.PROB_AMPLIFY, RegimeTag.PROB_PLATEAU))
+
+
+def _reduced(lam, g, n_in, m_out):  # (lambda', g') = (lambda/N, g sqrt(M/N))
+    return lam / n_in, g * _sqrt(m_out / n_in)
+
+
 def reduce(task: MultimodeTask) -> NoisyEnsemble:
     """Collapse an N-to-M task onto its single-mode equivalent."""
-    return NoisyEnsemble(
-        lambda_prime=task.lam / task.n_in,
-        mu=task.mu,
-        g_prime=task.g * math.sqrt(task.m_out / task.n_in),
-    )
+    lambda_prime, g_prime = _reduced(task.lam, task.g, task.n_in, task.m_out)
+    return NoisyEnsemble(lambda_prime=lambda_prime, mu=task.mu, g_prime=g_prime)
 
 
 def photon_book(ens: NoisyEnsemble) -> PhotonBook:
@@ -139,12 +158,23 @@ def photon_book(ens: NoisyEnsemble) -> PhotonBook:
     return PhotonBook(n_c=1.0 / ens.lambda_prime, n_t=n_t, n_t_tilde=n_t + 1.0)
 
 
-def _landmarks(ens: NoisyEnsemble) -> tuple[float, float, float]:
-    """(S/N_C, sqrt(S(S+1))/N_C, (S+1)/N_C), in increasing order."""
-    lam, mu = ens.lambda_prime, ens.mu
+def _landmarks(lam, mu):
+    """(S/N_C, sqrt(S(S+1))/N_C, (S+1)/N_C) at lambda', mu, in increasing order."""
     passive = 1.0 + lam / mu
     inv_s = 1.0 / (1.0 / lam + 1.0 / mu)
-    return passive, passive * math.sqrt(1.0 + inv_s), passive + lam
+    return passive, passive * _sqrt(1.0 + inv_s), passive + lam
+
+
+def _regime_codes(g, landmarks):
+    """(det, plateau, index into REGIMES) of g' against ``_landmarks``; det is
+    0, 1, 2 where the optimum attenuates, is the identity, amplifies.  The
+    thresholds take >= and S/N_C <=; amplifying implies the plateau and
+    attenuating excludes it even where landmarks merge.  No ~ (int on a bool)."""
+    passive, prob_thr, det_thr = landmarks
+    amplify = g >= det_thr
+    attenuate = (g <= passive) & (g < det_thr)
+    det, plateau = 1 + amplify - attenuate, amplify | (g > passive) & (g >= prob_thr)
+    return det, plateau, 2 * det + plateau
 
 
 def thresholds(ens: NoisyEnsemble) -> tuple[float, float]:
@@ -156,33 +186,20 @@ def thresholds(ens: NoisyEnsemble) -> tuple[float, float]:
     prob = sqrt(S(S+1))/N_C = S/N_C sqrt(1 + 1/S) : above it the optimal
            filter saturates (geometric mean of det threshold and S/N_C).
     """
-    _, prob, det = _landmarks(ens)
+    _, prob, det = _landmarks(ens.lambda_prime, ens.mu)
     return det, prob
 
 
 def passive_filter_gain(ens: NoisyEnsemble) -> float:
     """S/N_C = 1 + lambda'/mu, where the tuned filter is passive (y = 1) and
     the optimal deterministic beamsplitter stops attenuating (cos theta = 1)."""
-    return _landmarks(ens)[0]
+    return _landmarks(ens.lambda_prime, ens.mu)[0]
 
 
 def classify(ens: NoisyEnsemble) -> Regime:
-    """Tag the ensemble's operating regime.
-
-    The thresholds use the >= convention and the passive-filter gain the <=
-    one, so S/N_C itself attenuates (at cos theta = 1).  The closed forms
-    agree at every join, so the choice only names the branch.  Amplifying
-    implies the plateau and attenuating excludes it even where rounding
-    merges the landmarks, so det == prob whenever the label says so.
-    """
-    passive, prob_thr, det_thr = _landmarks(ens)
-    g = ens.g_prime
-    if g >= det_thr:
-        return Regime(RegimeTag.DET_AMPLIFY, RegimeTag.PROB_PLATEAU)
-    if g <= passive:
-        return Regime(RegimeTag.DET_ATTENUATE, RegimeTag.PROB_AMPLIFY)
-    prob_tag = RegimeTag.PROB_PLATEAU if g >= prob_thr else RegimeTag.PROB_AMPLIFY
-    return Regime(RegimeTag.DET_IDENTITY, prob_tag)
+    """Tag the ensemble's operating regime by ``_regime_codes``.  The closed
+    forms agree at every join, so det == prob whenever the label says so."""
+    return REGIMES[_regime_codes(ens.g_prime, _landmarks(ens.lambda_prime, ens.mu))[2]]
 
 
 def is_pure_input(ens: NoisyEnsemble) -> bool:

@@ -6,10 +6,12 @@ import re
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
+import numpy as np
+
+from ampurify import formulas
 from ampurify.cli import CSV_HEADER, main
 from ampurify.verify import CheckResult, VerifyReport
 
@@ -190,12 +192,26 @@ def test_sweep_over_input_copies_takes_integer_grid(tmp_path, capsys):
         # no sink at all
         ["sweep", "--axis", "g", "--start", "1", "--stop", "2", "--steps", "3",
          "--lambda", "1", "--mu", "1"],
+        # too many steps, rejected before any grid is built
+        ["sweep", "--axis", "g", "--start", "1", "--stop", "2", "--steps", "1000001",
+         "--lambda", "1", "--mu", "1", "--json"],
+        # integer axis over a grid that overflows to inf and nan
+        ["sweep", "--axis", "n", "--start", "1", "--stop", "inf", "--steps", "3",
+         "--lambda", "1", "--mu", "1", "--g", "2", "--json"],
     ],
 )
 def test_sweep_usage_errors_exit_two(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "usage error" in err
+
+
+def test_sweep_step_bound_has_its_own_message(capsys):
+    argv = ["sweep", "--axis", "g", "--start", "1", "--stop", "2", "--lambda", "1", "--mu", "1"]
+    _, _, err = run_cli(capsys, *argv, "--steps", "1000001", "--json")
+    assert err == "usage error: sweep takes at most 1000000 steps, got 1000001\n"
+    _, _, err = run_cli(capsys, *argv, "--steps", "1", "--json")
+    assert err == "usage error: sweep needs steps >= 2, got 1\n"
 
 
 def test_sweep_unwritable_output_exits_four(capsys):
@@ -252,21 +268,23 @@ def test_overflowing_filter_gain_names_the_violated_condition(capsys):
 
 
 def test_non_finite_sweep_row_writes_no_csv(tmp_path, capsys, monkeypatch):
-    # no closed form yields a non-finite row any more, so plant one: the CSV
-    # sink passes the same gate as the JSON one, before anything is written
+    # no closed form yields a non-finite row any more, so plant one in the
+    # columns, past their own checks: both sinks pass the same gate, before
+    # anything is written
+    columns = formulas.columns
     monkeypatch.setattr(
-        "ampurify.formulas.fidelity_report",
-        lambda ens: SimpleNamespace(det=math.inf, prob=1.0, cft=0.5),
+        "ampurify.formulas.columns",
+        lambda *a, **k: {**columns(*a, **k), "f_det": np.full(3, math.inf)},
     )
     out_path = tmp_path / "rows.csv"
-    code, out, err = run_cli(
-        capsys, "sweep", "--axis", "g", "--start", "1", "--stop", "2", "--steps", "3",
-        "--lambda", "1", "--mu", "1", "--out", str(out_path),
-    )
-    assert code == 3
-    assert out == ""
-    assert err.startswith("domain error: result is not finite")
-    assert not out_path.exists()
+    argv = ["sweep", "--axis", "g", "--start", "1", "--stop", "2", "--steps", "3",
+            "--lambda", "1", "--mu", "1"]
+    for sink in (["--out", str(out_path)], ["--json"]):
+        code, out, err = run_cli(capsys, *argv, *sink)
+        assert code == 3
+        assert out == ""
+        assert err == "domain error: result is not finite: result.rows[0].f_det = inf\n"
+        assert not out_path.exists()
 
 
 def test_overflowing_gain_evaluates_to_zero_fidelity(capsys):

@@ -31,18 +31,25 @@ EXTREMES = ["eval --lambda 1 --mu 1 --g 1e200",
             "regimes --lambda 1e-300 --mu 1 --g 2 --json",
             "eval --lambda 1e-200 --mu 1e-200 --g 1e-200 --json"]
 #: results that are not finite or overflow (a domain error, exit 3), in the
-#: text view too
+#: text view too, and sweeps whose rows fail a task or tuning check (the
+#: first failing row names the error, in both sinks)
 BOUNDARY = ["regimes --lambda 1e300 --mu 1e-300 --g 1",
             "regimes --lambda 1e300 --mu 1e-300 --g 1 --json",
             "photons --mode det --lambda 1 --mu 1 --g 1e200",
             "photons --mode prob --lambda 1 --mu 1 --g 1e200"]
+BOUNDARY += [f"sweep {s} {sink}" for s in
+             ("--axis g --start -1 --stop 2 --steps 4 --lambda 1 --mu 1",
+              "--axis lambda --start 1e-300 --stop 1e300 --steps 50 --mu 1e-300 --g 1")
+             for sink in ("--json", "--out CSV")]
 #: the usage errors of tests/test_cli.py::test_sweep_usage_errors_exit_two
 USAGE = ["sweep --axis g --start 1 --stop 2 --steps 3 --lambda 1 --mu 1 --g 2 --json",
          "sweep --axis g --start 1 --stop 2 --steps 3 --lambda 1 --json",
          "sweep --axis g --start 2 --stop 1 --steps 3 --lambda 1 --mu 1 --json",
          "sweep --axis g --start 1 --stop 2 --steps 1 --lambda 1 --mu 1 --json",
          "sweep --axis n --start 1 --stop 4 --steps 5 --lambda 1 --mu 1 --g 2 --json",
-         "sweep --axis g --start 1 --stop 2 --steps 3 --lambda 1 --mu 1"]
+         "sweep --axis g --start 1 --stop 2 --steps 3 --lambda 1 --mu 1",
+         "sweep --axis g --start 1 --stop 2 --steps 1000001 --lambda 1 --mu 1 --json",
+         "sweep --axis n --start 1 --stop inf --steps 3 --lambda 1 --mu 1 --g 2 --json"]
 #: the other exit paths of main: an I/O failure (exit 4), argparse rejections
 #: and help (SystemExit 2 and 0), and a tune underflow (exit 3)
 EXITS = ["sweep --axis g --start 1 --stop 2 --steps 3 --lambda 1 --mu 1 --out missing/x.csv",
