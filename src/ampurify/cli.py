@@ -230,6 +230,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     fixed = MultimodeTask(**fields)
     # Bad start/stop/steps come straight from the flags, so they are usage
     # errors (exit 2), not domain errors.
+    if not (math.isfinite(args.start) and math.isfinite(args.stop)):
+        raise _UsageError(f"sweep needs finite start and stop, got [{args.start!r}, {args.stop!r}]")
     if not args.start < args.stop:
         raise _UsageError(f"sweep needs start < stop, got [{args.start!r}, {args.stop!r}]")
     if args.steps < 2:

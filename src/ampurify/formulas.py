@@ -234,8 +234,9 @@ def columns(lam, mu, g, n_in, m_out) -> dict:
     """Every sweep field, keyed like a sweep row, by the scalar API's code: the
     task fields as numbers, one a numpy column.  Every branch runs on every row
     (call it under ``np.errstate``); ``regime`` indexes ``params.REGIMES``.
-    ``valid`` asks mu, lambda', g' finite and positive, 0 <= cft <= det <= prob
-    <= 1 and z, cos_theta (so y) > 0, so it is false where any check fails."""
+    ``valid`` asks mu, lambda', g' finite and positive, ``FidelityReport``'s
+    checks with its slack and z, cos_theta (so y) > 0: it is false exactly
+    where a check fails."""
     lam_p, g_p = _reduced(lam, g, n_in, m_out)
     landmarks = _landmarks(lam_p, mu)
     det, plateau, regime = _regime_codes(g_p, landmarks)
@@ -243,8 +244,10 @@ def columns(lam, mu, g, n_in, m_out) -> dict:
     f_prob, f_cft = _pick(plateau, _PROB_BRANCHES, lam_p, mu, g_p), _cft_value(lam_p, mu, g_p)
     cosh_r, y, cos_theta, z = _tuning(g_p, landmarks, det, plateau)
     valid = (_finite_positive(mu) & _finite_positive(lam_p) & _finite_positive(g_p)
-             & (0.0 <= f_cft) & (f_cft <= f_det) & (f_det <= f_prob) & (f_prob <= 1.0)
+             & (f_prob >= f_det - _ORDER_TOL) & (f_det >= f_cft - _ORDER_TOL)
              & (z > 0.0) & (cos_theta > 0.0))
+    for f in (f_det, f_prob, f_cft):
+        valid = valid & (-_ORDER_TOL <= f) & (f <= 1.0 + _ORDER_TOL)
     names = "g_prime f_det f_prob f_cft regime cosh_r y cos_theta z valid".split()
     return dict(zip(names, np.broadcast_arrays(
         g_p, f_det, f_prob, f_cft, regime, cosh_r, y, cos_theta, z, valid)))

@@ -14,10 +14,18 @@ order; a result passes when |expected - observed| <= tolerance.  Results
 ending in ``_shortfall`` are one-sided: they report how far a required
 margin was undershot, which must be exactly zero.
 
+Most closed-form entries are one reducer (``_gap``, ``_join``,
+``_shortfall``) over ``_grid``, the ensembles at each (lambda', mu) of
+``_LAM_MU`` and at gains read off its landmarks; the oracle points fold
+through ``_oracle_gap``.  Every worst-case fold is a numpy reduction, which
+keeps a NaN where Python's ``max(0.0, nan)`` would drop it.
+
 A function that raises fails each of its results and records the exception
-in ``CheckResult.error``.  Wall times (a group's charged to its first
-result) are kept out of ``render`` and ``to_json_dict``, so repeated runs
-with the same arguments produce byte-identical reports.
+in ``CheckResult.error``; a non-finite expected or observed value fails its
+result too, named in ``error`` and written to JSON as null.  Wall times (a
+group's charged to its first result) are kept out of ``render`` and
+``to_json_dict``, so repeated runs with the same arguments produce
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 # imported here rather than on first use: numpy loads numpy.random lazily
@@ -40,7 +48,7 @@ from .gaussian import (
     apply_gaussian,
     avg_fidelity_gaussian,
 )
-from .params import MultimodeTask, NoisyEnsemble, passive_filter_gain, thresholds
+from .params import MultimodeTask, NoisyEnsemble, _landmarks
 from .scalaropt import golden_section_min
 
 #: (lambda', mu) pairs for the scalar property checks
@@ -60,6 +68,7 @@ _ORACLE_N_C = (0.5, 1.0, 2.0)
 _ORACLE_N_T = (0.25, 0.5, 1.0)
 
 Pair = tuple[float, float]
+Rule = Callable[[NoisyEnsemble], float]
 
 
 @dataclass(frozen=True)
@@ -98,8 +107,9 @@ class VerifyReport:
     def to_json_dict(self) -> dict:
         """JSON payload; deliberately excludes timings for reproducibility.
 
-        A crashed check carries its ``error`` and a null ``observed``, so the
-        payload holds no non-standard NaN token for it.
+        A non-finite ``expected`` or ``observed`` (a crashed check's among
+        them) is written as null, so the payload holds no non-standard
+        NaN or Infinity token.
         """
         return {
             "level": self.level,
@@ -109,8 +119,8 @@ class VerifyReport:
             "checks": [
                 {
                     "name": c.name,
-                    "expected": c.expected,
-                    "observed": None if c.error else c.observed,
+                    "expected": _finite_or_none(c.expected),
+                    "observed": _finite_or_none(c.observed),
                     "tolerance": c.tolerance,
                     "relative": c.relative,
                     "passed": c.passed,
@@ -143,13 +153,12 @@ class VerifyReport:
         return "\n".join(lines)
 
 
+def _finite_or_none(value: float) -> float | None:
+    return value if math.isfinite(value) else None
+
+
 def _ens(lam: float, mu: float, g: float) -> NoisyEnsemble:
     return NoisyEnsemble(lambda_prime=lam, mu=mu, g_prime=g)
-
-
-def _scan_max(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    x, fx = golden_section_min(lambda u: -f(u), lo, hi, tol=1e-12)
-    return x, -fx
 
 
 # ---------------------------------------------------------------------------
@@ -157,105 +166,45 @@ def _scan_max(f: Callable[[float], float], lo: float, hi: float) -> tuple[float,
 # ---------------------------------------------------------------------------
 
 
-def _join_gap(value: Callable[[NoisyEnsemble], float], lam: float, mu: float,
-              landmark: float) -> float:
-    """|value| one float below a landmark gain against one float above it,
-    where the two neighbouring branches of ``value`` meet."""
-    below = value(_ens(lam, mu, math.nextafter(landmark, 0.0)))
-    above = value(_ens(lam, mu, math.nextafter(landmark, math.inf)))
-    return abs(below - above)
+def _grid(gains: Callable[[float, float, float], tuple]) -> list[NoisyEnsemble]:
+    """The ensembles at every (lambda', mu) of ``_LAM_MU``, at each gain of
+    ``gains(s, p, a)`` of the landmarks there: s = S/N_C, p the filter
+    plateau, a the amplify threshold."""
+    return [_ens(lam, mu, g) for lam, mu in _LAM_MU for g in gains(*_landmarks(lam, mu))]
 
 
-def _check_det_branch_join(seed: int, dim: int) -> Pair:
-    return 0.0, max(
-        _join_gap(formulas.det_fidelity, lam, mu, thresholds(_ens(lam, mu, 1.0))[0])
-        for lam, mu in _LAM_MU
-    )
+def _gap(lhs: Rule, rhs: Rule, gains: Callable) -> Pair:
+    """(0, max |lhs - rhs|) over ``_grid(gains)``."""
+    return 0.0, np.max([abs(lhs(e) - rhs(e)) for e in _grid(gains)])
 
 
-def _check_prob_branch_join(seed: int, dim: int) -> Pair:
-    return 0.0, max(
-        _join_gap(formulas.prob_fidelity, lam, mu, thresholds(_ens(lam, mu, 1.0))[1])
-        for lam, mu in _LAM_MU
-    )
+def _shortfall(lhs: Rule, rhs: Rule, gains: Callable) -> Pair:
+    """(0, how far min (lhs - rhs) over ``_grid(gains)`` falls short of
+    ``_MARGIN_FLOOR``), which is 0 when lhs beats rhs by the floor everywhere."""
+    return 0.0, np.maximum(0.0, _MARGIN_FLOOR - np.min([lhs(e) - rhs(e) for e in _grid(gains)]))
 
 
-def _check_attenuate_branch(seed: int, dim: int) -> tuple[Pair, Pair]:
-    # the attenuating branch meets the identity one at S/N_C, and below it the
-    # heralded optimum is no better (at S/N_C itself see _check_tangency_point)
-    worst_join = worst_gap = 0.0
-    for lam, mu in _LAM_MU:
-        tangency = passive_filter_gain(_ens(lam, mu, 1.0))
-        worst_join = max(worst_join, _join_gap(formulas.det_fidelity, lam, mu, tangency))
-        for g in (0.1, 0.5, 1.0, 0.5 * (1.0 + tangency)):
-            ens = _ens(lam, mu, g)
-            worst_gap = max(
-                worst_gap, abs(formulas.prob_fidelity(ens) - formulas.det_fidelity(ens))
-            )
-    return (0.0, worst_join), (0.0, worst_gap)
-
-
-def _check_det_prob_coincide(seed: int, dim: int) -> Pair:
-    worst = 0.0
-    for lam, mu in _LAM_MU:
-        det_thr, _ = thresholds(_ens(lam, mu, 1.0))
-        for g in (det_thr, 1.5 * det_thr, 3.0 * det_thr):
-            ens = _ens(lam, mu, g)
-            worst = max(
-                worst, abs(formulas.prob_fidelity(ens) - formulas.det_fidelity(ens))
-            )
-    return 0.0, worst
-
-
-def _check_advantage_window(seed: int, dim: int) -> Pair:
-    min_gap = math.inf
-    for lam, mu in _LAM_MU:
-        ens1 = _ens(lam, mu, 1.0)
-        det_thr, _ = thresholds(ens1)
-        tangency = passive_filter_gain(ens1)
-        for frac in _WINDOW_FRACTIONS:
-            g = tangency + frac * (det_thr - tangency)
-            ens = _ens(lam, mu, g)
-            min_gap = min(
-                min_gap, formulas.prob_fidelity(ens) - formulas.det_fidelity(ens)
-            )
-    return 0.0, max(0.0, _MARGIN_FLOOR - min_gap)
-
-
-def _check_tangency_point(seed: int, dim: int) -> Pair:
-    # the probabilistic advantage gap has a double root where the tuned
-    # filter turns passive: g' = S/N_C, the left edge of the window
-    worst = 0.0
-    for lam, mu in _LAM_MU:
-        ens = _ens(lam, mu, passive_filter_gain(_ens(lam, mu, 1.0)))
-        worst = max(worst, abs(formulas.prob_fidelity(ens) - formulas.det_fidelity(ens)))
-    return 0.0, worst
-
-
-def _check_quantum_beats_classical(seed: int, dim: int) -> Pair:
-    min_margin = math.inf
-    for lam, mu in _LAM_MU:
-        for g in (0.5, 0.9, 1.0, 1.4, 2.0, 3.0):
-            ens = _ens(lam, mu, g)
-            min_margin = min(min_margin, formulas.det_fidelity(ens) - formulas.cft(ens))
-    return 0.0, max(0.0, _MARGIN_FLOOR - min_margin)
+def _join(f: Rule, gains: Callable) -> Pair:
+    """``_gap`` of f one float below each gain against one float above it,
+    where two neighbouring branches of f meet."""
+    def nudged(toward: float) -> Rule:
+        return lambda e: f(_ens(e.lambda_prime, e.mu, math.nextafter(e.g_prime, toward)))
+    return _gap(nudged(0.0), nudged(math.inf), gains)
 
 
 def _check_gaussian_noise_laws(seed: int, dim: int) -> Pair:
-    worst = 0.0
+    devs = []
     for nbar in (0.0, 0.5, 1.0, 3.0):
         state = DisplacedThermal(amp=0.7 + 0.2j, nbar=nbar)
         for r in (0.0, 0.3, 1.1):
             out = apply_gaussian(state, ChannelParam(ChannelKind.TWO_MODE_SQUEEZE, r))
             ch, sh2 = math.cosh(r), math.sinh(r) ** 2
-            worst = max(worst, abs(out.nbar - (ch * ch * nbar + sh2)))
-            worst = max(worst, abs(out.amp - ch * state.amp))
+            devs += [abs(out.nbar - (ch * ch * nbar + sh2)), abs(out.amp - ch * state.amp)]
         for theta in (0.0, 0.6, 1.2):
             out = apply_gaussian(state, ChannelParam(ChannelKind.ATTENUATE, theta))
             c = math.cos(theta)
-            worst = max(worst, abs(out.nbar - c * c * nbar))
-            worst = max(worst, abs(out.amp - c * state.amp))
-    return 0.0, worst
+            devs += [abs(out.nbar - c * c * nbar), abs(out.amp - c * state.amp)]
+    return 0.0, np.max(devs)
 
 
 _SQUEEZE_SCAN = ((1.0, 1.0, 3.5), (0.5, 0.5, 2.5), (2.0, 2.0, 9.0))
@@ -263,20 +212,20 @@ _ATTEN_SCAN = ((1.0, 1.0, 0.7), (0.5, 0.5, 0.9), (2.0, 2.0, 0.4), (1.0, 0.5, 1.5
 _MP_SCAN = ((1.0, 1.0, 2.0), (0.5, 2.0, 0.8), (2.0, 0.5, 1.5))
 
 
-def _scan_check(kind: ChannelKind, points: tuple, optimum: Callable[[NoisyEnsemble], float],
+def _scan_check(kind: ChannelKind, points: tuple, optimum: Rule,
                 interval: Callable, setting: Callable, tuned: Callable) -> tuple[Pair, Pair]:
     """One golden-section scan of a Gaussian protocol over ``interval(ens)`` per point: its
     maximum against ``optimum`` (relative), ``setting`` at its argmax against ``tuned``."""
-    worst_value = worst_arg = 0.0
+    devs = []
     for lam, mu, g in points:
         ens = _ens(lam, mu, g)
         target = optimum(ens)
-        x_num, best = _scan_max(
-            lambda x, e=ens: avg_fidelity_gaussian(e, ChannelParam(kind, x)), *interval(ens)
-        )
-        worst_value = max(worst_value, abs(best - target) / target)
-        worst_arg = max(worst_arg, abs(setting(x_num) - tuned(ens)))
-    return (0.0, worst_value), (0.0, worst_arg)
+        x_num, neg_best = golden_section_min(
+            lambda x, e=ens: -avg_fidelity_gaussian(e, ChannelParam(kind, x)), *interval(ens),
+            tol=1e-12)
+        devs.append((abs(-neg_best - target) / target, abs(setting(x_num) - tuned(ens))))
+    value, arg = np.max(devs, axis=0)
+    return (0.0, value), (0.0, arg)
 
 
 def _check_squeezer_scan(seed: int, dim: int) -> tuple[Pair, Pair]:
@@ -303,18 +252,9 @@ def _check_photon_det_worked(seed: int, dim: int) -> Pair:
     return 47.0 / 49.0, n_single
 
 
-def _check_photon_prob_passive(seed: int, dim: int) -> Pair:
-    worst = 0.0
-    for lam, mu in _LAM_MU:
-        task = MultimodeTask(lam=lam, mu=mu, g=1.2)
-        n_t_out, _, _ = formulas.photon_output_prob(task, 1.0)
-        worst = max(worst, abs(n_t_out - 1.0 / mu))
-    return 0.0, worst
-
-
 def _check_circulant_dense(seed: int, dim: int) -> Pair:
     rng = default_rng(seed)
-    worst = 0.0
+    devs = []
     for _ in range(100):
         size = int(rng.integers(2, 9))
         triple = bounds.CirculantTriple(
@@ -325,9 +265,9 @@ def _check_circulant_dense(seed: int, dim: int) -> Pair:
         )
         prod = complex(np.prod(bounds.circulant_eigs(triple)))
         det = float(np.linalg.det(bounds.circulant_dense(triple)))
-        worst = max(worst, abs(prod.real - det) / max(abs(det), 1e-300))
-        worst = max(worst, abs(prod.imag) / max(abs(det), 1e-300))
-    return 0.0, worst
+        devs += [abs(prod.real - det) / max(abs(det), 1e-300),
+                 abs(prod.imag) / max(abs(det), 1e-300)]
+    return 0.0, np.max(devs)
 
 
 def _check_root_worked_point(seed: int, dim: int) -> Pair:
@@ -338,33 +278,12 @@ def _check_root_worked_point(seed: int, dim: int) -> Pair:
 def _check_det_bound_minimum(seed: int, dim: int) -> tuple[Pair, Pair]:
     # one minimisation per point feeds both the minimiser and the minimum;
     # the gains cover all three branches of the deterministic optimum
-    worst_kappa = worst_value = 0.0
-    for lam, mu in _LAM_MU:
-        ens1 = _ens(lam, mu, 1.0)
-        det_thr, _ = thresholds(ens1)
-        tangency = passive_filter_gain(ens1)
-        gains = (0.5, 0.5 * (1.0 + tangency), tangency, 0.5 * (tangency + det_thr),
-                 det_thr, det_thr + 0.5, 2.0 * det_thr)
-        for g in gains:
-            ens = _ens(lam, mu, g)
-            k_num, f_num = bounds.minimize_det_bound(ens)
-            worst_kappa = max(worst_kappa, abs(k_num - bounds.kappa_star(ens)))
-            worst_value = max(worst_value, abs(f_num - formulas.det_fidelity(ens)))
-    return (0.0, worst_kappa), (0.0, worst_value)
-
-
-def _check_bound_edge_prob(seed: int, dim: int) -> Pair:
-    worst = 0.0
-    for lam, mu in _LAM_MU:
-        ens1 = _ens(lam, mu, 1.0)
-        _, prob_thr = thresholds(ens1)
-        for g in (1.1, 0.6 * prob_thr + 0.4, prob_thr, prob_thr + 1.0):
-            ens = _ens(lam, mu, g)
-            worst = max(
-                worst,
-                abs(bounds.prob_via_kappa_prime(ens) - formulas.prob_fidelity(ens)),
-            )
-    return 0.0, worst
+    devs = []
+    for ens in _grid(lambda s, p, a: (0.5, 0.5 * (1.0 + s), s, 0.5 * (s + a), a, a + 0.5, 2.0 * a)):
+        k_num, f_num = bounds.minimize_det_bound(ens)
+        devs.append((abs(k_num - bounds.kappa_star(ens)), abs(f_num - formulas.det_fidelity(ens))))
+    kappa, value = np.max(devs, axis=0)
+    return (0.0, kappa), (0.0, value)
 
 
 def _check_det_limit_finite_product(seed: int, dim: int) -> Pair:
@@ -426,18 +345,32 @@ def _check_fock_filter_prob(seed: int, dim: int) -> Pair:
     return formulas.prob_fidelity(ens), value
 
 
+# entries look functions up when they run, so a patched formulas function is checked
 FAST_CHECKS = (
-    (_check_det_branch_join, ("det_branches_join_at_threshold", 1e-12)),
-    (_check_prob_branch_join, ("prob_branches_join_at_plateau", 1e-12)),
-    (
-        _check_attenuate_branch,
-        ("det_branches_join_at_passive_filter_gain", 1e-12),
-        ("det_prob_coincide_up_to_passive_filter_gain", 1e-12),
-    ),
-    (_check_det_prob_coincide, ("det_prob_coincide_past_threshold", 1e-12)),
-    (_check_advantage_window, ("prob_beats_det_inside_window_shortfall", 0.0)),
-    (_check_tangency_point, ("prob_det_tangent_at_passive_filter_gain", 1e-13)),
-    (_check_quantum_beats_classical, ("quantum_beats_classical_shortfall", 0.0)),
+    (lambda *_: _join(formulas.det_fidelity, lambda s, p, a: (a,)),
+     ("det_branches_join_at_threshold", 1e-12)),
+    (lambda *_: _join(formulas.prob_fidelity, lambda s, p, a: (p,)),
+     ("prob_branches_join_at_plateau", 1e-12)),
+    # the attenuating branch meets the identity one at S/N_C, and below it the
+    # heralded optimum is no better (at S/N_C itself see the tangency entry)
+    (lambda *_: _join(formulas.det_fidelity, lambda s, p, a: (s,)),
+     ("det_branches_join_at_passive_filter_gain", 1e-12)),
+    (lambda *_: _gap(formulas.prob_fidelity, formulas.det_fidelity,
+                     lambda s, p, a: (0.1, 0.5, 1.0, 0.5 * (1.0 + s))),
+     ("det_prob_coincide_up_to_passive_filter_gain", 1e-12)),
+    (lambda *_: _gap(formulas.prob_fidelity, formulas.det_fidelity,
+                     lambda s, p, a: (a, 1.5 * a, 3.0 * a)),
+     ("det_prob_coincide_past_threshold", 1e-12)),
+    (lambda *_: _shortfall(formulas.prob_fidelity, formulas.det_fidelity,
+                           lambda s, p, a: [s + f * (a - s) for f in _WINDOW_FRACTIONS]),
+     ("prob_beats_det_inside_window_shortfall", 0.0)),
+    # the probabilistic advantage gap has a double root where the tuned
+    # filter turns passive: g' = S/N_C, the left edge of the window
+    (lambda *_: _gap(formulas.prob_fidelity, formulas.det_fidelity, lambda s, p, a: (s,)),
+     ("prob_det_tangent_at_passive_filter_gain", 1e-13)),
+    (lambda *_: _shortfall(formulas.det_fidelity, formulas.cft,
+                           lambda *_: (0.5, 0.9, 1.0, 1.4, 2.0, 3.0)),
+     ("quantum_beats_classical_shortfall", 0.0)),
     (
         lambda seed, dim: (3.0 / 11.0, formulas.cft(_ens(1.0, 1.0, 2.0))),
         ("cft_worked_point_thermal", 1e-13),
@@ -463,7 +396,10 @@ FAST_CHECKS = (
         ("heterodyne_scan_argmax_matches_tuning", 1e-6),
     ),
     (_check_photon_det_worked, ("photon_output_det_worked_ratio", 1e-12)),
-    (_check_photon_prob_passive, ("photon_output_prob_passive_filter", 1e-12)),
+    (lambda *_: _gap(lambda e: formulas.photon_output_prob(
+        MultimodeTask(e.lambda_prime, e.mu, e.g_prime), 1.0)[0], lambda e: 1.0 / e.mu,
+        lambda *_: (1.2,)),
+     ("photon_output_prob_passive_filter", 1e-12)),
     (_check_circulant_dense, ("circulant_eigs_match_dense_det", 1e-10)),
     (_check_root_worked_point, ("root_worked_point_y_plus", 1e-12)),
     (
@@ -471,7 +407,9 @@ FAST_CHECKS = (
         ("kappa_star_matches_search", 1e-8),
         ("minimized_bound_matches_det", 1e-12),
     ),
-    (_check_bound_edge_prob, ("bound_edge_matches_prob", 1e-12)),
+    (lambda *_: _gap(bounds.prob_via_kappa_prime, formulas.prob_fidelity,
+                     lambda s, p, a: (1.1, 0.6 * p + 0.4, p, p + 1.0)),
+     ("bound_edge_matches_prob", 1e-12)),
     (_check_det_limit_finite_product, ("det_limit_matches_finite_product", 1e-3)),
     (_check_deficit_terms_worked, ("filter_deficit_terms_worked_point", 1e-15)),
     (_check_filter_pole_rejected, ("filter_pole_rejected", 0.0)),
@@ -487,31 +425,33 @@ FAST_CHECKS = (
 # ---------------------------------------------------------------------------
 
 
+def _oracle_gap(points: Iterable, dim: int) -> Pair:
+    """(0, max |avg_fidelity_numeric - closed|) over (ensemble, channel,
+    closed) points, at cutoff dim and 80 radial nodes."""
+    return 0.0, np.max([
+        abs(fock.avg_fidelity_numeric(ens, channel, dim=dim, radial_nodes=80) - closed)
+        for ens, channel, closed in points
+    ])
+
+
 def _check_oracle_grid(seed: int, dim: int) -> tuple[Pair, Pair]:
     # the tuned squeezer and the identity, scored on the same prior states
     # (fock.prior_states keeps them between consecutive calls)
-    worst_squeezer = worst_identity = 0.0
+    squeezer, identity = [], []
     for n_c in _ORACLE_N_C:
         for n_t in _ORACLE_N_T:
-            det_thr, _ = thresholds(_ens(1.0 / n_c, 1.0 / n_t, 1.0))
-            for g in (det_thr, det_thr + 0.5, 2.0 * det_thr):
-                ens = _ens(1.0 / n_c, 1.0 / n_t, g)
-                r = math.acosh(formulas.tune(ens).cosh_r)
-                value = fock.avg_fidelity_numeric(
-                    ens,
-                    fock.ShiftKraus.squeezer(r, 64, dim_anc=64),
-                    dim=64,
-                    radial_nodes=80,
-                )
-                worst_squeezer = max(worst_squeezer, abs(value - formulas.det_fidelity(ens)))
-            for g in (1.0, 1.2):
-                ens = _ens(1.0 / n_c, 1.0 / n_t, g)
-                value = fock.avg_fidelity_numeric(
-                    ens, fock.ShiftKraus.identity(64), dim=64, radial_nodes=80
-                )
-                closed = avg_fidelity_gaussian(ens, ChannelParam(ChannelKind.IDENTITY))
-                worst_identity = max(worst_identity, abs(value - closed))
-    return (0.0, worst_squeezer), (0.0, worst_identity)
+            lam, mu = 1.0 / n_c, 1.0 / n_t
+            a = _landmarks(lam, mu)[2]
+            amplified = [_ens(lam, mu, g) for g in (a, a + 0.5, 2.0 * a)]
+            squeezer.append(_oracle_gap(
+                ((e, fock.ShiftKraus.squeezer(math.acosh(formulas.tune(e).cosh_r), 64, dim_anc=64),
+                  formulas.det_fidelity(e)) for e in amplified), 64)[1])
+            unamplified = [_ens(lam, mu, 1.0), _ens(lam, mu, 1.2)]
+            identity.append(_oracle_gap(
+                ((e, fock.ShiftKraus.identity(64),
+                  avg_fidelity_gaussian(e, ChannelParam(ChannelKind.IDENTITY))) for e in unamplified),
+                64)[1])
+    return (0.0, np.max(squeezer)), (0.0, np.max(identity))
 
 
 def _check_oracle_attenuator(seed: int, dim: int) -> Pair:
@@ -540,39 +480,23 @@ def _check_filter_sweep(seed: int, dim: int) -> tuple[Pair, Pair, Pair]:
         for k in cuts
     ]
     target = formulas.prob_fidelity(ens)
-    monotone = 0.0
-    for lo, hi in zip(values, values[1:]):
-        monotone = max(monotone, lo - hi)
-    envelope = 0.0
-    for k, val in zip(cuts, values):
-        bound = bounds.filter_deficit_bound(ens, y, k)
-        envelope = max(envelope, abs(target - val) - bound - 1e-6)
-    return (0.0, monotone), (target, values[-1]), (0.0, max(0.0, envelope))
+    monotone = np.max([0.0] + [lo - hi for lo, hi in zip(values, values[1:])])
+    envelope = np.max([0.0] + [abs(target - val) - bounds.filter_deficit_bound(ens, y, k) - 1e-6
+                               for k, val in zip(cuts, values)])
+    return (0.0, monotone), (target, values[-1]), (0.0, envelope)
 
 
 def _check_oracle_heterodyne(seed: int, dim: int) -> Pair:
-    worst = 0.0
-    for lam, mu, g in ((1.0, 1e12, 1.0), (1.0, 1.0, 2.0)):
-        ens = _ens(lam, mu, g)
-        z = formulas.tune(ens).z
-        value = fock.avg_fidelity_numeric(
-            ens,
-            fock.Heterodyne(z),
-            dim=max(dim, 64),
-            radial_nodes=80,
-        )
-        worst = max(worst, abs(value - formulas.cft(ens)))
-    return 0.0, worst
+    return _oracle_gap(((ens, fock.Heterodyne(formulas.tune(ens).z), formulas.cft(ens))
+                        for ens in (_ens(1.0, 1e12, 1.0), _ens(1.0, 1.0, 2.0))), max(dim, 64))
 
 
 def _check_finite_p_trend(seed: int, dim: int) -> tuple[Pair, Pair]:
     rungs = (4, 8, 16, 32, 64)
-    monotone = 0.0
-    envelope = 0.0
+    rises, excess = [0.0], [0.0]
     for lam, mu in ((1.0, 1.0), (2.0, 4.0), (0.5, 1.0)):
-        ens1 = _ens(lam, mu, 1.0)
-        det_thr, _ = thresholds(ens1)
-        for g, env in ((det_thr, 1e-3), (det_thr + 0.5, 1e-3), (2.0 * det_thr, 2e-2)):
+        a = _landmarks(lam, mu)[2]
+        for g, env in ((a, 1e-3), (a + 0.5, 1e-3), (2.0 * a, 2e-2)):
             ens = _ens(lam, mu, g)
             kappa = 0.5 * bounds.kappa_prime(ens)
             w = bounds.coeffs(ens, kappa)
@@ -580,38 +504,32 @@ def _check_finite_p_trend(seed: int, dim: int) -> tuple[Pair, Pair]:
             devs = [
                 abs(bounds.det_limit_finite_p(w, p) - limit) / limit for p in rungs
             ]
-            for lo, hi in zip(devs, devs[1:]):
-                monotone = max(monotone, hi - lo - 1e-12)
-            envelope = max(envelope, devs[-1] - env)
-    return (0.0, max(0.0, monotone)), (0.0, max(0.0, envelope))
+            rises += [hi - lo - 1e-12 for lo, hi in zip(devs, devs[1:])]
+            excess.append(devs[-1] - env)
+    return (0.0, np.max(rises)), (0.0, np.max(excess))
 
 
 def _check_cft_norm_points(seed: int, dim: int) -> Pair:
-    worst = 0.0
-    for lam, mu, g in ((1.0, 1.0, 1.5), (0.5, 2.0, 1.5), (1.0, 0.5, 2.0)):
-        ens = _ens(lam, mu, g)
-        numeric, closed = bounds.cft_norm_check(ens)
-        worst = max(worst, abs(numeric - closed) / closed)
-    return 0.0, worst
+    checks = (bounds.cft_norm_check(_ens(lam, mu, g))
+              for lam, mu, g in ((1.0, 1.0, 1.5), (0.5, 2.0, 1.5), (1.0, 0.5, 2.0)))
+    return 0.0, np.max([abs(numeric - closed) / closed for numeric, closed in checks])
 
 
 def _check_gaussian_vs_fock(seed: int, dim: int) -> Pair:
-    worst = 0.0
     pairs = (
         (_ens(1.0, 1.0, 2.0), ChannelParam(ChannelKind.TWO_MODE_SQUEEZE, 0.6)),
         (_ens(0.5, 2.0, 1.3), ChannelParam(ChannelKind.TWO_MODE_SQUEEZE, 0.3)),
         (_ens(1.0, 0.5, 0.8), ChannelParam(ChannelKind.ATTENUATE, 0.5)),
     )
     cutoff = max(dim, 64)
-    for ens, ch in pairs:
-        closed = avg_fidelity_gaussian(ens, ch)
+
+    def channel(ch: ChannelParam) -> fock.ShiftKraus:
         if ch.kind is ChannelKind.TWO_MODE_SQUEEZE:
-            channel = fock.ShiftKraus.squeezer(ch.value, cutoff, dim_anc=64)
-        else:
-            channel = fock.ShiftKraus.attenuator(ch.value, cutoff)
-        value = fock.avg_fidelity_numeric(ens, channel, dim=cutoff, radial_nodes=80)
-        worst = max(worst, abs(value - closed))
-    return 0.0, worst
+            return fock.ShiftKraus.squeezer(ch.value, cutoff, dim_anc=64)
+        return fock.ShiftKraus.attenuator(ch.value, cutoff)
+
+    return _oracle_gap(((ens, channel(ch), avg_fidelity_gaussian(ens, ch)) for ens, ch in pairs),
+                       cutoff)
 
 
 def _check_angular_reduction(seed: int, dim: int) -> Pair:
@@ -693,9 +611,13 @@ def run_suite(level: str = "fast", seed: int = 7, dim: int = 64) -> VerifyReport
             pairs = [(0.0, math.nan)] * len(results)
         ms = (time.perf_counter() - t0) * 1e3
         for (name, tolerance), (expected, observed) in zip(results, pairs, strict=True):
+            # a non-finite value fails the comparison below and is named here
+            value_error = error or next((f"{label} is not finite: {value!r}" for label, value in
+                                         zip(("expected", "observed"), (expected, observed))
+                                         if not math.isfinite(value)), None)
             passed = bool(abs(expected - observed) <= tolerance)
             report.checks.append(
-                CheckResult(name, expected, observed, tolerance, False, passed, ms, error)
+                CheckResult(name, expected, observed, tolerance, False, passed, ms, value_error)
             )
             ms = 0.0  # a grouped check's time is charged to its first result
     return report

@@ -198,6 +198,12 @@ def test_sweep_over_input_copies_takes_integer_grid(tmp_path, capsys):
         # integer axis over a grid that overflows to inf and nan
         ["sweep", "--axis", "n", "--start", "1", "--stop", "inf", "--steps", "3",
          "--lambda", "1", "--mu", "1", "--g", "2", "--json"],
+        # float axis to inf, where linspace would make 0 * inf = nan
+        ["sweep", "--axis", "g", "--start", "1", "--stop", "inf", "--steps", "3",
+         "--lambda", "1", "--mu", "1", "--json"],
+        # a nan bound
+        ["sweep", "--axis", "g", "--start=nan", "--stop", "2", "--steps", "3",
+         "--lambda", "1", "--mu", "1", "--json"],
     ],
 )
 def test_sweep_usage_errors_exit_two(capsys, argv):
@@ -212,6 +218,17 @@ def test_sweep_step_bound_has_its_own_message(capsys):
     assert err == "usage error: sweep takes at most 1000000 steps, got 1000001\n"
     _, _, err = run_cli(capsys, *argv, "--steps", "1", "--json")
     assert err == "usage error: sweep needs steps >= 2, got 1\n"
+
+
+@pytest.mark.parametrize("axis, fixed", [("g", []), ("n", ["--g", "2"])])
+@pytest.mark.parametrize("start, stop", [("1", "inf"), ("-inf", "2"), ("nan", "2")])
+def test_sweep_non_finite_bounds_have_their_own_message(capsys, axis, fixed, start, stop):
+    code, out, err = run_cli(capsys, "sweep", "--axis", axis, f"--start={start}",
+                             f"--stop={stop}", "--steps", "3", "--lambda", "1", "--mu", "1",
+                             *fixed, "--json")
+    assert (code, out) == (2, "")
+    assert err == (f"usage error: sweep needs finite start and stop, "
+                   f"got [{float(start)!r}, {float(stop)!r}]\n")
 
 
 def test_sweep_unwritable_output_exits_four(capsys):
@@ -437,6 +454,34 @@ def test_verify_exit_five_on_any_failure(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--level", "fast")
     assert code == 5
     assert "FAIL" in out
+
+
+def test_verify_non_finite_value_fails_its_check_and_exits_five(capsys, monkeypatch):
+    # Python's max(0.0, nan) is 0.0: every fold must let the NaN through
+    monkeypatch.setattr(formulas, "prob_fidelity", lambda ens: math.nan)
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    code, out, err = run_cli(capsys, "verify", "--level", "fast", "--json")
+    assert code == 5
+    checks = json.loads(out, parse_constant=reject)["result"]["checks"]
+    failed = [c for c in checks if not c["passed"]]
+    assert [c["name"] for c in failed] == [
+        "prob_branches_join_at_plateau",
+        "det_prob_coincide_up_to_passive_filter_gain",
+        "det_prob_coincide_past_threshold",
+        "prob_beats_det_inside_window_shortfall",
+        "prob_det_tangent_at_passive_filter_gain",
+        "bound_edge_matches_prob",
+        "fock_filter_approaches_prob",
+    ]
+    assert failed[-1]["expected"] is None and failed[-1]["error"] == "expected is not finite: nan"
+    assert all(c["observed"] is None for c in failed[:-1])
+    assert all(c["error"] == "observed is not finite: nan" for c in failed[:-1])
+    code, out, _ = run_cli(capsys, "verify", "--level", "fast")
+    assert code == 5
+    assert out.splitlines()[-1] == f"{len(checks) - 7}/{len(checks)} checks passed"
 
 
 # ---------------------------------------------------------------------------

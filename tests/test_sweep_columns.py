@@ -90,6 +90,19 @@ def test_sweep_rows_are_the_scalar_values_bit_for_bit(axis, lam, mu, g, n, m, en
         argv += [f"--{flag}", repr(value)]
     code, out, err, csv = _sweep(argv)
 
+    # the columns' valid mask clears exactly the rows the scalar path accepts
+    accepted = []
+    for value in (float(lo), float(hi)):
+        try:
+            _scalar_row(fields, axis, value)
+        except DomainError:
+            accepted.append(False)
+        else:
+            accepted.append(True)
+    with np.errstate(all="ignore"):
+        grid = np.array([float(lo), float(hi)])
+        assert formulas.columns(**{**fields, AXES[axis]: grid})["valid"].tolist() == accepted
+
     expected = []
     try:
         for value in (float(lo), float(hi)):

@@ -49,7 +49,8 @@ USAGE = ["sweep --axis g --start 1 --stop 2 --steps 3 --lambda 1 --mu 1 --g 2 --
          "sweep --axis n --start 1 --stop 4 --steps 5 --lambda 1 --mu 1 --g 2 --json",
          "sweep --axis g --start 1 --stop 2 --steps 3 --lambda 1 --mu 1",
          "sweep --axis g --start 1 --stop 2 --steps 1000001 --lambda 1 --mu 1 --json",
-         "sweep --axis n --start 1 --stop inf --steps 3 --lambda 1 --mu 1 --g 2 --json"]
+         "sweep --axis n --start 1 --stop inf --steps 3 --lambda 1 --mu 1 --g 2 --json",
+         "sweep --axis g --start 1 --stop inf --steps 3 --lambda 1 --mu 1 --json"]
 #: the other exit paths of main: an I/O failure (exit 4), argparse rejections
 #: and help (SystemExit 2 and 0), and a tune underflow (exit 3)
 EXITS = ["sweep --axis g --start 1 --stop 2 --steps 3 --lambda 1 --mu 1 --out missing/x.csv",
@@ -61,6 +62,8 @@ EXITS += ["photons --mode det --lambda 1e300 --mu 1e-100 --g 1.5"]
 def commands() -> list[str]:
     cmds = [f"verify --level {lv} --seed 7 --dim 64{js}" for lv in ("fast", "full")
             for js in ("", " --json")]
+    # a second cutoff: several checks read dim or max(dim, 64)
+    cmds += [f"verify --level {lv} --seed 7 --dim 32 --json" for lv in ("fast", "full")]
     cmds += [f"{sub} {p}{js}" for p in POINTS
              for sub in ("eval", "regimes", "photons --mode det", "photons --mode prob")
              for js in ("", " --json")]
