@@ -12,8 +12,8 @@ b y^2 - a y + c = 0, and (det)^(1/p) -> b y+ whenever y+ >= 1 >= y-.
 The classical-threshold side bounds a cross norm by c1 times the operator
 norm of a prior-averaged displaced-filter/coherent-projector operator; that
 operator is phase covariant, so its norm is computed exactly per
-total-photon-number block and compared against the closed form
-``formulas.cft``.
+total-photon-number block, the blocks assembled one coherence order at a
+time, and compared against the closed form ``formulas.cft``.
 """
 
 from __future__ import annotations
@@ -267,10 +267,16 @@ def cft_norm_check(ens: NoisyEnsemble) -> tuple[float, float]:
     Gamma is the better-conditioned quadrature target, so the numerical
     value is its largest eigenvalue at _CFT_DIM levels per mode and
     _CFT_RADIAL_NODES prior nodes, whose input states are the oracle's own
-    stack, ``fock.prior_states``.  Being phase covariant, Gamma is
-    block-diagonal in the total photon number: each sector's block is one
-    contraction over the node axis of a contiguous slice of the whitened
-    stack, and the radial rule is exact up to truncation.
+    stack, ``fock.prior_states``, scored against targets whose entries
+    below ``fock._LOG_KET_FLOOR`` are zero.  Being phase covariant, Gamma
+    is block-diagonal in the total photon number, and it is assembled by
+    coherence order d of the input: with x the whitened stack and v the
+    weighted targets, entry (m, m+d) of sector m + a is
+    sum_p x_p[m, m+d] v_p[a] v_p[a-d], so each order is one matmul of the
+    stack's d-th diagonal against v[d:] v[:-d], scattered into the lower
+    triangles of the sector blocks.  Each sector's top eigenvalue is taken
+    on its exact-size block, and the radial rule is exact up to
+    truncation.
 
     Truncation converges from above; it slows as g' decreases toward 1
     because the top eigenvector spreads to high photon number, so norm
@@ -280,15 +286,16 @@ def cft_norm_check(ens: NoisyEnsemble) -> tuple[float, float]:
     q_sigma = 1.0 / (1.0 + kappa_prime(ens))
     whiten = q_sigma ** (-np.arange(dim) / 2.0) / math.sqrt(1.0 - q_sigma)
     radii, w, states = fock.prior_states(ens.lambda_prime, ens.mu, dim, _CFT_RADIAL_NODES)
-    x = np.ascontiguousarray(np.moveaxis(states, 0, -1))  # node axis last, contracted
-    x *= whiten[:, None, None]
-    x *= whiten[:, None]
-    v = (fock._coherent_kets(ens.g_prime * radii, dim) * np.sqrt(w)[:, None]).T
+    v = fock._coherent_kets(ens.g_prime * radii, dim) * np.sqrt(w)[:, None]
+    # the lower triangle of sector m + a: blocks[m + a, m + d, m], input levels absolute
+    blocks = np.zeros((2 * dim - 1, dim, dim))
+    for d in range(dim):
+        m = np.arange(dim - d)[:, None]
+        x_d = np.diagonal(states, d, -2, -1) * (whiten[: dim - d] * whiten[d:])
+        blocks[m + m.T + d, m + d, m] = x_d.T @ (v[:, d:] * v[:, : dim - d])
     top = -math.inf
-    for tot in range(2 * dim - 1):
-        # sector tot: index pairs (tot - m2, m2) inside the cutoff, m2 in [lo, hi)
+    for tot, block in enumerate(blocks):
+        # sector tot holds input levels [lo, hi): the target level tot - m is inside the cutoff
         lo, hi = max(0, tot - dim + 1), min(tot, dim - 1) + 1
-        vm = v[tot - np.arange(lo, hi)]
-        block = np.einsum("ip,jp,ijp->ij", vm, vm, x[lo:hi, lo:hi])
-        top = max(top, float(np.linalg.eigvalsh(block).max()))
+        top = max(top, float(np.linalg.eigvalsh(block[lo:hi, lo:hi], UPLO="L").max()))
     return top, formulas.cft(ens)

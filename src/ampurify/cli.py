@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -232,6 +233,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # errors (exit 2), not domain errors.
     if not (math.isfinite(args.start) and math.isfinite(args.stop)):
         raise _UsageError(f"sweep needs finite start and stop, got [{args.start!r}, {args.stop!r}]")
+    # linspace steps by (stop - start) / (steps - 1), which must not overflow
+    if not math.isfinite(args.stop - args.start):
+        raise _UsageError(f"sweep needs a finite span --stop - --start, got "
+                          f"{args.stop!r} - {args.start!r} = {args.stop - args.start!r}")
     if not args.start < args.stop:
         raise _UsageError(f"sweep needs start < stop, got [{args.start!r}, {args.stop!r}]")
     if args.steps < 2:
@@ -384,7 +389,11 @@ def _add_task_flags(p: argparse.ArgumentParser, required: bool = True) -> None:
                    help="output copies M (default 1)")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call: each
+    subcommand's ``set_defaults(run=cmd_...)`` binds the function that its
+    module name refers to at that moment."""
     parser = argparse.ArgumentParser(
         prog="ampurify",
         description="Optimal fidelities for amplifying and purifying "

@@ -29,6 +29,9 @@ phase covariant (an optional angular grid re-checks this).  Its input
 states, ``prior_states``, are one cached, read-only real stack shared by
 every channel scored at the same (lambda', mu, dim) and by
 ``bounds.cft_norm_check``, built and scored ``_CHUNK`` nodes at a time.
+Target kets zero every entry below exp(``_LOG_KET_FLOOR``) = 1e-100, which
+moves no score by more than about 1e-98 and keeps the contractions off
+subnormal floats, on which the CPU is many times slower.
 """
 
 from __future__ import annotations
@@ -51,6 +54,10 @@ _WEIGHT_FLOOR = 1e-280
 
 #: prior nodes built or scored per batch, bounding every transient array
 _CHUNK = 16
+
+#: coherent-ket entries of log magnitude below this are zero (far nodes would
+#: otherwise reach 1e-320 and make their products subnormal)
+_LOG_KET_FLOOR = math.log(1e-100)
 
 #: (P input states, P target amplitudes) -> per-state (<t|out|t>, output trace)
 Scorer = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -108,11 +115,13 @@ def _coherent_kets(amps: np.ndarray, dim: int) -> np.ndarray:
     """Truncated coherent vectors, one row per amplitude (real unless an
     amplitude has a nonzero phase), assembled from log magnitudes: amplitudes
     far beyond the cutoff underflow to zero entries instead of overflowing
-    partial products (the exact limit of the truncated series)."""
+    partial products (the exact limit of the truncated series), and entries
+    below ``_LOG_KET_FLOOR`` are zero."""
     mod, phi, n = np.abs(amps)[:, None], np.angle(amps)[:, None], np.arange(dim)
     with np.errstate(divide="ignore", invalid="ignore"):  # n log 0 is 0 at n = 0
         n_log_mod = np.where(n > 0, n * np.log(mod), 0.0)
-    kets = np.exp(-0.5 * mod * mod + n_log_mod - 0.5 * _log_factorials(dim))
+    log_kets = -0.5 * mod * mod + n_log_mod - 0.5 * _log_factorials(dim)
+    kets = np.exp(np.where(log_kets < _LOG_KET_FLOOR, -np.inf, log_kets))
     return kets * np.exp(1j * phi * n) if phi.any() else kets
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ampurify import bounds, fock
 from ampurify.bounds import (
     CirculantTriple,
     amp_convergence_terms,
@@ -265,6 +266,25 @@ def test_cft_norm_check_converges_from_above():
     assert closed == cft(_ens(1.0, 1.0, 1.5))
     assert numeric >= closed
     assert (numeric - closed) / closed <= 1e-3
+
+
+@pytest.mark.parametrize("lam, mu, g", [(1.0, 1.0, 1.5), (0.5, 2.0, 1.5), (1.0, 0.5, 2.0)])
+def test_cft_norm_assembly_matches_dense_sector_reference(monkeypatch, lam, mu, g):
+    # Gamma[(a, m), (a', m')] = sum_p v_p[a] v_p[a'] x_p[m, m'] over the whitened
+    # stack, with every entry joining two total-photon sectors a + m != a' + m' zeroed
+    dim, nodes = 12, 40
+    monkeypatch.setattr(bounds, "_CFT_DIM", dim)
+    monkeypatch.setattr(bounds, "_CFT_RADIAL_NODES", nodes)
+    ens = _ens(lam, mu, g)
+    q = 1.0 / (1.0 + kappa_prime(ens))
+    whiten = q ** (-np.arange(dim) / 2.0) / math.sqrt(1.0 - q)
+    radii, w, states = fock.prior_states(lam, mu, dim, nodes)
+    x = whiten[:, None] * states * whiten
+    v = fock._coherent_kets(g * radii, dim) * np.sqrt(w)[:, None]
+    gamma = np.einsum("pa,pb,pmn->ambn", v, v, x).reshape(dim * dim, dim * dim)
+    total = np.add.outer(np.arange(dim), np.arange(dim)).ravel()
+    dense = np.linalg.eigvalsh(np.where(total[:, None] == total, gamma, 0.0)).max()
+    assert cft_norm_check(ens)[0] == pytest.approx(dense, rel=1e-13, abs=0.0)
 
 
 def test_tangency_gain_equals_photon_ratio():

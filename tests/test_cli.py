@@ -12,7 +12,7 @@ import pytest
 import numpy as np
 
 from ampurify import formulas
-from ampurify.cli import CSV_HEADER, main
+from ampurify.cli import CSV_HEADER, build_parser, main
 from ampurify.verify import CheckResult, VerifyReport
 
 
@@ -204,6 +204,11 @@ def test_sweep_over_input_copies_takes_integer_grid(tmp_path, capsys):
         # a nan bound
         ["sweep", "--axis", "g", "--start=nan", "--stop", "2", "--steps", "3",
          "--lambda", "1", "--mu", "1", "--json"],
+        # finite bounds whose span overflows, on a float and an integer axis
+        ["sweep", "--axis", "g", "--start=-1e308", "--stop", "1e308", "--steps", "3",
+         "--lambda", "1", "--mu", "1", "--json"],
+        ["sweep", "--axis", "n", "--start=-1e308", "--stop", "1e308", "--steps", "3",
+         "--lambda", "1", "--mu", "1", "--g", "2", "--json"],
     ],
 )
 def test_sweep_usage_errors_exit_two(capsys, argv):
@@ -229,6 +234,25 @@ def test_sweep_non_finite_bounds_have_their_own_message(capsys, axis, fixed, sta
     assert (code, out) == (2, "")
     assert err == (f"usage error: sweep needs finite start and stop, "
                    f"got [{float(start)!r}, {float(stop)!r}]\n")
+
+
+@pytest.mark.parametrize("axis, fixed", [("g", []), ("n", ["--g", "2"])])
+def test_sweep_overflowing_span_names_both_flags(capsys, axis, fixed):
+    code, out, err = run_cli(capsys, "sweep", "--axis", axis, "--start=-1e308",
+                             "--stop", "1e308", "--steps", "3", "--lambda", "1", "--mu", "1",
+                             *fixed, "--json")
+    assert (code, out) == (2, "")
+    assert err == ("usage error: sweep needs a finite span --stop - --start, "
+                   "got 1e+308 - -1e+308 = inf\n")
+
+
+def test_parser_is_built_once_and_keeps_no_flags_between_calls(capsys):
+    assert build_parser() is build_parser()
+    task = ("--lambda", "1", "--mu", "1", "--g", "2")
+    code, out, _ = run_cli(capsys, "regimes", *task, "--json")
+    assert code == 0 and out.startswith("{")
+    code, out, _ = run_cli(capsys, "regimes", *task)
+    assert code == 0 and not out.startswith("{")
 
 
 def test_sweep_unwritable_output_exits_four(capsys):

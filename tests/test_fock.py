@@ -47,6 +47,26 @@ def test_coherent_ket_energy_guard():
         coherent_ket(5.0, 64)
 
 
+def test_coherent_kets_zero_every_entry_below_the_floor(monkeypatch):
+    amps = np.linspace(0.0, 150.0, 3001)
+    kets = fock._coherent_kets(amps, 127)
+    assert not ((kets > 0.0) & (kets < 1e-100)).any()
+    monkeypatch.setattr(fock, "_LOG_KET_FLOOR", -math.inf)
+    exact = fock._coherent_kets(amps, 127)
+    moved = kets != exact
+    assert (kets[moved] == 0.0).all() and (exact[moved] < 1e-100).all()
+
+
+def test_ket_floor_leaves_the_squeezer_average_bit_identical(monkeypatch):
+    from ampurify.formulas import tune
+
+    ens = NoisyEnsemble(lambda_prime=1.0, mu=1.0, g_prime=3.5)
+    channel = ShiftKraus.squeezer(math.acosh(tune(ens).cosh_r), 64, dim_anc=64)
+    floored = avg_fidelity_numeric(ens, channel, dim=64, radial_nodes=80)
+    monkeypatch.setattr(fock, "_LOG_KET_FLOOR", -math.inf)
+    assert avg_fidelity_numeric(ens, channel, dim=64, radial_nodes=80) == floored
+
+
 def test_displaced_thermal_trace_and_occupation():
     rho = displaced_thermal_density(0.8, 0.7, 64)
     assert rho.trace() == pytest.approx(1.0, abs=1e-10)

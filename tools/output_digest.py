@@ -50,7 +50,10 @@ USAGE = ["sweep --axis g --start 1 --stop 2 --steps 3 --lambda 1 --mu 1 --g 2 --
          "sweep --axis g --start 1 --stop 2 --steps 3 --lambda 1 --mu 1",
          "sweep --axis g --start 1 --stop 2 --steps 1000001 --lambda 1 --mu 1 --json",
          "sweep --axis n --start 1 --stop inf --steps 3 --lambda 1 --mu 1 --g 2 --json",
-         "sweep --axis g --start 1 --stop inf --steps 3 --lambda 1 --mu 1 --json"]
+         "sweep --axis g --start 1 --stop inf --steps 3 --lambda 1 --mu 1 --json",
+         "sweep --axis g --start=nan --stop 2 --steps 3 --lambda 1 --mu 1 --json",
+         "sweep --axis g --start=-1e308 --stop 1e308 --steps 3 --lambda 1 --mu 1 --json",
+         "sweep --axis n --start=-1e308 --stop 1e308 --steps 3 --lambda 1 --mu 1 --g 2 --json"]
 #: the other exit paths of main: an I/O failure (exit 4), argparse rejections
 #: and help (SystemExit 2 and 0), and a tune underflow (exit 3)
 EXITS = ["sweep --axis g --start 1 --stop 2 --steps 3 --lambda 1 --mu 1 --out missing/x.csv",
