@@ -27,12 +27,7 @@ def main() -> None:
 
     ens = NoisyEnsemble(1.0, 1.0, 3.5)
     r = math.acosh(tune(ens).cosh_r)
-    numeric = fock.avg_fidelity_numeric(
-        ens,
-        fock.ShiftKraus.squeezer(r, 64, dim_anc=64),
-        dim=64,
-        radial_nodes=80,
-    )
+    numeric = fock.avg_fidelity_numeric(ens, fock.Amplifier(r), dim=64, radial_nodes=80)
     rows.append(("squeezer, g' = 3.5", numeric, det_fidelity(ens)))
 
     ens = NoisyEnsemble(1.0, 1.0, 1.5)

@@ -1,14 +1,15 @@
 """Truncated Fock-space brute-force oracle.
 
 Everything works on dense numpy matrices in the number basis {|0>, ...,
-|dim-1>}.  A channel is a description, of one of two kinds:
+|dim-1>}, and every state and channel comes from its closed form, so every
+entry inside the cutoff is exact.  A channel is a description, of one of
+three kinds:
 
 * ``ShiftKraus(weights, shift, dim_out)``: diagonal up to a photon-number
   shift, with Kraus operators A_k = sum_n W[n, k] |n + shift k><n|: the
-  two-mode squeezer (shift +1), the beamsplitter (-1), and the diagonal
-  filter and the identity (0).  Weights come from the sectors the generators
-  conserve, so the only approximation is the squeezer's reflecting boundary
-  at the ancilla cutoff, controlled by the energy preconditions.
+  beamsplitter (shift -1, binomial weights), the diagonal filter and the
+  identity (0).
+* ``Amplifier(r)``: the phase-insensitive amplifier, scored rank one.
 * ``Heterodyne(z)``: the measure-and-prepare benchmark, heterodyne
   detection re-prepared as the coherent state |z beta>, in closed form: one
   kernel K_d per coherence order d carries order d of the input onto the
@@ -20,16 +21,15 @@ output: <t|A_k rho A_k^dag|t> = v_k^dag rho v_k with v_k = A_k^dag |t>, and
 the heterodyne score is sum_d sum_(m,a) rho[m, m+d] K_d[m, a] conj(t_a)
 t_(a+d).  It returns each state's fidelity and output trace (the heralding
 weight, and every trace guard).  The ``apply_*`` functions build the output
-from the same description.
+from the same description, the amplifier's from its Kraus weights.
 
-Displacements and squeezer sectors are ``_exp_tridiagonal`` over a cached
-eigenbasis, batched over amplitudes or sectors.  Prior averages reduce to a
-radial Gauss-Laguerre rule, as every state, channel and target here is
-phase covariant (an optional angular grid re-checks this).  Its input
-states, ``prior_states``, are one cached, read-only real stack shared by
-every channel scored at the same (lambda', mu, dim) and by
-``bounds.cft_norm_check``, built and scored ``_CHUNK`` nodes at a time.
-Target kets zero every entry below exp(``_LOG_KET_FLOOR``) = 1e-100, which
+Prior averages reduce to a radial Gauss-Laguerre rule, as every state,
+channel and target here is phase covariant (an optional angular grid
+re-checks this).  Its input states, ``prior_states``, are one cached,
+read-only real stack shared by every channel scored at the same
+(lambda', mu, dim) and by ``bounds.cft_norm_check``, built by one Laguerre
+recurrence over all nodes and scored ``_CHUNK`` nodes at a time.  Stack and
+target-ket entries below exp(``_LOG_KET_FLOOR``) = 1e-100 are zero, which
 moves no score by more than about 1e-98 and keeps the contractions off
 subnormal floats, on which the CPU is many times slower.
 """
@@ -52,11 +52,11 @@ from .params import NoisyEnsemble
 #: quadrature weights below this are skipped (they underflow any integrand)
 _WEIGHT_FLOOR = 1e-280
 
-#: prior nodes built or scored per batch, bounding every transient array
+#: prior nodes scored per batch, bounding every transient array
 _CHUNK = 16
 
-#: coherent-ket entries of log magnitude below this are zero (far nodes would
-#: otherwise reach 1e-320 and make their products subnormal)
+#: coherent-ket and prior-stack entries of log magnitude below this are zero
+#: (far nodes would otherwise reach 1e-320 and make their products subnormal)
 _LOG_KET_FLOOR = math.log(1e-100)
 
 #: (P input states, P target amplitudes) -> per-state (<t|out|t>, output trace)
@@ -138,47 +138,6 @@ def coherent_ket(amp: complex, dim: int) -> np.ndarray:
     return _coherent_kets(np.array([amp]), dim)[0]
 
 
-def _tridiagonal_eigh(couplings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the symmetric tridiagonal T[j, j+1] = T[j+1, j] =
-    couplings[..., j], batched over any leading axes."""
-    size = couplings.shape[-1] + 1
-    t = np.zeros(couplings.shape[:-1] + (size, size))
-    j = np.arange(size - 1)
-    t[..., j + 1, j] = t[..., j, j + 1] = couplings
-    return np.linalg.eigh(t)
-
-
-def _exp_tridiagonal(basis: tuple[np.ndarray, np.ndarray], angle: float | np.ndarray,
-                     cols: slice = slice(None)) -> np.ndarray:
-    """Columns ``cols`` of exp(angle G), G antisymmetric tridiagonal with
-    G[j+1, j] = c_j = -G[j, j+1], from the eigenpairs (w, V) of the symmetric
-    T with the same couplings (batched like ``basis``, and first over ``angle``).
-
-    G = -i S T S^-1 with S = diag(i^j), and T is bipartite: cos(angle T)
-    fills the even diagonals and sin(angle T) the odd ones, so
-    exp(angle G)[m, n] = (-1)^floor((m - n)/2) (V diag(cos + sin)(angle w) V^T)[m, n].
-    """
-    w, v = basis
-    m = np.arange(w.shape[-1])
-    sign = 1.0 - 2.0 * ((m[:, None] - m[cols][None, :]) // 2 % 2)
-    aw = np.multiply.outer(angle, w)
-    spectral = v * (np.cos(aw) + np.sin(aw))[..., None, :]
-    return sign * (spectral @ np.swapaxes(v[..., cols, :], -1, -2))
-
-
-@lru_cache(maxsize=8)
-def _displacement_basis(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    # a^dag - a couples |k-1> and |k> with sqrt(k); reused for every amplitude
-    return _tridiagonal_eigh(np.sqrt(np.arange(1.0, dim)))
-
-
-@lru_cache(maxsize=8)
-def _squeezer_basis(n_levels: int, dim_anc: int) -> tuple[np.ndarray, np.ndarray]:
-    # sector n of a^dag b^dag - a b: |n+k-1, k-1> -> |n+k, k> with sqrt((n+k)k)
-    k = np.arange(1.0, dim_anc)
-    return _tridiagonal_eigh(np.sqrt((np.arange(n_levels)[:, None] + k) * k))
-
-
 def _thermal_diag(nbar: float, dim: int) -> np.ndarray:
     """Thermal occupation probabilities for nbar > 0."""
     q = nbar / (nbar + 1.0)
@@ -187,12 +146,34 @@ def _thermal_diag(nbar: float, dim: int) -> np.ndarray:
 
 def _displaced_thermal_stack(radii: np.ndarray, nbar: float, dim: int) -> np.ndarray:
     """D(r) rho_th(nbar) D(r)^dag for each real amplitude r, one real
-    (P, dim, dim) stack, built ``_CHUNK`` amplitudes at a time."""
+    (P, dim, dim) stack.  With s = 1 + nbar, at every offset k >= 0,
+
+        rho[n+k, n] = e^(-r^2/s) sqrt(n!/(n+k)!) nbar^n r^k s^-(n+k+1) L_n^(k)(-r^2/(nbar s)),
+
+    a Laguerre series of positive terms.  From start values n = 0 taken in
+    logs, the three-term Laguerre recurrence carries every offset and every
+    amplitude at once, one column and one row per step:
+
+        rho_(n+1)^(k) = [(nbar (2n+1+k) + r^2/s) rho_n^(k) / s
+                         - (nbar/s)^2 sqrt(n (n+k)) rho_(n-1)^(k)] / sqrt((n+1)(n+k+1)),
+
+    which at nbar = 0 is the coherent state's.  Where a start value
+    underflows (r^2/s > 708), every entry within 128 levels is below 1e-170.
+    Entries below exp(``_LOG_KET_FLOOR``) are zero, as for the target kets.
+    """
+    s = 1.0 + nbar
+    b, k = radii[:, None] ** 2 / s, np.arange(dim)
+    with np.errstate(divide="ignore", invalid="ignore"):  # k log 0 is 0 at k = 0
+        k_log_r = np.where(k > 0, k * np.log(radii)[:, None], 0.0)
+    cur = np.exp(-b + k_log_r - (k + 1.0) * math.log(s) - 0.5 * _log_factorials(dim))
+    prev = np.zeros_like(cur)
     out = np.empty((radii.size, dim, dim))
-    th = _thermal_diag(nbar, dim)
-    for lo in range(0, radii.size, _CHUNK):
-        d = _exp_tridiagonal(_displacement_basis(dim), radii[lo : lo + _CHUNK])
-        np.matmul(d * th, np.swapaxes(d, -1, -2), out=out[lo : lo + _CHUNK])
+    for n in range(dim):
+        out[:, n:, n] = out[:, n, n:] = cur
+        k, cur, prev = k[:-1], cur[:, :-1], prev[:, :-1]  # the offsets still inside at n + 1
+        cur, prev = ((nbar * (2 * n + 1 + k) + b) * cur / s - (nbar / s) ** 2
+                     * np.sqrt(n * (n + k)) * prev) / np.sqrt((n + 1) * (n + k + 1.0)), cur
+    out[out < math.exp(_LOG_KET_FLOOR)] = 0.0
     return out
 
 
@@ -207,21 +188,16 @@ def _rotated(states: np.ndarray, phi: float) -> np.ndarray:
 def displaced_thermal_density(amp: complex, nbar: float, dim: int) -> FockDensity:
     """D(amp) rho_th(nbar) D(amp)^dag at cutoff dim.
 
-    Requires |amp|^2 + nbar <= dim/4 so that the state actually fits; the
-    construction is rejected if the realised trace strays from 1.
+    Requires |amp|^2 + nbar <= dim/4, an energy margin that rejects states
+    far outside the cutoff but does not make the state fit: the construction
+    is rejected if its tail beyond the cutoff, 1 - trace, exceeds 1e-8.
     """
     if not (math.isfinite(nbar) and nbar >= 0.0):
         raise DomainError(f"nbar must be finite and >= 0, got {nbar!r}")
     if abs(amp) ** 2 + nbar > dim / 4.0:
         raise TruncationError(
             f"|amp|^2 + nbar = {abs(amp)**2 + nbar:.3g} exceeds dim/4 = {dim / 4.0:.3g}")
-    a = complex(amp)
-    if nbar == 0.0:
-        k = coherent_ket(a, dim)
-        mat = np.outer(k, k.conj())
-    else:
-        mat = _rotated(_displaced_thermal_stack(np.array([abs(a)]), nbar, dim)[0],
-                       math.atan2(a.imag, a.real))
+    mat = _rotated(_displaced_thermal_stack(np.array([abs(amp)]), nbar, dim)[0], np.angle(amp))
     tr = float(np.trace(mat).real)
     if abs(tr - 1.0) > 1e-8:
         raise TruncationError(f"displaced thermal trace {tr!r} deviates from 1")
@@ -259,41 +235,19 @@ def _check_trace(states: np.ndarray, tr_out: np.ndarray | float,
 class ShiftKraus:
     """Channel rho -> sum_k A_k rho A_k^dag, A_k = sum_n W[n, k] |n + shift k><n|.
 
-    ``weights`` holds W with one row per input level; levels mapped outside
-    [0, dim_out) are dropped (the beamsplitter's n < k, of zero weight).
-    ``lossless`` declares the channel trace preserving: an output trace off
-    the input trace by more than 1e-6 raises TruncationError (the squeezer's
-    ancilla-headroom guard).
+    ``weights`` holds W in closed form, one row per input level; levels
+    mapped outside [0, dim_out) are dropped (the beamsplitter's n < k, of
+    zero weight).
     """
 
     weights: np.ndarray = field(repr=False)
     shift: int
     dim_out: int
-    lossless: bool = False
 
     @classmethod
     def identity(cls, dim: int) -> "ShiftKraus":
         """The channel that does nothing, at cutoff dim."""
         return cls(np.ones((dim, 1)), 0, dim)
-
-    @classmethod
-    def squeezer(cls, r: float, dim: int, dim_anc: int = 64) -> "ShiftKraus":
-        """Quantum-limited amplifier: couple to a vacuum ancilla with
-        exp(r(a^dag b^dag - a b)) and trace the ancilla out.
-
-        W[n, k] = <n+k, k|exp(...)|n, 0> comes from the sector {|n+k, k>} of
-        conserved n_a - n_b, all sectors in one batched product.  The output
-        cutoff grows to dim + dim_anc - 1; dim_anc should comfortably exceed
-        the amplified photon spread (the sectors reflect at its cutoff).
-        """
-        if not (math.isfinite(r) and r >= 0.0):
-            raise DomainError(f"squeeze parameter must be >= 0, got {r!r}")
-        if dim_anc < 2:
-            raise DomainError(f"dim_anc must be >= 2, got {dim_anc!r}")
-        if r == 0.0:
-            return cls.identity(dim)
-        weights = _exp_tridiagonal(_squeezer_basis(dim, dim_anc), r, slice(0, 1))[..., 0]
-        return cls(weights, 1, dim + dim_anc - 1, True)
 
     @classmethod
     def attenuator(cls, theta: float, dim: int) -> "ShiftKraus":
@@ -332,11 +286,6 @@ class ShiftKraus:
         kept = np.where(inside, self.weights, 0.0)
         return kept, np.where(inside, level, 0), (np.abs(kept) ** 2).sum(axis=1)
 
-    def _check_trace(self, states: np.ndarray, tr_out: np.ndarray | float) -> None:
-        if self.lossless:
-            _check_trace(states, tr_out, 1e-6,
-                         "lossless channel lost trace: {!r} -> {!r}; increase dim_anc")
-
     def scorer(self, dim: int) -> Scorer:
         """The stacked adjoint-picture score of this channel at input cutoff dim."""
         if self.weights.shape[0] != dim:
@@ -348,7 +297,6 @@ class ShiftKraus:
             # column k of v is A_k^dag |t>, so <t|A_k rho A_k^dag|t> = v_k^dag rho v_k
             v = kept.conj() * _coherent_kets(targets, self.dim_out)[:, level]
             tr_out = np.diagonal(states, axis1=-2, axis2=-1).real @ out_weight
-            self._check_trace(states, tr_out)
             return np.einsum("pnk,pnk->p", v.conj(), states @ v).real, tr_out
 
         return score
@@ -363,14 +311,56 @@ def _apply_shift_kraus(rho: FockDensity, ch: ShiftKraus) -> FockDensity:
         a = lo + ch.shift * k
         col = ch.weights[lo:hi, k]
         out[a : a + hi - lo, a : a + hi - lo] += col[:, None] * rho.mat[lo:hi, lo:hi] * col.conj()
-    res = FockDensity(ch.dim_out, out)
-    ch._check_trace(rho.mat, res.trace())
-    return res
+    return FockDensity(ch.dim_out, out)
+
+
+@dataclass(frozen=True, eq=False)
+class Amplifier:
+    """Phase-insensitive amplifier of gain cosh^2 r: the two-mode squeezer
+    exp(r(a^dag b^dag - a b)) on a vacuum ancilla, which is traced out.
+
+    Its adjoint rescales a coherent projector (and so the Husimi function),
+    sum_k A_k^dag |b><b| A_k = |b/cosh r><b/cosh r| / cosh^2 r, so the score
+    against |t> is <g|rho|g> / cosh^2 r with g = t / cosh r: rank one at the
+    input cutoff, with no ancilla, and the trace preserved.
+    """
+
+    r: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.r) and self.r >= 0.0):
+            raise DomainError(f"squeeze parameter must be >= 0, got {self.r!r}")
+
+    def scorer(self, dim: int) -> Scorer:
+        """The stacked adjoint-picture score of this channel at cutoff dim."""
+        gain = math.cosh(self.r)
+
+        def score(states: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            g = _coherent_kets(targets / gain, dim)
+            fid = np.einsum("pn,pn->p", g.conj(), (states @ g[..., None])[..., 0]).real
+            return fid / (gain * gain), np.trace(states, axis1=-2, axis2=-1).real
+
+        return score
 
 
 def apply_two_mode_squeezer(rho: FockDensity, r: float, dim_anc: int = 64) -> FockDensity:
-    """Output state of ``ShiftKraus.squeezer``."""
-    return _apply_shift_kraus(rho, ShiftKraus.squeezer(r, rho.dim, dim_anc))
+    """Output state of ``Amplifier(r)`` at cutoff rho.dim + dim_anc - 1.
+
+    Its Kraus weights are the negative-binomial amplitudes
+    W[n, k] = <n+k, k|S(r)|n, 0> = sqrt(C(n+k, k)) tanh^k r / cosh^(n+1) r,
+    cut at ancilla level k < dim_anc; a trace lost to the cut by more than
+    1e-6 raises TruncationError.
+    """
+    Amplifier(r)  # rejects a negative or non-finite r
+    if dim_anc < 2:
+        raise DomainError(f"dim_anc must be >= 2, got {dim_anc!r}")
+    n, k = np.ogrid[: rho.dim, :dim_anc]
+    lf = _log_factorials(rho.dim + dim_anc)
+    weights = math.tanh(r) ** k * np.exp(  # 0^0 is 1 at r = 0
+        0.5 * (lf[n + k] - lf[n] - lf[k]) - (n + 1.0) * math.log(math.cosh(r)))
+    out = _apply_shift_kraus(rho, ShiftKraus(weights, 1, rho.dim + dim_anc - 1))
+    _check_trace(rho.mat, out.trace(), 1e-6, "squeezer lost trace: {!r} -> {!r}; increase dim_anc")
+    return out
 
 
 def apply_attenuator(rho: FockDensity, theta: float) -> FockDensity:
@@ -470,14 +460,14 @@ def apply_heterodyne_mp(rho: FockDensity, z: float) -> FockDensity:
     return res
 
 
-def avg_fidelity_numeric(ens: NoisyEnsemble, channel: ShiftKraus | Heterodyne, dim: int = 64,
-                         radial_nodes: int = 80, *, probabilistic: bool = False,
+def avg_fidelity_numeric(ens: NoisyEnsemble, channel: ShiftKraus | Amplifier | Heterodyne,
+                         dim: int = 64, radial_nodes: int = 80, *, probabilistic: bool = False,
                          angular_nodes: int | None = None) -> float:
     """Gaussian-prior average fidelity of a described Fock-space channel.
 
     Each input state D(alpha) rho_th D^dag of ``prior_states`` is scored
-    against its target |g' alpha> by the channel's ``scorer``.  Both channel
-    kinds are phase covariant, which justifies the radial-only reduction;
+    against its target |g' alpha> by the channel's ``scorer``.  Every channel
+    kind is phase covariant, which justifies the radial-only reduction;
     ``angular_nodes`` re-checks it numerically on uniform angles, each angle
     rotating the states and their targets in phase.
 

@@ -5,7 +5,7 @@ A task: N identical noisy coherent states rho_{mu,alpha} (a coherent state
 drawn from the Gaussian prior p_lambda(alpha) = lambda * exp(-lambda|alpha|^2)
 (density w.r.t. d^2alpha / pi), are to be turned into M copies of |g alpha>.
 
-A passive linear network losslessly concentrates the N-copy signal into one
+A passive linear network concentrates the N-copy signal, without loss, into one
 bright mode, and splitting the single-mode result over M modes divides the
 gain by sqrt(M).  Every optimum therefore depends only on the reduced triple
 

@@ -444,8 +444,8 @@ def _check_oracle_grid(seed: int, dim: int) -> tuple[Pair, Pair]:
             a = _landmarks(lam, mu)[2]
             amplified = [_ens(lam, mu, g) for g in (a, a + 0.5, 2.0 * a)]
             squeezer.append(_oracle_gap(
-                ((e, fock.ShiftKraus.squeezer(math.acosh(formulas.tune(e).cosh_r), 64, dim_anc=64),
-                  formulas.det_fidelity(e)) for e in amplified), 64)[1])
+                ((e, fock.Amplifier(math.acosh(formulas.tune(e).cosh_r)), formulas.det_fidelity(e))
+                 for e in amplified), 64)[1])
             unamplified = [_ens(lam, mu, 1.0), _ens(lam, mu, 1.2)]
             identity.append(_oracle_gap(
                 ((e, fock.ShiftKraus.identity(64),
@@ -523,9 +523,9 @@ def _check_gaussian_vs_fock(seed: int, dim: int) -> Pair:
     )
     cutoff = max(dim, 64)
 
-    def channel(ch: ChannelParam) -> fock.ShiftKraus:
+    def channel(ch: ChannelParam) -> fock.ShiftKraus | fock.Amplifier:
         if ch.kind is ChannelKind.TWO_MODE_SQUEEZE:
-            return fock.ShiftKraus.squeezer(ch.value, cutoff, dim_anc=64)
+            return fock.Amplifier(ch.value)
         return fock.ShiftKraus.attenuator(ch.value, cutoff)
 
     return _oracle_gap(((ens, channel(ch), avg_fidelity_gaussian(ens, ch)) for ens, ch in pairs),
@@ -556,7 +556,7 @@ def _check_filtered_nbar_fit(seed: int, dim: int) -> Pair:
 FULL_CHECKS = (
     (
         _check_oracle_grid,
-        ("oracle_squeezer_grid_max_dev", 1e-4),
+        ("oracle_squeezer_grid_max_dev", 1e-7),
         ("oracle_identity_grid_max_dev", 1e-6),
     ),
     (_check_oracle_attenuator, ("oracle_attenuator_attains_det", 1e-6)),
@@ -572,7 +572,7 @@ FULL_CHECKS = (
         ("finite_p_deviation_monotone_shortfall", 0.0),
         ("finite_p_terminal_envelope_shortfall", 0.0),
     ),
-    (_check_cft_norm_points, ("cft_norm_check_points", 1e-3)),
+    (_check_cft_norm_points, ("cft_norm_check_points", 1e-10)),
     (_check_gaussian_vs_fock, ("gaussian_matches_fock_channels", 1e-5)),
     (_check_angular_reduction, ("angular_grid_agrees_with_radial", 1e-8)),
     (_check_filtered_nbar_fit, ("filtered_thermal_nbar_fit", 1e-3)),

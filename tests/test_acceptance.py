@@ -46,10 +46,7 @@ def test_criterion_01_squeezer_oracle_matches_deterministic_optimum():
                 ens = _ens_from_photons(n_c, n_t, g)
                 r = math.acosh(formulas.tune(ens).cosh_r)
                 numeric = fock.avg_fidelity_numeric(
-                    ens,
-                    fock.ShiftKraus.squeezer(r, 64, dim_anc=64),
-                    dim=64,
-                    radial_nodes=80,
+                    ens, fock.Amplifier(r), dim=64, radial_nodes=80
                 )
                 worst = max(worst, abs(numeric - formulas.det_fidelity(ens)))
     elapsed = time.monotonic() - t0

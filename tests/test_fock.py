@@ -7,6 +7,7 @@ import pytest
 from ampurify import fock
 from ampurify.errors import DomainError, TruncationError
 from ampurify.fock import (
+    Amplifier,
     FilterSpec,
     FockDensity,
     Heterodyne,
@@ -57,11 +58,21 @@ def test_coherent_kets_zero_every_entry_below_the_floor(monkeypatch):
     assert (kets[moved] == 0.0).all() and (exact[moved] < 1e-100).all()
 
 
+def test_displaced_thermal_stack_zeroes_every_entry_below_the_floor(monkeypatch):
+    radii = np.linspace(0.0, 40.0, 81)
+    stack = fock._displaced_thermal_stack(radii, 0.5, 127)
+    assert not ((stack > 0.0) & (stack < 1e-100)).any()
+    monkeypatch.setattr(fock, "_LOG_KET_FLOOR", -math.inf)
+    exact = fock._displaced_thermal_stack(radii, 0.5, 127)
+    moved = stack != exact
+    assert moved.any() and (stack[moved] == 0.0).all() and (exact[moved] < 1e-100).all()
+
+
 def test_ket_floor_leaves_the_squeezer_average_bit_identical(monkeypatch):
     from ampurify.formulas import tune
 
     ens = NoisyEnsemble(lambda_prime=1.0, mu=1.0, g_prime=3.5)
-    channel = ShiftKraus.squeezer(math.acosh(tune(ens).cosh_r), 64, dim_anc=64)
+    channel = Amplifier(math.acosh(tune(ens).cosh_r))
     floored = avg_fidelity_numeric(ens, channel, dim=64, radial_nodes=80)
     monkeypatch.setattr(fock, "_LOG_KET_FLOOR", -math.inf)
     assert avg_fidelity_numeric(ens, channel, dim=64, radial_nodes=80) == floored
@@ -253,14 +264,22 @@ _NODES = 37  # not a multiple of the chunk, so the last chunk is partial
 
 @pytest.mark.parametrize("mu", [0.7, 1e12], ids=["thermal", "tiny-nbar"])
 def test_prior_states_match_per_node_densities(mu):
-    assert _NODES % fock._CHUNK != 0
     radii, weights, states = fock.prior_states(20.0, mu, 48, _NODES)
     t, w = np.polynomial.laguerre.laggauss(_NODES)
     assert np.array_equal(radii, np.sqrt(t / 20.0)) and np.array_equal(weights, w)
     assert states.shape == (_NODES, 48, 48) and states.dtype == float
+    built = 0
     for radius, state in zip(radii, states):
+        # the builder refuses a node past the dim/4 energy margin, and one inside
+        # it whose exact tail beyond the cutoff, 1 - trace, exceeds 1e-8
+        if radius**2 + 1.0 / mu > 12.0 or 1.0 - np.trace(state) > 1e-8:
+            with pytest.raises(TruncationError):
+                displaced_thermal_density(radius, 1.0 / mu, 48)
+            continue
         rho = displaced_thermal_density(radius, 1.0 / mu, 48)
         assert np.abs(state - rho.mat).max() <= 1e-14
+        built += 1
+    assert built > 0
 
 
 def test_prior_states_are_read_only():
@@ -272,18 +291,18 @@ def test_prior_states_are_read_only():
 @pytest.mark.parametrize(
     "channel",
     [
-        ShiftKraus.squeezer(0.4, 32, dim_anc=32),
+        Amplifier(0.4),
         ShiftKraus.filter(FilterSpec(k_cut=20, y=1.1), 32),
         Heterodyne(0.7),
     ],
     ids=["squeezer", "filter", "heterodyne"],
 )
 def test_chunked_average_equals_an_unchunked_one(channel, monkeypatch):
+    assert _NODES % fock._CHUNK != 0
     ens = NoisyEnsemble(2.0, 1.0, 1.3)
 
     def average(chunk: int) -> float:
         monkeypatch.setattr(fock, "_CHUNK", chunk)
-        fock.prior_states.cache_clear()  # rebuild the stack in chunks of this size too
         return avg_fidelity_numeric(ens, channel, dim=32, radial_nodes=_NODES,
                                     probabilistic=True)
 
@@ -303,10 +322,7 @@ _EQUIV_DIM = 32
     "channel, apply",
     [
         (ShiftKraus.identity(_EQUIV_DIM), lambda rho: rho),
-        (
-            ShiftKraus.squeezer(0.4, _EQUIV_DIM, dim_anc=16),
-            lambda rho: apply_two_mode_squeezer(rho, 0.4, dim_anc=16),
-        ),
+        (Amplifier(0.4), lambda rho: apply_two_mode_squeezer(rho, 0.4, dim_anc=24)),
         (ShiftKraus.attenuator(0.6, _EQUIV_DIM), lambda rho: apply_attenuator(rho, 0.6)),
         (
             ShiftKraus.filter(FilterSpec(k_cut=20, y=1.1), _EQUIV_DIM),
@@ -329,13 +345,12 @@ def test_adjoint_score_equals_projection_of_built_output(channel, apply):
     assert trace == pytest.approx(out.trace(), abs=1e-13)
 
 
-def test_lossless_declaration_rejects_a_lossy_channel_in_both_pictures():
-    lossy = ShiftKraus(np.full((16, 1), 0.5), 0, 16, lossless=True)
-    rho = displaced_thermal_density(0.5, 0.2, 16)
+def test_squeezer_output_guard_fires_on_a_short_ancilla():
+    # amplified vacuum holds sinh^2(1.5) = 4.5 photons, and four ancilla levels
+    # keep 1 - tanh^8(1.5) = 0.55 of its trace
+    vac = displaced_thermal_density(0.0, 0.0, 8)
     with pytest.raises(TruncationError, match="lost trace"):
-        lossy.scorer(16)(rho.mat[None], np.array([0.5]))
-    with pytest.raises(TruncationError, match="lost trace"):
-        fock._apply_shift_kraus(rho, lossy)
+        apply_two_mode_squeezer(vac, 1.5, dim_anc=4)
 
 
 def test_channel_must_match_the_input_cutoff():
@@ -344,36 +359,72 @@ def test_channel_must_match_the_input_cutoff():
 
 
 # ---------------------------------------------------------------------------
-# the tridiagonal exponential and the special functions, against closed forms
+# the closed forms, against a dense sector exponential and the Laguerre series
 # ---------------------------------------------------------------------------
+
+_DENSE = 512  # far enough from every state below that its reflection is invisible
+
+
+def _sector_exponential(couplings: np.ndarray, angle: float) -> np.ndarray:
+    """exp(angle G) for the antisymmetric tridiagonal G[j+1, j] = couplings[j]
+    = -G[j, j+1], from the spectrum of the Hermitian iG."""
+    g = np.diag(couplings, -1) - np.diag(couplings, 1)
+    w, v = np.linalg.eigh(1j * g)
+    return ((v * np.exp(-1j * angle * w)) @ v.conj().T).real
+
+
+def _dense_displaced_thermal(r: float, nbar: float, dim: int) -> np.ndarray:
+    d = _sector_exponential(np.sqrt(np.arange(1.0, _DENSE)), r)  # a^dag - a
+    q = nbar / (1.0 + nbar)
+    return ((d * q ** np.arange(_DENSE) / (1.0 + nbar)) @ d.T)[:dim, :dim]
 
 
 @pytest.mark.parametrize("amp", [0.5, 1.5, 3.0])
 def test_displacement_first_column_is_the_coherent_ket(amp):
-    d = fock._exp_tridiagonal(fock._displacement_basis(64), amp)
-    assert np.abs(d[:, 0] - coherent_ket(amp, 64)).max() <= 1e-14
+    d = _sector_exponential(np.sqrt(np.arange(1.0, _DENSE)), amp)
+    assert np.abs(d[:64, 0] - coherent_ket(amp, 64)).max() <= 1e-14
 
 
-def test_squeezer_weights_match_the_negative_binomial_amplitudes():
-    # <n+k, k| S(r) |n, 0> = sqrt(C(n+k, k)) tanh^k r / cosh^(n+1) r
-    r = 0.3
-    weights = ShiftKraus.squeezer(r, 16, dim_anc=64).weights
-    expected = np.array([
-        [math.sqrt(math.comb(n + k, k)) * math.tanh(r) ** k / math.cosh(r) ** (n + 1)
-         for k in range(64)]
-        for n in range(16)
-    ])
-    assert np.abs(weights - expected).max() <= 1e-14
+@pytest.mark.parametrize("r, nbar, dim", [(3.0, 2.0, 48), (1.3, 1.0, 24), (5.0, 0.1, 64),
+                                          (2.0, 1e-12, 32)])
+def test_displaced_thermal_stack_is_the_dense_displacement(r, nbar, dim):
+    # a truncated generator reflects at its cutoff; at 512 levels the entries
+    # inside dim are exact, and the stack must match them, not only in trace
+    stack = fock._displaced_thermal_stack(np.array([r]), nbar, dim)[0]
+    assert np.abs(stack - _dense_displaced_thermal(r, nbar, dim)).max() <= 1e-14
+
+
+def _laguerre_entry(r: float, nbar: float, m: int, n: int) -> float:
+    """rho[m, n], m >= n, of D(r) rho_th(nbar) D(r)^dag as its Laguerre series."""
+    r, nbar, s = mpmath.mpf(r), mpmath.mpf(nbar), 1 + mpmath.mpf(nbar)
+    return float(mpmath.exp(-r * r / s) * mpmath.sqrt(mpmath.factorial(n) / mpmath.factorial(m))
+                 * nbar**n * r ** (m - n) * s ** -(m + 1)
+                 * mpmath.laguerre(n, m - n, -r * r / (nbar * s)))
 
 
 @pytest.mark.parametrize(
-    "basis, angle",
-    [(fock._displacement_basis(64), 2.5), (fock._squeezer_basis(16, 64), 0.7)],
-    ids=["displacement", "squeezer-sectors"],
+    "r, nbar, m, n",
+    [(1.3, 1.0, 5, 2), (3.0, 2.0, 40, 30), (0.5, 3.0, 30, 30), (0.2, 1e-12, 3, 1),
+     (1.0, 1e-12, 20, 10), (6.0, 1e-12, 47, 47), (12.0, 0.5, 47, 40), (12.0, 2.0, 47, 30)],
 )
-def test_tridiagonal_exponential_is_orthogonal(basis, angle):
-    e = fock._exp_tridiagonal(basis, angle)
-    assert np.abs(np.swapaxes(e, -1, -2) @ e - np.eye(e.shape[-1])).max() <= 1e-12
+def test_displaced_thermal_stack_is_the_laguerre_series(r, nbar, m, n):
+    # nbar = 1e-12 is the pure-input sentinel; r = 12 puts r^2 = 144 far past 48 levels
+    with mpmath.workdps(40):
+        exact = _laguerre_entry(r, nbar, m, n)
+    stack = fock._displaced_thermal_stack(np.array([r]), nbar, 48)[0]
+    assert stack[m, n] == stack[n, m] == pytest.approx(exact, rel=1e-14)
+
+
+def test_squeezer_weights_match_the_negative_binomial_amplitudes():
+    # amplified |n> is sum_k W[n, k]^2 |n+k><n+k|, and W[n, k] = <n+k, k| S(r) |n, 0>
+    # is column 0 of the sector {|n+k, k>} exponential, couplings sqrt((n+k) k)
+    r, dim, dim_anc = 0.3, 16, 64
+    k = np.arange(1.0, 2 * dim_anc)  # tanh^64 r is 1e-34, so no reflection reaches the cut
+    for n in range(dim):
+        fock_n = FockDensity(dim, np.diag(np.eye(dim)[n]))
+        out = np.diag(apply_two_mode_squeezer(fock_n, r, dim_anc).mat).real
+        column = _sector_exponential(np.sqrt((n + k) * k), r)[:dim_anc, 0]
+        assert np.abs(out[n : n + dim_anc] - column**2).max() <= 1e-14
 
 
 def test_attenuator_closed_form_is_the_sector_exponential():
@@ -382,8 +433,7 @@ def test_attenuator_closed_form_is_the_sector_exponential():
     weights = ShiftKraus.attenuator(theta, dim).weights
     for n in range(1, dim):
         j = np.arange(1.0, n + 1)
-        basis = fock._tridiagonal_eigh(np.sqrt(j * (n - j + 1.0)))
-        column = fock._exp_tridiagonal(basis, -theta, slice(0, 1))[:, 0]
+        column = _sector_exponential(np.sqrt(j * (n - j + 1.0)), -theta)[:, 0]
         assert np.abs(weights[n, : n + 1] - column).max() <= 1e-14
         assert not weights[n, n + 1 :].any()
 
