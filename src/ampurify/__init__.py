@@ -3,10 +3,12 @@
 Closed-form optimal fidelities (deterministic, probabilistic, and
 classical) for Gaussian-modulated displaced thermal states, together with
 a truncated Fock-space oracle and the operator-norm bound machinery that
-certifies the closed forms.
+certifies the closed forms.  Numpy and that oracle layer execute on first use.
 """
 
-from .bounds import det_limit, det_upper_bound, kappa_star, minimize_det_bound
+import importlib
+
+from ._lazy import lazy
 from .errors import (
     AmpurifyError,
     DomainError,
@@ -34,6 +36,21 @@ from .params import (
 )
 
 __version__ = "0.1.0"
+
+_ORACLES = ("scalaropt", "gaussian", "fock", "bounds", "verify")
+for _name in _ORACLES:  # registered, not bound: a from-import must execute it
+    lazy(f"{__name__}.{_name}")
+del _name
+
+
+def __getattr__(name: str):
+    """The oracle modules and the bounds names, executed on first access."""
+    if name in _ORACLES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in ("det_limit", "det_upper_bound", "kappa_star", "minimize_det_bound"):
+        return getattr(importlib.import_module(f"{__name__}.bounds"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AmpurifyError",

@@ -19,6 +19,7 @@ All output is deterministic given the flags (and the verify seed); the
 only non-reproducible bytes -- per-check wall times -- go to stderr.
 Tables round to 5 significant digits, CSV to 10.
 
+The point commands (``eval``, ``photons``, ``regimes``) never load numpy.
 ``sweep`` computes numpy columns, re-runs rows they cannot clear through the
 scalar path (to raise its error), gates them with np.isfinite, then renders.
 """
@@ -32,9 +33,7 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import __version__, formulas, verify
+from . import __version__, formulas
 from .errors import AmpurifyError, DomainError
 from .params import (
     REGIMES,
@@ -216,6 +215,7 @@ def _write_rows(write, table: dict, keys: list[str], cell: str, unset: str, labe
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    import numpy as np
     fields = {"lam": args.lam, "mu": args.mu, "g": args.g, "n_in": args.n, "m_out": args.m}
     swept = _AXIS_FIELD[args.axis]
     if fields[swept] is not None:
@@ -290,6 +290,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify
     report = verify.run_suite(level=args.level, seed=args.seed, dim=args.dim)
     params = {"level": args.level, "seed": args.seed, "dim": args.dim}
     _emit(args, "verify", params, report.to_json_dict(), [report.render()])

@@ -23,13 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import lazy
 from .errors import DomainError
 from .params import (
     MultimodeTask,
     NoisyEnsemble,
     _finite_positive,
+    _is_column,
     _landmarks,
     _reduced,
     _regime_codes,
@@ -37,20 +37,21 @@ from .params import (
     reduce,
 )
 
+np = lazy("numpy")
 #: slack used by the report-level ordering checks
 _ORDER_TOL = 1e-12
 
 
 def _pick(code, branches, *args):
     """``branches[code](*args)``; over a column of codes, every branch, row by row."""
-    if isinstance(code, np.ndarray):
+    if _is_column(code):
         return np.choose(code, [branch(*args) for branch in branches])
     return branches[code](*args)
 
 
 def _where(cond, a, b):
     """``a if cond else b``, row by row over a column ``cond``."""
-    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+    return np.where(cond, a, b) if _is_column(cond) else (a if cond else b)
 
 
 def _c1(lam, mu):

@@ -32,9 +32,10 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
+from ._lazy import lazy
 from .errors import DomainError
+
+np = lazy("numpy")  # executed by the first column, never by a Python number
 
 #: mu at or above this value is reported as an effectively pure input
 #: (N_T <= 1e-12); the closed forms need no special-casing, the constant
@@ -42,8 +43,12 @@ from .errors import DomainError
 PURE_MU_SENTINEL = 1e12
 
 
+def _is_column(x) -> bool:  # isinstance(x, np.ndarray); a Python number leaves np unexecuted
+    return not isinstance(x, (int, float)) and isinstance(x, np.ndarray)
+
+
 def _sqrt(x):  # np.sqrt of a column; math.sqrt of a float, which stays a Python float
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+    return np.sqrt(x) if _is_column(x) else math.sqrt(x)
 
 
 def _finite_positive(value):  # 0 < value < inf, row by row over a column; NaN fails

@@ -5,13 +5,16 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
 import numpy as np
 
-from ampurify import formulas
+import ampurify
+from ampurify import formulas, params
+from ampurify._lazy import lazy
 from ampurify.cli import CSV_HEADER, build_parser, main
 from ampurify.verify import CheckResult, VerifyReport
 
@@ -474,7 +477,7 @@ def test_verify_exit_five_on_any_failure(capsys, monkeypatch):
         level="fast", seed=7, dim=64,
         checks=[CheckResult("synthetic", 1.0, 2.0, 1e-9, False, False, 0.1)],
     )
-    monkeypatch.setattr("ampurify.cli.verify.run_suite", lambda **kw: bad)
+    monkeypatch.setattr("ampurify.verify.run_suite", lambda **kw: bad)
     code, out, _ = run_cli(capsys, "verify", "--level", "fast")
     assert code == 5
     assert "FAIL" in out
@@ -577,18 +580,118 @@ def test_text_and_json_print_the_same_numbers(capsys, sub, point):
 # ---------------------------------------------------------------------------
 
 
+#: the oracle layer the package registers lazily (``ampurify.__init__``)
+_ORACLES = ("scalaropt", "gaussian", "fock", "bounds", "verify")
+#: a point every point command answers, with both reductions non-trivial
+_POINT = "--lambda 0.7 --mu 2 --g 1.3 --n 2 --m 3"
+
+
+def _fresh(probe):
+    """stdout lines of ``probe`` run in a fresh interpreter on this tree's ``src``."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join(filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    prelude = f"ROOT, ORACLES, POINT = {root!r}, {_ORACLES!r}, {_POINT.split()!r}\n"
+    done = subprocess.run([sys.executable, "-c", prelude + textwrap.dedent(probe)],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
 def test_cli_import_needs_numpy_only_and_loads_every_traced_module():
     # bench/spans.py wraps functions of these modules right after importing the CLI
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     probe = (
         "import sys, ampurify.cli; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))); "
         "print([m for m in ('fock', 'bounds', 'verify', 'gaussian', 'scalaropt') "
         "if 'ampurify.' + m not in sys.modules])"
     )
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          timeout=120, env=env)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["[]", "[]"]
+    assert _fresh(probe) == ["[]", "[]"]
+
+
+def test_point_commands_execute_neither_numpy_nor_the_oracle_layer():
+    # type(), not an attribute read: reading one would execute the module
+    assert _fresh("""
+        import contextlib, io, sys, types
+        import ampurify.cli as cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            for sub in ("eval", "regimes", "photons --mode det", "photons --mode prob"):
+                for form in ([], ["--json"]):
+                    assert cli.main(sub.split() + POINT + form) == 0, (sub, form)
+        print("numpy._core" in sys.modules)
+        print([m for m in ORACLES if type(sys.modules["ampurify." + m]) is types.ModuleType])
+        with contextlib.redirect_stdout(io.StringIO()):
+            sweep = "sweep --axis g --start 0.5 --stop 3 --steps 5 --lambda 1 --mu 2 --json"
+            codes = [cli.main(sweep.split()), cli.main(["verify", "--level", "fast"])]
+        print(codes)
+    """) == ["False", "[]", "[0, 0]"]
+
+
+def test_importing_verify_executes_the_whole_oracle_layer_before_run_suite():
+    # were the lazy modules bound as package attributes, verify's own
+    # ``from . import bounds, fock`` would take them unexecuted, and they
+    # (and numpy.polynomial) would execute inside the timed run_suite
+    assert _fresh("""
+        import sys, types
+        import ampurify.cli
+        import ampurify.verify
+        names = ["ampurify." + m for m in ORACLES]
+        names += ["numpy", "numpy.random", "numpy.polynomial.laguerre"]
+        print([n for n in names if type(sys.modules.get(n)) is not types.ModuleType])
+        before = set(sys.modules)
+        report = ampurify.verify.run_suite(level="fast", seed=7)
+        print(report.all_passed, sorted(set(sys.modules) - before))
+    """) == ["[]", "True []"]
+
+
+def test_bench_tracer_wraps_every_traced_function_after_the_cli_import():
+    assert _fresh("""
+        import contextlib, importlib.util, io, os, sys
+        spec = importlib.util.spec_from_file_location(
+            "spans", os.path.join(ROOT, "bench", "spans.py"))
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        import ampurify.cli
+        tracer = spans.Tracer()
+        tracer.install()
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [ampurify.cli.main(["eval"] + POINT),
+                     ampurify.cli.main(["verify", "--level", "fast"])]
+        print(codes)
+        print([f"{m}.{f}" for m, f in spans.TRACED
+               if not callable(getattr(sys.modules["ampurify." + m], f, None))])
+        seen = {tracer.names[span[0]] for span in tracer.spans}
+        print(sorted({"cli.main", "formulas.fidelity_report", "fock.avg_fidelity_numeric",
+                      "verify.run_suite"} - seen))
+    """) == ["[0, 0]", "[]", "[]"]
+
+
+@pytest.mark.parametrize("x", [3, 2.5, True, np.float64(2.5), np.int64(3), np.bool_(True),
+                               np.array(2.5), np.array([1.0, 2.0])], ids=repr)
+def test_is_column_classifies_as_isinstance_ndarray(x):
+    assert params._is_column(x) == isinstance(x, np.ndarray)
+
+
+def test_public_api_resolves_through_the_lazy_layer():
+    from ampurify import bounds, fock
+
+    assert ampurify.det_limit is bounds.det_limit
+    assert ampurify.minimize_det_bound is bounds.minimize_det_bound
+    assert callable(fock.avg_fidelity_numeric) and callable(ampurify.verify.run_suite)
+    assert ampurify.__all__ == [
+        "AmpurifyError", "DomainError", "MultimodeTask", "NoisyEnsemble",
+        "NonConvergentError", "RootError", "TruncationError", "ValidityError",
+        "cft", "classify", "det_fidelity", "det_limit", "det_upper_bound",
+        "fidelity_report", "kappa_star", "minimize_det_bound", "photon_book",
+        "photon_output_det", "photon_output_prob", "prob_fidelity", "reduce",
+        "thresholds", "tune", "__version__",
+    ]
+    assert all(hasattr(ampurify, name) for name in ampurify.__all__)
+    with pytest.raises(AttributeError):
+        ampurify.no_such_name  # noqa: B018
+
+
+def test_lazy_rejects_a_missing_module():
+    with pytest.raises(ModuleNotFoundError):
+        lazy("no_such_module")
+    assert "no_such_module" not in sys.modules
