@@ -144,6 +144,14 @@ def _thermal_diag(nbar: float, dim: int) -> np.ndarray:
     return np.exp(np.arange(dim) * math.log(q)) / (nbar + 1.0)
 
 
+@lru_cache(maxsize=8)
+def _recurrence_coefficients(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows n, columns k of 2n+1+k, sqrt(n (n+k)) and sqrt((n+1)(n+k+1)),
+    the Laguerre recurrence's coefficients."""
+    n, k = np.ogrid[:dim, :dim]
+    return (2 * n + 1 + k).astype(float), np.sqrt(n * (n + k)), np.sqrt((n + 1) * (n + k + 1.0))
+
+
 def _displaced_thermal_stack(radii: np.ndarray, nbar: float, dim: int) -> np.ndarray:
     """D(r) rho_th(nbar) D(r)^dag for each real amplitude r, one real
     (P, dim, dim) stack.  With s = 1 + nbar, at every offset k >= 0,
@@ -152,27 +160,41 @@ def _displaced_thermal_stack(radii: np.ndarray, nbar: float, dim: int) -> np.nda
 
     a Laguerre series of positive terms.  From start values n = 0 taken in
     logs, the three-term Laguerre recurrence carries every offset and every
-    amplitude at once, one column and one row per step:
+    amplitude at once, one row of the upper triangle per step:
 
         rho_(n+1)^(k) = [(nbar (2n+1+k) + r^2/s) rho_n^(k) / s
                          - (nbar/s)^2 sqrt(n (n+k)) rho_(n-1)^(k)] / sqrt((n+1)(n+k+1)),
 
-    which at nbar = 0 is the coherent state's.  Where a start value
-    underflows (r^2/s > 708), every entry within 128 levels is below 1e-170.
-    Entries below exp(``_LOG_KET_FLOOR``) are zero, as for the target kets.
+    which at nbar = 0 is the coherent state's.  The recurrence runs in place
+    on rotating (offset, amplitude) buffers, so every slice it reads is
+    contiguous, and the triangle is mirrored ``_CHUNK`` states at a time at
+    the end.  Where a start value underflows (r^2/s > 708), every entry
+    within 128 levels is below 1e-170.  Entries below exp(``_LOG_KET_FLOOR``)
+    are zero, as for the target kets.
     """
     s = 1.0 + nbar
     b, k = radii[:, None] ** 2 / s, np.arange(dim)
     with np.errstate(divide="ignore", invalid="ignore"):  # k log 0 is 0 at k = 0
         k_log_r = np.where(k > 0, k * np.log(radii)[:, None], 0.0)
-    cur = np.exp(-b + k_log_r - (k + 1.0) * math.log(s) - 0.5 * _log_factorials(dim))
-    prev = np.zeros_like(cur)
+    odd, inner, outer = _recurrence_coefficients(dim)
+    cur, prev, nxt, term = np.empty((4, dim, radii.size))
+    cur[:] = np.exp(-b + k_log_r - (k + 1.0) * math.log(s) - 0.5 * _log_factorials(dim)).T
+    prev[:] = 0.0
     out = np.empty((radii.size, dim, dim))
     for n in range(dim):
-        out[:, n:, n] = out[:, n, n:] = cur
-        k, cur, prev = k[:-1], cur[:, :-1], prev[:, :-1]  # the offsets still inside at n + 1
-        cur, prev = ((nbar * (2 * n + 1 + k) + b) * cur / s - (nbar / s) ** 2
-                     * np.sqrt(n * (n + k)) * prev) / np.sqrt((n + 1) * (n + k + 1.0)), cur
+        out[:, n, n:] = cur[: dim - n].T
+        m = dim - n - 1  # the offsets still inside at n + 1
+        np.add((nbar * odd[n, :m])[:, None], b[:, 0], out=nxt[:m])
+        nxt[:m] *= cur[:m]
+        nxt[:m] /= s
+        np.multiply(((nbar / s) ** 2 * inner[n, :m])[:, None], prev[:m], out=term[:m])
+        nxt[:m] -= term[:m]
+        nxt[:m] /= outer[n, :m, None]
+        prev, cur, nxt = cur, nxt, prev
+    below = np.tri(dim, k=-1, dtype=bool)
+    for lo in range(0, radii.size, _CHUNK):
+        block = out[lo : lo + _CHUNK]
+        np.copyto(block, block.transpose(0, 2, 1), where=below)
     out[out < math.exp(_LOG_KET_FLOOR)] = 0.0
     return out
 

@@ -68,6 +68,36 @@ def test_displaced_thermal_stack_zeroes_every_entry_below_the_floor(monkeypatch)
     assert moved.any() and (stack[moved] == 0.0).all() and (exact[moved] < 1e-100).all()
 
 
+def _per_column_stack(radii: np.ndarray, nbar: float, dim: int) -> np.ndarray:
+    """The Laguerre recurrence on (amplitude, offset) arrays, writing one
+    column and one row per step: the reference the in-place builder keeps."""
+    s = 1.0 + nbar
+    b, k = radii[:, None] ** 2 / s, np.arange(dim)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k_log_r = np.where(k > 0, k * np.log(radii)[:, None], 0.0)
+    cur = np.exp(-b + k_log_r - (k + 1.0) * math.log(s) - 0.5 * fock._log_factorials(dim))
+    prev = np.zeros_like(cur)
+    out = np.empty((radii.size, dim, dim))
+    for n in range(dim):
+        out[:, n:, n] = out[:, n, n:] = cur
+        k, cur, prev = k[:-1], cur[:, :-1], prev[:, :-1]
+        cur, prev = ((nbar * (2 * n + 1 + k) + b) * cur / s - (nbar / s) ** 2
+                     * np.sqrt(n * (n + k)) * prev) / np.sqrt((n + 1) * (n + k + 1.0)), cur
+    out[out < math.exp(fock._LOG_KET_FLOOR)] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 48, 64, 128])
+@pytest.mark.parametrize("nbar", [0.0, 1e-12, 1.0, 4.0])
+def test_displaced_thermal_stack_is_bit_identical_to_the_per_column_recurrence(dim, nbar):
+    # both node sets reach r^2/s > 708, where the start values underflow
+    far_rule = np.sqrt(np.polynomial.laguerre.laggauss(160)[0] / 0.1)
+    for radii in (far_rule, np.array([0.0, 1e-3, 1.0, 30.0, 40.0, 60.0]), np.array([2.5])):
+        stack = fock._displaced_thermal_stack(radii, nbar, dim)
+        assert stack.flags.c_contiguous
+        assert np.array_equal(stack, _per_column_stack(radii, nbar, dim))
+
+
 def test_ket_floor_leaves_the_squeezer_average_bit_identical(monkeypatch):
     from ampurify.formulas import tune
 
