@@ -29,8 +29,9 @@ from .scalaropt import golden_section_min
 from . import fock, formulas
 
 #: Fock cutoff per mode and prior nodes of the classical-threshold norm check
+#: (at (0.5, 2, 1.5) 64 nodes miss ``formulas.cft`` by 2.5e-10, 96 by 5.9e-13)
 _CFT_DIM = 48
-_CFT_RADIAL_NODES = 160
+_CFT_RADIAL_NODES = 96
 
 
 @dataclass(frozen=True)
@@ -279,9 +280,10 @@ def cft_norm_check(ens: NoisyEnsemble) -> tuple[float, float]:
 
     The stack's entries are exact inside the cutoff, so the assembled
     operator is a compression of the quadrature's, and truncation can only
-    lower its norm.  At g' from 1.05 to 2 the value matches ``formulas.cft``
-    to 2.1e-12 relative at 32, 48 and 64 levels alike: that residual is the
-    160-node radial rule's own (its first moment is off by 2.0e-12).
+    lower its norm.  At the three ``verify`` points the value matches
+    ``formulas.cft`` to 5.9e-13 relative with 96 nodes, and to 1.3e-12 with
+    128: the residual is the radial rule's own (its first moment is off by
+    4.8e-13 at 96 nodes).
     """
     dim = _CFT_DIM
     q_sigma = 1.0 / (1.0 + kappa_prime(ens))

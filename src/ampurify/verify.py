@@ -309,10 +309,7 @@ def _check_filter_pole_rejected(seed: int, dim: int) -> Pair:
 
 def _check_fock_identity(seed: int, dim: int) -> Pair:
     ens = _ens(1.0, 1.0, 2.0)
-    value = fock.avg_fidelity_numeric(
-        ens, fock.ShiftKraus.identity(dim), dim=dim, radial_nodes=80
-    )
-    return 1.0 / 3.0, value
+    return 1.0 / 3.0, fock.avg_fidelity_numeric(ens, fock.ShiftKraus.identity(dim), dim=dim)
 
 
 def _check_fock_amplifier_noise(seed: int, dim: int) -> Pair:
@@ -339,7 +336,6 @@ def _check_fock_filter_prob(seed: int, dim: int) -> Pair:
         ens,
         fock.ShiftKraus.filter(fock.FilterSpec(k_cut=30, y=y), dim),
         dim=dim,
-        radial_nodes=80,
         probabilistic=True,
     )
     return formulas.prob_fidelity(ens), value
@@ -427,9 +423,9 @@ FAST_CHECKS = (
 
 def _oracle_gap(points: Iterable, dim: int) -> Pair:
     """(0, max |avg_fidelity_numeric - closed|) over (ensemble, channel,
-    closed) points, at cutoff dim and 80 radial nodes."""
+    closed) points, at cutoff dim on the oracle's default radial rule."""
     return 0.0, np.max([
-        abs(fock.avg_fidelity_numeric(ens, channel, dim=dim, radial_nodes=80) - closed)
+        abs(fock.avg_fidelity_numeric(ens, channel, dim=dim) - closed)
         for ens, channel, closed in points
     ])
 
@@ -458,9 +454,7 @@ def _check_oracle_attenuator(seed: int, dim: int) -> Pair:
     # inside (1, S/N_C) the tuned beamsplitter attains the deterministic optimum
     ens = _ens(1.0, 0.5, 1.5)
     theta = math.acos(formulas.tune(ens).cos_theta)
-    value = fock.avg_fidelity_numeric(
-        ens, fock.ShiftKraus.attenuator(theta, 64), dim=64, radial_nodes=80
-    )
+    value = fock.avg_fidelity_numeric(ens, fock.ShiftKraus.attenuator(theta, 64), dim=64)
     return formulas.det_fidelity(ens), value
 
 
@@ -474,7 +468,6 @@ def _check_filter_sweep(seed: int, dim: int) -> tuple[Pair, Pair, Pair]:
             ens,
             fock.ShiftKraus.filter(fock.FilterSpec(k_cut=k, y=y), cutoff),
             dim=cutoff,
-            radial_nodes=96,
             probabilistic=True,
         )
         for k in cuts
@@ -535,10 +528,8 @@ def _check_gaussian_vs_fock(seed: int, dim: int) -> Pair:
 def _check_angular_reduction(seed: int, dim: int) -> Pair:
     ens = _ens(1.0, 1.0, 1.3)
     identity = fock.ShiftKraus.identity(dim)
-    radial = fock.avg_fidelity_numeric(ens, identity, dim=dim, radial_nodes=64)
-    polar = fock.avg_fidelity_numeric(
-        ens, identity, dim=dim, radial_nodes=64, angular_nodes=12
-    )
+    radial = fock.avg_fidelity_numeric(ens, identity, dim=dim)
+    polar = fock.avg_fidelity_numeric(ens, identity, dim=dim, angular_nodes=12)
     return radial, polar
 
 

@@ -285,6 +285,32 @@ def test_ratio_form_is_scale_invariant():
     assert scaled == pytest.approx(plain, rel=1e-12)
 
 
+@pytest.mark.parametrize("angular_nodes", [0, -3])
+def test_average_rejects_an_empty_angular_grid(angular_nodes):
+    with pytest.raises(DomainError, match="angular_nodes"):
+        avg_fidelity_numeric(NoisyEnsemble(1.0, 1.0, 2.0), ShiftKraus.identity(32), dim=32,
+                             angular_nodes=angular_nodes)
+
+
+def test_average_rejects_a_non_finite_rule(recwarn):
+    # numpy's rule has NaN weights from about 190 nodes up; the floor would drop them all
+    with pytest.raises(DomainError, match="1000-node"):
+        avg_fidelity_numeric(NoisyEnsemble(1.0, 1.0, 2.0), ShiftKraus.identity(32), dim=32,
+                             radial_nodes=1000)
+    assert not recwarn.list
+
+
+def test_laguerre_rule_rejects_a_zeroth_moment_off_by_more_than_1e_12(monkeypatch):
+    t, w = np.polynomial.laguerre.laggauss(23)
+    fock._laguerre_rule.cache_clear()
+    monkeypatch.setattr(fock, "laggauss", lambda n: (t, w * (1.0 + 2e-12)))
+    with pytest.raises(DomainError, match="23-node"):
+        fock._laguerre_rule(23)
+    monkeypatch.setattr(fock, "laggauss", lambda n: (t, w * (1.0 + 5e-13)))
+    assert np.array_equal(fock._laguerre_rule(23)[1], w * (1.0 + 5e-13))
+    fock._laguerre_rule.cache_clear()
+
+
 # ---------------------------------------------------------------------------
 # the prior-state stack
 # ---------------------------------------------------------------------------

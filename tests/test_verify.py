@@ -1,11 +1,14 @@
+import functools
 import importlib
 import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ampurify import fock, verify
+from ampurify import bounds, fock, verify
+from ampurify.params import NoisyEnsemble
 from ampurify.errors import DomainError
 from ampurify.verify import run_suite
 
@@ -122,7 +125,8 @@ def test_each_fast_check_passes(fast_report, name):
 
 
 def test_full_suite_is_clean_and_the_same_with_a_cold_and_a_warm_cache():
-    for cached in (fock.prior_states, fock._laguerre_rule, fock._log_factorials):
+    for cached in (fock.prior_states, fock._laguerre_rule, fock._log_factorials,
+                   fock._recurrence_coefficients):
         cached.cache_clear()
     cold = run_suite(level="full", seed=7, dim=64)
     warm = run_suite(level="full", seed=7, dim=64)
@@ -130,6 +134,39 @@ def test_full_suite_is_clean_and_the_same_with_a_cold_and_a_warm_cache():
     assert cold.all_passed, f"failing checks: {failed}"
     assert [c.name for c in cold.checks] == FAST_ROSTER + FULL_ROSTER
     assert cold.to_json_dict() == warm.to_json_dict()
+
+
+#: one name of each check entry that averages over the oracle's radial rule
+_ORACLE_CHECKS = {"fock_identity_matches_closed_form", "fock_filter_approaches_prob",
+                  "oracle_squeezer_grid_max_dev", "oracle_attenuator_attains_det",
+                  "oracle_filter_terminal_value", "oracle_heterodyne_worked_points",
+                  "gaussian_matches_fock_channels", "angular_grid_agrees_with_radial"}
+
+
+def _oracle_values() -> np.ndarray:
+    entries = [entry for entry in verify.FAST_CHECKS + verify.FULL_CHECKS
+               if _ORACLE_CHECKS & {name for name, _ in entry[1:]}]
+    assert len(entries) == len(_ORACLE_CHECKS)
+    return np.concatenate([np.ravel(np.array(entry[0](7, 64), dtype=float))
+                           for entry in entries])
+
+
+def test_oracle_rules_are_converged_at_the_verify_points(monkeypatch):
+    # the radial term of the oracle's error budget: the shipped rule against 96 nodes
+    shipped = _oracle_values()
+    monkeypatch.setattr(fock, "avg_fidelity_numeric",
+                        functools.partial(fock.avg_fidelity_numeric, radial_nodes=96))
+    assert np.abs(shipped - _oracle_values()).max() <= 1e-12
+
+
+def test_cft_norm_rule_is_converged_at_the_verify_points(monkeypatch):
+    # the points of cft_norm_check_points
+    ensembles = [NoisyEnsemble(*p) for p in ((1.0, 1.0, 1.5), (0.5, 2.0, 1.5), (1.0, 0.5, 2.0))]
+    assert bounds._CFT_RADIAL_NODES == 96
+    shipped = np.array([bounds.cft_norm_check(e)[0] for e in ensembles])
+    monkeypatch.setattr(bounds, "_CFT_RADIAL_NODES", 128)
+    finer = np.array([bounds.cft_norm_check(e)[0] for e in ensembles])
+    assert np.abs(shipped / finer - 1.0).max() <= 1e-12
 
 
 def test_check_tables_pin_the_ordered_roster():
