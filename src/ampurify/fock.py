@@ -188,9 +188,8 @@ def _displaced_thermal_stack(radii: np.ndarray, nbar: float, dim: int) -> np.nda
     with np.errstate(divide="ignore", invalid="ignore"):  # k log 0 is 0 at k = 0
         k_log_r = np.where(k > 0, k * np.log(radii)[:, None], 0.0)
     odd, inner, outer = _recurrence_coefficients(dim)
-    cur, prev, nxt, term = np.empty((4, dim, radii.size))
+    cur, prev, nxt, term = np.zeros((4, dim, radii.size))
     cur[:] = np.exp(-b + k_log_r - (k + 1.0) * math.log(s) - 0.5 * _log_factorials(dim)).T
-    prev[:] = 0.0
     out = np.empty((radii.size, dim, dim))
     for n in range(dim):
         out[:, n, n:] = cur[: dim - n].T
@@ -497,8 +496,7 @@ def apply_heterodyne_mp(rho: FockDensity, z: float) -> FockDensity:
 
 def avg_fidelity_numeric(ens: NoisyEnsemble, channel: ShiftKraus | Amplifier | Heterodyne,
                          dim: int = 64, radial_nodes: int = _RADIAL_NODES, *,
-                         probabilistic: bool = False,
-                         angular_nodes: int | None = None) -> float:
+                         probabilistic: bool = False, angular_nodes: int | None = None) -> float:
     """Gaussian-prior average fidelity of a described Fock-space channel.
 
     Each input state D(alpha) rho_th D^dag of ``prior_states`` is scored

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from ampurify import bounds, fock, verify
-from ampurify.params import NoisyEnsemble
 from ampurify.errors import DomainError
+from ampurify.params import NoisyEnsemble
 from ampurify.verify import run_suite
 
 FAST_ROSTER = [
