@@ -11,17 +11,18 @@ three kinds:
   identity (0).
 * ``Amplifier(r)``: the phase-insensitive amplifier, scored rank one.
 * ``Heterodyne(z)``: the measure-and-prepare benchmark, heterodyne
-  detection re-prepared as the coherent state |z beta>, in closed form: one
-  kernel K_d per coherence order d carries order d of the input onto the
-  same order of the output.
+  detection re-prepared as the coherent state |z beta>, scored by its exact
+  adjoint, a displaced thermal state.
 
 A description's ``scorer`` scores a (P, dim, dim) stack of input states
 against P target amplitudes in the adjoint picture, never building an
 output: <t|A_k rho A_k^dag|t> = v_k^dag rho v_k with v_k = A_k^dag |t>, and
-the heterodyne score is sum_d sum_(m,a) rho[m, m+d] K_d[m, a] conj(t_a)
-t_(a+d).  It returns each state's fidelity and output trace (the heralding
-weight, and every trace guard).  The ``apply_*`` functions build the output
-from the same description, the amplifier's from its Kraus weights.
+the heterodyne score is Tr[rho D(t/z) rho_th(1/z^2) D(t/z)^dag] / z^2, with
+no output cutoff.  It returns each state's fidelity and output trace (the
+heralding weight).  The ``apply_*`` functions build the output from the
+same description, the amplifier's from its Kraus weights and the
+heterodyne's from a per-order kernel; their cut outputs carry the only trace
+guards.
 
 Prior averages reduce to a radial Gauss-Laguerre rule, by default of
 ``_RADIAL_NODES`` nodes, as every state, channel and target here is phase
@@ -59,6 +60,10 @@ _CHUNK = 16
 #: radial Gauss-Laguerre nodes of an oracle average: at the verify points a
 #: rule of this size agrees with one of 96 nodes to 1.2e-13 (32 nodes: 3.2e-12)
 _RADIAL_NODES = 48
+
+#: below this re-preparation scale the heterodyne scores its z -> 0 limit
+#: e^(-|t|^2) Tr rho, off the exact score by about 2 z |t| |<a>| < 1e-16
+_SMALL_Z = 1e-20
 
 #: coherent-ket and prior-stack entries of log magnitude below this are zero
 #: (far nodes would otherwise reach 1e-320 and make their products subnormal)
@@ -209,12 +214,13 @@ def _displaced_thermal_stack(radii: np.ndarray, nbar: float, dim: int) -> np.nda
     return out
 
 
-def _rotated(states: np.ndarray, phi: float) -> np.ndarray:
-    """exp(i phi n) rho exp(-i phi n) for each state rho: a phase rotation by phi."""
-    if phi == 0.0:
+def _rotated(states: np.ndarray, phi: float | np.ndarray) -> np.ndarray:
+    """exp(i phi n) rho exp(-i phi n) for each state rho: a phase rotation by
+    phi, one angle for the whole stack or one per state."""
+    if not np.any(phi):
         return states
-    ph = np.exp(1j * phi * np.arange(states.shape[-1]))
-    return ph[:, None] * states * ph.conj()
+    ph = np.exp(1j * np.multiply.outer(phi, np.arange(states.shape[-1])))
+    return ph[..., :, None] * states * ph.conj()[..., None, :]
 
 
 def displaced_thermal_density(amp: complex, nbar: float, dim: int) -> FockDensity:
@@ -254,15 +260,12 @@ def prior_states(lambda_prime: float, mu: float, dim: int,
     return radii, weights, states
 
 
-def _check_trace(states: np.ndarray, tr_out: np.ndarray | float,
-                 slack: np.ndarray | float, message: str) -> None:
-    """TruncationError naming the first of the states (one, or a stack) whose
-    output trace strays from its own trace by more than ``slack``."""
-    tr_in, tr_out = np.atleast_1d(np.trace(states, axis1=-2, axis2=-1).real, tr_out)
-    bad = np.abs(tr_out - tr_in) > slack
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise TruncationError(message.format(float(tr_in[i]), float(tr_out[i])))
+def _check_trace(rho: FockDensity, out: FockDensity, message: str) -> None:
+    """TruncationError if the output state's trace strays from the input
+    state's by more than 1e-6."""
+    tr_in, tr_out = rho.trace(), out.trace()
+    if abs(tr_out - tr_in) > 1e-6:
+        raise TruncationError(message.format(tr_in, tr_out))
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,7 +396,7 @@ def apply_two_mode_squeezer(rho: FockDensity, r: float, dim_anc: int = 64) -> Fo
     weights = math.tanh(r) ** k * np.exp(  # 0^0 is 1 at r = 0
         0.5 * (lf[n + k] - lf[n] - lf[k]) - (n + 1.0) * math.log(math.cosh(r)))
     out = _apply_shift_kraus(rho, ShiftKraus(weights, 1, rho.dim + dim_anc - 1))
-    _check_trace(rho.mat, out.trace(), 1e-6, "squeezer lost trace: {!r} -> {!r}; increase dim_anc")
+    _check_trace(rho, out, "squeezer lost trace: {!r} -> {!r}; increase dim_anc")
     return out
 
 
@@ -413,16 +416,20 @@ class Heterodyne:
 
         rho -> integral (d^2 beta / pi) <beta|rho|beta> |z beta><z beta|
 
-    in closed form.  The channel is phase covariant, so coherence order d of
-    rho feeds the same order of the output, out[a, a+d] = sum_m K_d[m, a]
-    rho[m, m+d], the beta integral done exactly:
+    Its adjoint maps the projector on a target |t> to a displaced thermal
+    state, integral (d^2 beta / pi) e^(-|t - z beta|^2) |beta><beta| =
+    D(t/z) rho_th(1/z^2) D(t/z)^dag / z^2, so the scorer takes one trace
+    against the prior stack's own closed form, with no output cutoff; below
+    ``_SMALL_Z`` it takes the z -> 0 limit e^(-|t|^2) Tr rho.
 
-        K_d[m, a] = z^(2a+d) (m+a+d)! / ((1+z^2)^(m+a+d+1) sqrt(m! (m+d)! a! (a+d)!))
+    ``apply_heterodyne_mp`` builds the output: by phase covariance order d
+    of rho feeds the same order, out[a, a+d] = sum_m K_d[m, a] rho[m, m+d],
+    the beta integral done exactly,
 
-    Orders d < 0 are the Hermitian conjugates of d > 0.  In the adjoint
-    picture the fidelity against a target |t> is
-    sum_d sum_(m,a) rho[m, m+d] K_d[m, a] conj(t_a) t_(a+d).  The output
-    keeps 2 dim - 1 levels; input level m spreads over them with total weight
+        K_d[m, a] = z^(2a+d) (m+a+d)! / ((1+z^2)^(m+a+d+1) sqrt(m! (m+d)! a! (a+d)!)),
+
+    and orders d < 0 are the conjugates of d > 0.  It keeps 2 dim - 1
+    levels; input level m spreads over them with total weight
     sum_a K_0[m, a] = 1 before the cut, so a trace lost past it by more than
     1e-6 raises TruncationError.
     """
@@ -453,29 +460,17 @@ class Heterodyne:
             blocks.append(np.exp(k, out=k))
         return blocks
 
-    def _check_trace(self, states: np.ndarray, tr_out: np.ndarray | float) -> None:
-        _check_trace(states, tr_out, 1e-6,
-                     "measure-and-prepare lost trace: {!r} -> {!r}; increase dim")
-
     def scorer(self, dim: int) -> Scorer:
         """The stacked adjoint-picture score of this channel at cutoff dim."""
-        kernel = self._kernel(dim)
-        n_out, out_weight = 2 * dim - 1, kernel[0].sum(axis=1)
+        z = self.z
 
         def score(states: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            tr_out = np.diagonal(states, axis1=-2, axis2=-1).real @ out_weight
-            self._check_trace(states, tr_out)
-            t = _coherent_kets(targets, n_out)
-            both_complex = np.iscomplexobj(states) and np.iscomplexobj(t)
-            fid = np.zeros(len(states))
-            for d, k in enumerate(kernel):
-                # Re(r K s) for real K; order -d adds the conjugate of order d
-                r, s = np.diagonal(states, d, -2, -1), t[:, : n_out - d].conj() * t[:, d:]
-                term = np.einsum("pa,pa->p", r.real @ k, s.real)
-                if both_complex:
-                    term -= np.einsum("pa,pa->p", r.imag @ k, s.imag)
-                fid += term if d == 0 else 2.0 * term
-            return fid, tr_out
+            tr, mod = np.trace(states, axis1=-2, axis2=-1).real, np.abs(targets)
+            if z < _SMALL_Z:
+                return np.exp(-mod * mod) * tr, tr
+            adjoint = _rotated(_displaced_thermal_stack(mod / z, 1.0 / (z * z), dim),
+                               np.angle(targets))
+            return np.einsum("pij,pji->p", states, adjoint).real / (z * z), tr
 
         return score
 
@@ -490,7 +485,7 @@ def apply_heterodyne_mp(rho: FockDensity, z: float) -> FockDensity:
         out[a[d:], a[: n_out - d]] = v.conj()
         out[a[: n_out - d], a[d:]] = v
     res = FockDensity(n_out, out)
-    ch._check_trace(rho.mat, res.trace())
+    _check_trace(rho, res, "measure-and-prepare lost trace: {!r} -> {!r}; increase dim")
     return res
 
 

@@ -67,6 +67,9 @@ _MARGIN_FLOOR = 1e-6
 _ORACLE_N_C = (0.5, 1.0, 2.0)
 _ORACLE_N_T = (0.25, 0.5, 1.0)
 
+#: Fock cutoff of the oracle grids, and the least one of the other oracle checks
+_ORACLE_DIM = 64
+
 Pair = tuple[float, float]
 Rule = Callable[[NoisyEnsemble], float]
 
@@ -441,12 +444,12 @@ def _check_oracle_grid(seed: int, dim: int) -> tuple[Pair, Pair]:
             amplified = [_ens(lam, mu, g) for g in (a, a + 0.5, 2.0 * a)]
             squeezer.append(_oracle_gap(
                 ((e, fock.Amplifier(math.acosh(formulas.tune(e).cosh_r)), formulas.det_fidelity(e))
-                 for e in amplified), 64)[1])
+                 for e in amplified), _ORACLE_DIM)[1])
             unamplified = [_ens(lam, mu, 1.0), _ens(lam, mu, 1.2)]
             identity.append(_oracle_gap(
-                ((e, fock.ShiftKraus.identity(64),
+                ((e, fock.ShiftKraus.identity(_ORACLE_DIM),
                   avg_fidelity_gaussian(e, ChannelParam(ChannelKind.IDENTITY))) for e in unamplified),
-                64)[1])
+                _ORACLE_DIM)[1])
     return (0.0, np.max(squeezer)), (0.0, np.max(identity))
 
 
@@ -454,15 +457,15 @@ def _check_oracle_attenuator(seed: int, dim: int) -> Pair:
     # inside (1, S/N_C) the tuned beamsplitter attains the deterministic optimum
     ens = _ens(1.0, 0.5, 1.5)
     theta = math.acos(formulas.tune(ens).cos_theta)
-    value = fock.avg_fidelity_numeric(ens, fock.ShiftKraus.attenuator(theta, 64), dim=64)
-    return formulas.det_fidelity(ens), value
+    channel = fock.ShiftKraus.attenuator(theta, _ORACLE_DIM)
+    return formulas.det_fidelity(ens), fock.avg_fidelity_numeric(ens, channel, dim=_ORACLE_DIM)
 
 
 def _check_filter_sweep(seed: int, dim: int) -> tuple[Pair, Pair, Pair]:
     ens = _ens(1.0, 1.0, 1.5)
     y = formulas.tune(ens).y
     cuts = [5, 10, 20, 40]
-    cutoff = max(dim, 64)
+    cutoff = max(dim, _ORACLE_DIM)
     values = [
         fock.avg_fidelity_numeric(
             ens,
@@ -480,8 +483,9 @@ def _check_filter_sweep(seed: int, dim: int) -> tuple[Pair, Pair, Pair]:
 
 
 def _check_oracle_heterodyne(seed: int, dim: int) -> Pair:
-    return _oracle_gap(((ens, fock.Heterodyne(formulas.tune(ens).z), formulas.cft(ens))
-                        for ens in (_ens(1.0, 1e12, 1.0), _ens(1.0, 1.0, 2.0))), max(dim, 64))
+    points = ((ens, fock.Heterodyne(formulas.tune(ens).z), formulas.cft(ens))
+              for ens in (_ens(1.0, 1e12, 1.0), _ens(1.0, 1.0, 2.0)))
+    return _oracle_gap(points, max(dim, _ORACLE_DIM))
 
 
 def _check_finite_p_trend(seed: int, dim: int) -> tuple[Pair, Pair]:
@@ -514,7 +518,7 @@ def _check_gaussian_vs_fock(seed: int, dim: int) -> Pair:
         (_ens(0.5, 2.0, 1.3), ChannelParam(ChannelKind.TWO_MODE_SQUEEZE, 0.3)),
         (_ens(1.0, 0.5, 0.8), ChannelParam(ChannelKind.ATTENUATE, 0.5)),
     )
-    cutoff = max(dim, 64)
+    cutoff = max(dim, _ORACLE_DIM)
 
     def channel(ch: ChannelParam) -> fock.ShiftKraus | fock.Amplifier:
         if ch.kind is ChannelKind.TWO_MODE_SQUEEZE:
@@ -535,8 +539,8 @@ def _check_angular_reduction(seed: int, dim: int) -> Pair:
 
 def _check_filtered_nbar_fit(seed: int, dim: int) -> Pair:
     nbar, y, k_cut = 1.0, 1.25, 40
-    diag = np.diag(fock._thermal_diag(nbar, max(dim, 64))).astype(complex)
-    rho = fock.FockDensity(max(dim, 64), diag)
+    cutoff = max(dim, _ORACLE_DIM)
+    rho = fock.FockDensity(cutoff, np.diag(fock._thermal_diag(nbar, cutoff)).astype(complex))
     filtered = fock.apply_filter(rho, fock.FilterSpec(k_cut=k_cut, y=y))
     fitted = fock.fit_thermal_nbar(filtered)
     mu = 1.0 / nbar
@@ -579,9 +583,9 @@ def run_suite(level: str = "fast", seed: int = 7, dim: int = 64) -> VerifyReport
     seed  : seeds the random-triple spectral check (and nothing else), so
             a fixed seed makes the whole report reproducible bit for bit.
     dim   : Fock cutoff for the compact numeric checks, and for the oracle
-            checks that raise it to at least 64; the squeezer, identity and
-            attenuator grids pin 64.  Must lie in [32, 128], as the
-            heterodyne kernel grows as dim^3.
+            checks that raise it to at least ``_ORACLE_DIM``; the squeezer,
+            identity and attenuator grids pin it.  Must lie in [32, 128],
+            where the prior stack is exact above its floor.
     """
     if level not in ("fast", "full"):
         raise DomainError(f"verification level must be 'fast' or 'full', got {level!r}")

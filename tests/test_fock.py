@@ -233,11 +233,20 @@ def test_heterodyne_mp_rejects_a_grid_that_misses_the_state():
         apply_heterodyne_mp(rho, 4.0)
 
 
-def test_heterodyne_score_rejects_a_grid_that_misses_the_state():
-    # the scorer's adjoint picture keeps the same output-trace guard
+def test_heterodyne_score_needs_no_output_cutoff():
+    # the built output of a 24-level state at z = 3 spills past its 47
+    # levels, but the adjoint score has no output cutoff: it equals the
+    # projection of the output built from the same state padded to 128 levels
     rho = displaced_thermal_density(0.5, 0.25, 24)
     with pytest.raises(TruncationError, match="lost trace"):
-        Heterodyne(4.0).scorer(24)(rho.mat[None], np.array([2.0]))
+        apply_heterodyne_mp(rho, 3.0)
+    padded = np.zeros((128, 128), dtype=complex)
+    padded[:24, :24] = rho.mat
+    out = apply_heterodyne_mp(FockDensity(128, padded), 3.0)
+    target = coherent_ket(2.0, out.dim)
+    (fidelity,), (trace,) = Heterodyne(3.0).scorer(24)(rho.mat[None], np.array([2.0]))
+    assert fidelity == pytest.approx(float(np.real(target.conj() @ out.mat @ target)), abs=1e-15)
+    assert trace == rho.trace()
 
 
 def _kernel_entry(z: float, d: int, m: int, a: int) -> float:
@@ -388,8 +397,12 @@ _EQUIV_DIM = 32
             Heterodyne(0.7),
             lambda rho: apply_heterodyne_mp(rho, 0.7),
         ),
+        # below fock._SMALL_Z the score is the z -> 0 limit
+        (Heterodyne(0.0), lambda rho: apply_heterodyne_mp(rho, 0.0)),
+        (Heterodyne(1e-30), lambda rho: apply_heterodyne_mp(rho, 1e-30)),
     ],
-    ids=["identity", "squeezer", "attenuator", "filter", "heterodyne"],
+    ids=["identity", "squeezer", "attenuator", "filter", "heterodyne", "heterodyne-z0",
+         "heterodyne-z1e-30"],
 )
 def test_adjoint_score_equals_projection_of_built_output(channel, apply):
     rho = displaced_thermal_density(0.9 + 0.5j, 0.4, _EQUIV_DIM)
