@@ -20,27 +20,22 @@ def main() -> None:
     rows = []
 
     ens = NoisyEnsemble(1.0, 1.0, 2.0)
-    numeric = fock.avg_fidelity_numeric(ens, fock.ShiftKraus.identity(64), dim=64)
+    numeric = fock.avg_fidelity_numeric(ens, fock.GaussianChannel.identity(), dim=64)
     rows.append(("identity, g' = 2", numeric, det_fidelity(ens)))
 
     ens = NoisyEnsemble(1.0, 1.0, 3.5)
     r = math.acosh(tune(ens).cosh_r)
-    numeric = fock.avg_fidelity_numeric(ens, fock.Amplifier(r), dim=64)
+    numeric = fock.avg_fidelity_numeric(ens, fock.GaussianChannel.amplifier(r), dim=64)
     rows.append(("squeezer, g' = 3.5", numeric, det_fidelity(ens)))
 
     ens = NoisyEnsemble(1.0, 1.0, 1.5)
     spec = fock.FilterSpec(k_cut=40, y=tune(ens).y)
-    numeric = fock.avg_fidelity_numeric(
-        ens,
-        fock.ShiftKraus.filter(spec, 64),
-        dim=64,
-        probabilistic=True,
-    )
+    numeric = fock.avg_fidelity_numeric(ens, spec, dim=64, probabilistic=True)
     rows.append(("rank-40 filter, g' = 1.5", numeric, prob_fidelity(ens)))
 
     ens = NoisyEnsemble(1.0, 1.0, 2.0)
     z = tune(ens).z
-    numeric = fock.avg_fidelity_numeric(ens, fock.Heterodyne(z), dim=64)
+    numeric = fock.avg_fidelity_numeric(ens, fock.GaussianChannel.heterodyne(z), dim=64)
     rows.append(("measure-and-prepare, g' = 2", numeric, cft(ens)))
 
     print(f"{'protocol':<28} {'numeric':>16} {'closed form':>16} {'|gap|':>10}")

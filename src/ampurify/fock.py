@@ -3,26 +3,17 @@
 Everything works on dense numpy matrices in the number basis {|0>, ...,
 |dim-1>}, and every state and channel comes from its closed form, so every
 entry inside the cutoff is exact.  A channel is a description, of one of
-three kinds:
-
-* ``ShiftKraus(weights, shift, dim_out)``: diagonal up to a photon-number
-  shift, with Kraus operators A_k = sum_n W[n, k] |n + shift k><n|: the
-  beamsplitter (shift -1, binomial weights), the diagonal filter and the
-  identity (0).
-* ``Amplifier(r)``: the phase-insensitive amplifier, scored rank one.
-* ``Heterodyne(z)``: the measure-and-prepare benchmark, heterodyne
-  detection re-prepared as the coherent state |z beta>, scored by its exact
-  adjoint, a displaced thermal state.
+two kinds: ``GaussianChannel(scale, nbar)``, whose constructors are the
+paper's deterministic protocols (``identity``, ``attenuator``,
+``amplifier`` and ``heterodyne``), and the heralded diagonal filter
+``FilterSpec(k_cut, y)``.
 
 A description's ``scorer`` scores a (P, dim, dim) stack of input states
 against P target amplitudes in the adjoint picture, never building an
-output: <t|A_k rho A_k^dag|t> = v_k^dag rho v_k with v_k = A_k^dag |t>, and
-the heterodyne score is Tr[rho D(t/z) rho_th(1/z^2) D(t/z)^dag] / z^2, with
-no output cutoff.  It returns each state's fidelity and output trace (the
-heralding weight).  The ``apply_*`` functions build the output from the
-same description, the amplifier's from its Kraus weights and the
-heterodyne's from a per-order kernel; their cut outputs carry the only trace
-guards.
+output, and returns each state's fidelity and output trace (the heralding
+weight).  The ``apply_*`` functions build the outputs instead, from Kraus
+weights or a per-order kernel: they are the scorers' independent
+reference, and their cut outputs carry the only trace guards.
 
 Prior averages reduce to a radial Gauss-Laguerre rule, by default of
 ``_RADIAL_NODES`` nodes, as every state, channel and target here is phase
@@ -39,8 +30,8 @@ subnormal floats, on which the CPU is many times slower.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -61,8 +52,8 @@ _CHUNK = 16
 #: rule of this size agrees with one of 96 nodes to 1.2e-13 (32 nodes: 3.2e-12)
 _RADIAL_NODES = 48
 
-#: below this re-preparation scale the heterodyne scores its z -> 0 limit
-#: e^(-|t|^2) Tr rho, off the exact score by about 2 z |t| |<a>| < 1e-16
+#: below this scale a Gaussian channel of nbar > 0 scores its s -> 0 limit, the
+#: vacuum output's e^(-|t|^2) Tr rho, off the exact score by about 2 s |t| |<a>| < 1e-16
 _SMALL_Z = 1e-20
 
 #: coherent-ket and prior-stack entries of log magnitude below this are zero
@@ -105,6 +96,25 @@ class FilterSpec:
             raise DomainError(f"k_cut must be an integer >= 0, got {self.k_cut!r}")
         if not (math.isfinite(self.y) and self.y > 0.0):
             raise DomainError(f"y must be finite and > 0, got {self.y!r}")
+
+    def _diagonal(self, dim: int) -> np.ndarray:
+        """Q's diagonal at cutoff dim, which must exceed the rank k_cut."""
+        if self.k_cut >= dim:
+            raise DomainError(
+                f"filter rank k_cut = {self.k_cut} must be below the cutoff dim = {dim}")
+        n = np.arange(dim)
+        return np.where(n <= self.k_cut, self.y ** (n - float(self.k_cut)), 0.0)
+
+    def scorer(self, dim: int) -> Scorer:
+        """The stacked adjoint-picture score <t|Q rho Q|t> = <v|rho|v>, v = Q|t>,
+        with the heralding weight Tr[Q^2 rho]."""
+        q = self._diagonal(dim)
+
+        def score(states: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            tr_out = np.diagonal(states, axis1=-2, axis2=-1).real @ (q * q)
+            return _projections(states, q * _coherent_kets(targets, dim)), tr_out
+
+        return score
 
 
 @lru_cache(maxsize=8)
@@ -251,7 +261,11 @@ def prior_states(lambda_prime: float, mu: float, dim: int,
     sum_i w_i f(sqrt(t_i / lambda')) over ``_laguerre_rule``.  The last stack
     is kept for the next call, since it serves every channel at its arguments;
     only one is kept, as a rebuild at the default rule and 64 levels costs
-    about 2 ms and every stack kept adds its 1.6 MB to the process."""
+    about 2 ms and every stack kept adds its 1.6 MB to the process.  Above
+    128 levels a far node's start values underflow where its exact entries
+    do not, so a larger cutoff is a DomainError."""
+    if dim > 128:
+        raise DomainError(f"prior stacks are exact only up to 128 levels, got dim {dim}")
     t, weights = _laguerre_rule(radial_nodes)
     radii = np.sqrt(t / lambda_prime)
     states = _displaced_thermal_stack(radii, 1.0 / mu, dim)
@@ -260,236 +274,75 @@ def prior_states(lambda_prime: float, mu: float, dim: int,
     return radii, weights, states
 
 
-def _check_trace(rho: FockDensity, out: FockDensity, message: str) -> None:
-    """TruncationError if the output state's trace strays from the input
-    state's by more than 1e-6."""
-    tr_in, tr_out = rho.trace(), out.trace()
-    if abs(tr_out - tr_in) > 1e-6:
-        raise TruncationError(message.format(tr_in, tr_out))
+def _projections(states: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """<v_p|rho_p|v_p> for each state rho_p of a stack and its ket v_p."""
+    return np.einsum("pn,pn->p", kets.conj(), (states @ kets[..., None])[..., 0]).real
 
 
-@dataclass(frozen=True, eq=False)
-class ShiftKraus:
-    """Channel rho -> sum_k A_k rho A_k^dag, A_k = sum_n W[n, k] |n + shift k><n|.
+@dataclass(frozen=True)
+class GaussianChannel:
+    """Phase-insensitive Gaussian channel of scale s (amp -> s amp), described
+    by its adjoint, which maps the projector on a target |t> to the displaced
+    thermal state D(t/s) rho_th(nbar) D(t/s)^dag / s^2.  Build it with one of
+    the four constructors, which check their parameter; those of nbar > 0
+    have (1 + nbar) s^2 -> 1 as s -> 0, where the output is vacuum."""
 
-    ``weights`` holds W in closed form, one row per input level; levels
-    mapped outside [0, dim_out) are dropped (the beamsplitter's n < k, of
-    zero weight).
-    """
-
-    weights: np.ndarray = field(repr=False)
-    shift: int
-    dim_out: int
+    scale: float
+    nbar: float
 
     @classmethod
-    def identity(cls, dim: int) -> "ShiftKraus":
-        """The channel that does nothing, at cutoff dim."""
-        return cls(np.ones((dim, 1)), 0, dim)
+    def identity(cls) -> "GaussianChannel":
+        """The channel that does nothing."""
+        return cls(1.0, 0.0)
 
     @classmethod
-    def attenuator(cls, theta: float, dim: int) -> "ShiftKraus":
-        """Beamsplitter of angle theta against a vacuum ancilla (amp -> cos(theta) amp).
-
-        n_a + n_b is conserved, so every sector is finite and
-        W[n, k] = <n-k, k|exp(...)|n, 0> = (-1)^k sqrt(C(n, k)) cos^(n-k) sin^k.
-        """
+    def attenuator(cls, theta: float) -> "GaussianChannel":
+        """Beamsplitter of angle theta against a vacuum ancilla: the Husimi
+        function of its adjoint, <b|Phi^dag(|t><t|)|b> = |<t|b cos theta>|^2 =
+        e^(-|t - b cos theta|^2), is that of s = cos theta, nbar = tan^2 theta."""
         if not 0.0 <= theta <= math.pi / 2.0:
             raise DomainError(f"theta must be in [0, pi/2], got {theta!r}")
-        if theta == 0.0:
-            return cls.identity(dim)
-        n, k = np.ogrid[:dim, :dim]
-        n_k = np.maximum(n - k, 0)
-        lf = _log_factorials(dim)
-        terms = (-1.0) ** k * np.exp(0.5 * (lf[n] - lf[k] - lf[n_k])) * (
-            math.cos(theta) ** n_k * math.sin(theta) ** k)
-        return cls(np.tril(terms), -1, dim)  # k <= n
+        return cls(math.cos(theta), math.tan(theta) ** 2)
 
     @classmethod
-    def filter(cls, f: FilterSpec, dim: int) -> "ShiftKraus":
-        """The diagonal filter Q = y^(-K) sum_{n <= K} y^n |n><n|."""
-        if f.k_cut >= dim:
-            raise DomainError(
-                f"filter rank k_cut = {f.k_cut} must be below the cutoff dim = {dim}")
-        n = np.arange(dim)
-        return cls(np.where(n <= f.k_cut, f.y ** (n - float(f.k_cut)), 0.0)[:, None], 0, dim)
+    def amplifier(cls, r: float) -> "GaussianChannel":
+        """Amplifier of gain cosh^2 r: the two-mode squeezer exp(r(a^dag b^dag - a b))
+        on a vacuum ancilla, traced out.  Its adjoint rescales a coherent projector,
+        |t><t| -> |t/cosh r><t/cosh r| / cosh^2 r: s = cosh r and nbar = 0."""
+        if not (math.isfinite(r) and r >= 0.0):
+            raise DomainError(f"squeeze parameter must be >= 0, got {r!r}")
+        return cls(math.cosh(r), 0.0)
 
-    @cached_property
-    def _kept(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(W with dropped levels zeroed, output level of each entry, and the
-        per-input-level output weight sum_k |W[n, k]|^2)."""
-        n = np.arange(self.weights.shape[0])[:, None]
-        level = n + self.shift * np.arange(self.weights.shape[1])[None, :]
-        inside = (level >= 0) & (level < self.dim_out)
-        kept = np.where(inside, self.weights, 0.0)
-        return kept, np.where(inside, level, 0), (np.abs(kept) ** 2).sum(axis=1)
-
-    def scorer(self, dim: int) -> Scorer:
-        """The stacked adjoint-picture score of this channel at input cutoff dim."""
-        if self.weights.shape[0] != dim:
-            raise DomainError(
-                f"channel built for {self.weights.shape[0]} input levels, got dim {dim}")
-        kept, level, out_weight = self._kept
-
-        def score(states: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            # column k of v is A_k^dag |t>, so <t|A_k rho A_k^dag|t> = v_k^dag rho v_k
-            v = kept.conj() * _coherent_kets(targets, self.dim_out)[:, level]
-            tr_out = np.diagonal(states, axis1=-2, axis2=-1).real @ out_weight
-            return np.einsum("pnk,pnk->p", v.conj(), states @ v).real, tr_out
-
-        return score
-
-
-def _apply_shift_kraus(rho: FockDensity, ch: ShiftKraus) -> FockDensity:
-    """The output state sum_k A_k rho A_k^dag of a shift-Kraus channel."""
-    out = np.zeros((ch.dim_out, ch.dim_out), dtype=complex)
-    for k in range(ch.weights.shape[1]):
-        lo = max(0, -ch.shift * k)
-        hi = min(rho.dim, ch.dim_out - ch.shift * k)
-        a = lo + ch.shift * k
-        col = ch.weights[lo:hi, k]
-        out[a : a + hi - lo, a : a + hi - lo] += col[:, None] * rho.mat[lo:hi, lo:hi] * col.conj()
-    return FockDensity(ch.dim_out, out)
-
-
-@dataclass(frozen=True, eq=False)
-class Amplifier:
-    """Phase-insensitive amplifier of gain cosh^2 r: the two-mode squeezer
-    exp(r(a^dag b^dag - a b)) on a vacuum ancilla, which is traced out.
-
-    Its adjoint rescales a coherent projector (and so the Husimi function),
-    sum_k A_k^dag |b><b| A_k = |b/cosh r><b/cosh r| / cosh^2 r, so the score
-    against |t> is <g|rho|g> / cosh^2 r with g = t / cosh r: rank one at the
-    input cutoff, with no ancilla, and the trace preserved.
-    """
-
-    r: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.r) and self.r >= 0.0):
-            raise DomainError(f"squeeze parameter must be >= 0, got {self.r!r}")
+    @classmethod
+    def heterodyne(cls, z: float) -> "GaussianChannel":
+        """Heterodyne measure-and-prepare channel, rho -> integral (d^2 beta / pi)
+        <beta|rho|beta> |z beta><z beta|.  Its adjoint, integral (d^2 beta / pi)
+        e^(-|t - z beta|^2) |beta><beta|, has s = z and nbar = 1/z^2 (infinite
+        below ``_SMALL_Z``)."""
+        if not (math.isfinite(z) and z >= 0.0):
+            raise DomainError(f"re-preparation scale z must be >= 0, got {z!r}")
+        return cls(z, 1.0 / (z * z) if z >= _SMALL_Z else math.inf)
 
     def scorer(self, dim: int) -> Scorer:
-        """The stacked adjoint-picture score of this channel at cutoff dim."""
-        gain = math.cosh(self.r)
-
-        def score(states: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            g = _coherent_kets(targets / gain, dim)
-            fid = np.einsum("pn,pn->p", g.conj(), (states @ g[..., None])[..., 0]).real
-            return fid / (gain * gain), np.trace(states, axis1=-2, axis2=-1).real
-
-        return score
-
-
-def apply_two_mode_squeezer(rho: FockDensity, r: float, dim_anc: int = 64) -> FockDensity:
-    """Output state of ``Amplifier(r)`` at cutoff rho.dim + dim_anc - 1.
-
-    Its Kraus weights are the negative-binomial amplitudes
-    W[n, k] = <n+k, k|S(r)|n, 0> = sqrt(C(n+k, k)) tanh^k r / cosh^(n+1) r,
-    cut at ancilla level k < dim_anc; a trace lost to the cut by more than
-    1e-6 raises TruncationError.
-    """
-    Amplifier(r)  # rejects a negative or non-finite r
-    if dim_anc < 2:
-        raise DomainError(f"dim_anc must be >= 2, got {dim_anc!r}")
-    n, k = np.ogrid[: rho.dim, :dim_anc]
-    lf = _log_factorials(rho.dim + dim_anc)
-    weights = math.tanh(r) ** k * np.exp(  # 0^0 is 1 at r = 0
-        0.5 * (lf[n + k] - lf[n] - lf[k]) - (n + 1.0) * math.log(math.cosh(r)))
-    out = _apply_shift_kraus(rho, ShiftKraus(weights, 1, rho.dim + dim_anc - 1))
-    _check_trace(rho, out, "squeezer lost trace: {!r} -> {!r}; increase dim_anc")
-    return out
-
-
-def apply_attenuator(rho: FockDensity, theta: float) -> FockDensity:
-    """Output state of ``ShiftKraus.attenuator``."""
-    return _apply_shift_kraus(rho, ShiftKraus.attenuator(theta, rho.dim))
-
-
-def apply_filter(rho: FockDensity, f: FilterSpec) -> FockDensity:
-    """Output state of ``ShiftKraus.filter``: Q rho Q^dag."""
-    return _apply_shift_kraus(rho, ShiftKraus.filter(f, rho.dim))
-
-
-@dataclass(frozen=True, eq=False)
-class Heterodyne:
-    """Heterodyne measure-and-prepare channel.
-
-        rho -> integral (d^2 beta / pi) <beta|rho|beta> |z beta><z beta|
-
-    Its adjoint maps the projector on a target |t> to a displaced thermal
-    state, integral (d^2 beta / pi) e^(-|t - z beta|^2) |beta><beta| =
-    D(t/z) rho_th(1/z^2) D(t/z)^dag / z^2, so the scorer takes one trace
-    against the prior stack's own closed form, with no output cutoff; below
-    ``_SMALL_Z`` it takes the z -> 0 limit e^(-|t|^2) Tr rho.
-
-    ``apply_heterodyne_mp`` builds the output: by phase covariance order d
-    of rho feeds the same order, out[a, a+d] = sum_m K_d[m, a] rho[m, m+d],
-    the beta integral done exactly,
-
-        K_d[m, a] = z^(2a+d) (m+a+d)! / ((1+z^2)^(m+a+d+1) sqrt(m! (m+d)! a! (a+d)!)),
-
-    and orders d < 0 are the conjugates of d > 0.  It keeps 2 dim - 1
-    levels; input level m spreads over them with total weight
-    sum_a K_0[m, a] = 1 before the cut, so a trace lost past it by more than
-    1e-6 raises TruncationError.
-    """
-
-    z: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.z) and self.z >= 0.0):
-            raise DomainError(f"re-preparation scale z must be >= 0, got {self.z!r}")
-
-    def _kernel(self, dim: int) -> list[np.ndarray]:
-        """K_d for d = 0, ..., dim - 1 at input cutoff dim, each kept to its
-        valid (dim - d) x (2 dim - 1 - d) block, exponentiated in place from
-        logs: the Hankel factor log (m+a+d)! plus a row and a column term."""
-        n_out = 2 * dim - 1
-        lf = _log_factorials(3 * dim - 2)
-        log_s = math.log1p(self.z * self.z)
-        log_z = math.log(self.z) if self.z > 0.0 else -math.inf
-        blocks = []
-        for d in range(dim):
-            m, a = np.arange(dim - d), np.arange(n_out - d)
-            with np.errstate(invalid="ignore"):  # z^0 is 1 at z = 0
-                z_pow = np.where(2 * a + d > 0, (2 * a + d) * log_z, 0.0)
-            row = -(m + 1.0) * log_s - 0.5 * (lf[m] + lf[m + d])
-            col = z_pow - (a + d) * log_s - 0.5 * (lf[a] + lf[a + d])
-            k = sliding_window_view(lf[d:], n_out - d)[: dim - d] + row[:, None]
-            k += col
-            blocks.append(np.exp(k, out=k))
-        return blocks
-
-    def scorer(self, dim: int) -> Scorer:
-        """The stacked adjoint-picture score of this channel at cutoff dim."""
-        z = self.z
+        """The stacked adjoint-picture score of this channel at cutoff dim:
+        below ``_SMALL_Z`` the vacuum limit e^(-|t|^2) Tr rho; where nbar = 0
+        rank one, <t/s|rho|t/s> / s^2; otherwise one trace against the prior
+        stack's own closed form, with no output cutoff.  Each preserves the trace."""
+        s, nbar = self.scale, self.nbar
 
         def score(states: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             tr, mod = np.trace(states, axis1=-2, axis2=-1).real, np.abs(targets)
-            if z < _SMALL_Z:
+            if s < _SMALL_Z:
                 return np.exp(-mod * mod) * tr, tr
-            adjoint = _rotated(_displaced_thermal_stack(mod / z, 1.0 / (z * z), dim),
-                               np.angle(targets))
-            return np.einsum("pij,pji->p", states, adjoint).real / (z * z), tr
+            if nbar == 0.0:
+                return _projections(states, _coherent_kets(targets / s, dim)) / (s * s), tr
+            adjoint = _rotated(_displaced_thermal_stack(mod / s, nbar, dim), np.angle(targets))
+            return np.einsum("pij,pji->p", states, adjoint).real / (s * s), tr
 
         return score
 
 
-def apply_heterodyne_mp(rho: FockDensity, z: float) -> FockDensity:
-    """Output state of ``Heterodyne(z)``, at cutoff 2 rho.dim - 1."""
-    ch, n_out = Heterodyne(z), 2 * rho.dim - 1
-    out = np.zeros((n_out, n_out), dtype=complex)
-    a = np.arange(n_out)
-    for d, k in enumerate(ch._kernel(rho.dim)):
-        v = np.diagonal(rho.mat, d) @ k
-        out[a[d:], a[: n_out - d]] = v.conj()
-        out[a[: n_out - d], a[d:]] = v
-    res = FockDensity(n_out, out)
-    _check_trace(rho, res, "measure-and-prepare lost trace: {!r} -> {!r}; increase dim")
-    return res
-
-
-def avg_fidelity_numeric(ens: NoisyEnsemble, channel: ShiftKraus | Amplifier | Heterodyne,
+def avg_fidelity_numeric(ens: NoisyEnsemble, channel: GaussianChannel | FilterSpec,
                          dim: int = 64, radial_nodes: int = _RADIAL_NODES, *,
                          probabilistic: bool = False, angular_nodes: int | None = None) -> float:
     """Gaussian-prior average fidelity of a described Fock-space channel.
@@ -519,6 +372,121 @@ def avg_fidelity_numeric(ens: NoisyEnsemble, channel: ShiftKraus | Amplifier | H
             fid[block] += f
             trace[block] += tr
     return float(weights @ fid) / (float(weights @ trace) if probabilistic else n_ang)
+
+
+def _check_trace(rho: FockDensity, out: FockDensity, message: str) -> None:
+    """TruncationError if the output state's trace strays from the input
+    state's by more than 1e-6."""
+    tr_in, tr_out = rho.trace(), out.trace()
+    if abs(tr_out - tr_in) > 1e-6:
+        raise TruncationError(message.format(tr_in, tr_out))
+
+
+def _apply_shift_kraus(rho: FockDensity, weights: np.ndarray, shift: int,
+                       dim_out: int) -> FockDensity:
+    """The output state sum_k A_k rho A_k^dag of the Kraus operators
+    A_k = sum_n W[n, k] |n + shift k><n|, one row of ``weights`` per input
+    level; levels mapped outside [0, dim_out) are dropped."""
+    out = np.zeros((dim_out, dim_out), dtype=complex)
+    for k in range(weights.shape[1]):
+        lo = max(0, -shift * k)
+        hi = min(rho.dim, dim_out - shift * k)
+        a = lo + shift * k
+        col = weights[lo:hi, k]
+        out[a : a + hi - lo, a : a + hi - lo] += col[:, None] * rho.mat[lo:hi, lo:hi] * col.conj()
+    return FockDensity(dim_out, out)
+
+
+def apply_two_mode_squeezer(rho: FockDensity, r: float, dim_anc: int = 64) -> FockDensity:
+    """Output state of ``GaussianChannel.amplifier(r)`` at cutoff rho.dim + dim_anc - 1.
+
+    Its Kraus weights are the negative-binomial amplitudes
+    W[n, k] = <n+k, k|S(r)|n, 0> = sqrt(C(n+k, k)) tanh^k r / cosh^(n+1) r,
+    cut at ancilla level k < dim_anc; a trace lost to the cut by more than
+    1e-6 raises TruncationError.
+    """
+    GaussianChannel.amplifier(r)  # rejects a negative or non-finite r
+    if dim_anc < 2:
+        raise DomainError(f"dim_anc must be >= 2, got {dim_anc!r}")
+    n, k = np.ogrid[: rho.dim, :dim_anc]
+    lf = _log_factorials(rho.dim + dim_anc)
+    weights = math.tanh(r) ** k * np.exp(  # 0^0 is 1 at r = 0
+        0.5 * (lf[n + k] - lf[n] - lf[k]) - (n + 1.0) * math.log(math.cosh(r)))
+    out = _apply_shift_kraus(rho, weights, 1, rho.dim + dim_anc - 1)
+    _check_trace(rho, out, "squeezer lost trace: {!r} -> {!r}; increase dim_anc")
+    return out
+
+
+def _attenuator_weights(theta: float, dim: int) -> np.ndarray:
+    """The beamsplitter's Kraus weights, shift -1.  n_a + n_b is conserved,
+    so every sector is finite and
+    W[n, k] = <n-k, k|exp(...)|n, 0> = (-1)^k sqrt(C(n, k)) cos^(n-k) sin^k
+    for k <= n, and zero above."""
+    n, k = np.ogrid[:dim, :dim]
+    n_k = np.maximum(n - k, 0)
+    lf = _log_factorials(dim)
+    terms = (-1.0) ** k * np.exp(0.5 * (lf[n] - lf[k] - lf[n_k])) * (
+        math.cos(theta) ** n_k * math.sin(theta) ** k)  # 0^0 is 1 at theta = 0
+    return np.tril(terms)
+
+
+def apply_attenuator(rho: FockDensity, theta: float) -> FockDensity:
+    """Output state of ``GaussianChannel.attenuator(theta)``."""
+    GaussianChannel.attenuator(theta)  # rejects theta outside [0, pi/2]
+    return _apply_shift_kraus(rho, _attenuator_weights(theta, rho.dim), -1, rho.dim)
+
+
+def apply_filter(rho: FockDensity, f: FilterSpec) -> FockDensity:
+    """Output state Q rho Q^dag of the filter ``f``."""
+    return _apply_shift_kraus(rho, f._diagonal(rho.dim)[:, None], 0, rho.dim)
+
+
+def _heterodyne_kernel(z: float, dim: int) -> list[np.ndarray]:
+    """The heterodyne's output map by coherence order: by phase covariance
+    order d of rho feeds the same order, out[a, a+d] = sum_m K_d[m, a] rho[m, m+d],
+    the beta integral done exactly,
+
+        K_d[m, a] = z^(2a+d) (m+a+d)! / ((1+z^2)^(m+a+d+1) sqrt(m! (m+d)! a! (a+d)!)).
+
+    K_d for d = 0, ..., dim - 1 at input cutoff dim, each kept to its valid
+    (dim - d) x (2 dim - 1 - d) block, exponentiated in place from logs: the
+    Hankel factor log (m+a+d)! plus a row and a column term."""
+    n_out = 2 * dim - 1
+    lf = _log_factorials(3 * dim - 2)
+    log_s = math.log1p(z * z)
+    log_z = math.log(z) if z > 0.0 else -math.inf
+    blocks = []
+    for d in range(dim):
+        m, a = np.arange(dim - d), np.arange(n_out - d)
+        with np.errstate(invalid="ignore"):  # z^0 is 1 at z = 0
+            z_pow = np.where(2 * a + d > 0, (2 * a + d) * log_z, 0.0)
+        row = -(m + 1.0) * log_s - 0.5 * (lf[m] + lf[m + d])
+        col = z_pow - (a + d) * log_s - 0.5 * (lf[a] + lf[a + d])
+        k = sliding_window_view(lf[d:], n_out - d)[: dim - d] + row[:, None]
+        k += col
+        blocks.append(np.exp(k, out=k))
+    return blocks
+
+
+def apply_heterodyne_mp(rho: FockDensity, z: float) -> FockDensity:
+    """Output state of ``GaussianChannel.heterodyne(z)``, at cutoff 2 rho.dim - 1.
+
+    Orders d < 0 of ``_heterodyne_kernel`` are the conjugates of d > 0.
+    Input level m spreads over the 2 dim - 1 output levels with total weight
+    sum_a K_0[m, a] = 1 before the cut, so a trace lost past it by more than
+    1e-6 raises TruncationError.
+    """
+    GaussianChannel.heterodyne(z)  # rejects a negative or non-finite z
+    n_out = 2 * rho.dim - 1
+    out = np.zeros((n_out, n_out), dtype=complex)
+    a = np.arange(n_out)
+    for d, k in enumerate(_heterodyne_kernel(z, rho.dim)):
+        v = np.diagonal(rho.mat, d) @ k
+        out[a[d:], a[: n_out - d]] = v.conj()
+        out[a[: n_out - d], a[d:]] = v
+    res = FockDensity(n_out, out)
+    _check_trace(rho, res, "measure-and-prepare lost trace: {!r} -> {!r}; increase dim")
+    return res
 
 
 def fit_thermal_nbar(rho: FockDensity) -> float:

@@ -312,7 +312,7 @@ def _check_filter_pole_rejected(seed: int, dim: int) -> Pair:
 
 def _check_fock_identity(seed: int, dim: int) -> Pair:
     ens = _ens(1.0, 1.0, 2.0)
-    return 1.0 / 3.0, fock.avg_fidelity_numeric(ens, fock.ShiftKraus.identity(dim), dim=dim)
+    return 1.0 / 3.0, fock.avg_fidelity_numeric(ens, fock.GaussianChannel.identity(), dim=dim)
 
 
 def _check_fock_amplifier_noise(seed: int, dim: int) -> Pair:
@@ -335,12 +335,8 @@ def _check_fock_attenuator_amp(seed: int, dim: int) -> Pair:
 def _check_fock_filter_prob(seed: int, dim: int) -> Pair:
     ens = _ens(1.0, 1.0, 1.5)
     y = formulas.tune(ens).y
-    value = fock.avg_fidelity_numeric(
-        ens,
-        fock.ShiftKraus.filter(fock.FilterSpec(k_cut=30, y=y), dim),
-        dim=dim,
-        probabilistic=True,
-    )
+    value = fock.avg_fidelity_numeric(ens, fock.FilterSpec(k_cut=30, y=y), dim=dim,
+                                      probabilistic=True)
     return formulas.prob_fidelity(ens), value
 
 
@@ -443,11 +439,11 @@ def _check_oracle_grid(seed: int, dim: int) -> tuple[Pair, Pair]:
             a = _landmarks(lam, mu)[2]
             amplified = [_ens(lam, mu, g) for g in (a, a + 0.5, 2.0 * a)]
             squeezer.append(_oracle_gap(
-                ((e, fock.Amplifier(math.acosh(formulas.tune(e).cosh_r)), formulas.det_fidelity(e))
-                 for e in amplified), _ORACLE_DIM)[1])
+                ((e, fock.GaussianChannel.amplifier(math.acosh(formulas.tune(e).cosh_r)),
+                  formulas.det_fidelity(e)) for e in amplified), _ORACLE_DIM)[1])
             unamplified = [_ens(lam, mu, 1.0), _ens(lam, mu, 1.2)]
             identity.append(_oracle_gap(
-                ((e, fock.ShiftKraus.identity(_ORACLE_DIM),
+                ((e, fock.GaussianChannel.identity(),
                   avg_fidelity_gaussian(e, ChannelParam(ChannelKind.IDENTITY))) for e in unamplified),
                 _ORACLE_DIM)[1])
     return (0.0, np.max(squeezer)), (0.0, np.max(identity))
@@ -456,8 +452,7 @@ def _check_oracle_grid(seed: int, dim: int) -> tuple[Pair, Pair]:
 def _check_oracle_attenuator(seed: int, dim: int) -> Pair:
     # inside (1, S/N_C) the tuned beamsplitter attains the deterministic optimum
     ens = _ens(1.0, 0.5, 1.5)
-    theta = math.acos(formulas.tune(ens).cos_theta)
-    channel = fock.ShiftKraus.attenuator(theta, _ORACLE_DIM)
+    channel = fock.GaussianChannel.attenuator(math.acos(formulas.tune(ens).cos_theta))
     return formulas.det_fidelity(ens), fock.avg_fidelity_numeric(ens, channel, dim=_ORACLE_DIM)
 
 
@@ -466,15 +461,8 @@ def _check_filter_sweep(seed: int, dim: int) -> tuple[Pair, Pair, Pair]:
     y = formulas.tune(ens).y
     cuts = [5, 10, 20, 40]
     cutoff = max(dim, _ORACLE_DIM)
-    values = [
-        fock.avg_fidelity_numeric(
-            ens,
-            fock.ShiftKraus.filter(fock.FilterSpec(k_cut=k, y=y), cutoff),
-            dim=cutoff,
-            probabilistic=True,
-        )
-        for k in cuts
-    ]
+    values = [fock.avg_fidelity_numeric(ens, fock.FilterSpec(k_cut=k, y=y), dim=cutoff,
+                                        probabilistic=True) for k in cuts]
     target = formulas.prob_fidelity(ens)
     monotone = np.max([0.0] + [lo - hi for lo, hi in zip(values, values[1:])])
     envelope = np.max([0.0] + [abs(target - val) - bounds.filter_deficit_bound(ens, y, k) - 1e-6
@@ -483,7 +471,7 @@ def _check_filter_sweep(seed: int, dim: int) -> tuple[Pair, Pair, Pair]:
 
 
 def _check_oracle_heterodyne(seed: int, dim: int) -> Pair:
-    points = ((ens, fock.Heterodyne(formulas.tune(ens).z), formulas.cft(ens))
+    points = ((ens, fock.GaussianChannel.heterodyne(formulas.tune(ens).z), formulas.cft(ens))
               for ens in (_ens(1.0, 1e12, 1.0), _ens(1.0, 1.0, 2.0)))
     return _oracle_gap(points, max(dim, _ORACLE_DIM))
 
@@ -520,10 +508,10 @@ def _check_gaussian_vs_fock(seed: int, dim: int) -> Pair:
     )
     cutoff = max(dim, _ORACLE_DIM)
 
-    def channel(ch: ChannelParam) -> fock.ShiftKraus | fock.Amplifier:
+    def channel(ch: ChannelParam) -> fock.GaussianChannel:
         if ch.kind is ChannelKind.TWO_MODE_SQUEEZE:
-            return fock.Amplifier(ch.value)
-        return fock.ShiftKraus.attenuator(ch.value, cutoff)
+            return fock.GaussianChannel.amplifier(ch.value)
+        return fock.GaussianChannel.attenuator(ch.value)
 
     return _oracle_gap(((ens, channel(ch), avg_fidelity_gaussian(ens, ch)) for ens, ch in pairs),
                        cutoff)
@@ -531,7 +519,7 @@ def _check_gaussian_vs_fock(seed: int, dim: int) -> Pair:
 
 def _check_angular_reduction(seed: int, dim: int) -> Pair:
     ens = _ens(1.0, 1.0, 1.3)
-    identity = fock.ShiftKraus.identity(dim)
+    identity = fock.GaussianChannel.identity()
     radial = fock.avg_fidelity_numeric(ens, identity, dim=dim)
     polar = fock.avg_fidelity_numeric(ens, identity, dim=dim, angular_nodes=12)
     return radial, polar

@@ -46,7 +46,7 @@ def test_criterion_01_squeezer_oracle_matches_deterministic_optimum():
                 ens = _ens_from_photons(n_c, n_t, g)
                 r = math.acosh(formulas.tune(ens).cosh_r)
                 numeric = fock.avg_fidelity_numeric(
-                    ens, fock.Amplifier(r), dim=64, radial_nodes=80
+                    ens, fock.GaussianChannel.amplifier(r), dim=64, radial_nodes=80
                 )
                 worst = max(worst, abs(numeric - formulas.det_fidelity(ens)))
     elapsed = time.monotonic() - t0
@@ -62,12 +62,12 @@ def test_criterion_02_identity_oracle_matches_passive_closed_form():
             for g in (1.0, 1.2):
                 ens = _ens_from_photons(n_c, n_t, g)
                 numeric = fock.avg_fidelity_numeric(
-                    ens, fock.ShiftKraus.identity(64), dim=64, radial_nodes=80
+                    ens, fock.GaussianChannel.identity(), dim=64, radial_nodes=80
                 )
                 closed = 1.0 / ((g - 1.0) ** 2 * n_c + n_t + 1.0)
                 assert abs(numeric - closed) <= 1e-6, (n_c, n_t, g)
     worked = fock.avg_fidelity_numeric(
-        NoisyEnsemble(1.0, 1.0, 2.0), fock.ShiftKraus.identity(64), dim=64, radial_nodes=80
+        NoisyEnsemble(1.0, 1.0, 2.0), fock.GaussianChannel.identity(), dim=64, radial_nodes=80
     )
     assert abs(worked - 1.0 / 3.0) <= 1e-6
 
@@ -88,7 +88,7 @@ def test_criterion_03_rank_k_filter_converges_inside_certified_brackets():
         values.append(
             fock.avg_fidelity_numeric(
                 ens,
-                fock.ShiftKraus.filter(spec, 64),
+                spec,
                 dim=64,
                 radial_nodes=96,
                 probabilistic=True,
@@ -114,7 +114,7 @@ def test_criterion_04_heterodyne_oracle_matches_classical_threshold():
         z = formulas.tune(ens).z
         numeric = fock.avg_fidelity_numeric(
             ens,
-            fock.Heterodyne(z),
+            fock.GaussianChannel.heterodyne(z),
             dim=64,
             radial_nodes=80,
         )

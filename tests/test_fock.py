@@ -7,11 +7,9 @@ import pytest
 from ampurify import fock
 from ampurify.errors import DomainError, TruncationError
 from ampurify.fock import (
-    Amplifier,
     FilterSpec,
     FockDensity,
-    Heterodyne,
-    ShiftKraus,
+    GaussianChannel,
     apply_attenuator,
     apply_filter,
     apply_heterodyne_mp,
@@ -102,7 +100,7 @@ def test_ket_floor_leaves_the_squeezer_average_bit_identical(monkeypatch):
     from ampurify.formulas import tune
 
     ens = NoisyEnsemble(lambda_prime=1.0, mu=1.0, g_prime=3.5)
-    channel = Amplifier(math.acosh(tune(ens).cosh_r))
+    channel = GaussianChannel.amplifier(math.acosh(tune(ens).cosh_r))
     floored = avg_fidelity_numeric(ens, channel, dim=64, radial_nodes=80)
     monkeypatch.setattr(fock, "_LOG_KET_FLOOR", -math.inf)
     assert avg_fidelity_numeric(ens, channel, dim=64, radial_nodes=80) == floored
@@ -244,7 +242,8 @@ def test_heterodyne_score_needs_no_output_cutoff():
     padded[:24, :24] = rho.mat
     out = apply_heterodyne_mp(FockDensity(128, padded), 3.0)
     target = coherent_ket(2.0, out.dim)
-    (fidelity,), (trace,) = Heterodyne(3.0).scorer(24)(rho.mat[None], np.array([2.0]))
+    score = GaussianChannel.heterodyne(3.0).scorer(24)
+    (fidelity,), (trace,) = score(rho.mat[None], np.array([2.0]))
     assert fidelity == pytest.approx(float(np.real(target.conj() @ out.mat @ target)), abs=1e-15)
     assert trace == rho.trace()
 
@@ -267,7 +266,7 @@ def _kernel_entry(z: float, d: int, m: int, a: int) -> float:
 )
 def test_heterodyne_kernel_is_the_beta_integral(z, d, m, a):
     # d = 15 is the largest order inside a 16-level cutoff; at z = 0 only vacuum survives
-    kernel = Heterodyne(z)._kernel(16)
+    kernel = fock._heterodyne_kernel(z, 16)
     assert len(kernel) == 16 and kernel[d].shape == (16 - d, 31 - d)
     assert kernel[d][m, a] == pytest.approx(_kernel_entry(z, d, m, a), rel=1e-13, abs=1e-16)
 
@@ -279,15 +278,23 @@ def test_heterodyne_kernel_is_the_beta_integral(z, d, m, a):
 
 def test_identity_protocol_matches_closed_form():
     ens = NoisyEnsemble(1.0, 1.0, 2.0)
-    got = avg_fidelity_numeric(ens, ShiftKraus.identity(48), dim=48, radial_nodes=64)
+    got = avg_fidelity_numeric(ens, GaussianChannel.identity(), dim=48, radial_nodes=64)
     assert got == pytest.approx(1.0 / 3.0, abs=1e-7)
+
+
+class _DampedIdentity:
+    """The identity with every score and trace scaled by 0.37."""
+
+    def scorer(self, dim):
+        score = GaussianChannel.identity().scorer(dim)
+        return lambda states, targets: tuple(0.37 * a for a in score(states, targets))
 
 
 def test_ratio_form_is_scale_invariant():
     ens = NoisyEnsemble(1.0, 1.0, 1.5)
-    damped_identity = ShiftKraus(np.full((32, 1), 0.37 ** 0.5), 0, 32)
+    damped_identity = _DampedIdentity()
 
-    plain = avg_fidelity_numeric(ens, ShiftKraus.identity(32), dim=32, radial_nodes=48,
+    plain = avg_fidelity_numeric(ens, GaussianChannel.identity(), dim=32, radial_nodes=48,
                                  probabilistic=True)
     scaled = avg_fidelity_numeric(ens, damped_identity, dim=32, radial_nodes=48,
                                   probabilistic=True)
@@ -297,14 +304,14 @@ def test_ratio_form_is_scale_invariant():
 @pytest.mark.parametrize("angular_nodes", [0, -3])
 def test_average_rejects_an_empty_angular_grid(angular_nodes):
     with pytest.raises(DomainError, match="angular_nodes"):
-        avg_fidelity_numeric(NoisyEnsemble(1.0, 1.0, 2.0), ShiftKraus.identity(32), dim=32,
+        avg_fidelity_numeric(NoisyEnsemble(1.0, 1.0, 2.0), GaussianChannel.identity(), dim=32,
                              angular_nodes=angular_nodes)
 
 
 def test_average_rejects_a_non_finite_rule(recwarn):
     # numpy's rule has NaN weights from about 190 nodes up; the floor would drop them all
     with pytest.raises(DomainError, match="1000-node"):
-        avg_fidelity_numeric(NoisyEnsemble(1.0, 1.0, 2.0), ShiftKraus.identity(32), dim=32,
+        avg_fidelity_numeric(NoisyEnsemble(1.0, 1.0, 2.0), GaussianChannel.identity(), dim=32,
                              radial_nodes=1000)
     assert not recwarn.list
 
@@ -347,6 +354,17 @@ def test_prior_states_match_per_node_densities(mu):
     assert built > 0
 
 
+def test_prior_states_refuse_a_cutoff_past_128_levels():
+    # past 128 levels a far node's start values underflow where its exact entries
+    # do not: at 512 levels entry (511, 511) of a node at r^2/s = 760 reads 0.0
+    # against 1.7e-78
+    assert fock.prior_states(1.0, 1.0, 128, 20)[2].shape == (20, 128, 128)
+    with pytest.raises(DomainError, match="128 levels"):
+        fock.prior_states(1.0, 1.0, 129, 20)
+    with pytest.raises(DomainError, match="128 levels"):
+        avg_fidelity_numeric(NoisyEnsemble(1.0, 1.0, 2.0), GaussianChannel.identity(), dim=512)
+
+
 def test_prior_states_are_read_only():
     for array in fock.prior_states(1.0, 1.0, 16, 20):
         with pytest.raises(ValueError, match="read-only"):
@@ -356,9 +374,9 @@ def test_prior_states_are_read_only():
 @pytest.mark.parametrize(
     "channel",
     [
-        Amplifier(0.4),
-        ShiftKraus.filter(FilterSpec(k_cut=20, y=1.1), 32),
-        Heterodyne(0.7),
+        GaussianChannel.amplifier(0.4),
+        FilterSpec(k_cut=20, y=1.1),
+        GaussianChannel.heterodyne(0.7),
     ],
     ids=["squeezer", "filter", "heterodyne"],
 )
@@ -386,23 +404,25 @@ _EQUIV_DIM = 32
 @pytest.mark.parametrize(
     "channel, apply",
     [
-        (ShiftKraus.identity(_EQUIV_DIM), lambda rho: rho),
-        (Amplifier(0.4), lambda rho: apply_two_mode_squeezer(rho, 0.4, dim_anc=24)),
-        (ShiftKraus.attenuator(0.6, _EQUIV_DIM), lambda rho: apply_attenuator(rho, 0.6)),
+        (GaussianChannel.identity(), lambda rho: rho),
+        (GaussianChannel.amplifier(0.4), lambda rho: apply_two_mode_squeezer(rho, 0.4, dim_anc=24)),
+        (GaussianChannel.attenuator(0.6), lambda rho: apply_attenuator(rho, 0.6)),
+        # theta = 0 is the identity, scored rank one; towards pi/2 the adjoint
+        # stack runs at nbar = tan^2 theta, 1e18 and 2.7e32
+        (GaussianChannel.attenuator(0.0), lambda rho: apply_attenuator(rho, 0.0)),
         (
-            ShiftKraus.filter(FilterSpec(k_cut=20, y=1.1), _EQUIV_DIM),
-            lambda rho: apply_filter(rho, FilterSpec(k_cut=20, y=1.1)),
+            GaussianChannel.attenuator(math.pi / 2 - 1e-9),
+            lambda rho: apply_attenuator(rho, math.pi / 2 - 1e-9),
         ),
-        (
-            Heterodyne(0.7),
-            lambda rho: apply_heterodyne_mp(rho, 0.7),
-        ),
+        (GaussianChannel.attenuator(math.pi / 2), lambda rho: apply_attenuator(rho, math.pi / 2)),
+        (FilterSpec(k_cut=20, y=1.1), lambda rho: apply_filter(rho, FilterSpec(k_cut=20, y=1.1))),
+        (GaussianChannel.heterodyne(0.7), lambda rho: apply_heterodyne_mp(rho, 0.7)),
         # below fock._SMALL_Z the score is the z -> 0 limit
-        (Heterodyne(0.0), lambda rho: apply_heterodyne_mp(rho, 0.0)),
-        (Heterodyne(1e-30), lambda rho: apply_heterodyne_mp(rho, 1e-30)),
+        (GaussianChannel.heterodyne(0.0), lambda rho: apply_heterodyne_mp(rho, 0.0)),
+        (GaussianChannel.heterodyne(1e-30), lambda rho: apply_heterodyne_mp(rho, 1e-30)),
     ],
-    ids=["identity", "squeezer", "attenuator", "filter", "heterodyne", "heterodyne-z0",
-         "heterodyne-z1e-30"],
+    ids=["identity", "squeezer", "attenuator", "attenuator-theta0", "attenuator-below-half-pi",
+         "attenuator-half-pi", "filter", "heterodyne", "heterodyne-z0", "heterodyne-z1e-30"],
 )
 def test_adjoint_score_equals_projection_of_built_output(channel, apply):
     rho = displaced_thermal_density(0.9 + 0.5j, 0.4, _EQUIV_DIM)
@@ -422,9 +442,10 @@ def test_squeezer_output_guard_fires_on_a_short_ancilla():
         apply_two_mode_squeezer(vac, 1.5, dim_anc=4)
 
 
-def test_channel_must_match_the_input_cutoff():
-    with pytest.raises(DomainError):
-        avg_fidelity_numeric(NoisyEnsemble(1.0, 1.0, 2.0), ShiftKraus.identity(32), dim=48)
+@pytest.mark.parametrize("k_cut", [32, 40])
+def test_filter_rank_must_lie_below_the_average_cutoff(k_cut):
+    with pytest.raises(DomainError, match="below the cutoff"):
+        avg_fidelity_numeric(NoisyEnsemble(1.0, 1.0, 2.0), FilterSpec(k_cut=k_cut, y=1.1), dim=32)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +520,7 @@ def test_squeezer_weights_match_the_negative_binomial_amplitudes():
 def test_attenuator_closed_form_is_the_sector_exponential():
     # sector n of theta(a^dag b - b^dag a), couplings sqrt(j(n - j + 1)), at angle -theta
     theta, dim = 0.6, 32
-    weights = ShiftKraus.attenuator(theta, dim).weights
+    weights = fock._attenuator_weights(theta, dim)
     for n in range(1, dim):
         j = np.arange(1.0, n + 1)
         column = _sector_exponential(np.sqrt(j * (n - j + 1.0)), -theta)[:, 0]

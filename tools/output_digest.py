@@ -65,8 +65,9 @@ EXITS += ["photons --mode det --lambda 1e300 --mu 1e-100 --g 1.5"]
 def commands() -> list[str]:
     cmds = [f"verify --level {lv} --seed 7 --dim 64{js}" for lv in ("fast", "full")
             for js in ("", " --json")]
-    # a second cutoff: several checks read dim or max(dim, 64)
+    # more cutoffs: several checks read dim or max(dim, 64)
     cmds += [f"verify --level {lv} --seed 7 --dim 32 --json" for lv in ("fast", "full")]
+    cmds += [f"verify --level full --seed 7 --dim {dim} --json" for dim in (48, 128)]
     cmds += [f"{sub} {p}{js}" for p in POINTS
              for sub in ("eval", "regimes", "photons --mode det", "photons --mode prob")
              for js in ("", " --json")]
