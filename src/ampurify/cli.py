@@ -27,7 +27,6 @@ scalar path (to raise its error), gates them with np.isfinite, then renders.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -174,8 +173,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     result = {
         "regime": regime,
         "thresholds": {"det": det_thr, "prob": prob_thr},
-        "fidelities": dataclasses.asdict(report),
-        "tuning": dataclasses.asdict(tuning),
+        "fidelities": report._asdict(),
+        "tuning": tuning._asdict(),
         "photons": {
             "n_c": book.n_c,
             "n_t": book.n_t,

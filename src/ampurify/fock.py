@@ -308,10 +308,14 @@ class GaussianChannel:
     def amplifier(cls, r: float) -> "GaussianChannel":
         """Amplifier of gain cosh^2 r: the two-mode squeezer exp(r(a^dag b^dag - a b))
         on a vacuum ancilla, traced out.  Its adjoint rescales a coherent projector,
-        |t><t| -> |t/cosh r><t/cosh r| / cosh^2 r: s = cosh r and nbar = 0."""
+        |t><t| -> |t/cosh r><t/cosh r| / cosh^2 r: s = cosh r and nbar = 0.
+        An r whose cosh r overflows a float is a DomainError."""
         if not (math.isfinite(r) and r >= 0.0):
             raise DomainError(f"squeeze parameter must be >= 0, got {r!r}")
-        return cls(math.cosh(r), 0.0)
+        try:
+            return cls(math.cosh(r), 0.0)
+        except OverflowError:
+            raise DomainError(f"squeeze parameter r = {r!r} overflows cosh r") from None
 
     @classmethod
     def heterodyne(cls, z: float) -> "GaussianChannel":

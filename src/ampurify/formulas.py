@@ -21,13 +21,14 @@ the picked branch on floats, ``columns`` every branch over a whole sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._lazy import lazy
 from .errors import DomainError
 from .params import (
     MultimodeTask,
     NoisyEnsemble,
+    _Validated,
     _finite_positive,
     _is_column,
     _landmarks,
@@ -136,8 +137,15 @@ def cft(ens: NoisyEnsemble) -> float:
     return _cft_value(ens.lambda_prime, ens.mu, ens.g_prime)
 
 
-@dataclass(frozen=True)
-class TuningReport:
+class _TuningReportFields(NamedTuple):
+    cosh_r: float
+    y: float
+    cos_theta: float | None
+    z: float
+    plateau: bool
+
+
+class TuningReport(_Validated, _TuningReportFields):
     """Optimal channel parameters for a reduced ensemble.
 
     cosh_r    : squeezer gain, clamped at 1 below the amplify threshold
@@ -149,21 +157,19 @@ class TuningReport:
                 the filter confers no advantage and y is reported as 1
     """
 
-    cosh_r: float
-    y: float
-    cos_theta: float | None
-    z: float
-    plateau: bool
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.cosh_r >= 1.0:
-            raise DomainError(f"cosh_r must be >= 1, got {self.cosh_r!r}")
-        if not self.y > 0.0:
-            raise DomainError(f"y must be > 0, got {self.y!r}")
-        if self.cos_theta is not None and not 0.0 < self.cos_theta <= 1.0:
-            raise DomainError(f"cos_theta must be in (0, 1], got {self.cos_theta!r}")
-        if not self.z > 0.0:
-            raise DomainError(f"z must be > 0, got {self.z!r}")
+    def __new__(cls, cosh_r: float, y: float, cos_theta: float | None, z: float,
+                plateau: bool):
+        if not cosh_r >= 1.0:
+            raise DomainError(f"cosh_r must be >= 1, got {cosh_r!r}")
+        if not y > 0.0:
+            raise DomainError(f"y must be > 0, got {y!r}")
+        if cos_theta is not None and not 0.0 < cos_theta <= 1.0:
+            raise DomainError(f"cos_theta must be in (0, 1], got {cos_theta!r}")
+        if not z > 0.0:
+            raise DomainError(f"z must be > 0, got {z!r}")
+        return super().__new__(cls, cosh_r, y, cos_theta, z, plateau)
 
 
 def _tuning(g, landmarks, det, plateau):
@@ -199,31 +205,30 @@ def tune(ens: NoisyEnsemble) -> TuningReport:
     return TuningReport(cosh_r, y, cos_theta if det == 0 else None, z, plateau=det == 2)
 
 
-@dataclass(frozen=True)
-class FidelityReport:
+class _FidelityReportFields(NamedTuple):
+    det: float
+    prob: float
+    cft: float
+
+
+class FidelityReport(_Validated, _FidelityReportFields):
     """The three headline fidelities of a reduced ensemble.
 
     The ordering 0 <= cft <= det <= prob <= 1 is checked on construction,
     to a slack of 1e-12, at every gain.
     """
 
-    det: float
-    prob: float
-    cft: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("det", "prob", "cft"):
-            value = getattr(self, name)
+    def __new__(cls, det: float, prob: float, cft: float):
+        for name, value in (("det", det), ("prob", prob), ("cft", cft)):
             if not -_ORDER_TOL <= value <= 1.0 + _ORDER_TOL:
                 raise DomainError(f"{name} fidelity out of [0, 1]: {value!r}")
-        if self.prob < self.det - _ORDER_TOL:
-            raise DomainError(
-                f"fidelity ordering violated: prob {self.prob!r} < det {self.det!r}"
-            )
-        if self.det < self.cft - _ORDER_TOL:
-            raise DomainError(
-                f"fidelity ordering violated: det {self.det!r} < cft {self.cft!r}"
-            )
+        if prob < det - _ORDER_TOL:
+            raise DomainError(f"fidelity ordering violated: prob {prob!r} < det {det!r}")
+        if det < cft - _ORDER_TOL:
+            raise DomainError(f"fidelity ordering violated: det {det!r} < cft {cft!r}")
+        return super().__new__(cls, det, prob, cft)
 
 
 def fidelity_report(ens: NoisyEnsemble) -> FidelityReport:

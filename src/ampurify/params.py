@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from ._lazy import lazy
@@ -60,8 +59,29 @@ def _require_finite_positive(name: str, value: float) -> None:
         raise DomainError(f"{name} must be finite and > 0, got {value!r}")
 
 
-@dataclass(frozen=True)
-class MultimodeTask:
+class _Validated:
+    """Mixin for a validated NamedTuple record, whose own ``__new__`` raises
+    DomainError on an invalid field.  A plain NamedTuple's ``_make``, and the
+    ``_replace`` that calls it, build the tuple without ``__new__``; here both
+    go through it, so no construction path skips a check.  Assigning a field
+    raises AttributeError, as on every tuple."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _MultimodeTaskFields(NamedTuple):
+    lam: float
+    mu: float
+    g: float
+    n_in: int = 1
+    m_out: int = 1
+
+
+class MultimodeTask(_Validated, _MultimodeTaskFields):
     """An N-copy-in, M-copy-out amplification task.
 
     lam    : prior concentration lambda > 0 (mean signal photons N/lam in total)
@@ -71,35 +91,35 @@ class MultimodeTask:
     m_out  : number of requested output copies M >= 1
     """
 
-    lam: float
-    mu: float
-    g: float
-    n_in: int = 1
-    m_out: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _require_finite_positive("lam", self.lam)
-        _require_finite_positive("mu", self.mu)
-        _require_finite_positive("g", self.g)
-        for name in ("n_in", "m_out"):
-            value = getattr(self, name)
+    def __new__(cls, lam: float, mu: float, g: float, n_in: int = 1, m_out: int = 1):
+        _require_finite_positive("lam", lam)
+        _require_finite_positive("mu", mu)
+        _require_finite_positive("g", g)
+        for name, value in (("n_in", n_in), ("m_out", m_out)):
             if not isinstance(value, int) or value < 1:
                 raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+        return super().__new__(cls, lam, mu, g, n_in, m_out)
 
 
-@dataclass(frozen=True)
-class NoisyEnsemble:
-    """Reduced single-mode ensemble: prior lambda', noise mu, gain g'."""
-
+class _NoisyEnsembleFields(NamedTuple):
     lambda_prime: float
     mu: float
     g_prime: float
 
-    def __post_init__(self) -> None:
-        _require_finite_positive("lambda_prime", self.lambda_prime)
-        _require_finite_positive("mu", self.mu)
-        if not (math.isfinite(self.g_prime) and self.g_prime >= 0.0):
-            raise DomainError(f"g_prime must be finite and >= 0, got {self.g_prime!r}")
+
+class NoisyEnsemble(_Validated, _NoisyEnsembleFields):
+    """Reduced single-mode ensemble: prior lambda', noise mu, gain g'."""
+
+    __slots__ = ()
+
+    def __new__(cls, lambda_prime: float, mu: float, g_prime: float):
+        _require_finite_positive("lambda_prime", lambda_prime)
+        _require_finite_positive("mu", mu)
+        if not (math.isfinite(g_prime) and g_prime >= 0.0):
+            raise DomainError(f"g_prime must be finite and >= 0, got {g_prime!r}")
+        return super().__new__(cls, lambda_prime, mu, g_prime)
 
 
 class PhotonBook(NamedTuple):

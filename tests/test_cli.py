@@ -46,6 +46,16 @@ def test_eval_worked_point(capsys):
     assert payload["params"]["g_prime"] == 2.0
 
 
+@pytest.mark.parametrize("g", ["0.8", "2", "4"])
+def test_eval_json_keeps_the_record_keys_in_their_order(capsys, g):
+    # an attenuating, an identity and an amplifying point
+    code, payload = run_json(capsys, "eval", "--lambda", "1", "--mu", "1", "--g", g)
+    assert code == 0
+    result = payload["result"]
+    assert list(result["fidelities"]) == ["cft", "det", "prob"]
+    assert list(result["tuning"]) == ["cos_theta", "cosh_r", "plateau", "y", "z"]
+
+
 def test_eval_reduces_multimode_gain(capsys):
     code, payload = run_json(
         capsys, "eval", "--lambda", "2", "--mu", "1", "--g", "1", "--n", "2", "--m", "1"
@@ -620,11 +630,12 @@ def test_point_commands_execute_neither_numpy_nor_the_oracle_layer():
                     assert cli.main(sub.split() + POINT + form) == 0, (sub, form)
         print("numpy._core" in sys.modules)
         print([m for m in ORACLES if type(sys.modules["ampurify." + m]) is types.ModuleType])
+        print([m for m in ("dataclasses", "inspect") if m in sys.modules])
         with contextlib.redirect_stdout(io.StringIO()):
             sweep = "sweep --axis g --start 0.5 --stop 3 --steps 5 --lambda 1 --mu 2 --json"
             codes = [cli.main(sweep.split()), cli.main(["verify", "--level", "fast"])]
         print(codes)
-    """) == ["False", "[]", "[0, 0]"]
+    """) == ["False", "[]", "[]", "[0, 0]"]
 
 
 def test_importing_verify_executes_the_whole_oracle_layer_before_run_suite():

@@ -442,6 +442,15 @@ def test_squeezer_output_guard_fires_on_a_short_ancilla():
         apply_two_mode_squeezer(vac, 1.5, dim_anc=4)
 
 
+def test_an_amplifier_whose_cosh_r_overflows_is_a_domain_error():
+    # cosh r passes the largest float near r = 710.5
+    vac = displaced_thermal_density(0.0, 0.0, 8)
+    for build in (lambda: GaussianChannel.amplifier(800.0),
+                  lambda: apply_two_mode_squeezer(vac, 800.0, dim_anc=4)):
+        with pytest.raises(DomainError, match="overflows cosh r"):
+            build()
+
+
 @pytest.mark.parametrize("k_cut", [32, 40])
 def test_filter_rank_must_lie_below_the_average_cutoff(k_cut):
     with pytest.raises(DomainError, match="below the cutoff"):

@@ -4,6 +4,8 @@ import pytest
 
 from ampurify.errors import DomainError
 from ampurify.formulas import (
+    FidelityReport,
+    TuningReport,
     cft,
     det_fidelity,
     fidelity_report,
@@ -25,6 +27,34 @@ RATE_GRID = [(0.5, 0.5), (0.5, 2.0), (1.0, 1.0), (2.0, 0.5), (2.0, 2.0)]
 
 def _ens(lam, mu, g):
     return NoisyEnsemble(lambda_prime=lam, mu=mu, g_prime=g)
+
+
+@pytest.mark.parametrize("record, field, bad", [
+    (MultimodeTask(1.0, 2.0, 1.5, 2, 3), "lam", -1.0),
+    (MultimodeTask(1.0, 2.0, 1.5, 2, 3), "mu", math.nan),
+    (MultimodeTask(1.0, 2.0, 1.5, 2, 3), "g", 0.0),
+    (MultimodeTask(1.0, 2.0, 1.5, 2, 3), "n_in", 0),
+    (MultimodeTask(1.0, 2.0, 1.5, 2, 3), "m_out", 1.0),
+    (NoisyEnsemble(1.0, 2.0, 1.5), "lambda_prime", 0.0),
+    (NoisyEnsemble(1.0, 2.0, 1.5), "mu", math.inf),
+    (NoisyEnsemble(1.0, 2.0, 1.5), "g_prime", -1.0),
+    (TuningReport(1.0, 0.5, 0.5, 0.4, False), "cosh_r", 0.5),
+    (TuningReport(1.0, 0.5, 0.5, 0.4, False), "y", 0.0),
+    (TuningReport(1.0, 0.5, 0.5, 0.4, False), "cos_theta", 1.5),
+    (TuningReport(1.0, 0.5, 0.5, 0.4, False), "z", -1.0),
+    (FidelityReport(0.5, 0.6, 0.4), "det", 1.5),
+    (FidelityReport(0.5, 0.6, 0.4), "prob", 0.45),
+    (FidelityReport(0.5, 0.6, 0.4), "cft", 0.55),
+])
+def test_records_validate_on_every_construction_path(record, field, bad):
+    # a plain NamedTuple's _make and _replace would skip the check
+    fields = {**record._asdict(), field: bad}
+    for build in (lambda: type(record)(**fields), lambda: type(record)._make(fields.values()),
+                  lambda: record._replace(**{field: bad})):
+        with pytest.raises(DomainError, match=field):
+            build()
+    with pytest.raises(AttributeError):
+        setattr(record, field, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,11 @@ def test_undersized_cutoff_rejected():
         run_suite(level="fast", dim=16)
 
 
+def test_fast_suite_passes_at_the_least_cutoff():
+    # the identity check scores at 48 levels or more, where the prior's tail is 2e-9
+    assert run_suite("fast", dim=32).all_passed
+
+
 def test_oversized_cutoff_rejected():
     with pytest.raises(DomainError, match=r"\[32, 128\]"):
         run_suite(level="fast", dim=129)
