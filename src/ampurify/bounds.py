@@ -18,6 +18,7 @@ time, and compared against the closed form ``formulas.cft``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -66,16 +67,12 @@ def kappa_prime(ens: NoisyEnsemble) -> float:
     return ens.lambda_prime * ens.mu / (ens.lambda_prime + ens.mu)
 
 
-def coeffs(ens: NoisyEnsemble, kappa: float) -> BoundWorkspace:
-    """Circulant coefficients (a, b, c) and roots y+- at ansatz kappa.
-
-        a = mu + lambda' + mu lambda' + g'^2 (mu + kappa + 2)
-        b = g'^2 (mu + 1)
-        c = (g'^2 + mu + lambda')(kappa + 1)
-    """
+def _roots(
+    lam: float, mu: float, g2: float, kappa: float
+) -> tuple[float, float, float, float, float]:
+    """(a, b, c, y+, y-) of ``coeffs`` on plain floats, g2 = g'^2."""
     if not (math.isfinite(kappa) and kappa > 0.0):
         raise DomainError(f"kappa must be finite and > 0, got {kappa!r}")
-    lam, mu, g2 = ens.lambda_prime, ens.mu, ens.g_prime**2
     a = mu + lam + mu * lam + g2 * (mu + kappa + 2.0)
     b = g2 * (mu + 1.0)
     c = (g2 + mu + lam) * (kappa + 1.0)
@@ -95,11 +92,17 @@ def coeffs(ens: NoisyEnsemble, kappa: float) -> BoundWorkspace:
         else:
             raise RootError(f"complex roots: a^2 - 4bc = {disc!r} < 0")
     root = math.sqrt(disc)
-    return BoundWorkspace(
-        kappa=kappa, a=a, b=b, c=c,
-        y_plus=(a + root) / (2.0 * b),
-        y_minus=(a - root) / (2.0 * b),
-    )
+    return a, b, c, (a + root) / (2.0 * b), (a - root) / (2.0 * b)
+
+
+def coeffs(ens: NoisyEnsemble, kappa: float) -> BoundWorkspace:
+    """Circulant coefficients (a, b, c) and roots y+- at ansatz kappa.
+
+        a = mu + lambda' + mu lambda' + g'^2 (mu + kappa + 2)
+        b = g'^2 (mu + 1)
+        c = (g'^2 + mu + lambda')(kappa + 1)
+    """
+    return BoundWorkspace(kappa, *_roots(ens.lambda_prime, ens.mu, ens.g_prime**2, kappa))
 
 
 def circulant_eigs(t: CirculantTriple) -> np.ndarray:
@@ -147,6 +150,17 @@ def det_limit_finite_p(w: BoundWorkspace, p: int) -> float:
     return float(math.exp(np.log(mags).mean()))
 
 
+def _bound(lam: float, mu: float, g2: float, kp: float, kappa: float) -> float:
+    """``det_upper_bound`` on plain floats, kp = kappa'."""
+    if not 0.0 < kappa <= kp * (1.0 + 1e-12):
+        raise ValidityError(
+            f"kappa = {kappa!r} outside the admissible interval (0, {kp!r}]"
+        )
+    _, b, _, y_plus, _ = _roots(lam, mu, g2, kappa)
+    # a + sqrt(a^2 - 4bc) = 2 b y+, reusing the clamped discriminant of the roots
+    return mu * lam * (kappa + 1.0) / kappa / (b * y_plus)
+
+
 def det_upper_bound(ens: NoisyEnsemble, kappa: float) -> float:
     """Thermal-ansatz upper bound on the deterministic fidelity at kappa.
 
@@ -155,15 +169,7 @@ def det_upper_bound(ens: NoisyEnsemble, kappa: float) -> float:
     Only kappa in (0, kappa'] keeps the ansatz normalisable, hence
     ValidityError outside.
     """
-    kp = kappa_prime(ens)
-    if not 0.0 < kappa <= kp * (1.0 + 1e-12):
-        raise ValidityError(
-            f"kappa = {kappa!r} outside the admissible interval (0, {kp!r}]"
-        )
-    w = coeffs(ens, kappa)
-    pref = ens.mu * ens.lambda_prime * (kappa + 1.0) / kappa
-    # a + sqrt(a^2 - 4bc) = 2 b y+, reusing the clamped discriminant of coeffs
-    return pref / (w.b * w.y_plus)
+    return _bound(ens.lambda_prime, ens.mu, ens.g_prime**2, kappa_prime(ens), kappa)
 
 
 def kappa_star(ens: NoisyEnsemble) -> float:
@@ -184,18 +190,18 @@ def kappa_star(ens: NoisyEnsemble) -> float:
 def minimize_det_bound(ens: NoisyEnsemble) -> tuple[float, float]:
     """Numerically minimise det_upper_bound over the admissible interval.
 
-    Bounded golden-section search on (1e-9, kappa'], followed by an
-    endpoint comparison: when no interior point beats the right edge
+    Bounded golden-section search on (min(1e-9, 1e-3 kappa'), kappa'] (the
+    lower end stays inside the interval however small kappa' is), followed
+    by an endpoint comparison: when no interior point beats the right edge
     within machine discrimination the edge is the certified minimiser
     (the bound is flat there exactly when the closed-form stationary
     point coincides with kappa', where x-localisation by function values
     alone cannot beat the sqrt(eps) wall).  Returns (kappa_min, value).
     """
     kp = kappa_prime(ens)
-    x, fx = golden_section_min(
-        lambda k: det_upper_bound(ens, k), 1e-9, kp, tol=1e-13
-    )
-    f_edge = det_upper_bound(ens, kp)
+    bound = functools.partial(_bound, ens.lambda_prime, ens.mu, ens.g_prime**2, kp)
+    x, fx = golden_section_min(bound, min(1e-9, 1e-3 * kp), kp, tol=1e-13)
+    f_edge = bound(kp)
     # values within a few ulps are indistinguishable; prefer the endpoint
     if f_edge <= fx + 4e-15 * abs(fx):
         return kp, f_edge

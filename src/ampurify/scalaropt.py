@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+from .errors import DomainError
+
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0   # 1/phi
 INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 
@@ -18,8 +20,11 @@ def golden_section_min(
     """Minimise a unimodal f on [lo, hi]; returns (x_min, f(x_min)).
 
     tol is the absolute bracket width at which the search stops; the
-    returned point is the bracket midpoint.
+    returned point is the bracket midpoint.  A bracket end that is not
+    finite is a DomainError.
     """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"bracket ends must be finite, got [{lo!r}, {hi!r}]")
     if hi < lo:
         lo, hi = hi, lo
     h = hi - lo

@@ -279,11 +279,16 @@ def _check_root_worked_point(seed: int, dim: int) -> Pair:
     return 2.25, w.y_plus
 
 
+def _det_bound_gains(s: float, p: float, a: float) -> tuple[float, ...]:
+    """Gains of the det-bound minimum check: all three branches of the
+    deterministic optimum."""
+    return 0.5, 0.5 * (1.0 + s), s, 0.5 * (s + a), a, a + 0.5, 2.0 * a
+
+
 def _check_det_bound_minimum(seed: int, dim: int) -> tuple[Pair, Pair]:
-    # one minimisation per point feeds both the minimiser and the minimum;
-    # the gains cover all three branches of the deterministic optimum
+    # one minimisation per point feeds both the minimiser and the minimum
     devs = []
-    for ens in _grid(lambda s, p, a: (0.5, 0.5 * (1.0 + s), s, 0.5 * (s + a), a, a + 0.5, 2.0 * a)):
+    for ens in _grid(_det_bound_gains):
         k_num, f_num = bounds.minimize_det_bound(ens)
         devs.append((abs(k_num - bounds.kappa_star(ens)), abs(f_num - formulas.det_fidelity(ens))))
     kappa, value = np.max(devs, axis=0)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ampurify import bounds, fock
+from ampurify import bounds, fock, verify
 from ampurify.bounds import (
     CirculantTriple,
     amp_convergence_terms,
@@ -23,6 +23,7 @@ from ampurify.bounds import (
 from ampurify.errors import DomainError, NonConvergentError, RootError, ValidityError
 from ampurify.formulas import cft, det_fidelity, prob_fidelity
 from ampurify.params import NoisyEnsemble, passive_filter_gain, photon_book, thresholds
+from ampurify.scalaropt import golden_section_min
 
 
 def _ens(lam, mu, g):
@@ -173,6 +174,54 @@ def test_minimized_bound_reproduces_det_optimum(lam, mu, offset):
     kappa_num, value = minimize_det_bound(ens)
     assert abs(kappa_num - kappa_star(ens)) <= 1e-8
     assert value == pytest.approx(det_fidelity(ens), abs=1e-12)
+
+
+#: ensembles whose kappa' lies below the search's former fixed lower end 1e-9
+_TINY_KAPPA_PRIME = [(1e-10, 1e-10, 1.0), (1e-10, 1e-10, 3.0), (1e-9, 1e-9, 3.0), (2e-9, 1e-9, 0.5)]
+
+
+@pytest.mark.parametrize("lam,mu,g", [_TINY_KAPPA_PRIME[0], _TINY_KAPPA_PRIME[2]])
+def test_minimized_bound_holds_when_kappa_prime_is_below_1e_9(lam, mu, g):
+    ens = _ens(lam, mu, g)
+    kappa_num, value = minimize_det_bound(ens)
+    assert kappa_num == pytest.approx(kappa_star(ens), rel=1e-15)
+    assert value == pytest.approx(det_fidelity(ens), rel=1e-15)
+
+
+def _reference_minimum(ens):
+    """``minimize_det_bound`` rebuilt on the public bound: the same search
+    and endpoint rule."""
+    kp = kappa_prime(ens)
+    x, fx = golden_section_min(
+        lambda k: det_upper_bound(ens, k), min(1e-9, 1e-3 * kp), kp, tol=1e-13
+    )
+    f_edge = det_upper_bound(ens, kp)
+    return (kp, f_edge) if f_edge <= fx + 4e-15 * abs(fx) else (x, fx)
+
+
+def test_minimizer_and_bound_keep_the_bits_of_the_record_path():
+    for ens in verify._grid(verify._det_bound_gains) + [_ens(*p) for p in _TINY_KAPPA_PRIME]:
+        assert minimize_det_bound(ens) == _reference_minimum(ens)
+        kp = kappa_prime(ens)
+        for kappa in (1e-3 * kp, 0.3 * kp, 0.7 * kp, kp):
+            w = coeffs(ens, kappa)
+            pref = ens.mu * ens.lambda_prime * (kappa + 1.0) / kappa
+            assert det_upper_bound(ens, kappa) == pref / (w.b * w.y_plus)
+
+
+@pytest.mark.parametrize(
+    "lo,hi", [(0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan), (math.nan, 1.0)]
+)
+def test_golden_section_rejects_a_bracket_end_that_is_not_finite(lo, hi):
+    with pytest.raises(DomainError):
+        golden_section_min(lambda x: x * x, lo, hi)
+
+
+def test_minimizer_rejects_an_overflowing_kappa_prime():
+    ens = _ens(1e200, 1e200, 1.0)
+    assert kappa_prime(ens) == math.inf
+    with pytest.raises(DomainError):
+        minimize_det_bound(ens)
 
 
 def test_bound_at_the_edge_reproduces_prob_optimum():
