@@ -13,6 +13,7 @@ import math
 
 from ampurify import fock
 from ampurify.formulas import cft, det_fidelity, prob_fidelity, tune
+from ampurify.gaussian import GaussianChannel
 from ampurify.params import NoisyEnsemble
 
 
@@ -20,12 +21,12 @@ def main() -> None:
     rows = []
 
     ens = NoisyEnsemble(1.0, 1.0, 2.0)
-    numeric = fock.avg_fidelity_numeric(ens, fock.GaussianChannel.identity(), dim=64)
+    numeric = fock.avg_fidelity_numeric(ens, GaussianChannel.identity(), dim=64)
     rows.append(("identity, g' = 2", numeric, det_fidelity(ens)))
 
     ens = NoisyEnsemble(1.0, 1.0, 3.5)
     r = math.acosh(tune(ens).cosh_r)
-    numeric = fock.avg_fidelity_numeric(ens, fock.GaussianChannel.amplifier(r), dim=64)
+    numeric = fock.avg_fidelity_numeric(ens, GaussianChannel.amplifier(r), dim=64)
     rows.append(("squeezer, g' = 3.5", numeric, det_fidelity(ens)))
 
     ens = NoisyEnsemble(1.0, 1.0, 1.5)
@@ -35,7 +36,7 @@ def main() -> None:
 
     ens = NoisyEnsemble(1.0, 1.0, 2.0)
     z = tune(ens).z
-    numeric = fock.avg_fidelity_numeric(ens, fock.GaussianChannel.heterodyne(z), dim=64)
+    numeric = fock.avg_fidelity_numeric(ens, GaussianChannel.heterodyne(z), dim=64)
     rows.append(("measure-and-prepare, g' = 2", numeric, cft(ens)))
 
     print(f"{'protocol':<28} {'numeric':>16} {'closed form':>16} {'|gap|':>10}")

@@ -67,6 +67,14 @@ def kappa_prime(ens: NoisyEnsemble) -> float:
     return ens.lambda_prime * ens.mu / (ens.lambda_prime + ens.mu)
 
 
+def _gain_squared(ens: NoisyEnsemble) -> float:
+    """g'^2, a DomainError where it overflows a float."""
+    try:
+        return ens.g_prime**2
+    except OverflowError:
+        raise DomainError(f"g'^2 overflows a float at g' = {ens.g_prime!r}") from None
+
+
 def _roots(
     lam: float, mu: float, g2: float, kappa: float
 ) -> tuple[float, float, float, float, float]:
@@ -85,7 +93,13 @@ def _roots(
     # (b = c at the filter-plateau gain) stay clean instead of inheriting
     # the ~eps a^2 noise of the textbook expression
     slack = lam * mu - (lam + mu) * kappa
-    disc = (b - c) ** 2 + slack * (a + b + c)
+    try:
+        disc = (b - c) ** 2 + slack * (a + b + c)
+    except OverflowError:
+        disc = math.inf
+    # a, b and c each feed a term, so any of them past the float range leaves disc inf or NaN
+    if not math.isfinite(disc):
+        raise DomainError(f"the root equation overflows a float: a = {a!r}, b = {b!r}, c = {c!r}")
     if disc < 0.0:
         if disc >= -64.0 * np.finfo(float).eps * a * a:
             disc = 0.0
@@ -102,7 +116,7 @@ def coeffs(ens: NoisyEnsemble, kappa: float) -> BoundWorkspace:
         b = g'^2 (mu + 1)
         c = (g'^2 + mu + lambda')(kappa + 1)
     """
-    return BoundWorkspace(kappa, *_roots(ens.lambda_prime, ens.mu, ens.g_prime**2, kappa))
+    return BoundWorkspace(kappa, *_roots(ens.lambda_prime, ens.mu, _gain_squared(ens), kappa))
 
 
 def circulant_eigs(t: CirculantTriple) -> np.ndarray:
@@ -169,7 +183,7 @@ def det_upper_bound(ens: NoisyEnsemble, kappa: float) -> float:
     Only kappa in (0, kappa'] keeps the ansatz normalisable, hence
     ValidityError outside.
     """
-    return _bound(ens.lambda_prime, ens.mu, ens.g_prime**2, kappa_prime(ens), kappa)
+    return _bound(ens.lambda_prime, ens.mu, _gain_squared(ens), kappa_prime(ens), kappa)
 
 
 def kappa_star(ens: NoisyEnsemble) -> float:
@@ -199,7 +213,7 @@ def minimize_det_bound(ens: NoisyEnsemble) -> tuple[float, float]:
     alone cannot beat the sqrt(eps) wall).  Returns (kappa_min, value).
     """
     kp = kappa_prime(ens)
-    bound = functools.partial(_bound, ens.lambda_prime, ens.mu, ens.g_prime**2, kp)
+    bound = functools.partial(_bound, ens.lambda_prime, ens.mu, _gain_squared(ens), kp)
     x, fx = golden_section_min(bound, min(1e-9, 1e-3 * kp), kp, tol=1e-13)
     f_edge = bound(kp)
     # values within a few ulps are indistinguishable; prefer the endpoint
@@ -234,7 +248,7 @@ def amp_convergence_terms(ens: NoisyEnsemble, y: float, k_cut: int) -> tuple[flo
         raise DomainError(f"k_cut must be an integer >= 0, got {k_cut!r}")
     if not (math.isfinite(y) and y > 0.0):
         raise DomainError(f"y must be finite and > 0, got {y!r}")
-    lam, mu, g2, y2 = ens.lambda_prime, ens.mu, ens.g_prime**2, y * y
+    lam, mu, g2, y2 = ens.lambda_prime, ens.mu, _gain_squared(ens), y * y
     if y2 >= mu + 1.0:
         raise NonConvergentError(
             f"y^2 = {y2!r} at or beyond the filter pole mu + 1 = {mu + 1.0!r}"

@@ -3,17 +3,17 @@
 Everything works on dense numpy matrices in the number basis {|0>, ...,
 |dim-1>}, and every state and channel comes from its closed form, so every
 entry inside the cutoff is exact.  A channel is a description, of one of
-two kinds: ``GaussianChannel(scale, nbar)``, whose constructors are the
-paper's deterministic protocols (``identity``, ``attenuator``,
-``amplifier`` and ``heterodyne``), and the heralded diagonal filter
+two kinds: the deterministic ``gaussian.GaussianChannel(scale, nbar)``,
+shared with the closed forms, and the heralded diagonal filter
 ``FilterSpec(k_cut, y)``.
 
-A description's ``scorer`` scores a (P, dim, dim) stack of input states
-against P target amplitudes in the adjoint picture, never building an
-output, and returns each state's fidelity and output trace (the heralding
-weight).  The ``apply_*`` functions build the outputs instead, from Kraus
-weights or a per-order kernel: they are the scorers' independent
-reference, and their cut outputs carry the only trace guards.
+A scorer, ``_gaussian_scorer(channel, dim)`` or ``FilterSpec.scorer(dim)``,
+scores a (P, dim, dim) stack of input states against P target amplitudes
+in the adjoint picture, never building an output, and returns each state's
+fidelity and output trace (the heralding weight).  The ``apply_*``
+functions build the outputs instead, from Kraus weights or a per-order
+kernel: they are the scorers' independent reference, and their cut outputs
+carry the only trace guards.
 
 Prior averages reduce to a radial Gauss-Laguerre rule, by default of
 ``_RADIAL_NODES`` nodes, as every state, channel and target here is phase
@@ -40,6 +40,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.laguerre import laggauss
 
 from .errors import DomainError, TruncationError
+from .gaussian import _SMALL_Z, GaussianChannel
 from .params import NoisyEnsemble
 
 #: quadrature weights below this are skipped (they underflow any integrand)
@@ -51,10 +52,6 @@ _CHUNK = 16
 #: radial Gauss-Laguerre nodes of an oracle average: at the verify points a
 #: rule of this size agrees with one of 96 nodes to 1.2e-13 (32 nodes: 3.2e-12)
 _RADIAL_NODES = 48
-
-#: below this scale a Gaussian channel of nbar > 0 scores its s -> 0 limit, the
-#: vacuum output's e^(-|t|^2) Tr rho, off the exact score by about 2 s |t| |<a>| < 1e-16
-_SMALL_Z = 1e-20
 
 #: coherent-ket and prior-stack entries of log magnitude below this are zero
 #: (far nodes would otherwise reach 1e-320 and make their products subnormal)
@@ -115,6 +112,26 @@ class FilterSpec:
             return _projections(states, q * _coherent_kets(targets, dim)), tr_out
 
         return score
+
+
+def _gaussian_scorer(channel: GaussianChannel, dim: int) -> Scorer:
+    """The stacked adjoint-picture score of a Gaussian channel at cutoff dim:
+    below ``_SMALL_Z`` the vacuum limit e^(-|t|^2) Tr rho, off the exact score
+    by about 2 s |t| |<a>| < 1e-16; where nbar = 0 rank one, <t/s|rho|t/s> / s^2;
+    otherwise one trace against the prior stack's own closed form, with no
+    output cutoff.  Each preserves the trace."""
+    s, nbar = channel
+
+    def score(states: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        tr, mod = np.trace(states, axis1=-2, axis2=-1).real, np.abs(targets)
+        if s < _SMALL_Z:
+            return np.exp(-mod * mod) * tr, tr
+        if nbar == 0.0:
+            return _projections(states, _coherent_kets(targets / s, dim)) / (s * s), tr
+        adjoint = _rotated(_displaced_thermal_stack(mod / s, nbar, dim), np.angle(targets))
+        return np.einsum("pij,pji->p", states, adjoint).real / (s * s), tr
+
+    return score
 
 
 @lru_cache(maxsize=8)
@@ -279,80 +296,13 @@ def _projections(states: np.ndarray, kets: np.ndarray) -> np.ndarray:
     return np.einsum("pn,pn->p", kets.conj(), (states @ kets[..., None])[..., 0]).real
 
 
-@dataclass(frozen=True)
-class GaussianChannel:
-    """Phase-insensitive Gaussian channel of scale s (amp -> s amp), described
-    by its adjoint, which maps the projector on a target |t> to the displaced
-    thermal state D(t/s) rho_th(nbar) D(t/s)^dag / s^2.  Build it with one of
-    the four constructors, which check their parameter; those of nbar > 0
-    have (1 + nbar) s^2 -> 1 as s -> 0, where the output is vacuum."""
-
-    scale: float
-    nbar: float
-
-    @classmethod
-    def identity(cls) -> "GaussianChannel":
-        """The channel that does nothing."""
-        return cls(1.0, 0.0)
-
-    @classmethod
-    def attenuator(cls, theta: float) -> "GaussianChannel":
-        """Beamsplitter of angle theta against a vacuum ancilla: the Husimi
-        function of its adjoint, <b|Phi^dag(|t><t|)|b> = |<t|b cos theta>|^2 =
-        e^(-|t - b cos theta|^2), is that of s = cos theta, nbar = tan^2 theta."""
-        if not 0.0 <= theta <= math.pi / 2.0:
-            raise DomainError(f"theta must be in [0, pi/2], got {theta!r}")
-        return cls(math.cos(theta), math.tan(theta) ** 2)
-
-    @classmethod
-    def amplifier(cls, r: float) -> "GaussianChannel":
-        """Amplifier of gain cosh^2 r: the two-mode squeezer exp(r(a^dag b^dag - a b))
-        on a vacuum ancilla, traced out.  Its adjoint rescales a coherent projector,
-        |t><t| -> |t/cosh r><t/cosh r| / cosh^2 r: s = cosh r and nbar = 0.
-        An r whose cosh r overflows a float is a DomainError."""
-        if not (math.isfinite(r) and r >= 0.0):
-            raise DomainError(f"squeeze parameter must be >= 0, got {r!r}")
-        try:
-            return cls(math.cosh(r), 0.0)
-        except OverflowError:
-            raise DomainError(f"squeeze parameter r = {r!r} overflows cosh r") from None
-
-    @classmethod
-    def heterodyne(cls, z: float) -> "GaussianChannel":
-        """Heterodyne measure-and-prepare channel, rho -> integral (d^2 beta / pi)
-        <beta|rho|beta> |z beta><z beta|.  Its adjoint, integral (d^2 beta / pi)
-        e^(-|t - z beta|^2) |beta><beta|, has s = z and nbar = 1/z^2 (infinite
-        below ``_SMALL_Z``)."""
-        if not (math.isfinite(z) and z >= 0.0):
-            raise DomainError(f"re-preparation scale z must be >= 0, got {z!r}")
-        return cls(z, 1.0 / (z * z) if z >= _SMALL_Z else math.inf)
-
-    def scorer(self, dim: int) -> Scorer:
-        """The stacked adjoint-picture score of this channel at cutoff dim:
-        below ``_SMALL_Z`` the vacuum limit e^(-|t|^2) Tr rho; where nbar = 0
-        rank one, <t/s|rho|t/s> / s^2; otherwise one trace against the prior
-        stack's own closed form, with no output cutoff.  Each preserves the trace."""
-        s, nbar = self.scale, self.nbar
-
-        def score(states: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            tr, mod = np.trace(states, axis1=-2, axis2=-1).real, np.abs(targets)
-            if s < _SMALL_Z:
-                return np.exp(-mod * mod) * tr, tr
-            if nbar == 0.0:
-                return _projections(states, _coherent_kets(targets / s, dim)) / (s * s), tr
-            adjoint = _rotated(_displaced_thermal_stack(mod / s, nbar, dim), np.angle(targets))
-            return np.einsum("pij,pji->p", states, adjoint).real / (s * s), tr
-
-        return score
-
-
 def avg_fidelity_numeric(ens: NoisyEnsemble, channel: GaussianChannel | FilterSpec,
                          dim: int = 64, radial_nodes: int = _RADIAL_NODES, *,
                          probabilistic: bool = False, angular_nodes: int | None = None) -> float:
     """Gaussian-prior average fidelity of a described Fock-space channel.
 
     Each input state D(alpha) rho_th D^dag of ``prior_states`` is scored
-    against its target |g' alpha> by the channel's ``scorer``.  Every channel
+    against its target |g' alpha> by the channel's scorer.  Every channel
     kind is phase covariant, which justifies the radial-only reduction;
     ``angular_nodes`` re-checks it numerically on uniform angles, each angle
     rotating the states and their targets in phase.
@@ -364,7 +314,8 @@ def avg_fidelity_numeric(ens: NoisyEnsemble, channel: GaussianChannel | FilterSp
     n_ang = 1 if angular_nodes is None else angular_nodes
     if dim < 2 or radial_nodes < 2 or n_ang < 1:
         raise DomainError("need dim >= 2, radial_nodes >= 2 and angular_nodes >= 1")
-    score = channel.scorer(dim)
+    score = (_gaussian_scorer(channel, dim) if isinstance(channel, GaussianChannel)
+             else channel.scorer(dim))
     radii, weights, states = prior_states(ens.lambda_prime, ens.mu, dim, radial_nodes)
     fid, trace = np.zeros((2, radii.size))
     for lo in range(0, radii.size, _CHUNK):

@@ -1,103 +1,101 @@
-"""Closed-form calculus for displaced thermal states under one-parameter
-phase-insensitive Gaussian channels.
+"""The paper's deterministic protocols as one-mode phase-insensitive Gaussian
+channels, and their prior-averaged fidelity in closed form.
 
-A state is the pair (amp, nbar): rho = D(amp) rho_th(nbar) D(amp)^dagger with
-rho_th the thermal state of mean photon number nbar.  Every channel here maps
-amp -> s amp and nbar -> s^2 (nbar + before) + after, with (s, before, after)
+A channel is the pair (s, nbar) of ``GaussianChannel``: s scales every
+amplitude, and nbar is the occupation of its adjoint's displaced thermal
+output.  In the Schrodinger picture it takes a displaced thermal state of
+amplitude amp and occupation n to amplitude s amp and occupation
+s^2 (n + nbar + 1) - 1:
 
-    TwoModeSqueeze(r):  (cosh r, 0, sinh^2 r)  a -> cosh(r) a + sinh(r) b^dag
-    Attenuate(theta):   (cos theta, 0, 0)      a -> cos(theta) a + sin(theta) b
-    MeasurePrepare(z):  (z, 1, 0)              heterodyne, then prepare |z beta>
-    Identity:           (1, 0, 0)
+    identity():        (1, 0)                    n -> n
+    attenuator(theta): (cos theta, tan^2 theta)  n -> cos^2 theta n
+    amplifier(r):      (cosh r, 0)               n -> cosh^2 r n + sinh^2 r
+    heterodyne(z):     (z, 1/z^2)                n -> z^2 (n + 1)
 
-(b a vacuum ancilla, traced out; heterodyne adds one vacuum unit before the
-re-preparation scales it), so displaced thermal states stay displaced
-thermal, which is what makes the averaged fidelity a one-line Gaussian
-integral.
+so displaced thermal states stay displaced thermal, which is what makes the
+averaged fidelity a one-line Gaussian integral.  The module runs on plain
+``math``, so the closed form costs a point command no numpy import.
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 from .params import NoisyEnsemble
 
+#: below this scale a Gaussian channel of nbar > 0 takes its s -> 0 limit, the
+#: vacuum output, where s^2 nbar = 1: the heterodyne's nbar = 1/z^2 is infinite there
+_SMALL_Z = 1e-20
 
-@dataclass(frozen=True)
-class DisplacedThermal:
-    """Displacement amplitude and thermal occupation of a Gaussian state."""
 
-    amp: complex
+class GaussianChannel(NamedTuple):
+    """Phase-insensitive Gaussian channel of scale s (amp -> s amp), described
+    by its adjoint, which maps the projector on a target |t> to the displaced
+    thermal state D(t/s) rho_th(nbar) D(t/s)^dag / s^2.  Build it with one of
+    the four constructors, which check their parameter; those of nbar > 0
+    have (1 + nbar) s^2 -> 1 as s -> 0, where the output is vacuum."""
+
+    scale: float
     nbar: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.nbar) and self.nbar >= 0.0):
-            raise DomainError(f"nbar must be finite and >= 0, got {self.nbar!r}")
-        if not (math.isfinite(abs(complex(self.amp)))):
-            raise DomainError("amp must be finite")
+    @classmethod
+    def identity(cls) -> "GaussianChannel":
+        """The channel that does nothing."""
+        return cls(1.0, 0.0)
+
+    @classmethod
+    def attenuator(cls, theta: float) -> "GaussianChannel":
+        """Beamsplitter of angle theta against a vacuum ancilla: the Husimi
+        function of its adjoint, <b|Phi^dag(|t><t|)|b> = |<t|b cos theta>|^2 =
+        e^(-|t - b cos theta|^2), is that of s = cos theta, nbar = tan^2 theta."""
+        if not 0.0 <= theta <= math.pi / 2.0:
+            raise DomainError(f"theta must be in [0, pi/2], got {theta!r}")
+        return cls(math.cos(theta), math.tan(theta) ** 2)
+
+    @classmethod
+    def amplifier(cls, r: float) -> "GaussianChannel":
+        """Amplifier of gain cosh^2 r: the two-mode squeezer exp(r(a^dag b^dag - a b))
+        on a vacuum ancilla, traced out.  Its adjoint rescales a coherent projector,
+        |t><t| -> |t/cosh r><t/cosh r| / cosh^2 r: s = cosh r and nbar = 0.
+        An r whose cosh r overflows a float is a DomainError."""
+        if not (math.isfinite(r) and r >= 0.0):
+            raise DomainError(f"squeeze parameter must be >= 0, got {r!r}")
+        try:
+            return cls(math.cosh(r), 0.0)
+        except OverflowError:
+            raise DomainError(f"squeeze parameter r = {r!r} overflows cosh r") from None
+
+    @classmethod
+    def heterodyne(cls, z: float) -> "GaussianChannel":
+        """Heterodyne measure-and-prepare channel, rho -> integral (d^2 beta / pi)
+        <beta|rho|beta> |z beta><z beta|.  Its adjoint, integral (d^2 beta / pi)
+        e^(-|t - z beta|^2) |beta><beta|, has s = z and nbar = 1/z^2 (infinite
+        below ``_SMALL_Z``)."""
+        if not (math.isfinite(z) and z >= 0.0):
+            raise DomainError(f"re-preparation scale z must be >= 0, got {z!r}")
+        return cls(z, 1.0 / (z * z) if z >= _SMALL_Z else math.inf)
 
 
-class ChannelKind(enum.Enum):
-    TWO_MODE_SQUEEZE = "TwoModeSqueeze"
-    ATTENUATE = "Attenuate"
-    MEASURE_PREPARE = "MeasurePrepare"
-    IDENTITY = "Identity"
-
-
-@dataclass(frozen=True)
-class ChannelParam:
-    """A channel tag plus its single real parameter.
-
-    value is the squeeze parameter r >= 0, the beamsplitter angle
-    theta in [0, pi/2], the re-preparation scale z >= 0, or ignored for
-    Identity.
-    """
-
-    kind: ChannelKind
-    value: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind in (ChannelKind.TWO_MODE_SQUEEZE, ChannelKind.MEASURE_PREPARE):
-            if not (math.isfinite(self.value) and self.value >= 0.0):
-                raise DomainError(f"{self.kind.value} parameter must be >= 0, got {self.value!r}")
-        elif self.kind is ChannelKind.ATTENUATE:
-            if not (0.0 <= self.value <= math.pi / 2.0):
-                raise DomainError(
-                    f"attenuation angle must be in [0, pi/2], got {self.value!r}"
-                )
-
-
-def apply_gaussian(state: DisplacedThermal, ch: ChannelParam) -> DisplacedThermal:
-    """Push a displaced thermal state through a channel, in closed form."""
-    v = ch.value
-    s, before, after = 1.0, 0.0, 0.0  # Identity
-    if ch.kind is ChannelKind.TWO_MODE_SQUEEZE:
-        s, before, after = math.cosh(v), 0.0, math.sinh(v) ** 2
-    elif ch.kind is ChannelKind.ATTENUATE:
-        s, before, after = math.cos(v), 0.0, 0.0
-    elif ch.kind is ChannelKind.MEASURE_PREPARE:
-        s, before, after = v, 1.0, 0.0
-    return DisplacedThermal(amp=s * state.amp, nbar=s * s * (state.nbar + before) + after)
-
-
-def avg_fidelity_gaussian(ens: NoisyEnsemble, ch: ChannelParam) -> float:
-    """Prior-averaged fidelity of a one-parameter Gaussian protocol.
+def avg_fidelity_gaussian(ens: NoisyEnsemble, channel: GaussianChannel) -> float:
+    """Prior-averaged fidelity of a Gaussian protocol.
 
     Averaging the overlap <g' alpha| rho_out |g' alpha> =
     exp(-|g' alpha - s alpha|^2 / (nbar_out + 1)) / (nbar_out + 1) of the
-    applied state over the Gaussian prior gives
+    output, nbar_out + 1 = s^2 (1/mu + 1) + s^2 nbar on the thermal input
+    1/mu, over the Gaussian prior gives
 
-        F = lambda' / (lambda' (nbar_out + 1) + (g' - s)^2)
+        F = lambda' / (lambda' (s^2 (1/mu + 1) + s^2 nbar) + (g' - s)^2),
 
-    with s the channel's amplitude scale and nbar_out its output occupation
-    on the thermal input nbar = 1/mu.  For the squeezer this is
-    lambda' mu / (lambda'(mu+1) cosh^2 r + mu (g' - cosh r)^2); measure and
-    prepare at z = g' N_C/(S + 1) attains the classical threshold cft.
+    with s^2 nbar = 1 below ``_SMALL_Z``, and 0 where nbar = 0 even if s^2
+    overflows.  For the
+    squeezer this is lambda' mu / (lambda'(mu+1) cosh^2 r + mu (g' - cosh r)^2);
+    measure and prepare at z = g' N_C/(S + 1) attains the classical threshold
+    cft.  The squares are products, so a term past the float range is inf
+    and F is 0, within 1e-300 of its exact value.
     """
-    out = apply_gaussian(DisplacedThermal(amp=1.0, nbar=1.0 / ens.mu), ch)
-    s = out.amp.real
-    lam = ens.lambda_prime
-    return lam / (lam * (out.nbar + 1.0) + (ens.g_prime - s) ** 2)
+    s, nbar = channel
+    added = 1.0 if s < _SMALL_Z else s * s * nbar if nbar else 0.0
+    lam, miss = ens.lambda_prime, ens.g_prime - s
+    return lam / (lam * (s * s * (1.0 / ens.mu + 1.0) + added) + miss * miss)

@@ -41,13 +41,7 @@ from numpy.random import default_rng
 
 from . import bounds, fock, formulas
 from .errors import DomainError, NonConvergentError
-from .gaussian import (
-    ChannelKind,
-    ChannelParam,
-    DisplacedThermal,
-    apply_gaussian,
-    avg_fidelity_gaussian,
-)
+from .gaussian import GaussianChannel, avg_fidelity_gaussian
 from .params import MultimodeTask, NoisyEnsemble, _landmarks
 from .scalaropt import golden_section_min
 
@@ -197,17 +191,17 @@ def _join(f: Rule, gains: Callable) -> Pair:
 
 
 def _check_gaussian_noise_laws(seed: int, dim: int) -> Pair:
+    # the Schrodinger law n -> s^2 (n + nbar + 1) - 1 of each channel's (s, nbar)
     devs = []
-    for nbar in (0.0, 0.5, 1.0, 3.0):
-        state = DisplacedThermal(amp=0.7 + 0.2j, nbar=nbar)
+    for n in (0.0, 0.5, 1.0, 3.0):
         for r in (0.0, 0.3, 1.1):
-            out = apply_gaussian(state, ChannelParam(ChannelKind.TWO_MODE_SQUEEZE, r))
+            s, nbar = GaussianChannel.amplifier(r)
             ch, sh2 = math.cosh(r), math.sinh(r) ** 2
-            devs += [abs(out.nbar - (ch * ch * nbar + sh2)), abs(out.amp - ch * state.amp)]
+            devs += [abs(s * s * (n + nbar + 1.0) - 1.0 - (ch * ch * n + sh2)), abs(s - ch)]
         for theta in (0.0, 0.6, 1.2):
-            out = apply_gaussian(state, ChannelParam(ChannelKind.ATTENUATE, theta))
+            s, nbar = GaussianChannel.attenuator(theta)
             c = math.cos(theta)
-            devs += [abs(out.nbar - c * c * nbar), abs(out.amp - c * state.amp)]
+            devs += [abs(s * s * (n + nbar + 1.0) - 1.0 - c * c * n), abs(s - c)]
     return 0.0, np.max(devs)
 
 
@@ -216,16 +210,17 @@ _ATTEN_SCAN = ((1.0, 1.0, 0.7), (0.5, 0.5, 0.9), (2.0, 2.0, 0.4), (1.0, 0.5, 1.5
 _MP_SCAN = ((1.0, 1.0, 2.0), (0.5, 2.0, 0.8), (2.0, 0.5, 1.5))
 
 
-def _scan_check(kind: ChannelKind, points: tuple, optimum: Rule,
+def _scan_check(channel: Callable[[float], GaussianChannel], points: tuple, optimum: Rule,
                 interval: Callable, setting: Callable, tuned: Callable) -> tuple[Pair, Pair]:
-    """One golden-section scan of a Gaussian protocol over ``interval(ens)`` per point: its
-    maximum against ``optimum`` (relative), ``setting`` at its argmax against ``tuned``."""
+    """One golden-section scan of the Gaussian protocol ``channel(x)`` over ``interval(ens)``
+    per point: its maximum against ``optimum`` (relative), ``setting`` at its argmax
+    against ``tuned``."""
     devs = []
     for lam, mu, g in points:
         ens = _ens(lam, mu, g)
         target = optimum(ens)
         x_num, neg_best = golden_section_min(
-            lambda x, e=ens: -avg_fidelity_gaussian(e, ChannelParam(kind, x)), *interval(ens),
+            lambda x, e=ens: -avg_fidelity_gaussian(e, channel(x)), *interval(ens),
             tol=1e-12)
         devs.append((abs(-neg_best - target) / target, abs(setting(x_num) - tuned(ens))))
     value, arg = np.max(devs, axis=0)
@@ -233,19 +228,19 @@ def _scan_check(kind: ChannelKind, points: tuple, optimum: Rule,
 
 
 def _check_squeezer_scan(seed: int, dim: int) -> tuple[Pair, Pair]:
-    return _scan_check(ChannelKind.TWO_MODE_SQUEEZE, _SQUEEZE_SCAN, formulas.det_fidelity,
+    return _scan_check(GaussianChannel.amplifier, _SQUEEZE_SCAN, formulas.det_fidelity,
                        lambda e: (0.0, 2.0 * math.acosh(formulas.tune(e).cosh_r) + 1.0),
                        math.cosh, lambda e: math.cosh(math.acosh(formulas.tune(e).cosh_r)))
 
 
 def _check_attenuator_scan(seed: int, dim: int) -> tuple[Pair, Pair]:
-    return _scan_check(ChannelKind.ATTENUATE, _ATTEN_SCAN, formulas.det_fidelity,
+    return _scan_check(GaussianChannel.attenuator, _ATTEN_SCAN, formulas.det_fidelity,
                        lambda e: (0.0, math.pi / 2.0), math.cos,
                        lambda e: formulas.tune(e).cos_theta)
 
 
 def _check_mp_scan(seed: int, dim: int) -> tuple[Pair, Pair]:
-    return _scan_check(ChannelKind.MEASURE_PREPARE, _MP_SCAN, formulas.cft,
+    return _scan_check(GaussianChannel.heterodyne, _MP_SCAN, formulas.cft,
                        lambda e: (1e-9, 2.0 * e.g_prime + 1.0), lambda z: z,
                        lambda e: formulas.tune(e).z)
 
@@ -320,7 +315,7 @@ def _check_fock_identity(seed: int, dim: int) -> Pair:
     # the cutoff moves this score by 1.25e-6 at 32 levels, past its tolerance, and 2e-9 at 48
     dim = max(dim, 48)
     ens = _ens(1.0, 1.0, 2.0)
-    return 1.0 / 3.0, fock.avg_fidelity_numeric(ens, fock.GaussianChannel.identity(), dim=dim)
+    return 1.0 / 3.0, fock.avg_fidelity_numeric(ens, GaussianChannel.identity(), dim=dim)
 
 
 def _check_fock_amplifier_noise(seed: int, dim: int) -> Pair:
@@ -440,27 +435,25 @@ def _oracle_gap(points: Iterable, dim: int) -> Pair:
 def _check_oracle_grid(seed: int, dim: int) -> tuple[Pair, Pair]:
     # the tuned squeezer and the identity, scored on the same prior states
     # (fock.prior_states keeps them between consecutive calls)
-    squeezer, identity = [], []
+    squeezer, identity, unit = [], [], GaussianChannel.identity()
     for n_c in _ORACLE_N_C:
         for n_t in _ORACLE_N_T:
             lam, mu = 1.0 / n_c, 1.0 / n_t
             a = _landmarks(lam, mu)[2]
             amplified = [_ens(lam, mu, g) for g in (a, a + 0.5, 2.0 * a)]
             squeezer.append(_oracle_gap(
-                ((e, fock.GaussianChannel.amplifier(math.acosh(formulas.tune(e).cosh_r)),
+                ((e, GaussianChannel.amplifier(math.acosh(formulas.tune(e).cosh_r)),
                   formulas.det_fidelity(e)) for e in amplified), _ORACLE_DIM)[1])
             unamplified = [_ens(lam, mu, 1.0), _ens(lam, mu, 1.2)]
             identity.append(_oracle_gap(
-                ((e, fock.GaussianChannel.identity(),
-                  avg_fidelity_gaussian(e, ChannelParam(ChannelKind.IDENTITY))) for e in unamplified),
-                _ORACLE_DIM)[1])
+                ((e, unit, avg_fidelity_gaussian(e, unit)) for e in unamplified), _ORACLE_DIM)[1])
     return (0.0, np.max(squeezer)), (0.0, np.max(identity))
 
 
 def _check_oracle_attenuator(seed: int, dim: int) -> Pair:
     # inside (1, S/N_C) the tuned beamsplitter attains the deterministic optimum
     ens = _ens(1.0, 0.5, 1.5)
-    channel = fock.GaussianChannel.attenuator(math.acos(formulas.tune(ens).cos_theta))
+    channel = GaussianChannel.attenuator(math.acos(formulas.tune(ens).cos_theta))
     return formulas.det_fidelity(ens), fock.avg_fidelity_numeric(ens, channel, dim=_ORACLE_DIM)
 
 
@@ -480,7 +473,7 @@ def _check_filter_sweep(seed: int, dim: int) -> tuple[Pair, Pair, Pair]:
 
 def _check_oracle_heterodyne(seed: int, dim: int) -> Pair:
     # (1, 1) first, on the stack the filter sweep leaves
-    points = ((ens, fock.GaussianChannel.heterodyne(formulas.tune(ens).z), formulas.cft(ens))
+    points = ((ens, GaussianChannel.heterodyne(formulas.tune(ens).z), formulas.cft(ens))
               for ens in (_ens(1.0, 1.0, 2.0), _ens(1.0, 1e12, 1.0)))
     return _oracle_gap(points, max(dim, _ORACLE_DIM))
 
@@ -512,24 +505,17 @@ def _check_cft_norm_points(seed: int, dim: int) -> Pair:
 def _check_gaussian_vs_fock(seed: int, dim: int) -> Pair:
     # (1, 1) last, so that the angular check next reuses its stack
     pairs = (
-        (_ens(0.5, 2.0, 1.3), ChannelParam(ChannelKind.TWO_MODE_SQUEEZE, 0.3)),
-        (_ens(1.0, 0.5, 0.8), ChannelParam(ChannelKind.ATTENUATE, 0.5)),
-        (_ens(1.0, 1.0, 2.0), ChannelParam(ChannelKind.TWO_MODE_SQUEEZE, 0.6)),
+        (_ens(0.5, 2.0, 1.3), GaussianChannel.amplifier(0.3)),
+        (_ens(1.0, 0.5, 0.8), GaussianChannel.attenuator(0.5)),
+        (_ens(1.0, 1.0, 2.0), GaussianChannel.amplifier(0.6)),
     )
-    cutoff = max(dim, _ORACLE_DIM)
-
-    def channel(ch: ChannelParam) -> fock.GaussianChannel:
-        if ch.kind is ChannelKind.TWO_MODE_SQUEEZE:
-            return fock.GaussianChannel.amplifier(ch.value)
-        return fock.GaussianChannel.attenuator(ch.value)
-
-    return _oracle_gap(((ens, channel(ch), avg_fidelity_gaussian(ens, ch)) for ens, ch in pairs),
-                       cutoff)
+    return _oracle_gap(((ens, ch, avg_fidelity_gaussian(ens, ch)) for ens, ch in pairs),
+                       max(dim, _ORACLE_DIM))
 
 
 def _check_angular_reduction(seed: int, dim: int) -> Pair:
     ens = _ens(1.0, 1.0, 1.3)
-    identity = fock.GaussianChannel.identity()
+    identity = GaussianChannel.identity()
     radial = fock.avg_fidelity_numeric(ens, identity, dim=dim)
     polar = fock.avg_fidelity_numeric(ens, identity, dim=dim, angular_nodes=12)
     return radial, polar

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from ampurify import bounds, fock, formulas
-from ampurify.gaussian import ChannelKind, ChannelParam, DisplacedThermal, apply_gaussian
+from ampurify.gaussian import GaussianChannel
 from ampurify.params import PURE_MU_SENTINEL, NoisyEnsemble, photon_book, thresholds
 
 N_C_GRID = (0.5, 1.0, 2.0)
@@ -46,7 +46,7 @@ def test_criterion_01_squeezer_oracle_matches_deterministic_optimum():
                 ens = _ens_from_photons(n_c, n_t, g)
                 r = math.acosh(formulas.tune(ens).cosh_r)
                 numeric = fock.avg_fidelity_numeric(
-                    ens, fock.GaussianChannel.amplifier(r), dim=64, radial_nodes=80
+                    ens, GaussianChannel.amplifier(r), dim=64, radial_nodes=80
                 )
                 worst = max(worst, abs(numeric - formulas.det_fidelity(ens)))
     elapsed = time.monotonic() - t0
@@ -62,12 +62,12 @@ def test_criterion_02_identity_oracle_matches_passive_closed_form():
             for g in (1.0, 1.2):
                 ens = _ens_from_photons(n_c, n_t, g)
                 numeric = fock.avg_fidelity_numeric(
-                    ens, fock.GaussianChannel.identity(), dim=64, radial_nodes=80
+                    ens, GaussianChannel.identity(), dim=64, radial_nodes=80
                 )
                 closed = 1.0 / ((g - 1.0) ** 2 * n_c + n_t + 1.0)
                 assert abs(numeric - closed) <= 1e-6, (n_c, n_t, g)
     worked = fock.avg_fidelity_numeric(
-        NoisyEnsemble(1.0, 1.0, 2.0), fock.GaussianChannel.identity(), dim=64, radial_nodes=80
+        NoisyEnsemble(1.0, 1.0, 2.0), GaussianChannel.identity(), dim=64, radial_nodes=80
     )
     assert abs(worked - 1.0 / 3.0) <= 1e-6
 
@@ -114,7 +114,7 @@ def test_criterion_04_heterodyne_oracle_matches_classical_threshold():
         z = formulas.tune(ens).z
         numeric = fock.avg_fidelity_numeric(
             ens,
-            fock.GaussianChannel.heterodyne(z),
+            GaussianChannel.heterodyne(z),
             dim=64,
             radial_nodes=80,
         )
@@ -231,18 +231,19 @@ def test_criterion_09_photon_bookkeeping_matches_channel_algebra():
     """Channel occupation laws hold to 1e-12; the worked amplifier point
     gives 47/49 noise photons out; a rank-40 filter reshapes a unit thermal
     state to the predicted occupation within 1e-3."""
+    # a channel (s, nbar) maps amplitude amp to s amp and occupation n to s^2 (n + nbar + 1) - 1
+    amp = 0.7 + 0.2j
     for nbar in (0.0, 0.5, 1.0, 3.0):
-        state = DisplacedThermal(amp=0.7 + 0.2j, nbar=nbar)
         for r in (0.0, 0.3, 1.1):
-            out = apply_gaussian(state, ChannelParam(ChannelKind.TWO_MODE_SQUEEZE, r))
+            s, added = GaussianChannel.amplifier(r)
             ch, sh = math.cosh(r), math.sinh(r)
-            assert abs(out.nbar - (ch * ch * nbar + sh * sh)) <= 1e-12
-            assert abs(out.amp - ch * state.amp) <= 1e-12
+            assert abs(s * s * (nbar + added + 1.0) - 1.0 - (ch * ch * nbar + sh * sh)) <= 1e-12
+            assert abs(s * amp - ch * amp) <= 1e-12
         for theta in (0.0, 0.6, 1.2):
-            out = apply_gaussian(state, ChannelParam(ChannelKind.ATTENUATE, theta))
+            s, added = GaussianChannel.attenuator(theta)
             c = math.cos(theta)
-            assert abs(out.nbar - c * c * nbar) <= 1e-12
-            assert abs(out.amp - c * state.amp) <= 1e-12
+            assert abs(s * s * (nbar + added + 1.0) - 1.0 - c * c * nbar) <= 1e-12
+            assert abs(s * amp - c * amp) <= 1e-12
 
     from ampurify.params import MultimodeTask
 

@@ -224,6 +224,24 @@ def test_minimizer_rejects_an_overflowing_kappa_prime():
         minimize_det_bound(ens)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: coeffs(_ens(1.0, 1.0, 1e160), 0.5),  # g'^2 overflows
+        lambda: det_upper_bound(_ens(1e200, 1e200, 1.0), 1.0),  # a overflows
+        lambda: minimize_det_bound(_ens(1e160, 1.0, 1e160)),  # g'^2 overflows
+        # finite coefficients whose (b - c)^2 overflows
+        lambda: coeffs(_ens(1.0, 1.0, 5e153), 0.25),
+        lambda: amp_convergence_terms(_ens(1.0, 1.0, 1e160), 0.5, 10),
+    ],
+    ids=["coeffs", "det_upper_bound", "minimize_det_bound", "coeffs-square",
+         "amp_convergence_terms"],
+)
+def test_root_arithmetic_past_the_float_range_is_a_domain_error(call):
+    with pytest.raises(DomainError, match="overflows a float"):
+        call()
+
+
 def test_bound_at_the_edge_reproduces_prob_optimum():
     for g in (1.2, 2.0, 2.6, 3.5):
         ens = _ens(1.0, 1.0, g)

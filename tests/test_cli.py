@@ -638,6 +638,17 @@ def test_point_commands_execute_neither_numpy_nor_the_oracle_layer():
     """) == ["False", "[]", "[]", "[0, 0]"]
 
 
+def test_the_gaussian_closed_form_runs_on_plain_math():
+    # so a point command can score a Gaussian channel without numpy or dataclasses
+    assert _fresh("""
+        import sys
+        from ampurify.gaussian import GaussianChannel, avg_fidelity_gaussian
+        from ampurify.params import NoisyEnsemble
+        print(avg_fidelity_gaussian(NoisyEnsemble(1.0, 1.0, 2.0), GaussianChannel.identity()))
+        print([m for m in ("numpy._core", "dataclasses", "inspect") if m in sys.modules])
+    """) == [repr(1.0 / 3.0), "[]"]
+
+
 def test_importing_verify_executes_the_whole_oracle_layer_before_run_suite():
     # were the lazy modules bound as package attributes, verify's own
     # ``from . import bounds, fock`` would take them unexecuted, and they

@@ -9,7 +9,6 @@ from ampurify.errors import DomainError, TruncationError
 from ampurify.fock import (
     FilterSpec,
     FockDensity,
-    GaussianChannel,
     apply_attenuator,
     apply_filter,
     apply_heterodyne_mp,
@@ -19,6 +18,7 @@ from ampurify.fock import (
     displaced_thermal_density,
     fit_thermal_nbar,
 )
+from ampurify.gaussian import GaussianChannel
 from ampurify.params import NoisyEnsemble
 
 
@@ -242,7 +242,7 @@ def test_heterodyne_score_needs_no_output_cutoff():
     padded[:24, :24] = rho.mat
     out = apply_heterodyne_mp(FockDensity(128, padded), 3.0)
     target = coherent_ket(2.0, out.dim)
-    score = GaussianChannel.heterodyne(3.0).scorer(24)
+    score = fock._gaussian_scorer(GaussianChannel.heterodyne(3.0), 24)
     (fidelity,), (trace,) = score(rho.mat[None], np.array([2.0]))
     assert fidelity == pytest.approx(float(np.real(target.conj() @ out.mat @ target)), abs=1e-15)
     assert trace == rho.trace()
@@ -286,7 +286,7 @@ class _DampedIdentity:
     """The identity with every score and trace scaled by 0.37."""
 
     def scorer(self, dim):
-        score = GaussianChannel.identity().scorer(dim)
+        score = fock._gaussian_scorer(GaussianChannel.identity(), dim)
         return lambda states, targets: tuple(0.37 * a for a in score(states, targets))
 
 
@@ -417,7 +417,7 @@ _EQUIV_DIM = 32
         (GaussianChannel.attenuator(math.pi / 2), lambda rho: apply_attenuator(rho, math.pi / 2)),
         (FilterSpec(k_cut=20, y=1.1), lambda rho: apply_filter(rho, FilterSpec(k_cut=20, y=1.1))),
         (GaussianChannel.heterodyne(0.7), lambda rho: apply_heterodyne_mp(rho, 0.7)),
-        # below fock._SMALL_Z the score is the z -> 0 limit
+        # below gaussian._SMALL_Z the score is the z -> 0 limit
         (GaussianChannel.heterodyne(0.0), lambda rho: apply_heterodyne_mp(rho, 0.0)),
         (GaussianChannel.heterodyne(1e-30), lambda rho: apply_heterodyne_mp(rho, 1e-30)),
     ],
@@ -427,7 +427,9 @@ _EQUIV_DIM = 32
 def test_adjoint_score_equals_projection_of_built_output(channel, apply):
     rho = displaced_thermal_density(0.9 + 0.5j, 0.4, _EQUIV_DIM)
     amp = 0.8 - 0.6j
-    (fidelity,), (trace,) = channel.scorer(_EQUIV_DIM)(rho.mat[None], np.array([amp]))
+    score = (channel.scorer(_EQUIV_DIM) if isinstance(channel, FilterSpec)
+             else fock._gaussian_scorer(channel, _EQUIV_DIM))
+    (fidelity,), (trace,) = score(rho.mat[None], np.array([amp]))
     out = apply(rho)
     target = coherent_ket(amp, out.dim)
     assert fidelity == pytest.approx(float(np.real(target.conj() @ out.mat @ target)), abs=1e-13)
