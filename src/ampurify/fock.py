@@ -20,11 +20,13 @@ Prior averages reduce to a radial Gauss-Laguerre rule, by default of
 covariant (an optional angular grid re-checks this).  Its input states,
 ``prior_states``, are one cached, read-only real stack shared by every
 channel scored at the same (lambda', mu, dim) and by
-``bounds.cft_norm_check``, built in place by one Laguerre recurrence over
-all nodes and scored ``_CHUNK`` nodes at a time.  Stack and
-target-ket entries below exp(``_LOG_KET_FLOOR``) = 1e-100 are zero, which
-moves no score by more than about 1e-98 and keeps the contractions off
-subnormal floats, on which the CPU is many times slower.
+``bounds.cft_norm_check``, built by one two-term row recurrence over all
+nodes.  An average scores all nodes in one scorer call, so a Gaussian
+channel builds its adjoint stack once; only an angular re-check goes
+``_CHUNK`` nodes at a time.  Stack and target-ket entries below
+exp(``_LOG_KET_FLOOR``) = 1e-100 are zero, which moves no score by more
+than about 1e-98 and keeps the contractions off subnormal floats, on which
+the CPU is many times slower.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .params import NoisyEnsemble
 #: quadrature weights below this are skipped (they underflow any integrand)
 _WEIGHT_FLOOR = 1e-280
 
-#: prior nodes scored per batch, bounding every transient array
+#: states per batch where a stack is copied: mirrored, or rotated in phase
 _CHUNK = 16
 
 #: radial Gauss-Laguerre nodes of an oracle average: at the verify points a
@@ -188,51 +190,47 @@ def _thermal_diag(nbar: float, dim: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _recurrence_coefficients(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows n, columns k of 2n+1+k, sqrt(n (n+k)) and sqrt((n+1)(n+k+1)),
-    the Laguerre recurrence's coefficients."""
-    n, k = np.ogrid[:dim, :dim]
-    return (2 * n + 1 + k).astype(float), np.sqrt(n * (n + k)), np.sqrt((n + 1) * (n + k + 1.0))
+def _row_coefficients(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows m, columns n of sqrt(m+1) and sqrt(n/(m+1)), the row
+    recurrence's coefficients."""
+    m, n = np.ogrid[:dim, :dim]
+    return np.sqrt(m + 1.0), np.sqrt(n / (m + 1.0))
 
 
 def _displaced_thermal_stack(radii: np.ndarray, nbar: float, dim: int) -> np.ndarray:
     """D(r) rho_th(nbar) D(r)^dag for each real amplitude r, one real
-    (P, dim, dim) stack.  With s = 1 + nbar, at every offset k >= 0,
+    (P, dim, dim) stack.  With s = 1 + nbar and q = nbar/s, row 0 is
 
-        rho[n+k, n] = e^(-r^2/s) sqrt(n!/(n+k)!) nbar^n r^k s^-(n+k+1) L_n^(k)(-r^2/(nbar s)),
+        rho[0, n] = e^(-r^2/s) r^n s^-(n+1) / sqrt(n!),
 
-    a Laguerre series of positive terms.  From start values n = 0 taken in
-    logs, the three-term Laguerre recurrence carries every offset and every
-    amplitude at once, one row of the upper triangle per step:
+    taken in logs, and (a - r) rho = q rho (a - r) carries it down the upper
+    triangle, every amplitude at once, one row per step:
 
-        rho_(n+1)^(k) = [(nbar (2n+1+k) + r^2/s) rho_n^(k) / s
-                         - (nbar/s)^2 sqrt(n (n+k)) rho_(n-1)^(k)] / sqrt((n+1)(n+k+1)),
+        sqrt(m+1) rho[m+1, n] = (r/s) rho[m, n] + q sqrt(n) rho[m, n-1],
 
-    which at nbar = 0 is the coherent state's.  The recurrence runs in place
-    on rotating (offset, amplitude) buffers, so every slice it reads is
-    contiguous, and the triangle is mirrored ``_CHUNK`` states at a time at
-    the end.  Where a start value underflows (r^2/s > 708), every entry
-    within 128 levels is below 1e-170.  Entries below exp(``_LOG_KET_FLOOR``)
-    are zero, as for the target kets.
+    two positive terms (1 - q is taken as 1/s), which at nbar = 0 is the
+    coherent state's.  It runs on rotating (column, amplitude) buffers, so
+    every slice it reads is contiguous, writing each row into the stack, and
+    the triangle is mirrored ``_CHUNK`` states at a time at the end.  Where
+    a start value underflows (r^2/s > 708), every entry within 128 levels is
+    below 1e-170.  Entries below exp(``_LOG_KET_FLOOR``) are zero, as for
+    the target kets.
     """
-    s = 1.0 + nbar
-    b, k = radii[:, None] ** 2 / s, np.arange(dim)
+    s, k = 1.0 + nbar, np.arange(dim)
     with np.errstate(divide="ignore", invalid="ignore"):  # k log 0 is 0 at k = 0
         k_log_r = np.where(k > 0, k * np.log(radii)[:, None], 0.0)
-    odd, inner, outer = _recurrence_coefficients(dim)
-    cur, prev, nxt, term = np.zeros((4, dim, radii.size))
-    cur[:] = np.exp(-b + k_log_r - (k + 1.0) * math.log(s) - 0.5 * _log_factorials(dim)).T
+    root, root_ratio = _row_coefficients(dim)
+    a, b = radii / s / root, nbar / s * root_ratio
+    cur, nxt, term = np.empty((3, dim, radii.size))
+    cur[:] = np.exp(-(radii[:, None] ** 2 / s) + k_log_r - (k + 1.0) * math.log(s)
+                    - 0.5 * _log_factorials(dim)).T
     out = np.empty((radii.size, dim, dim))
-    for n in range(dim):
-        out[:, n, n:] = cur[: dim - n].T
-        m = dim - n - 1  # the offsets still inside at n + 1
-        np.add((nbar * odd[n, :m])[:, None], b[:, 0], out=nxt[:m])
-        nxt[:m] *= cur[:m]
-        nxt[:m] /= s
-        np.multiply(((nbar / s) ** 2 * inner[n, :m])[:, None], prev[:m], out=term[:m])
-        nxt[:m] -= term[:m]
-        nxt[:m] /= outer[n, :m, None]
-        prev, cur, nxt = cur, nxt, prev
+    for m in range(dim):
+        out[:, m, m:] = cur[m:].T
+        np.multiply(cur[m + 1 :], a[m], out=nxt[m + 1 :])
+        np.multiply(cur[m:-1], b[m, m + 1 :, None], out=term[m + 1 :])
+        nxt[m + 1 :] += term[m + 1 :]
+        cur, nxt = nxt, cur
     below = np.tri(dim, k=-1, dtype=bool)
     for lo in range(0, radii.size, _CHUNK):
         block = out[lo : lo + _CHUNK]
@@ -278,7 +276,7 @@ def prior_states(lambda_prime: float, mu: float, dim: int,
     sum_i w_i f(sqrt(t_i / lambda')) over ``_laguerre_rule``.  The last stack
     is kept for the next call, since it serves every channel at its arguments;
     only one is kept, as a rebuild at the default rule and 64 levels costs
-    about 2 ms and every stack kept adds its 1.6 MB to the process.  Above
+    about 1 ms and every stack kept adds its 1.6 MB to the process.  Above
     128 levels a far node's start values underflow where its exact entries
     do not, so a larger cutoff is a DomainError."""
     if dim > 128:
@@ -318,8 +316,9 @@ def avg_fidelity_numeric(ens: NoisyEnsemble, channel: GaussianChannel | FilterSp
              else channel.scorer(dim))
     radii, weights, states = prior_states(ens.lambda_prime, ens.mu, dim, radial_nodes)
     fid, trace = np.zeros((2, radii.size))
-    for lo in range(0, radii.size, _CHUNK):
-        block = slice(lo, lo + _CHUNK)
+    step = _CHUNK if n_ang > 1 else radii.size
+    for lo in range(0, radii.size, step):
+        block = slice(lo, lo + step)
         for k in range(n_ang):
             phi = 2.0 * math.pi * k / n_ang
             alpha = radii[block] * np.exp(1j * phi) if k else radii[block]

@@ -67,20 +67,19 @@ def test_displaced_thermal_stack_zeroes_every_entry_below_the_floor(monkeypatch)
 
 
 def _per_column_stack(radii: np.ndarray, nbar: float, dim: int) -> np.ndarray:
-    """The Laguerre recurrence on (amplitude, offset) arrays, writing one
-    column and one row per step: the reference the in-place builder keeps."""
-    s = 1.0 + nbar
-    b, k = radii[:, None] ** 2 / s, np.arange(dim)
+    """The row recurrence on (amplitude, column) arrays, writing each new row
+    and its mirror column per step: the reference the in-place builder keeps."""
+    s, k = 1.0 + nbar, np.arange(dim)
     with np.errstate(divide="ignore", invalid="ignore"):
         k_log_r = np.where(k > 0, k * np.log(radii)[:, None], 0.0)
-    cur = np.exp(-b + k_log_r - (k + 1.0) * math.log(s) - 0.5 * fock._log_factorials(dim))
-    prev = np.zeros_like(cur)
+    row = np.exp(-(radii[:, None] ** 2 / s) + k_log_r - (k + 1.0) * math.log(s)
+                 - 0.5 * fock._log_factorials(dim))
     out = np.empty((radii.size, dim, dim))
-    for n in range(dim):
-        out[:, n:, n] = out[:, n, n:] = cur
-        k, cur, prev = k[:-1], cur[:, :-1], prev[:, :-1]
-        cur, prev = ((nbar * (2 * n + 1 + k) + b) * cur / s - (nbar / s) ** 2
-                     * np.sqrt(n * (n + k)) * prev) / np.sqrt((n + 1) * (n + k + 1.0)), cur
+    for m in range(dim):
+        out[:, m:, m] = out[:, m, m:] = row[:, m:]
+        n = k[m + 1 :]
+        row[:, m + 1 :] = ((radii / s / math.sqrt(m + 1.0))[:, None] * row[:, m + 1 :]
+                           + nbar / s * np.sqrt(n / (m + 1.0)) * row[:, m:-1])
     out[out < math.exp(fock._LOG_KET_FLOOR)] = 0.0
     return out
 
@@ -371,27 +370,50 @@ def test_prior_states_are_read_only():
             array[0] = 0.0
 
 
+_CHUNKED_CHANNELS = [("squeezer", GaussianChannel.amplifier(0.4)),
+                     ("filter", FilterSpec(k_cut=20, y=1.1)),
+                     ("heterodyne", GaussianChannel.heterodyne(0.7))]
+
+
 @pytest.mark.parametrize(
-    "channel",
-    [
-        GaussianChannel.amplifier(0.4),
-        FilterSpec(k_cut=20, y=1.1),
-        GaussianChannel.heterodyne(0.7),
-    ],
-    ids=["squeezer", "filter", "heterodyne"],
+    "channel, angular_nodes",
+    # the radial average scores every node at once, so only the builder's mirror
+    # reads the chunk there; the angular re-check scores its rotated copies by chunk
+    [pytest.param(channel, None, id=name) for name, channel in _CHUNKED_CHANNELS]
+    + [pytest.param(channel, 3, id=f"{name}-angular") for name, channel in _CHUNKED_CHANNELS],
 )
-def test_chunked_average_equals_an_unchunked_one(channel, monkeypatch):
+def test_chunked_average_equals_an_unchunked_one(channel, angular_nodes, monkeypatch):
     assert _NODES % fock._CHUNK != 0
     ens = NoisyEnsemble(2.0, 1.0, 1.3)
 
     def average(chunk: int) -> float:
         monkeypatch.setattr(fock, "_CHUNK", chunk)
         return avg_fidelity_numeric(ens, channel, dim=32, radial_nodes=_NODES,
-                                    probabilistic=True)
+                                    probabilistic=True, angular_nodes=angular_nodes)
 
     unchunked = average(_NODES)
     for chunk in (fock._CHUNK, 3):
         assert average(chunk) == pytest.approx(unchunked, abs=1e-15)
+
+
+@pytest.mark.parametrize("channel", [GaussianChannel.attenuator(0.6),
+                                     GaussianChannel.heterodyne(0.7)],
+                         ids=["attenuator", "heterodyne"])
+def test_a_radial_average_builds_its_adjoint_stack_once(channel, monkeypatch):
+    builds = []
+    build = fock._displaced_thermal_stack
+
+    def counted(radii: np.ndarray, nbar: float, dim: int) -> np.ndarray:
+        builds.append(radii.size)
+        return build(radii, nbar, dim)
+
+    monkeypatch.setattr(fock, "_displaced_thermal_stack", counted)
+    fock.prior_states.cache_clear()
+    ens = NoisyEnsemble(1.0, 1.0, 1.5)
+    avg_fidelity_numeric(ens, channel, dim=32, radial_nodes=48)
+    assert builds == [48, 48]  # the prior stack, then one adjoint over every target
+    avg_fidelity_numeric(ens, channel, dim=32, radial_nodes=48)
+    assert builds == [48, 48, 48]  # the prior stack is cached
 
 
 # ---------------------------------------------------------------------------

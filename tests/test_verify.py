@@ -131,7 +131,7 @@ def test_each_fast_check_passes(fast_report, name):
 
 def test_full_suite_is_clean_and_the_same_with_a_cold_and_a_warm_cache():
     for cached in (fock.prior_states, fock._laguerre_rule, fock._log_factorials,
-                   fock._recurrence_coefficients):
+                   fock._row_coefficients):
         cached.cache_clear()
     cold = run_suite(level="full", seed=7, dim=64)
     warm = run_suite(level="full", seed=7, dim=64)

@@ -1,16 +1,23 @@
 """Print one sha256 per CLI command over its stdout, stderr and exit code.
 
     python3 tools/output_digest.py TREE
+    python3 tools/output_digest.py --verify-values TREE_A TREE_B
 
-runs ``python -m ampurify`` from TREE/src on a fixed command list; diff the
-output of two trees to prove a refactor byte-identical.  A sweep's CSV file
-counts as stdout.  For a ``verify`` run only stdout and the exit code count,
-since its stderr holds wall times; a rejected ``verify`` command line counts
-whole.  ``COLUMNS`` is pinned so that ``--help`` wraps the same way on every
-terminal.
+The first form runs ``python -m ampurify`` from TREE/src on a fixed
+command list; diff the output of two trees to prove a refactor
+byte-identical.  A sweep's CSV file counts as stdout.  For a ``verify`` run
+only stdout and the exit code count, since its stderr holds wall times; a
+rejected ``verify`` command line counts whole.  ``COLUMNS`` is pinned so
+that ``--help`` wraps the same way on every terminal.
+
+The second form runs ``verify --seed 7 --json`` at both levels and at every
+cutoff of ``VERIFY_DIMS`` in each tree, and prints each check's expected
+value, observed value or verdict that differs between them, old (TREE_A)
+then new (TREE_B).
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -62,6 +69,10 @@ EXITS += [f"{sub} --help" for sub in ("eval", "sweep", "verify", "photons", "reg
 EXITS += ["photons --mode det --lambda 1e300 --mu 1e-100 --g 1.5"]
 
 
+#: the cutoffs of ``--verify-values``, spanning the accepted [32, 128]
+VERIFY_DIMS = (32, 48, 64, 96, 128)
+
+
 def commands() -> list[str]:
     cmds = [f"verify --level {lv} --seed 7 --dim 64{js}" for lv in ("fast", "full")
             for js in ("", " --json")]
@@ -75,8 +86,33 @@ def commands() -> list[str]:
     return cmds + EXTREMES + BOUNDARY + USAGE + EXITS
 
 
+def _env(tree: str) -> dict[str, str]:
+    return dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"), COLUMNS="80")
+
+
+def _verify_checks(tree: str, level: str, dim: int) -> list[dict]:
+    p = subprocess.run([sys.executable, "-m", "ampurify", "verify", "--level", level,
+                        "--seed", "7", "--dim", str(dim), "--json"],
+                       env=_env(tree), capture_output=True, check=False)
+    return json.loads(p.stdout)["result"]["checks"]
+
+
+def verify_values(tree_a: str, tree_b: str) -> None:
+    for level in ("fast", "full"):
+        for dim in VERIFY_DIMS:
+            old, new = _verify_checks(tree_a, level, dim), _verify_checks(tree_b, level, dim)
+            if [c["name"] for c in old] != [c["name"] for c in new]:
+                print(f"verify --level {level} --dim {dim}: the check rosters differ")
+                continue
+            for a, b in zip(old, new):
+                for key in ("expected", "observed", "passed"):
+                    if a[key] != b[key]:
+                        print(f"verify --level {level} --dim {dim} {a['name']} {key}: "
+                              f"{a[key]!r} -> {b[key]!r}")
+
+
 def main(tree: str) -> None:
-    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"), COLUMNS="80")
+    env = _env(tree)
     with tempfile.TemporaryDirectory() as tmp:
         csv = os.path.join(tmp, "sweep.csv")
         for cmd in commands():
@@ -94,4 +130,7 @@ def main(tree: str) -> None:
 
 
 if __name__ == "__main__":
-    main(sys.argv[1])
+    if sys.argv[1] == "--verify-values":
+        verify_values(sys.argv[2], sys.argv[3])
+    else:
+        main(sys.argv[1])
