@@ -50,7 +50,8 @@ class BoundWorkspace:
 @dataclass(frozen=True)
 class CirculantTriple:
     """Cyclic band matrix: diag on the diagonal, -sup one step above
-    (wrapping), -sub one step below (wrapping)."""
+    (wrapping), -sub one step below (wrapping); or a batch of them, where
+    diag, sup and sub are arrays of one shape."""
 
     diag: float
     sup: float
@@ -69,10 +70,10 @@ def kappa_prime(ens: NoisyEnsemble) -> float:
 
 def _gain_squared(ens: NoisyEnsemble) -> float:
     """g'^2, a DomainError where it overflows a float."""
-    try:
-        return ens.g_prime**2
-    except OverflowError:
-        raise DomainError(f"g'^2 overflows a float at g' = {ens.g_prime!r}") from None
+    g2 = ens.g_prime * ens.g_prime
+    if not math.isfinite(g2):
+        raise DomainError(f"g'^2 overflows a float at g' = {ens.g_prime!r}")
+    return g2
 
 
 def _roots(
@@ -92,11 +93,8 @@ def _roots(
     # both terms are nonnegative for kappa <= kappa', so double roots
     # (b = c at the filter-plateau gain) stay clean instead of inheriting
     # the ~eps a^2 noise of the textbook expression
-    slack = lam * mu - (lam + mu) * kappa
-    try:
-        disc = (b - c) ** 2 + slack * (a + b + c)
-    except OverflowError:
-        disc = math.inf
+    slack, split = lam * mu - (lam + mu) * kappa, b - c
+    disc = split * split + slack * (a + b + c)
     # a, b and c each feed a term, so any of them past the float range leaves disc inf or NaN
     if not math.isfinite(disc):
         raise DomainError(f"the root equation overflows a float: a = {a!r}, b = {b!r}, c = {c!r}")
@@ -120,18 +118,22 @@ def coeffs(ens: NoisyEnsemble, kappa: float) -> BoundWorkspace:
 
 
 def circulant_eigs(t: CirculantTriple) -> np.ndarray:
-    """Eigenvalues diag - sup w^-n - sub w^n over the size-th roots of unity."""
-    n = np.arange(t.size)
-    w = np.exp(2j * math.pi * n / t.size)
-    return t.diag - t.sup / w - t.sub * w
+    """Eigenvalues diag - sup w^-n - sub w^n over the size-th roots of unity,
+    along a last axis; diag, sup and sub may be arrays of one shape."""
+    diag, sup, sub = (np.asarray(x, dtype=float)[..., None] for x in (t.diag, t.sup, t.sub))
+    w = np.exp(2j * math.pi * np.arange(t.size) / t.size)
+    return diag - sup / w - sub * w
 
 
 def circulant_dense(t: CirculantTriple) -> np.ndarray:
-    """Dense matrix of the cyclic band triple (for cross-checks)."""
-    m = np.diag(np.full(t.size, float(t.diag)))
-    for i in range(t.size):
-        m[i, (i + 1) % t.size] -= t.sup
-        m[i, (i - 1) % t.size] -= t.sub
+    """Dense diag I - sup S - sub S^T, S the cyclic shift, one per entry of a batch
+    (for cross-checks); at size 2 the corner is (0 - sup) - sub, as summed in order."""
+    diag, sup, sub = (np.asarray(x, dtype=float)[..., None] for x in (t.diag, t.sup, t.sub))
+    i = np.arange(t.size)
+    m = np.zeros(np.broadcast_shapes(diag.shape, sup.shape, sub.shape)[:-1] + (t.size, t.size))
+    m[..., i, i] = diag
+    m[..., i, (i + 1) % t.size] -= sup
+    m[..., i, (i - 1) % t.size] -= sub
     return m
 
 
@@ -198,7 +200,7 @@ def kappa_star(ens: NoisyEnsemble) -> float:
     if classify(ens).tag is not RegimeTag.DET_IDENTITY:
         return kappa_prime(ens)
     lam, mu, g = ens.lambda_prime, ens.mu, ens.g_prime
-    return (mu * (g - 1.0) ** 2 + lam * (mu + 1.0)) / (g * (g + mu))
+    return (mu * ((g - 1.0) * (g - 1.0)) + lam * (mu + 1.0)) / (g * (g + mu))
 
 
 def minimize_det_bound(ens: NoisyEnsemble) -> tuple[float, float]:
@@ -253,7 +255,8 @@ def amp_convergence_terms(ens: NoisyEnsemble, y: float, k_cut: int) -> tuple[flo
         raise NonConvergentError(
             f"y^2 = {y2!r} at or beyond the filter pole mu + 1 = {mu + 1.0!r}"
         )
-    base1 = g2 / (g2 + lam + 1.0 - y2 - (1.0 - y2) ** 2 / (mu + 1.0 - y2))
+    miss = 1.0 - y2
+    base1 = g2 / (g2 + lam + 1.0 - y2 - miss * miss / (mu + 1.0 - y2))
     base2 = y2 / (1.0 + lam - lam * lam / (lam + mu))
     for name, base in (("E1", base1), ("E2", base2)):
         if not 0.0 < base < 1.0:

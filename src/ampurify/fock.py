@@ -11,9 +11,9 @@ A scorer, ``_gaussian_scorer(channel, dim)`` or ``FilterSpec.scorer(dim)``,
 scores a (P, dim, dim) stack of input states against P target amplitudes
 in the adjoint picture, never building an output, and returns each state's
 fidelity and output trace (the heralding weight).  The ``apply_*``
-functions build the outputs instead, from Kraus weights or a per-order
-kernel: they are the scorers' independent reference, and their cut outputs
-carry the only trace guards.
+functions build the outputs from Kraus weights (``_squeezer_weights``,
+``_attenuator_weights``) or a per-order kernel as the scorers' test reference,
+which ``verify`` never calls; the cut ones carry the only trace guards.
 
 Prior averages reduce to a radial Gauss-Laguerre rule, by default of
 ``_RADIAL_NODES`` nodes, as every state, channel and target here is phase
@@ -178,8 +178,9 @@ def coherent_ket(amp: complex, dim: int) -> np.ndarray:
     """
     if dim < 1:
         raise DomainError(f"dim must be >= 1, got {dim!r}")
-    if abs(amp) ** 2 > dim / 4.0:
-        raise TruncationError(f"|amp|^2 = {abs(amp)**2:.3g} exceeds dim/4 = {dim / 4.0:.3g}")
+    mod2 = abs(amp) * abs(amp)
+    if mod2 > dim / 4.0:
+        raise TruncationError(f"|amp|^2 = {mod2:.3g} exceeds dim/4 = {dim / 4.0:.3g}")
     return _coherent_kets(np.array([amp]), dim)[0]
 
 
@@ -245,7 +246,8 @@ def _rotated(states: np.ndarray, phi: float | np.ndarray) -> np.ndarray:
     if not np.any(phi):
         return states
     ph = np.exp(1j * np.multiply.outer(phi, np.arange(states.shape[-1])))
-    return ph[..., :, None] * states * ph.conj()[..., None, :]
+    out = ph[..., :, None] * states
+    return np.multiply(out, ph.conj()[..., None, :], out=out)
 
 
 def displaced_thermal_density(amp: complex, nbar: float, dim: int) -> FockDensity:
@@ -257,9 +259,10 @@ def displaced_thermal_density(amp: complex, nbar: float, dim: int) -> FockDensit
     """
     if not (math.isfinite(nbar) and nbar >= 0.0):
         raise DomainError(f"nbar must be finite and >= 0, got {nbar!r}")
-    if abs(amp) ** 2 + nbar > dim / 4.0:
+    energy = abs(amp) * abs(amp) + nbar
+    if energy > dim / 4.0:
         raise TruncationError(
-            f"|amp|^2 + nbar = {abs(amp)**2 + nbar:.3g} exceeds dim/4 = {dim / 4.0:.3g}")
+            f"|amp|^2 + nbar = {energy:.3g} exceeds dim/4 = {dim / 4.0:.3g}")
     mat = _rotated(_displaced_thermal_stack(np.array([abs(amp)]), nbar, dim)[0], np.angle(amp))
     tr = float(np.trace(mat).real)
     if abs(tr - 1.0) > 1e-8:
@@ -351,21 +354,24 @@ def _apply_shift_kraus(rho: FockDensity, weights: np.ndarray, shift: int,
     return FockDensity(dim_out, out)
 
 
-def apply_two_mode_squeezer(rho: FockDensity, r: float, dim_anc: int = 64) -> FockDensity:
-    """Output state of ``GaussianChannel.amplifier(r)`` at cutoff rho.dim + dim_anc - 1.
-
-    Its Kraus weights are the negative-binomial amplitudes
-    W[n, k] = <n+k, k|S(r)|n, 0> = sqrt(C(n+k, k)) tanh^k r / cosh^(n+1) r,
-    cut at ancilla level k < dim_anc; a trace lost to the cut by more than
-    1e-6 raises TruncationError.
-    """
+def _squeezer_weights(r: float, dim: int, dim_anc: int) -> np.ndarray:
+    """The two-mode squeezer's Kraus weights, shift +1: the negative-binomial
+    amplitudes W[n, k] = <n+k, k|S(r)|n, 0> = sqrt(C(n+k, k)) tanh^k r / cosh^(n+1) r
+    for input level n < dim, cut at ancilla level k < dim_anc."""
     GaussianChannel.amplifier(r)  # rejects a negative or non-finite r
     if dim_anc < 2:
         raise DomainError(f"dim_anc must be >= 2, got {dim_anc!r}")
-    n, k = np.ogrid[: rho.dim, :dim_anc]
-    lf = _log_factorials(rho.dim + dim_anc)
-    weights = math.tanh(r) ** k * np.exp(  # 0^0 is 1 at r = 0
+    n, k = np.ogrid[:dim, :dim_anc]
+    lf = _log_factorials(dim + dim_anc)
+    return math.tanh(r) ** k * np.exp(  # 0^0 is 1 at r = 0
         0.5 * (lf[n + k] - lf[n] - lf[k]) - (n + 1.0) * math.log(math.cosh(r)))
+
+
+def apply_two_mode_squeezer(rho: FockDensity, r: float, dim_anc: int = 64) -> FockDensity:
+    """Output state of ``GaussianChannel.amplifier(r)`` at cutoff rho.dim + dim_anc - 1,
+    from ``_squeezer_weights``; a trace lost to the ancilla cut by more than
+    1e-6 raises TruncationError."""
+    weights = _squeezer_weights(r, rho.dim, dim_anc)
     out = _apply_shift_kraus(rho, weights, 1, rho.dim + dim_anc - 1)
     _check_trace(rho, out, "squeezer lost trace: {!r} -> {!r}; increase dim_anc")
     return out

@@ -52,7 +52,8 @@ class GaussianChannel(NamedTuple):
         e^(-|t - b cos theta|^2), is that of s = cos theta, nbar = tan^2 theta."""
         if not 0.0 <= theta <= math.pi / 2.0:
             raise DomainError(f"theta must be in [0, pi/2], got {theta!r}")
-        return cls(math.cos(theta), math.tan(theta) ** 2)
+        tan = math.tan(theta)
+        return cls(math.cos(theta), tan * tan)
 
     @classmethod
     def amplifier(cls, r: float) -> "GaussianChannel":

@@ -76,6 +76,46 @@ def test_circulant_eigs_match_dense_determinant(size):
         assert via_eigs.real == pytest.approx(via_dense, rel=1e-10)
 
 
+@pytest.mark.parametrize("size", range(2, 9))
+def test_stacked_circulant_helpers_equal_the_scalar_calls(size):
+    rng = np.random.default_rng(40 + size)
+    diag, sup, sub = rng.uniform(4.0, 8.0, 9), rng.uniform(0.2, 1.5, 9), rng.uniform(0.2, 1.5, 9)
+    stacked = CirculantTriple(diag=diag, sup=sup, sub=sub, size=size)
+    singles = [CirculantTriple(diag=float(d), sup=float(p), sub=float(b), size=size)
+               for d, p, b in zip(diag, sup, sub)]
+    assert np.array_equal(circulant_eigs(stacked), [circulant_eigs(t) for t in singles])
+    assert np.array_equal(circulant_dense(stacked), [circulant_dense(t) for t in singles])
+    assert circulant_eigs(singles[0]).shape == (size,)
+    assert circulant_dense(singles[0]).shape == (size, size)
+
+
+@pytest.mark.parametrize("size", range(2, 9))
+def test_circulant_dense_is_the_entrywise_band(size):
+    # at size 2 the shift and its transpose coincide: the corner is (0 - sup) - sub
+    diag, sup, sub = 5.3, 0.1, 0.7
+    band = np.diag(np.full(size, diag))
+    for i in range(size):
+        band[i, (i + 1) % size] -= sup
+        band[i, (i - 1) % size] -= sub
+    assert np.array_equal(circulant_dense(CirculantTriple(diag, sup, sub, size)), band)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 4, 7, 11, 123])
+def test_batched_circulant_check_reads_the_per_triple_loop(seed):
+    # one triple at a time, in draw order: size, then diag, sup and sub
+    rng = np.random.default_rng(seed)
+    devs = []
+    for _ in range(100):
+        size = int(rng.integers(2, 9))
+        t = CirculantTriple(diag=float(rng.uniform(4.0, 8.0)), sup=float(rng.uniform(0.25, 1.5)),
+                            sub=float(rng.uniform(0.25, 1.5)), size=size)
+        prod = complex(np.prod(circulant_eigs(t)))
+        det = float(np.linalg.det(circulant_dense(t)))
+        devs += [abs(prod.real - det) / max(abs(det), 1e-300),
+                 abs(prod.imag) / max(abs(det), 1e-300)]
+    assert verify._check_circulant_dense(seed, 64) == (0.0, max(devs))
+
+
 def test_circulant_size_must_be_at_least_two():
     with pytest.raises(DomainError):
         CirculantTriple(diag=1.0, sup=0.1, sub=0.1, size=1)

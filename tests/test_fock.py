@@ -42,8 +42,10 @@ def test_coherent_ket_is_normalised():
 
 
 def test_coherent_ket_energy_guard():
-    with pytest.raises(TruncationError):
-        coherent_ket(5.0, 64)
+    # an amplitude whose square overflows a float is past the guard too
+    for amp in (5.0, 1e200):
+        with pytest.raises(TruncationError):
+            coherent_ket(amp, 64)
 
 
 def test_coherent_kets_zero_every_entry_below_the_floor(monkeypatch):
@@ -120,8 +122,9 @@ def test_undisplaced_thermal_diagonal_is_geometric():
 
 
 def test_displaced_thermal_energy_guard():
-    with pytest.raises(TruncationError):
-        displaced_thermal_density(3.0, 8.0, 64)
+    for amp, nbar in ((3.0, 8.0), (1e200, 0.0)):
+        with pytest.raises(TruncationError):
+            displaced_thermal_density(amp, nbar, 64)
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +551,27 @@ def test_squeezer_weights_match_the_negative_binomial_amplitudes():
         out = np.diag(apply_two_mode_squeezer(fock_n, r, dim_anc).mat).real
         column = _sector_exponential(np.sqrt((n + k) * k), r)[:dim_anc, 0]
         assert np.abs(out[n : n + dim_anc] - column**2).max() <= 1e-14
+
+
+def test_squeezer_weights_row_zero_is_amplified_vacuum():
+    # the weights that verify reads amplified vacuum off, against the output the builder makes
+    vac = displaced_thermal_density(0.0, 0.0, 8)
+    out = np.diag(apply_two_mode_squeezer(vac, 0.5, dim_anc=48).mat).real
+    assert np.abs(fock._squeezer_weights(0.5, 1, 48)[0] ** 2 - out[:48]).max() <= 1e-15
+    assert not out[48:].any()
+
+
+def test_rotated_multiplies_in_place_on_a_new_array():
+    # the phase multiply runs in place on the first product, never on the input
+    states = fock._displaced_thermal_stack(np.array([0.4, 1.1, 2.3]), 0.5, 24)
+    states.flags.writeable = False
+    before = states.copy()
+    for phi in (0.7, np.array([0.3, -1.2, 2.9])):
+        ph = np.exp(1j * np.multiply.outer(phi, np.arange(24)))
+        reference = ph[..., :, None] * states * ph.conj()[..., None, :]
+        assert np.array_equal(fock._rotated(states, phi), reference)
+    assert np.array_equal(states, before)
+    assert fock._rotated(states, 0.0) is states
 
 
 def test_attenuator_closed_form_is_the_sector_exponential():

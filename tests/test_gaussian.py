@@ -22,6 +22,14 @@ def test_squeezer_noise_law():
     assert _occupation(channel, 0.5) == pytest.approx(ch**2 * 0.5 + sh**2, rel=1e-14)
 
 
+def test_attenuator_nbar_is_the_correctly_rounded_square():
+    # at this angle (draw 1896 of default_rng(0) on [0, pi/2]) glibc 2.36's pow
+    # rounds tan(theta) ** 2 one ulp off; the product tan * tan is correctly rounded
+    theta = 0.31295939425251645
+    tan = Fraction(math.tan(theta))
+    assert GaussianChannel.attenuator(theta).nbar == float(tan * tan)
+
+
 def test_attenuator_noise_law():
     channel = GaussianChannel.attenuator(0.6)
     c = math.cos(0.6)

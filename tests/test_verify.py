@@ -2,6 +2,9 @@ import functools
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -208,6 +211,45 @@ def test_crashed_check_fails_with_its_exception(monkeypatch):
     fail_line = report.render().splitlines()[1]
     assert fail_line.startswith("FAIL synthetic_crash")
     assert fail_line.endswith("error: ValueError: boom")
+
+
+_BUILDERS = ("apply_two_mode_squeezer", "apply_attenuator", "apply_filter",
+             "apply_heterodyne_mp", "_apply_shift_kraus", "displaced_thermal_density")
+
+
+@pytest.mark.parametrize("level", ["fast", "full"])
+def test_suite_calls_no_schroedinger_picture_builder(monkeypatch, level):
+    # verify reads its channel checks off weights, scorers and diagonals; the
+    # builders stay as the tests' reference
+    calls = []
+
+    def counted(name, builder):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return builder(*args, **kwargs)
+        return wrapper
+
+    for name in _BUILDERS:
+        monkeypatch.setattr(fock, name, counted(name, getattr(fock, name)))
+    assert run_suite(level=level, seed=7, dim=64).all_passed
+    assert calls == []
+
+
+@pytest.mark.parametrize("level", ["fast", "full"])
+def test_cold_suite_imports_no_module(level):
+    # a submodule imported on first use (np.unique pulls in numpy.ma, about
+    # 15 ms) would cost every cold verify call its import
+    probe = ("import sys\n"
+             "from ampurify.verify import run_suite\n"
+             "before = set(sys.modules)\n"
+             f"assert run_suite({level!r}).all_passed\n"
+             "print(sorted(set(sys.modules) - before))\n")
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]"]
 
 
 def test_traced_functions_still_resolve():

@@ -1,0 +1,72 @@
+"""Per-check wall times of ``verify.run_suite`` in two trees, from cold processes.
+
+    python3 tools/check_times.py TREE_A TREE_B --level fast|full --pairs N
+
+Each pair runs one fresh interpreter per tree, TREE_A first in even pairs
+and TREE_B first in odd ones, with ``PYTHONPATH=TREE/src`` and single-threaded
+BLAS as ``bench/run.py`` runs its children.  A process imports
+``ampurify.cli`` and ``ampurify.verify``, the imports a ``verify`` command
+pays, then runs the suite once at seed 7 and dim 64 and reports each
+check's ``wall_time_ms`` (a grouped check's time is its first result's).
+
+It prints each check's median ms in either tree, the median of the suite
+totals, and in how many pairs TREE_B's total was the lower.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+SINGLE_THREADED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+CHILD = """
+import json, sys
+import ampurify.cli, ampurify.verify
+report = ampurify.verify.run_suite(level=sys.argv[1], seed=7, dim=64)
+print(json.dumps([[c.name, c.wall_time_ms] for c in report.checks]))
+"""
+
+
+def run_once(tree: str, level: str) -> dict[str, float]:
+    """{check name: ms} of one cold ``run_suite`` in ``tree``."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"),
+               **SINGLE_THREADED)
+    done = subprocess.run([sys.executable, "-c", CHILD, level], env=env, capture_output=True,
+                          text=True, check=True)
+    return dict(json.loads(done.stdout))
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("tree_a")
+    parser.add_argument("tree_b")
+    parser.add_argument("--level", choices=("fast", "full"), required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    trees = (args.tree_a, args.tree_b)
+    runs: tuple[list[dict], list[dict]] = ([], [])
+    for pair in range(args.pairs):
+        for side in ((0, 1) if pair % 2 == 0 else (1, 0)):
+            runs[side].append(run_once(trees[side], args.level))
+    names = list(dict.fromkeys(name for side in runs for run in side for name in run))
+    width = max(map(len, names))
+    print(f"{'check':<{width}} {'A ms':>9} {'B ms':>9} {'B/A':>6}")
+    for name in names:
+        a, b = (statistics.median(run.get(name, 0.0) for run in side) for side in runs)
+        ratio = f"{b / a:6.2f}" if a > 0.0 else f"{'-':>6}"
+        print(f"{name:<{width}} {a:9.2f} {b:9.2f} {ratio}")
+    totals = [[sum(run.values()) for run in side] for side in runs]
+    a, b = (statistics.median(side) for side in totals)
+    print(f"{'total':<{width}} {a:9.2f} {b:9.2f} {b / a:6.2f}")
+    faster = sum(tb < ta for ta, tb in zip(*totals))
+    print(f"level {args.level}: B's total was lower in {faster} of {args.pairs} pairs "
+          f"(A = {args.tree_a}, B = {args.tree_b})")
+
+
+if __name__ == "__main__":
+    main()
