@@ -20,14 +20,18 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import sys
+from typing import NamedTuple
 
-import numpy as np
-
+from ._lazy import lazy
 from .errors import DomainError, NonConvergentError, RootError, ValidityError
-from .params import NoisyEnsemble, RegimeTag, classify
+from .params import NoisyEnsemble, RegimeTag, _Validated, classify
 from .scalaropt import golden_section_min
-from . import fock, formulas
+from . import formulas
+
+# executed by the first array function: the scalar bounds run on plain math
+np = lazy("numpy")
+fock = lazy(f"{__package__}.fock")
 
 #: Fock cutoff per mode and prior nodes of the classical-threshold norm check
 #: (at (0.5, 2, 1.5) 64 nodes miss ``formulas.cft`` by 2.5e-10, 96 by 5.9e-13)
@@ -35,8 +39,7 @@ _CFT_DIM = 48
 _CFT_RADIAL_NODES = 96
 
 
-@dataclass(frozen=True)
-class BoundWorkspace:
+class BoundWorkspace(NamedTuple):
     """Quadratic-root data of the determinant sequence at ansatz kappa."""
 
     kappa: float
@@ -47,20 +50,24 @@ class BoundWorkspace:
     y_minus: float
 
 
-@dataclass(frozen=True)
-class CirculantTriple:
-    """Cyclic band matrix: diag on the diagonal, -sup one step above
-    (wrapping), -sub one step below (wrapping); or a batch of them, where
-    diag, sup and sub are arrays of one shape."""
-
+class _CirculantTripleFields(NamedTuple):
     diag: float
     sup: float
     sub: float
     size: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.size, int) or self.size < 2:
-            raise DomainError(f"circulant size must be an integer >= 2, got {self.size!r}")
+
+class CirculantTriple(_Validated, _CirculantTripleFields):
+    """Cyclic band matrix: diag on the diagonal, -sup one step above
+    (wrapping), -sub one step below (wrapping); or a batch of them, where
+    diag, sup and sub are arrays of one shape."""
+
+    __slots__ = ()
+
+    def __new__(cls, diag: float, sup: float, sub: float, size: int):
+        if not isinstance(size, int) or size < 2:
+            raise DomainError(f"circulant size must be an integer >= 2, got {size!r}")
+        return super().__new__(cls, diag, sup, sub, size)
 
 
 def kappa_prime(ens: NoisyEnsemble) -> float:
@@ -99,7 +106,7 @@ def _roots(
     if not math.isfinite(disc):
         raise DomainError(f"the root equation overflows a float: a = {a!r}, b = {b!r}, c = {c!r}")
     if disc < 0.0:
-        if disc >= -64.0 * np.finfo(float).eps * a * a:
+        if disc >= -64.0 * sys.float_info.epsilon * a * a:
             disc = 0.0
         else:
             raise RootError(f"complex roots: a^2 - 4bc = {disc!r} < 0")

@@ -32,9 +32,8 @@ the CPU is many times slower.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -43,7 +42,7 @@ from numpy.polynomial.laguerre import laggauss
 
 from .errors import DomainError, TruncationError
 from .gaussian import _SMALL_Z, GaussianChannel
-from .params import NoisyEnsemble
+from .params import NoisyEnsemble, _Validated
 
 #: quadrature weights below this are skipped (they underflow any integrand)
 _WEIGHT_FLOOR = 1e-280
@@ -63,38 +62,48 @@ _LOG_KET_FLOOR = math.log(1e-100)
 Scorer = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-@dataclass(eq=False)
-class FockDensity:
-    """A (possibly sub-normalised) density matrix at Fock cutoff ``dim``."""
-
+class _FockDensityFields(NamedTuple):
     dim: int
     mat: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.mat.shape != (self.dim, self.dim):
-            raise DomainError(f"matrix shape {self.mat.shape} does not match dim {self.dim}")
+
+class FockDensity(_Validated, _FockDensityFields):
+    """A (possibly sub-normalised) density matrix at Fock cutoff ``dim``."""
+
+    __slots__ = ()
+
+    def __new__(cls, dim: int, mat: np.ndarray):
+        if mat.shape != (dim, dim):
+            raise DomainError(f"matrix shape {mat.shape} does not match dim {dim}")
+        return super().__new__(cls, dim, mat)
 
     def trace(self) -> float:
         return float(np.trace(self.mat).real)
 
 
-@dataclass(frozen=True)
-class FilterSpec:
+class _FilterSpecFields(NamedTuple):
+    k_cut: int
+    y: float
+
+
+class FilterSpec(_Validated, _FilterSpecFields):
     """Diagonal filter sum_{n <= k_cut} y^(n - k_cut) |n><n|.
 
     For y >= 1 every coefficient is <= 1 (trace non-increasing); for y < 1
     the normalisation puts the largest coefficient y^(-k_cut) at n = 0, which
-    is harmless for ratio-form fidelities (they are scale invariant).
+    is harmless for ratio-form fidelities (they are scale invariant).  As a
+    tuple it equals a ``GaussianChannel`` of the same two numbers, so the
+    oracle tells them apart by type, never by value.
     """
 
-    k_cut: int
-    y: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.k_cut, int) or self.k_cut < 0:
-            raise DomainError(f"k_cut must be an integer >= 0, got {self.k_cut!r}")
-        if not (math.isfinite(self.y) and self.y > 0.0):
-            raise DomainError(f"y must be finite and > 0, got {self.y!r}")
+    def __new__(cls, k_cut: int, y: float):
+        if not isinstance(k_cut, int) or k_cut < 0:
+            raise DomainError(f"k_cut must be an integer >= 0, got {k_cut!r}")
+        if not (math.isfinite(y) and y > 0.0):
+            raise DomainError(f"y must be finite and > 0, got {y!r}")
+        return super().__new__(cls, k_cut, y)
 
     def _diagonal(self, dim: int) -> np.ndarray:
         """Q's diagonal at cutoff dim, which must exceed the rank k_cut."""

@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 # imported here rather than on first use: numpy loads numpy.random lazily
@@ -69,8 +68,7 @@ Pair = tuple[float, float]
 Rule = Callable[[NoisyEnsemble], float]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One named verification result.
 
     ``passed`` means |expected - observed| <= tolerance; ``relative`` is
@@ -89,14 +87,13 @@ class CheckResult:
     error: str | None = None
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """Outcome of a verification run at one level."""
 
     level: str
     seed: int
     dim: int
-    checks: list[CheckResult] = field(default_factory=list)
+    checks: list[CheckResult]
 
     @property
     def all_passed(self) -> bool:
@@ -571,7 +568,7 @@ def run_suite(level: str = "fast", seed: int = 7, dim: int = 64) -> VerifyReport
         raise DomainError(f"verification level must be 'fast' or 'full', got {level!r}")
     if not 32 <= dim <= 128:
         raise DomainError(f"verification needs dim in [32, 128], got {dim!r}")
-    report = VerifyReport(level=level, seed=int(seed), dim=int(dim))
+    report = VerifyReport(level=level, seed=int(seed), dim=int(dim), checks=[])
     table = FAST_CHECKS + FULL_CHECKS if level == "full" else FAST_CHECKS
     for fn, *results in table:
         t0 = time.perf_counter()
