@@ -29,12 +29,12 @@ from .params import NoisyEnsemble, RegimeTag, _Validated, classify
 from .scalaropt import golden_section_min
 from . import formulas
 
-# executed by the first array function: the scalar bounds run on plain math
-np = lazy("numpy")
+np = lazy("numpy")  # executed by the first array function, never by a scalar bound
 fock = lazy(f"{__package__}.fock")
 
 #: Fock cutoff per mode and prior nodes of the classical-threshold norm check
-#: (at (0.5, 2, 1.5) 64 nodes miss ``formulas.cft`` by 2.5e-10, 96 by 5.9e-13)
+#: (on the scaled rule 96 nodes miss ``formulas.cft`` by 5.3e-13 and 64 by 7e-14,
+#: each its rule's first-moment error)
 _CFT_DIM = 48
 _CFT_RADIAL_NODES = 96
 
@@ -297,28 +297,34 @@ def cft_norm_check(ens: NoisyEnsemble) -> tuple[float, float]:
     c1 = lambda' + mu/(mu + 1) as in ``formulas``.
     Gamma is the better-conditioned quadrature target, so the numerical
     value is its largest eigenvalue at _CFT_DIM levels per mode and
-    _CFT_RADIAL_NODES prior nodes, whose input states are the oracle's own
-    stack, ``fock.prior_states``, scored against targets whose entries
-    below ``fock._LOG_KET_FLOOR`` are zero.  Being phase covariant, Gamma
-    is block-diagonal in the total photon number, and it is assembled by
-    coherence order d of the input: with x the whitened stack and v the
-    weighted targets, entry (m, m+d) of sector m + a is
-    sum_p x_p[m, m+d] v_p[a] v_p[a-d], so each order is one matmul of the
-    stack's d-th diagonal against v[d:] v[:-d], scattered into the lower
-    triangles of the sector blocks.  Each sector's top eigenvalue is taken
-    on its exact-size block.
+    _CFT_RADIAL_NODES prior nodes, scored against targets whose entries
+    below ``fock._LOG_KET_FLOOR`` are zero.  The integrand decays as
+    exp(-c t) in t = lambda'|a|^2, c = (c1 + g'^2)/lambda' (a c that
+    overflows is a DomainError), so the nodes are ``fock._laguerre_rule``'s
+    scaled by c, u_i/c of weights w_i exp(u_i - u_i/c)/c, on a stack of their own.
+    Being phase covariant, Gamma is block-diagonal in the total photon
+    number, and it is assembled by coherence order d of the input: with x
+    the whitened stack and v the weighted targets, entry (m, m+d) of sector
+    m + a is sum_p x_p[m, m+d] v_p[a] v_p[a-d], so each order is one matmul
+    of the stack's d-th diagonal against v[d:] v[:-d], scattered into the
+    lower triangles of the sector blocks.  Each sector's top eigenvalue is
+    taken on its exact-size block.
 
     The stack's entries are exact inside the cutoff, so the assembled
-    operator is a compression of the quadrature's, and truncation can only
-    lower its norm.  At the three ``verify`` points the value matches
-    ``formulas.cft`` to 5.9e-13 relative with 96 nodes, and to 1.3e-12 with
-    128: the residual is the radial rule's own (its first moment is off by
-    4.8e-13 at 96 nodes).
+    operator is a compression of the quadrature's.  That quadrature misses
+    Gamma's norm, of either sign, by the rule's first-moment error: with 96
+    nodes 5.0e-13 to 5.3e-13 relative to ``formulas.cft`` at every point
+    tried, from lambda' = 1e-3 to g' = 50.
     """
-    dim = _CFT_DIM
+    dim, lam = _CFT_DIM, ens.lambda_prime
+    scale = (lam + ens.mu / (ens.mu + 1.0) + _gain_squared(ens)) / lam
+    if not math.isfinite(scale):
+        raise DomainError(f"the radial scale (c1 + g'^2)/lambda' overflows a float: {scale!r}")
+    u, w = fock._laguerre_rule(_CFT_RADIAL_NODES)
+    radii, w = np.sqrt(u / scale / lam), w * np.exp(u - u / scale) / scale
+    states = fock._displaced_thermal_stack(radii, 1.0 / ens.mu, dim)
     q_sigma = 1.0 / (1.0 + kappa_prime(ens))
     whiten = q_sigma ** (-np.arange(dim) / 2.0) / math.sqrt(1.0 - q_sigma)
-    radii, w, states = fock.prior_states(ens.lambda_prime, ens.mu, dim, _CFT_RADIAL_NODES)
     v = fock._coherent_kets(ens.g_prime * radii, dim) * np.sqrt(w)[:, None]
     # the lower triangle of sector m + a: blocks[m + a, m + d, m], input levels absolute
     blocks = np.zeros((2 * dim - 1, dim, dim))

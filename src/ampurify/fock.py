@@ -19,9 +19,8 @@ Prior averages reduce to a radial Gauss-Laguerre rule, by default of
 ``_RADIAL_NODES`` nodes, as every state, channel and target here is phase
 covariant (an optional angular grid re-checks this).  Its input states,
 ``prior_states``, are one cached, read-only real stack shared by every
-channel scored at the same (lambda', mu, dim) and by
-``bounds.cft_norm_check``, built by one two-term row recurrence over all
-nodes.  An average scores all nodes in one scorer call, so a Gaussian
+channel scored at the same (lambda', mu, dim), built by one two-term row
+recurrence over all nodes.  An average scores all nodes in one scorer call, so a Gaussian
 channel builds its adjoint stack once; only an angular re-check goes
 ``_CHUNK`` nodes at a time.  Stack and target-ket entries below
 exp(``_LOG_KET_FLOOR``) = 1e-100 are zero, which moves no score by more
@@ -91,9 +90,7 @@ class FilterSpec(_Validated, _FilterSpecFields):
 
     For y >= 1 every coefficient is <= 1 (trace non-increasing); for y < 1
     the normalisation puts the largest coefficient y^(-k_cut) at n = 0, which
-    is harmless for ratio-form fidelities (they are scale invariant).  As a
-    tuple it equals a ``GaussianChannel`` of the same two numbers, so the
-    oracle tells them apart by type, never by value.
+    is harmless for ratio-form fidelities (they are scale invariant).
     """
 
     __slots__ = ()
@@ -286,8 +283,8 @@ def prior_states(lambda_prime: float, mu: float, dim: int,
     states D(alpha_i) rho_th(1/mu) D(alpha_i)^dag of the Gaussian prior: with
     t = lambda'|alpha|^2, a phase covariant prior average is
     sum_i w_i f(sqrt(t_i / lambda')) over ``_laguerre_rule``.  The last stack
-    is kept for the next call, since it serves every channel at its arguments;
-    only one is kept, as a rebuild at the default rule and 64 levels costs
+    is kept for the next call, since it serves every channel that
+    ``avg_fidelity_numeric`` scores at its arguments; only one is kept, as a rebuild at the default rule and 64 levels costs
     about 1 ms and every stack kept adds its 1.6 MB to the process.  Above
     128 levels a far node's start values underflow where its exact entries
     do not, so a larger cutoff is a DomainError."""
@@ -324,6 +321,7 @@ def avg_fidelity_numeric(ens: NoisyEnsemble, channel: GaussianChannel | FilterSp
     n_ang = 1 if angular_nodes is None else angular_nodes
     if dim < 2 or radial_nodes < 2 or n_ang < 1:
         raise DomainError("need dim >= 2, radial_nodes >= 2 and angular_nodes >= 1")
+    # by type: FilterSpec(2, 1.0) == GaussianChannel(2.0, 1.0) as tuples
     score = (_gaussian_scorer(channel, dim) if isinstance(channel, GaussianChannel)
              else channel.scorer(dim))
     radii, weights, states = prior_states(ens.lambda_prime, ens.mu, dim, radial_nodes)

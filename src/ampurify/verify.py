@@ -520,9 +520,8 @@ def _check_filtered_nbar_fit(seed: int, dim: int) -> Pair:
     q = fock.FilterSpec(k_cut=k_cut, y=y)._diagonal(cutoff)
     filtered = q * fock._thermal_diag(nbar, cutoff) * q
     fitted = fock.fit_thermal_nbar(fock.FockDensity(cutoff, np.diag(filtered)))
-    mu = 1.0 / nbar
-    target = nbar * y * y * mu / (1.0 + mu - y * y)
-    return target, fitted
+    # N_T' as ``photons --mode prob`` prints it, at mu = 1/nbar
+    return formulas.photon_output_prob(MultimodeTask(1.0, 1.0 / nbar, 1.0), y)[0], fitted
 
 
 FULL_CHECKS = (

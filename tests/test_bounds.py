@@ -375,17 +375,38 @@ def test_cft_norm_check_converges_from_above():
     assert (numeric - closed) / closed <= 1e-3
 
 
+@pytest.mark.parametrize("lam, mu, g", [
+    (0.01, 1.0, 1.5), (1e-3, 1.0, 1.0), (1e-3, 1.0, 50.0), (0.2, 5.0, 14.0), (2.0, 2.0, 9.0),
+    (0.2, 1.0, 1.5), (0.05, 1.0, 1.5), (1.0, 1.0, 6.0),
+    (1.0, 1.0, 1.5), (0.5, 2.0, 1.5), (1.0, 0.5, 2.0),
+])
+def test_cft_norm_check_matches_the_closed_form_off_the_verify_points(lam, mu, g):
+    # an unscaled 96-node rule misses the first five by +0.97, +3.4, -1.0, +2.9 and
+    # +1.6e-2 relative: the integrand decays as exp(-c t), c = (c1 + g'^2)/lambda' >> 1
+    numeric, closed = cft_norm_check(_ens(lam, mu, g))
+    assert abs(numeric - closed) <= 1e-11 * closed
+
+
+def test_cft_norm_check_rejects_an_overflowing_radial_scale():
+    with pytest.raises(DomainError, match="radial scale"):
+        cft_norm_check(_ens(1e-308, 1.0, 2.0))
+
+
 @pytest.mark.parametrize("lam, mu, g", [(1.0, 1.0, 1.5), (0.5, 2.0, 1.5), (1.0, 0.5, 2.0)])
 def test_cft_norm_assembly_matches_dense_sector_reference(monkeypatch, lam, mu, g):
     # Gamma[(a, m), (a', m')] = sum_p v_p[a] v_p[a'] x_p[m, m'] over the whitened
-    # stack, with every entry joining two total-photon sectors a + m != a' + m' zeroed
+    # stack, with every entry joining two total-photon sectors a + m != a' + m' zeroed,
+    # on the same nodes: the unit rule scaled by c = (c1 + g'^2)/lambda'
     dim, nodes = 12, 40
     monkeypatch.setattr(bounds, "_CFT_DIM", dim)
     monkeypatch.setattr(bounds, "_CFT_RADIAL_NODES", nodes)
     ens = _ens(lam, mu, g)
     q = 1.0 / (1.0 + kappa_prime(ens))
     whiten = q ** (-np.arange(dim) / 2.0) / math.sqrt(1.0 - q)
-    radii, w, states = fock.prior_states(lam, mu, dim, nodes)
+    c = (lam + mu / (mu + 1.0) + g * g) / lam
+    u, w = fock._laguerre_rule(nodes)
+    radii, w = np.sqrt(u / c / lam), w * np.exp(u - u / c) / c
+    states = fock._displaced_thermal_stack(radii, 1.0 / mu, dim)
     x = whiten[:, None] * states * whiten
     v = fock._coherent_kets(g * radii, dim) * np.sqrt(w)[:, None]
     gamma = np.einsum("pa,pb,pmn->ambn", v, v, x).reshape(dim * dim, dim * dim)

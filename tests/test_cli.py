@@ -649,6 +649,32 @@ def test_the_gaussian_closed_form_runs_on_plain_math():
     """) == [repr(1.0 / 3.0), "[]"]
 
 
+#: the scalar bounds at a point of each branch of the bound minimum, called
+#: directly and through the package, as a certificate would call them
+_CAPS = """
+    import sys, types
+    import ampurify
+    from ampurify.params import NoisyEnsemble
+    caps = []
+    for point in ((1.0, 1.0, 1.5), (1.0, 1.0, 2.5), (0.5, 2.0, 0.8), (2.0, 0.5, 9.0)):
+        ens = NoisyEnsemble(*point)
+        w = ampurify.bounds.coeffs(ens, 0.5 * ampurify.bounds.kappa_prime(ens))
+        caps += [ampurify.bounds.kappa_star(ens), *ampurify.bounds.minimize_det_bound(ens),
+                 *ampurify.minimize_det_bound(ens), ampurify.bounds.prob_via_kappa_prime(ens),
+                 ampurify.det_limit(w), ampurify.bounds.filter_deficit_bound(ens, 0.75, 10)]
+    print(repr(caps))
+    print([m for m in ("numpy._core", "dataclasses", "inspect") if m in sys.modules])
+    print(type(sys.modules["ampurify.fock"]) is types.ModuleType)
+"""
+
+
+def test_the_scalar_bounds_run_on_plain_math():
+    # so a point command can print the det and prob caps without numpy or the oracle
+    plain = _fresh(_CAPS)
+    assert plain[1:] == ["[]", "False"]
+    assert plain[0] == _fresh("import numpy, ampurify.verify\n" + textwrap.dedent(_CAPS))[0]
+
+
 def test_importing_verify_executes_the_whole_oracle_layer_before_run_suite():
     # were the lazy modules bound as package attributes, verify's own
     # ``from . import bounds, fock`` would take them unexecuted, and they

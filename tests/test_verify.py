@@ -238,18 +238,20 @@ def test_suite_calls_no_schroedinger_picture_builder(monkeypatch, level):
 @pytest.mark.parametrize("level", ["fast", "full"])
 def test_cold_suite_imports_no_module(level):
     # a submodule imported on first use (np.unique pulls in numpy.ma, about
-    # 15 ms) would cost every cold verify call its import
+    # 15 ms) would cost every cold verify call its import; and no record of
+    # the package needs dataclasses
     probe = ("import sys\n"
              "from ampurify.verify import run_suite\n"
              "before = set(sys.modules)\n"
              f"assert run_suite({level!r}).all_passed\n"
-             "print(sorted(set(sys.modules) - before))\n")
+             "print(sorted(set(sys.modules) - before))\n"
+             "print('dataclasses' in sys.modules)\n")
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           timeout=120, env=dict(os.environ, PYTHONPATH=path))
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["[]"]
+    assert done.stdout.splitlines() == ["[]", "False"]
 
 
 def test_traced_functions_still_resolve():

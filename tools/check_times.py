@@ -10,7 +10,9 @@ pays, then runs the suite once at seed 7 and dim 64 and reports each
 check's ``wall_time_ms`` (a grouped check's time is its first result's).
 
 It prints each check's median ms in either tree, the median of the suite
-totals, and in how many pairs TREE_B's total was the lower.
+totals with their interquartile range in each tree, and in how many pairs
+TREE_B's total was the lower.  A difference of the medians within TREE_A's
+interquartile range is host noise.
 """
 
 import argparse
@@ -39,6 +41,14 @@ def run_once(tree: str, level: str) -> dict[str, float]:
     return dict(json.loads(done.stdout))
 
 
+def iqr(values: list[float]) -> float:
+    """Distance between the quartiles of ``values``; 0 for a single value."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("tree_a")
@@ -63,6 +73,8 @@ def main(argv: list[str] | None = None) -> None:
     totals = [[sum(run.values()) for run in side] for side in runs]
     a, b = (statistics.median(side) for side in totals)
     print(f"{'total':<{width}} {a:9.2f} {b:9.2f} {b / a:6.2f}")
+    iqr_a, iqr_b = (iqr(side) for side in totals)
+    print(f"{'total IQR':<{width}} {iqr_a:9.2f} {iqr_b:9.2f}")
     faster = sum(tb < ta for ta, tb in zip(*totals))
     print(f"level {args.level}: B's total was lower in {faster} of {args.pairs} pairs "
           f"(A = {args.tree_a}, B = {args.tree_b})")
