@@ -33,8 +33,6 @@ np = lazy("numpy")  # executed by the first array function, never by a scalar bo
 fock = lazy(f"{__package__}.fock")
 
 #: Fock cutoff per mode and prior nodes of the classical-threshold norm check
-#: (on the scaled rule 96 nodes miss ``formulas.cft`` by 5.3e-13 and 64 by 7e-14,
-#: each its rule's first-moment error)
 _CFT_DIM = 48
 _CFT_RADIAL_NODES = 96
 
@@ -299,9 +297,9 @@ def cft_norm_check(ens: NoisyEnsemble) -> tuple[float, float]:
     value is its largest eigenvalue at _CFT_DIM levels per mode and
     _CFT_RADIAL_NODES prior nodes, scored against targets whose entries
     below ``fock._LOG_KET_FLOOR`` are zero.  The integrand decays as
-    exp(-c t) in t = lambda'|a|^2, c = (c1 + g'^2)/lambda' (a c that
-    overflows is a DomainError), so the nodes are ``fock._laguerre_rule``'s
-    scaled by c, u_i/c of weights w_i exp(u_i - u_i/c)/c, on a stack of their own.
+    exp(-c t) in t = lambda'|a|^2, c = (c1 + g'^2)/lambda' (a DomainError
+    where it overflows), so its own stack sits on ``fock._laguerre_rule``'s
+    nodes scaled by c: u_i/c, of weights w_i exp(u_i - u_i/c)/c.
     Being phase covariant, Gamma is block-diagonal in the total photon
     number, and it is assembled by coherence order d of the input: with x
     the whitened stack and v the weighted targets, entry (m, m+d) of sector
@@ -310,11 +308,10 @@ def cft_norm_check(ens: NoisyEnsemble) -> tuple[float, float]:
     lower triangles of the sector blocks.  Each sector's top eigenvalue is
     taken on its exact-size block.
 
-    The stack's entries are exact inside the cutoff, so the assembled
-    operator is a compression of the quadrature's.  That quadrature misses
-    Gamma's norm, of either sign, by the rule's first-moment error: with 96
-    nodes 5.0e-13 to 5.3e-13 relative to ``formulas.cft`` at every point
-    tried, from lambda' = 1e-3 to g' = 50.
+    The stack is exact inside the cutoff, so the assembled operator is a
+    compression of the quadrature's, which misses Gamma's norm, of either
+    sign, by the rule's first-moment error: 5.0e-13 to 5.3e-13 relative to
+    ``formulas.cft`` with 96 nodes, from lambda' = 1e-3 to g' = 50.
     """
     dim, lam = _CFT_DIM, ens.lambda_prime
     scale = (lam + ens.mu / (ens.mu + 1.0) + _gain_squared(ens)) / lam
@@ -326,12 +323,15 @@ def cft_norm_check(ens: NoisyEnsemble) -> tuple[float, float]:
     q_sigma = 1.0 / (1.0 + kappa_prime(ens))
     whiten = q_sigma ** (-np.arange(dim) / 2.0) / math.sqrt(1.0 - q_sigma)
     v = fock._coherent_kets(ens.g_prime * radii, dim) * np.sqrt(w)[:, None]
+    # every order's product before the sector blocks, so that the stack is freed first
+    products = [(np.diagonal(states, d, -2, -1) * (whiten[: dim - d] * whiten[d:])).T
+                @ (v[:, d:] * v[:, : dim - d]) for d in range(dim)]
+    del states
     # the lower triangle of sector m + a: blocks[m + a, m + d, m], input levels absolute
     blocks = np.zeros((2 * dim - 1, dim, dim))
-    for d in range(dim):
+    for d, product in enumerate(products):
         m = np.arange(dim - d)[:, None]
-        x_d = np.diagonal(states, d, -2, -1) * (whiten[: dim - d] * whiten[d:])
-        blocks[m + m.T + d, m + d, m] = x_d.T @ (v[:, d:] * v[:, : dim - d])
+        blocks[m + m.T + d, m + d, m] = product
     top = -math.inf
     for tot, block in enumerate(blocks):
         # sector tot holds input levels [lo, hi): the target level tot - m is inside the cutoff

@@ -20,12 +20,12 @@ Prior averages reduce to a radial Gauss-Laguerre rule, by default of
 covariant (an optional angular grid re-checks this).  Its input states,
 ``prior_states``, are one cached, read-only real stack shared by every
 channel scored at the same (lambda', mu, dim), built by one two-term row
-recurrence over all nodes.  An average scores all nodes in one scorer call, so a Gaussian
-channel builds its adjoint stack once; only an angular re-check goes
-``_CHUNK`` nodes at a time.  Stack and target-ket entries below
-exp(``_LOG_KET_FLOOR``) = 1e-100 are zero, which moves no score by more
-than about 1e-98 and keeps the contractions off subnormal floats, on which
-the CPU is many times slower.
+recurrence over all nodes.  An average scores all nodes in one scorer
+call, so a Gaussian channel builds its adjoint stack once; only an angular
+re-check goes ``_CHUNK`` nodes at a time.  Stack and target-ket entries
+below exp(``_LOG_KET_FLOOR``) = 1e-100 are zero, which moves no score by
+more than about 1e-98 and keeps the contractions off subnormal floats, on
+which the CPU is many times slower.
 """
 
 from __future__ import annotations
@@ -284,10 +284,11 @@ def prior_states(lambda_prime: float, mu: float, dim: int,
     t = lambda'|alpha|^2, a phase covariant prior average is
     sum_i w_i f(sqrt(t_i / lambda')) over ``_laguerre_rule``.  The last stack
     is kept for the next call, since it serves every channel that
-    ``avg_fidelity_numeric`` scores at its arguments; only one is kept, as a rebuild at the default rule and 64 levels costs
-    about 1 ms and every stack kept adds its 1.6 MB to the process.  Above
-    128 levels a far node's start values underflow where its exact entries
-    do not, so a larger cutoff is a DomainError."""
+    ``avg_fidelity_numeric`` scores at its arguments; only one is kept, as a
+    rebuild at the default rule and 64 levels costs about 1 ms and every
+    stack kept adds its 1.6 MB to the process.  Above 128 levels a far
+    node's start values underflow where its exact entries do not, so a
+    larger cutoff is a DomainError."""
     if dim > 128:
         raise DomainError(f"prior stacks are exact only up to 128 levels, got dim {dim}")
     t, weights = _laguerre_rule(radial_nodes)

@@ -520,7 +520,6 @@ def _check_filtered_nbar_fit(seed: int, dim: int) -> Pair:
     q = fock.FilterSpec(k_cut=k_cut, y=y)._diagonal(cutoff)
     filtered = q * fock._thermal_diag(nbar, cutoff) * q
     fitted = fock.fit_thermal_nbar(fock.FockDensity(cutoff, np.diag(filtered)))
-    # N_T' as ``photons --mode prob`` prints it, at mu = 1/nbar
     return formulas.photon_output_prob(MultimodeTask(1.0, 1.0 / nbar, 1.0), y)[0], fitted
 
 
