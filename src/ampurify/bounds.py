@@ -286,8 +286,12 @@ def cft_norm_check(ens: NoisyEnsemble) -> tuple[float, float]:
         Gamma = integral (d^2 a / pi) p(a) |g'a><g'a| (x) s^(-1/2) rho(a) s^(-1/2)
 
     with p the Gaussian prior, rho(a) the displaced noisy input and s the
-    prior-averaged (thermal) state.  The whitened factor s^(-1/2) rho(a)
-    s^(-1/2) is a displaced geometric operator of ratio
+    prior-averaged (thermal) state, of ratio q = 1/(1 + kappa').  Its
+    s^(-1/2) = q^(-n/2) / sqrt(1 - q) is taken as (1 + kappa')^(n/2) /
+    sqrt(kappa'/(1 + kappa')), which does not cancel as kappa' shrinks; a
+    whitened operator past the float range (kappa' past about 3e6) is a
+    DomainError.  The whitened factor s^(-1/2) rho(a) s^(-1/2) is a
+    displaced geometric operator of ratio
     x' = (lambda' mu + lambda' + mu)/((lambda' + mu)(mu + 1)) at amplitude
     c2 a, c2 = sqrt((lambda' mu + lambda' + mu)(lambda' + mu))/mu, whose
     weight grows as exp(+lambda'|a|^2) and cancels the prior: Gamma equals
@@ -310,8 +314,9 @@ def cft_norm_check(ens: NoisyEnsemble) -> tuple[float, float]:
 
     The stack is exact inside the cutoff, so the assembled operator is a
     compression of the quadrature's, which misses Gamma's norm, of either
-    sign, by the rule's first-moment error: 5.0e-13 to 5.3e-13 relative to
-    ``formulas.cft`` with 96 nodes, from lambda' = 1e-3 to g' = 50.
+    sign, by the rule's first-moment error: 5.25e-13 to 5.35e-13 relative
+    to ``formulas.cft`` with 96 nodes, at mu from 0.5 to 5, lambda' from
+    1e-300 to 2 and g' up to 50.
     """
     dim, lam = _CFT_DIM, ens.lambda_prime
     scale = (lam + ens.mu / (ens.mu + 1.0) + _gain_squared(ens)) / lam
@@ -320,13 +325,16 @@ def cft_norm_check(ens: NoisyEnsemble) -> tuple[float, float]:
     u, w = fock._laguerre_rule(_CFT_RADIAL_NODES)
     radii, w = np.sqrt(u / scale / lam), w * np.exp(u - u / scale) / scale
     states = fock._displaced_thermal_stack(radii, 1.0 / ens.mu, dim)
-    q_sigma = 1.0 / (1.0 + kappa_prime(ens))
-    whiten = q_sigma ** (-np.arange(dim) / 2.0) / math.sqrt(1.0 - q_sigma)
+    kp = kappa_prime(ens)
     v = fock._coherent_kets(ens.g_prime * radii, dim) * np.sqrt(w)[:, None]
-    # every order's product before the sector blocks, so that the stack is freed first
-    products = [(np.diagonal(states, d, -2, -1) * (whiten[: dim - d] * whiten[d:])).T
-                @ (v[:, d:] * v[:, : dim - d]) for d in range(dim)]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the DomainError below
+        whiten = np.exp(np.arange(dim) / 2.0 * math.log1p(kp)) / math.sqrt(kp / (1.0 + kp))
+        # every order's product before the sector blocks, so that the stack is freed first
+        products = [(np.diagonal(states, d, -2, -1) * (whiten[: dim - d] * whiten[d:])).T
+                    @ (v[:, d:] * v[:, : dim - d]) for d in range(dim)]
     del states
+    if not all(np.isfinite(product).all() for product in products):
+        raise DomainError(f"the whitened norm operator overflows a float at kappa' = {kp!r}")
     # the lower triangle of sector m + a: blocks[m + a, m + d, m], input levels absolute
     blocks = np.zeros((2 * dim - 1, dim, dim))
     for d, product in enumerate(products):

@@ -20,12 +20,14 @@ Prior averages reduce to a radial Gauss-Laguerre rule, by default of
 covariant (an optional angular grid re-checks this).  Its input states,
 ``prior_states``, are one cached, read-only real stack shared by every
 channel scored at the same (lambda', mu, dim), built by one two-term row
-recurrence over all nodes.  An average scores all nodes in one scorer
-call, so a Gaussian channel builds its adjoint stack once; only an angular
-re-check goes ``_CHUNK`` nodes at a time.  Stack and target-ket entries
-below exp(``_LOG_KET_FLOOR``) = 1e-100 are zero, which moves no score by
-more than about 1e-98 and keeps the contractions off subnormal floats, on
-which the CPU is many times slower.
+recurrence over the rule's head: the far nodes whose summed weight is at
+most ``_TAIL_MASS`` = 2^-70 are dropped (30 of 48 nodes kept), which moves
+no trace-preserving average by more than that.  An average scores all
+nodes in one scorer call, so a Gaussian channel builds its adjoint stack
+once; only an angular re-check goes ``_CHUNK`` nodes at a time.  Stack and
+target-ket entries below exp(``_LOG_KET_FLOOR``) = 1e-100 are zero, which
+moves no score by more than about 1e-98 and keeps the contractions off
+subnormal floats, on which the CPU is many times slower.
 """
 
 from __future__ import annotations
@@ -50,8 +52,12 @@ _WEIGHT_FLOOR = 1e-280
 _CHUNK = 16
 
 #: radial Gauss-Laguerre nodes of an oracle average: at the verify points a
-#: rule of this size agrees with one of 96 nodes to 1.2e-13 (32 nodes: 3.2e-12)
+#: rule of this size agrees with one of 96 nodes to 1.2e-13 (32 nodes: 3.2e-12);
+#: a prior stack keeps 30 of them, dropping a tail of at most ``_TAIL_MASS``
 _RADIAL_NODES = 48
+
+#: summed weight of the far nodes a prior stack drops, 2^-70 (about 8.5e-22)
+_TAIL_MASS = 2.0 ** -70
 
 #: coherent-ket and prior-stack entries of log magnitude below this are zero
 #: (far nodes would otherwise reach 1e-320 and make their products subnormal)
@@ -282,16 +288,30 @@ def prior_states(lambda_prime: float, mu: float, dim: int,
     """Read-only radii |alpha_i|, weights w_i and real (P, dim, dim) input
     states D(alpha_i) rho_th(1/mu) D(alpha_i)^dag of the Gaussian prior: with
     t = lambda'|alpha|^2, a phase covariant prior average is
-    sum_i w_i f(sqrt(t_i / lambda')) over ``_laguerre_rule``.  The last stack
-    is kept for the next call, since it serves every channel that
-    ``avg_fidelity_numeric`` scores at its arguments; only one is kept, as a
-    rebuild at the default rule and 64 levels costs about 1 ms and every
-    stack kept adds its 1.6 MB to the process.  Above 128 levels a far
-    node's start values underflow where its exact entries do not, so a
-    larger cutoff is a DomainError."""
+    sum_i w_i f(sqrt(t_i / lambda')) over the head of ``_laguerre_rule``.
+
+    The head keeps every node but the far ones whose summed weight stays at
+    or below ``_TAIL_MASS`` (30 of 48 nodes, 43 of 96).  A trace-preserving
+    channel has Phi^dag(I) = I, so each per-node score <t|Phi(rho)|t> lies in
+    [0, 1] and an average moves by at most ``_TAIL_MASS``.  A filter's score
+    is at most its output trace Tr[Q^2 rho] <= max q^2, so the ratio form's
+    numerator and denominator each lose at most ``_TAIL_MASS`` max q^2, and
+    the ratio, itself in [0, 1], moves by at most that over the averaged
+    heralding weight.
+
+    The last stack is kept for the next call, since it serves every channel
+    that ``avg_fidelity_numeric`` scores at its arguments; only one is kept,
+    as a rebuild at the default rule and 64 levels costs about 1 ms (its
+    row loop runs once per level, whatever the node count) and every stack
+    kept adds its 1.0 MB to the process.  Above 128 levels a far node's
+    start values underflow where its exact entries do not, so a larger
+    cutoff is a DomainError."""
     if dim > 128:
         raise DomainError(f"prior stacks are exact only up to 128 levels, got dim {dim}")
-    t, weights = _laguerre_rule(radial_nodes)
+    t, w = _laguerre_rule(radial_nodes)
+    # node i is kept while the weight from i to the end outweighs the tail mass
+    kept = int(np.count_nonzero(np.cumsum(w[::-1])[::-1] > _TAIL_MASS))
+    t, weights = t[:kept], w[:kept]
     radii = np.sqrt(t / lambda_prime)
     states = _displaced_thermal_stack(radii, 1.0 / mu, dim)
     for a in (radii, weights, states):

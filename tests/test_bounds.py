@@ -368,21 +368,25 @@ def test_brackets_refuse_the_input_mass_boundary():
 # ---------------------------------------------------------------------------
 
 
-def test_cft_norm_check_converges_from_above():
+def test_cft_norm_check_matches_formulas_cft_from_either_side():
+    # the rule's first-moment error may take either sign, so the match is two-sided
     numeric, closed = cft_norm_check(_ens(1.0, 1.0, 1.5))
     assert closed == cft(_ens(1.0, 1.0, 1.5))
-    assert numeric >= closed
-    assert (numeric - closed) / closed <= 1e-3
+    assert abs(numeric - closed) <= 1e-11 * closed
 
 
 @pytest.mark.parametrize("lam, mu, g", [
     (0.01, 1.0, 1.5), (1e-3, 1.0, 1.0), (1e-3, 1.0, 50.0), (0.2, 5.0, 14.0), (2.0, 2.0, 9.0),
     (0.2, 1.0, 1.5), (0.05, 1.0, 1.5), (1.0, 1.0, 6.0),
     (1.0, 1.0, 1.5), (0.5, 2.0, 1.5), (1.0, 0.5, 2.0),
+    (1e-10, 1.0, 1.0), (1e-15, 1.0, 1.0), (1e-16, 1.0, 1.0), (1e-100, 1.0, 1.0),
+    (1e-300, 1.0, 1.0), (1.0, 1e-20, 1.0),
 ])
 def test_cft_norm_check_matches_the_closed_form_off_the_verify_points(lam, mu, g):
     # an unscaled 96-node rule misses the first five by +0.97, +3.4, -1.0, +2.9 and
-    # +1.6e-2 relative: the integrand decays as exp(-c t), c = (c1 + g'^2)/lambda' >> 1
+    # +1.6e-2 relative: the integrand decays as exp(-c t), c = (c1 + g'^2)/lambda' >> 1;
+    # a whitening through 1 - 1/(1 + kappa') misses lambda' = 1e-10 by -8.3e-8 and
+    # 1e-15 by -9.9e-2, and past that divides by zero
     numeric, closed = cft_norm_check(_ens(lam, mu, g))
     assert abs(numeric - closed) <= 1e-11 * closed
 
@@ -390,6 +394,14 @@ def test_cft_norm_check_matches_the_closed_form_off_the_verify_points(lam, mu, g
 def test_cft_norm_check_rejects_an_overflowing_radial_scale():
     with pytest.raises(DomainError, match="radial scale"):
         cft_norm_check(_ens(1e-308, 1.0, 2.0))
+
+
+@pytest.mark.parametrize("lam, mu", [(1e10, 1e10), (1e300, 1e300)])
+def test_cft_norm_check_rejects_an_overflowing_whitening(recwarn, lam, mu):
+    # s^(-1/2) grows as (1 + kappa')^(n/2): at kappa' = 5e9 level 47's is 1e228, its square inf
+    with pytest.raises(DomainError, match="whitened norm operator overflows"):
+        cft_norm_check(_ens(lam, mu, 1.0))
+    assert not recwarn.list
 
 
 @pytest.mark.parametrize("lam, mu, g", [(1.0, 1.0, 1.5), (0.5, 2.0, 1.5), (1.0, 0.5, 2.0)])

@@ -333,15 +333,22 @@ def test_laguerre_rule_rejects_a_zeroth_moment_off_by_more_than_1e_12(monkeypatc
 # the prior-state stack
 # ---------------------------------------------------------------------------
 
-_NODES = 37  # not a multiple of the chunk, so the last chunk is partial
+_NODES = 37  # its stack keeps 26 nodes, not a multiple of the chunk, so the last chunk is partial
+
+
+def _kept(nodes: int) -> int:
+    """The nodes a prior stack keeps: the fewest whose dropped tail weighs at most 2^-70."""
+    w = np.polynomial.laguerre.laggauss(nodes)[1]
+    return next(k for k in range(nodes + 1) if math.fsum(w[k:]) <= 2.0**-70)
 
 
 @pytest.mark.parametrize("mu", [0.7, 1e12], ids=["thermal", "tiny-nbar"])
 def test_prior_states_match_per_node_densities(mu):
     radii, weights, states = fock.prior_states(20.0, mu, 48, _NODES)
     t, w = np.polynomial.laguerre.laggauss(_NODES)
-    assert np.array_equal(radii, np.sqrt(t / 20.0)) and np.array_equal(weights, w)
-    assert states.shape == (_NODES, 48, 48) and states.dtype == float
+    kept = _kept(_NODES)
+    assert np.array_equal(radii, np.sqrt(t[:kept] / 20.0)) and np.array_equal(weights, w[:kept])
+    assert states.shape == (kept, 48, 48) and states.dtype == float
     built = 0
     for radius, state in zip(radii, states):
         # the builder refuses a node past the dim/4 energy margin, and one inside
@@ -360,7 +367,7 @@ def test_prior_states_refuse_a_cutoff_past_128_levels():
     # past 128 levels a far node's start values underflow where its exact entries
     # do not: at 512 levels entry (511, 511) of a node at r^2/s = 760 reads 0.0
     # against 1.7e-78
-    assert fock.prior_states(1.0, 1.0, 128, 20)[2].shape == (20, 128, 128)
+    assert fock.prior_states(1.0, 1.0, 128, 20)[2].shape == (_kept(20), 128, 128)
     with pytest.raises(DomainError, match="128 levels"):
         fock.prior_states(1.0, 1.0, 129, 20)
     with pytest.raises(DomainError, match="128 levels"):
@@ -371,6 +378,54 @@ def test_prior_states_are_read_only():
     for array in fock.prior_states(1.0, 1.0, 16, 20):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
+
+
+@pytest.mark.parametrize("nodes, kept", [(32, 24), (48, 30), (80, 39), (96, 43)])
+def test_prior_states_drop_the_longest_tail_of_at_most_2_to_the_minus_70(nodes, kept):
+    weights = fock.prior_states(1.0, 1.0, 16, nodes)[1]
+    w = np.polynomial.laguerre.laggauss(nodes)[1]
+    assert weights.size == kept and np.array_equal(weights, w[:kept])
+    # the dropped weight is at most 2^-70, and dropping one more node would exceed it
+    assert math.fsum(w[kept:]) <= 2.0**-70 < math.fsum(w[kept - 1 :])
+
+
+def _full_rule_scores(ens: NoisyEnsemble,
+                      score: fock.Scorer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights, scores and output traces at 64 levels of every node of the uncut
+    48-node rule."""
+    t, w = np.polynomial.laguerre.laggauss(48)
+    radii = np.sqrt(t / ens.lambda_prime)
+    f, tr = score(fock._displaced_thermal_stack(radii, 1.0 / ens.mu, 64), ens.g_prime * radii)
+    return w, f, tr
+
+
+@pytest.mark.parametrize("channel", [GaussianChannel.attenuator(0.6),
+                                     GaussianChannel.amplifier(0.4),
+                                     GaussianChannel.heterodyne(0.7)],
+                         ids=["attenuator", "amplifier", "heterodyne"])
+def test_a_cut_average_is_the_full_rule_one_within_the_tail_mass(channel):
+    ens, kept = NoisyEnsemble(1.0, 1.0, 1.5), _kept(48)
+    w, f, _ = _full_rule_scores(ens, fock._gaussian_scorer(channel, 64))
+    # a trace-preserving channel scores every node in [0, 1] ...
+    assert f.min() >= 0.0 and f.max() <= 1.0 + 1e-15
+    # ... so the dropped nodes carry at most their weight, 2^-70
+    assert math.fsum(w[kept:] * f[kept:]) <= 2.0**-70
+    full = math.fsum(w * f)
+    cut = avg_fidelity_numeric(ens, channel, dim=64, radial_nodes=48)
+    assert abs(cut - full) <= 2.0**-70 + 4.0 * np.finfo(float).eps * full
+
+
+def test_a_cut_ratio_form_filter_stays_within_its_stated_bound():
+    ens, spec, kept = NoisyEnsemble(1.0, 1.0, 1.5), FilterSpec(k_cut=40, y=0.75), _kept(48)
+    w, f, tr = _full_rule_scores(ens, spec.scorer(64))
+    max_q2 = 0.75 ** -80.0  # Q's largest coefficient squared, at n = 0
+    # numerator and denominator each lose at most 2^-70 max q^2 ...
+    assert math.fsum(w[kept:] * f[kept:]) <= math.fsum(w[kept:] * tr[kept:]) <= 2.0**-70 * max_q2
+    # ... so a ratio in [0, 1] moves by at most that over the heralding weight, plus rounding
+    weight = math.fsum(w * tr)
+    cut = avg_fidelity_numeric(ens, spec, dim=64, radial_nodes=48, probabilistic=True)
+    assert abs(cut - math.fsum(w * f) / weight) <= (2.0**-70 * max_q2 / weight
+                                                    + 4.0 * np.finfo(float).eps)
 
 
 _CHUNKED_CHANNELS = [("squeezer", GaussianChannel.amplifier(0.4)),
@@ -386,7 +441,7 @@ _CHUNKED_CHANNELS = [("squeezer", GaussianChannel.amplifier(0.4)),
     + [pytest.param(channel, 3, id=f"{name}-angular") for name, channel in _CHUNKED_CHANNELS],
 )
 def test_chunked_average_equals_an_unchunked_one(channel, angular_nodes, monkeypatch):
-    assert _NODES % fock._CHUNK != 0
+    assert _kept(_NODES) % fock._CHUNK != 0
     ens = NoisyEnsemble(2.0, 1.0, 1.3)
 
     def average(chunk: int) -> float:
@@ -413,10 +468,11 @@ def test_a_radial_average_builds_its_adjoint_stack_once(channel, monkeypatch):
     monkeypatch.setattr(fock, "_displaced_thermal_stack", counted)
     fock.prior_states.cache_clear()
     ens = NoisyEnsemble(1.0, 1.0, 1.5)
+    kept = _kept(48)
     avg_fidelity_numeric(ens, channel, dim=32, radial_nodes=48)
-    assert builds == [48, 48]  # the prior stack, then one adjoint over every target
+    assert builds == [kept, kept]  # the prior stack, then one adjoint over every target
     avg_fidelity_numeric(ens, channel, dim=32, radial_nodes=48)
-    assert builds == [48, 48, 48]  # the prior stack is cached
+    assert builds == [kept, kept, kept]  # the prior stack is cached
 
 
 # ---------------------------------------------------------------------------

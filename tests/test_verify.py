@@ -144,6 +144,21 @@ def test_full_suite_is_clean_and_the_same_with_a_cold_and_a_warm_cache():
     assert cold.to_json_dict() == warm.to_json_dict()
 
 
+def test_a_full_suite_builds_no_prior_stack_of_more_than_30_nodes(monkeypatch):
+    # the default 48-node rule's stack keeps the 30 nodes whose tail outweighs 2^-70
+    sizes = []
+    prior_states = fock.prior_states
+
+    def recorded(*args):
+        stack = prior_states(*args)
+        sizes.append(stack[0].size)
+        return stack
+
+    monkeypatch.setattr(fock, "prior_states", recorded)
+    assert run_suite(level="full", seed=7, dim=64).all_passed
+    assert sizes and max(sizes) <= 30
+
+
 #: one name of each check entry that averages over the oracle's radial rule
 _ORACLE_CHECKS = {"fock_identity_matches_closed_form", "fock_filter_approaches_prob",
                   "oracle_squeezer_grid_max_dev", "oracle_attenuator_attains_det",
