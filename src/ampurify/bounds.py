@@ -11,9 +11,10 @@ b y^2 - a y + c = 0, and (det)^(1/p) -> b y+ whenever y+ >= 1 >= y-.
 
 The classical-threshold side bounds a cross norm by c1 times the operator
 norm of a prior-averaged displaced-filter/coherent-projector operator; that
-operator is phase covariant, so its norm is computed exactly per
-total-photon-number block, the blocks assembled one coherence order at a
-time, and compared against the closed form ``formulas.cft``.
+operator is phase covariant, so its norm is the largest top eigenvalue over
+the total-photon-number sectors that the cutoff holds whole, each exact on
+the oracle's 48-node radial rule and assembled one coherence order at a
+time, and it is compared against the closed form ``formulas.cft``.
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ from . import formulas
 np = lazy("numpy")  # executed by the first array function, never by a scalar bound
 fock = lazy(f"{__package__}.fock")
 
-#: Fock cutoff per mode and prior nodes of the classical-threshold norm check
+#: Fock cutoff per mode and prior nodes of the classical-threshold norm check;
+#: the nodes are the oracle's, so one cached rule serves both
 _CFT_DIM = 48
-_CFT_RADIAL_NODES = 96
+_CFT_RADIAL_NODES = 48
 
 
 class BoundWorkspace(NamedTuple):
@@ -278,6 +280,19 @@ def filter_deficit_bound(ens: NoisyEnsemble, y: float, k_cut: int) -> float:
     return 2.0 * math.sqrt(e1 * e2)
 
 
+@functools.lru_cache(maxsize=1)
+def _sector_scatter(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where each coherence order d's (dim - d, dim - d) product starts in one
+    flat buffer, the orders one after another and each row-major, and the flat
+    indices carrying its entry [m, a - d] to blocks[m + a, m + d, m] of a
+    (dim, dim, dim) array: the lower triangle of whole sector m + a < dim,
+    input levels absolute, in the order of ``np.nonzero``."""
+    k = np.arange(dim)
+    starts = np.concatenate(([0], np.cumsum((dim - k) ** 2)))
+    d, m, j = np.nonzero(k[:, None, None] + k[:, None] + k < dim)
+    return starts, starts[d] + m * (dim - d) + j, ((d + m + j) * dim + m + d) * dim + m
+
+
 def cft_norm_check(ens: NoisyEnsemble) -> tuple[float, float]:
     """(numerical bound, closed-form ``formulas.cft``) for direct comparison.
 
@@ -300,49 +315,59 @@ def cft_norm_check(ens: NoisyEnsemble) -> tuple[float, float]:
     Gamma is the better-conditioned quadrature target, so the numerical
     value is its largest eigenvalue at _CFT_DIM levels per mode and
     _CFT_RADIAL_NODES prior nodes, scored against targets whose entries
-    below ``fock._LOG_KET_FLOOR`` are zero.  The integrand decays as
-    exp(-c t) in t = lambda'|a|^2, c = (c1 + g'^2)/lambda' (a DomainError
-    where it overflows), so its own stack sits on ``fock._laguerre_rule``'s
-    nodes scaled by c: u_i/c, of weights w_i exp(u_i - u_i/c)/c.
+    below ``fock._LOG_KET_FLOOR`` are zero.  The stack's entries are at most
+    mu/(1 + mu), so where that is within 2^53 of exp(``fock._LOG_KET_FLOOR``)
+    (mu below about 9.0e-85) the floor could zero all of them, and the check
+    is a DomainError.  The integrand decays as exp(-c t) in t = lambda'|a|^2,
+    c = (c1 + g'^2)/lambda' (a DomainError where it overflows), so its own
+    stack sits on the nodes of ``fock._laguerre_rule``, of the oracle's size
+    ``fock._RADIAL_NODES`` so that one cached rule serves both, scaled by c:
+    u_i/c, of weights w_i exp(u_i - u_i/c)/c.
     Being phase covariant, Gamma is block-diagonal in the total photon
-    number, and it is assembled by coherence order d of the input: with x
-    the whitened stack and v the weighted targets, entry (m, m+d) of sector
+    number, and the cutoff holds each sector m + a < _CFT_DIM whole, so
+    those blocks are the quadrature operator's own sectors.  The cutoff cuts
+    every other sector to a principal submatrix, whose top eigenvalue by
+    Cauchy interlacing only bounds its whole sector's from below, so those
+    are dropped (at every point tried, none of them held the maximum).
+    The blocks are assembled by coherence order d of the input: with x the
+    whitened stack and v the weighted targets, entry (m, m+d) of sector
     m + a is sum_p x_p[m, m+d] v_p[a] v_p[a-d], so each order is one matmul
-    of the stack's d-th diagonal against v[d:] v[:-d], scattered into the
-    lower triangles of the sector blocks.  Each sector's top eigenvalue is
-    taken on its exact-size block.
+    of the stack's d-th diagonal against v[d:] v[:-d], and the products of
+    every order scatter into the lower triangles of the _CFT_DIM blocks in
+    one assignment.  The value is the largest of the blocks' top eigenvalues.
 
-    The stack is exact inside the cutoff, so the assembled operator is a
-    compression of the quadrature's, which misses Gamma's norm, of either
-    sign, by the rule's first-moment error: 5.25e-13 to 5.35e-13 relative
-    to ``formulas.cft`` with 96 nodes, at mu from 0.5 to 5, lambda' from
-    1e-300 to 2 and g' up to 50.
+    It misses Gamma's norm, of either sign, by the rule's first-moment error:
+    1.0e-13 to 1.4e-13 relative to ``formulas.cft`` with 48 nodes, over a
+    box of lambda' from 1e-3 to 5, mu from 0.2 to 20 and g' from 0.2 to 50,
+    and at lambda' down to 1e-300.  A call takes about 5 ms on one core,
+    over half of it in the 48 blocks' eigenvalues.
     """
-    dim, lam = _CFT_DIM, ens.lambda_prime
-    scale = (lam + ens.mu / (ens.mu + 1.0) + _gain_squared(ens)) / lam
+    dim, lam, mu = _CFT_DIM, ens.lambda_prime, ens.mu
+    scale = (lam + mu / (mu + 1.0) + _gain_squared(ens)) / lam
     if not math.isfinite(scale):
         raise DomainError(f"the radial scale (c1 + g'^2)/lambda' overflows a float: {scale!r}")
+    if mu / (1.0 + mu) < 2.0 ** 53 * math.exp(fock._LOG_KET_FLOOR):
+        raise DomainError(f"the stack entries, at most mu/(1 + mu), are within 2^53 of the "
+                          f"1e-100 ket floor at mu = {mu!r}")
     u, w = fock._laguerre_rule(_CFT_RADIAL_NODES)
     radii, w = np.sqrt(u / scale / lam), w * np.exp(u - u / scale) / scale
-    states = fock._displaced_thermal_stack(radii, 1.0 / ens.mu, dim)
+    states = fock._displaced_thermal_stack(radii, 1.0 / mu, dim)
     kp = kappa_prime(ens)
     v = fock._coherent_kets(ens.g_prime * radii, dim) * np.sqrt(w)[:, None]
+    # every order's product before the sector blocks, so that the stack is freed first
+    starts, source, target = _sector_scatter(dim)
+    products = np.empty(starts[-1])
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the DomainError below
         whiten = np.exp(np.arange(dim) / 2.0 * math.log1p(kp)) / math.sqrt(kp / (1.0 + kp))
-        # every order's product before the sector blocks, so that the stack is freed first
-        products = [(np.diagonal(states, d, -2, -1) * (whiten[: dim - d] * whiten[d:])).T
-                    @ (v[:, d:] * v[:, : dim - d]) for d in range(dim)]
+        for d in range(dim):
+            n = dim - d
+            np.matmul((np.diagonal(states, d, -2, -1) * (whiten[:n] * whiten[d:])).T,
+                      v[:, d:] * v[:, :n], out=products[starts[d] : starts[d + 1]].reshape(n, n))
     del states
-    if not all(np.isfinite(product).all() for product in products):
+    if not np.isfinite(products).all():
         raise DomainError(f"the whitened norm operator overflows a float at kappa' = {kp!r}")
-    # the lower triangle of sector m + a: blocks[m + a, m + d, m], input levels absolute
-    blocks = np.zeros((2 * dim - 1, dim, dim))
-    for d, product in enumerate(products):
-        m = np.arange(dim - d)[:, None]
-        blocks[m + m.T + d, m + d, m] = product
-    top = -math.inf
-    for tot, block in enumerate(blocks):
-        # sector tot holds input levels [lo, hi): the target level tot - m is inside the cutoff
-        lo, hi = max(0, tot - dim + 1), min(tot, dim - 1) + 1
-        top = max(top, float(np.linalg.eigvalsh(block[lo:hi, lo:hi], UPLO="L").max()))
+    blocks = np.zeros((dim, dim, dim))
+    blocks.ravel()[target] = products[source]
+    top = max(float(np.linalg.eigvalsh(blocks[tot, : tot + 1, : tot + 1], UPLO="L").max())
+              for tot in range(dim))
     return top, formulas.cft(ens)

@@ -404,17 +404,47 @@ def test_cft_norm_check_rejects_an_overflowing_whitening(recwarn, lam, mu):
     assert not recwarn.list
 
 
-@pytest.mark.parametrize("lam, mu, g", [(1.0, 1.0, 1.5), (0.5, 2.0, 1.5), (1.0, 0.5, 2.0)])
+def test_cft_norm_check_lands_on_the_closed_form_over_a_seeded_box():
+    # log-uniform lambda' in [1e-3, 5], mu in [0.2, 20], g' in [0.2, 50]: the 48-node
+    # rule's first-moment error reads 1.0e-13 to 1.4e-13 over 150 such points
+    rng = np.random.default_rng(28)
+    box = np.exp(rng.uniform(np.log([1e-3, 0.2, 0.2]), np.log([5.0, 20.0, 50.0]), (40, 3)))
+    misses = []
+    for lam, mu, g in box:
+        numeric, closed = cft_norm_check(_ens(lam, mu, g))
+        if not abs(numeric - closed) <= 1e-12 * closed:
+            misses.append((lam, mu, g, numeric, closed))
+    assert not misses
+
+
+@pytest.mark.parametrize("mu", [1e-20, 1e-60, 1e-100, 1e-105, 1e-150, 1e-300])
+def test_cft_norm_check_at_tiny_mu_is_the_closed_form_or_a_domain_error(mu):
+    # the stack entries, at most mu/(1 + mu), meet the 1e-100 ket floor as mu shrinks,
+    # which would zero them all; from mu/(1 + mu) < 2^53 * 1e-100 (about 9.0e-85) it raises
+    try:
+        numeric, closed = cft_norm_check(_ens(1.0, mu, 1.0))
+    except DomainError as err:
+        assert mu < 9.1e-85 and "ket floor" in str(err)
+    else:
+        assert abs(numeric - closed) <= 1e-11 * closed
+
+
+@pytest.mark.parametrize("lam, mu, g", [
+    (1.0, 1.0, 1.5), (0.5, 2.0, 1.5), (1.0, 0.5, 2.0),
+    (2.0, 2.0, 9.0), (1e-3, 1.0, 50.0), (0.2, 5.0, 14.0), (1e-300, 1.0, 1.0),
+])
 def test_cft_norm_assembly_matches_dense_sector_reference(monkeypatch, lam, mu, g):
     # Gamma[(a, m), (a', m')] = sum_p v_p[a] v_p[a'] x_p[m, m'] over the whitened
     # stack, with every entry joining two total-photon sectors a + m != a' + m' zeroed,
-    # on the same nodes: the unit rule scaled by c = (c1 + g'^2)/lambda'
+    # on the same nodes: the unit rule scaled by c = (c1 + g'^2)/lambda'.  The
+    # square cut's maximum, over every sector, is the check's, over the whole sectors
+    # a + m < dim only: no truncated sector holds the maximum
     dim, nodes = 12, 40
     monkeypatch.setattr(bounds, "_CFT_DIM", dim)
     monkeypatch.setattr(bounds, "_CFT_RADIAL_NODES", nodes)
     ens = _ens(lam, mu, g)
-    q = 1.0 / (1.0 + kappa_prime(ens))
-    whiten = q ** (-np.arange(dim) / 2.0) / math.sqrt(1.0 - q)
+    kp = kappa_prime(ens)
+    whiten = np.exp(np.arange(dim) / 2.0 * math.log1p(kp)) / math.sqrt(kp / (1.0 + kp))
     c = (lam + mu / (mu + 1.0) + g * g) / lam
     u, w = fock._laguerre_rule(nodes)
     radii, w = np.sqrt(u / c / lam), w * np.exp(u - u / c) / c
@@ -423,8 +453,12 @@ def test_cft_norm_assembly_matches_dense_sector_reference(monkeypatch, lam, mu, 
     v = fock._coherent_kets(g * radii, dim) * np.sqrt(w)[:, None]
     gamma = np.einsum("pa,pb,pmn->ambn", v, v, x).reshape(dim * dim, dim * dim)
     total = np.add.outer(np.arange(dim), np.arange(dim)).ravel()
-    dense = np.linalg.eigvalsh(np.where(total[:, None] == total, gamma, 0.0)).max()
-    assert cft_norm_check(ens)[0] == pytest.approx(dense, rel=1e-13, abs=0.0)
+    same = total[:, None] == total
+    square = np.linalg.eigvalsh(np.where(same, gamma, 0.0)).max()
+    whole = np.linalg.eigvalsh(np.where(same & (total < dim), gamma, 0.0)).max()
+    numeric = cft_norm_check(ens)[0]
+    assert numeric == pytest.approx(square, rel=1e-13, abs=0.0)
+    assert numeric == pytest.approx(whole, rel=1e-13, abs=0.0)
 
 
 def test_tangency_gain_equals_photon_ratio():

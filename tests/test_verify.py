@@ -134,9 +134,11 @@ def test_each_fast_check_passes(fast_report, name):
 
 def test_full_suite_is_clean_and_the_same_with_a_cold_and_a_warm_cache():
     for cached in (fock.prior_states, fock._laguerre_rule, fock._log_factorials,
-                   fock._row_coefficients):
+                   fock._row_coefficients, bounds._sector_scatter):
         cached.cache_clear()
     cold = run_suite(level="full", seed=7, dim=64)
+    # the oracle's averages and the norm check share one radial rule
+    assert fock._laguerre_rule.cache_info().currsize == 1
     warm = run_suite(level="full", seed=7, dim=64)
     failed = [c.name for c in cold.checks if not c.passed]
     assert cold.all_passed, f"failing checks: {failed}"
@@ -185,7 +187,7 @@ def test_oracle_rules_are_converged_at_the_verify_points(monkeypatch):
 def test_cft_norm_rule_is_converged_at_the_verify_points(monkeypatch):
     # the points of cft_norm_check_points
     ensembles = [NoisyEnsemble(*p) for p in ((1.0, 1.0, 1.5), (0.5, 2.0, 1.5), (1.0, 0.5, 2.0))]
-    assert bounds._CFT_RADIAL_NODES == 96
+    assert bounds._CFT_RADIAL_NODES == fock._RADIAL_NODES == 48
     shipped = np.array([bounds.cft_norm_check(e)[0] for e in ensembles])
     monkeypatch.setattr(bounds, "_CFT_RADIAL_NODES", 128)
     finer = np.array([bounds.cft_norm_check(e)[0] for e in ensembles])
