@@ -31,7 +31,7 @@ def main() -> None:
 
     ens = NoisyEnsemble(1.0, 1.0, 1.5)
     spec = fock.FilterSpec(k_cut=40, y=tune(ens).y)
-    numeric = fock.avg_fidelity_numeric(ens, spec, dim=64, probabilistic=True)
+    numeric = fock.avg_fidelity_numeric(ens, spec, dim=64)
     rows.append(("rank-40 filter, g' = 1.5", numeric, prob_fidelity(ens)))
 
     ens = NoisyEnsemble(1.0, 1.0, 2.0)

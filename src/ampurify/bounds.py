@@ -343,7 +343,7 @@ def cft_norm_check(ens: NoisyEnsemble) -> tuple[float, float]:
     over half of it in the 48 blocks' eigenvalues.
     """
     dim, lam, mu = _CFT_DIM, ens.lambda_prime, ens.mu
-    scale = (lam + mu / (mu + 1.0) + _gain_squared(ens)) / lam
+    scale = (formulas._c1(lam, mu) + _gain_squared(ens)) / lam
     if not math.isfinite(scale):
         raise DomainError(f"the radial scale (c1 + g'^2)/lambda' overflows a float: {scale!r}")
     if mu / (1.0 + mu) < 2.0 ** 53 * math.exp(fock._LOG_KET_FLOOR):

@@ -7,13 +7,13 @@ two kinds: the deterministic ``gaussian.GaussianChannel(scale, nbar)``,
 shared with the closed forms, and the heralded diagonal filter
 ``FilterSpec(k_cut, y)``.
 
-A scorer, ``_gaussian_scorer(channel, dim)`` or ``FilterSpec.scorer(dim)``,
-scores a (P, dim, dim) stack of input states against P target amplitudes
-in the adjoint picture, never building an output, and returns each state's
-fidelity and output trace (the heralding weight).  The ``apply_*``
-functions build the outputs from Kraus weights (``_squeezer_weights``,
-``_attenuator_weights``) or a per-order kernel as the scorers' test reference,
-which ``verify`` never calls; the cut ones carry the only trace guards.
+``_score(channel, states, targets)``, which alone picks a branch by the
+channel's type, scores a (P, dim, dim) stack of input states against P
+target amplitudes in the adjoint picture, never building an output, and
+returns each state's fidelity and output trace (the heralding weight).  Its
+test reference, which ``verify`` never calls, is the ``apply_*`` builders
+(Kraus weights ``_squeezer_weights``, ``_attenuator_weights`` or a
+per-order kernel); the cut ones carry the only trace guards.
 
 Prior averages reduce to a radial Gauss-Laguerre rule, by default of
 ``_RADIAL_NODES`` nodes, as every state, channel and target here is phase
@@ -23,7 +23,7 @@ channel scored at the same (lambda', mu, dim), built by one two-term row
 recurrence over the rule's head: the far nodes whose summed weight is at
 most ``_TAIL_MASS`` = 2^-70 are dropped (30 of 48 nodes kept), which moves
 no trace-preserving average by more than that.  An average scores all
-nodes in one scorer call, so a Gaussian channel builds its adjoint stack
+nodes in one ``_score`` call, so a Gaussian channel builds its adjoint stack
 once; only an angular re-check goes ``_CHUNK`` nodes at a time.  Stack and
 target-ket entries below exp(``_LOG_KET_FLOOR``) = 1e-100 are zero, which
 moves no score by more than about 1e-98 and keeps the contractions off
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -62,10 +62,6 @@ _TAIL_MASS = 2.0 ** -70
 #: coherent-ket and prior-stack entries of log magnitude below this are zero
 #: (far nodes would otherwise reach 1e-320 and make their products subnormal)
 _LOG_KET_FLOOR = math.log(1e-100)
-
-#: (P input states, P target amplitudes) -> per-state (<t|out|t>, output trace)
-Scorer = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
-
 
 class _FockDensityFields(NamedTuple):
     dim: int
@@ -96,7 +92,7 @@ class FilterSpec(_Validated, _FilterSpecFields):
 
     For y >= 1 every coefficient is <= 1 (trace non-increasing); for y < 1
     the normalisation puts the largest coefficient y^(-k_cut) at n = 0, which
-    is harmless for ratio-form fidelities (they are scale invariant).
+    is harmless: every filter average is in the scale-invariant ratio form.
     """
 
     __slots__ = ()
@@ -116,36 +112,30 @@ class FilterSpec(_Validated, _FilterSpecFields):
         n = np.arange(dim)
         return np.where(n <= self.k_cut, self.y ** (n - float(self.k_cut)), 0.0)
 
-    def scorer(self, dim: int) -> Scorer:
-        """The stacked adjoint-picture score <t|Q rho Q|t> = <v|rho|v>, v = Q|t>,
-        with the heralding weight Tr[Q^2 rho]."""
-        q = self._diagonal(dim)
 
-        def score(states: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            tr_out = np.diagonal(states, axis1=-2, axis2=-1).real @ (q * q)
-            return _projections(states, q * _coherent_kets(targets, dim)), tr_out
-
-        return score
-
-
-def _gaussian_scorer(channel: GaussianChannel, dim: int) -> Scorer:
-    """The stacked adjoint-picture score of a Gaussian channel at cutoff dim:
-    below ``_SMALL_Z`` the vacuum limit e^(-|t|^2) Tr rho, off the exact score
-    by about 2 s |t| |<a>| < 1e-16; where nbar = 0 rank one, <t/s|rho|t/s> / s^2;
+def _score(channel: GaussianChannel | FilterSpec, states: np.ndarray,
+           targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-state scores and output traces, the branch chosen by type, as
+    FilterSpec(2, 1.0) == GaussianChannel(2.0, 1.0) as tuples.  A filter
+    scores <t|Q rho Q|t> = <v|rho|v>, v = Q|t>, with the heralding weight
+    Tr[Q^2 rho].  A Gaussian channel keeps the trace and scores: below
+    ``_SMALL_Z`` the vacuum limit e^(-|t|^2) Tr rho, off the exact score by
+    about 2 s |t| |<a>| < 1e-16; where nbar = 0 rank one, <t/s|rho|t/s> / s^2;
     otherwise one trace against the prior stack's own closed form, with no
-    output cutoff.  Each preserves the trace."""
+    output cutoff."""
+    dim = states.shape[-1]
+    if isinstance(channel, FilterSpec):
+        q = channel._diagonal(dim)
+        tr_out = np.diagonal(states, axis1=-2, axis2=-1).real @ (q * q)
+        return _projections(states, q * _coherent_kets(targets, dim)), tr_out
     s, nbar = channel
-
-    def score(states: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        tr, mod = np.trace(states, axis1=-2, axis2=-1).real, np.abs(targets)
-        if s < _SMALL_Z:
-            return np.exp(-mod * mod) * tr, tr
-        if nbar == 0.0:
-            return _projections(states, _coherent_kets(targets / s, dim)) / (s * s), tr
-        adjoint = _rotated(_displaced_thermal_stack(mod / s, nbar, dim), np.angle(targets))
-        return np.einsum("pij,pji->p", states, adjoint).real / (s * s), tr
-
-    return score
+    tr, mod = np.trace(states, axis1=-2, axis2=-1).real, np.abs(targets)
+    if s < _SMALL_Z:
+        return np.exp(-mod * mod) * tr, tr
+    if nbar == 0.0:
+        return _projections(states, _coherent_kets(targets / s, dim)) / (s * s), tr
+    adjoint = _rotated(_displaced_thermal_stack(mod / s, nbar, dim), np.angle(targets))
+    return np.einsum("pij,pji->p", states, adjoint).real / (s * s), tr
 
 
 @lru_cache(maxsize=8)
@@ -190,6 +180,8 @@ def coherent_ket(amp: complex, dim: int) -> np.ndarray:
     """
     if dim < 1:
         raise DomainError(f"dim must be >= 1, got {dim!r}")
+    if np.isnan(amp):
+        raise DomainError(f"amp must not be NaN, got {amp!r}")
     mod2 = abs(amp) * abs(amp)
     if mod2 > dim / 4.0:
         raise TruncationError(f"|amp|^2 = {mod2:.3g} exceeds dim/4 = {dim / 4.0:.3g}")
@@ -271,6 +263,8 @@ def displaced_thermal_density(amp: complex, nbar: float, dim: int) -> FockDensit
     """
     if not (math.isfinite(nbar) and nbar >= 0.0):
         raise DomainError(f"nbar must be finite and >= 0, got {nbar!r}")
+    if np.isnan(amp):
+        raise DomainError(f"amp must not be NaN, got {amp!r}")
     energy = abs(amp) * abs(amp) + nbar
     if energy > dim / 4.0:
         raise TruncationError(
@@ -326,37 +320,32 @@ def _projections(states: np.ndarray, kets: np.ndarray) -> np.ndarray:
 
 def avg_fidelity_numeric(ens: NoisyEnsemble, channel: GaussianChannel | FilterSpec,
                          dim: int = 64, radial_nodes: int = _RADIAL_NODES, *,
-                         probabilistic: bool = False, angular_nodes: int | None = None) -> float:
-    """Gaussian-prior average fidelity of a described Fock-space channel.
+                         angular_nodes: int = 1) -> float:
+    """Gaussian-prior average fidelity of a described Fock-space channel:
+    each input state D(alpha) rho_th D^dag of ``prior_states`` is scored
+    against its target |g' alpha> by ``_score``.  A ``GaussianChannel`` gets
+    the plain average, a heralded ``FilterSpec`` the ratio form: the
+    prior-averaged score over the prior-averaged success weight.
 
-    Each input state D(alpha) rho_th D^dag of ``prior_states`` is scored
-    against its target |g' alpha> by the channel's scorer.  Every channel
-    kind is phase covariant, which justifies the radial-only reduction;
-    ``angular_nodes`` re-checks it numerically on uniform angles, each angle
-    rotating the states and their targets in phase.
-
-    probabilistic=True returns the ratio form: prior-averaged numerator over
-    prior-averaged success weight (output trace), matching how heralded
-    filter protocols are scored.
+    Every channel kind is phase covariant, which justifies the radial-only
+    reduction; ``angular_nodes`` above 1 re-checks it on uniform angles,
+    each rotating the states and their targets in phase.
     """
-    n_ang = 1 if angular_nodes is None else angular_nodes
-    if dim < 2 or radial_nodes < 2 or n_ang < 1:
+    if dim < 2 or radial_nodes < 2 or angular_nodes < 1:
         raise DomainError("need dim >= 2, radial_nodes >= 2 and angular_nodes >= 1")
-    # by type: FilterSpec(2, 1.0) == GaussianChannel(2.0, 1.0) as tuples
-    score = (_gaussian_scorer(channel, dim) if isinstance(channel, GaussianChannel)
-             else channel.scorer(dim))
     radii, weights, states = prior_states(ens.lambda_prime, ens.mu, dim, radial_nodes)
     fid, trace = np.zeros((2, radii.size))
-    step = _CHUNK if n_ang > 1 else radii.size
+    step = _CHUNK if angular_nodes > 1 else radii.size
     for lo in range(0, radii.size, step):
         block = slice(lo, lo + step)
-        for k in range(n_ang):
-            phi = 2.0 * math.pi * k / n_ang
+        for k in range(angular_nodes):
+            phi = 2.0 * math.pi * k / angular_nodes
             alpha = radii[block] * np.exp(1j * phi) if k else radii[block]
-            f, tr = score(_rotated(states[block], phi), ens.g_prime * alpha)
+            f, tr = _score(channel, _rotated(states[block], phi), ens.g_prime * alpha)
             fid[block] += f
             trace[block] += tr
-    return float(weights @ fid) / (float(weights @ trace) if probabilistic else n_ang)
+    heralded = isinstance(channel, FilterSpec)
+    return float(weights @ fid) / (float(weights @ trace) if heralded else angular_nodes)
 
 
 def _check_trace(rho: FockDensity, out: FockDensity, message: str) -> None:

@@ -323,16 +323,15 @@ def _check_fock_amplifier_noise(seed: int, dim: int) -> Pair:
 def _check_fock_attenuator_amp(seed: int, dim: int) -> Pair:
     # |1.2><1.2| scored as a one-state stack against its attenuated amplitude
     ket = fock.coherent_ket(1.2, max(dim, 48))
-    score = fock._gaussian_scorer(GaussianChannel.attenuator(0.6), ket.size)
-    fid, _ = score(np.outer(ket, ket)[None], np.array([math.cos(0.6) * 1.2]))
+    fid, _ = fock._score(GaussianChannel.attenuator(0.6), np.outer(ket, ket)[None],
+                         np.array([math.cos(0.6) * 1.2]))
     return 1.0, float(fid[0])
 
 
 def _check_fock_filter_prob(seed: int, dim: int) -> Pair:
     ens = _ens(1.0, 1.0, 1.5)
     y = formulas.tune(ens).y
-    value = fock.avg_fidelity_numeric(ens, fock.FilterSpec(k_cut=30, y=y), dim=dim,
-                                      probabilistic=True)
+    value = fock.avg_fidelity_numeric(ens, fock.FilterSpec(k_cut=30, y=y), dim=dim)
     return formulas.prob_fidelity(ens), value
 
 
@@ -455,8 +454,8 @@ def _check_filter_sweep(seed: int, dim: int) -> tuple[Pair, Pair, Pair]:
     y = formulas.tune(ens).y
     cuts = [5, 10, 20, 40]
     cutoff = max(dim, _ORACLE_DIM)
-    values = [fock.avg_fidelity_numeric(ens, fock.FilterSpec(k_cut=k, y=y), dim=cutoff,
-                                        probabilistic=True) for k in cuts]
+    values = [fock.avg_fidelity_numeric(ens, fock.FilterSpec(k_cut=k, y=y), dim=cutoff)
+              for k in cuts]
     target = formulas.prob_fidelity(ens)
     monotone = np.max([0.0] + [lo - hi for lo, hi in zip(values, values[1:])])
     envelope = np.max([0.0] + [abs(target - val) - bounds.filter_deficit_bound(ens, y, k) - 1e-6
@@ -566,6 +565,8 @@ def run_suite(level: str = "fast", seed: int = 7, dim: int = 64) -> VerifyReport
         raise DomainError(f"verification level must be 'fast' or 'full', got {level!r}")
     if not 32 <= dim <= 128:
         raise DomainError(f"verification needs dim in [32, 128], got {dim!r}")
+    if not (isinstance(seed, int) and seed >= 0):
+        raise DomainError(f"verification needs a non-negative integer seed, got {seed!r}")
     report = VerifyReport(level=level, seed=int(seed), dim=int(dim), checks=[])
     table = FAST_CHECKS + FULL_CHECKS if level == "full" else FAST_CHECKS
     for fn, *results in table:

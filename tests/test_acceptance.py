@@ -91,7 +91,6 @@ def test_criterion_03_rank_k_filter_converges_inside_certified_brackets():
                 spec,
                 dim=64,
                 radial_nodes=96,
-                probabilistic=True,
             )
         )
     assert all(hi > lo for lo, hi in zip(values, values[1:])), values

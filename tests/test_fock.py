@@ -127,6 +127,20 @@ def test_displaced_thermal_energy_guard():
             displaced_thermal_density(amp, nbar, 64)
 
 
+@pytest.mark.parametrize("build", [lambda amp: coherent_ket(amp, 64),
+                                   lambda amp: displaced_thermal_density(amp, 0.5, 64)],
+                         ids=["coherent_ket", "displaced_thermal_density"])
+@pytest.mark.parametrize("amp", [math.nan, complex(1.0, math.nan), complex(math.nan, 0.0)],
+                         ids=["nan", "1+nanj", "nan+0j"])
+def test_a_nan_amplitude_is_a_domain_error(build, amp):
+    # a NaN passes both the energy margin and the trace guard, as no comparison holds
+    with pytest.raises(DomainError, match="NaN"):
+        build(amp)
+    # an infinite amplitude is still past the energy margin
+    with pytest.raises(TruncationError):
+        build(math.inf)
+
+
 # ---------------------------------------------------------------------------
 # channels
 # ---------------------------------------------------------------------------
@@ -244,8 +258,8 @@ def test_heterodyne_score_needs_no_output_cutoff():
     padded[:24, :24] = rho.mat
     out = apply_heterodyne_mp(FockDensity(128, padded), 3.0)
     target = coherent_ket(2.0, out.dim)
-    score = fock._gaussian_scorer(GaussianChannel.heterodyne(3.0), 24)
-    (fidelity,), (trace,) = score(rho.mat[None], np.array([2.0]))
+    (fidelity,), (trace,) = fock._score(GaussianChannel.heterodyne(3.0), rho.mat[None],
+                                        np.array([2.0]))
     assert fidelity == pytest.approx(float(np.real(target.conj() @ out.mat @ target)), abs=1e-15)
     assert trace == rho.trace()
 
@@ -284,22 +298,13 @@ def test_identity_protocol_matches_closed_form():
     assert got == pytest.approx(1.0 / 3.0, abs=1e-7)
 
 
-class _DampedIdentity:
-    """The identity with every score and trace scaled by 0.37."""
-
-    def scorer(self, dim):
-        score = fock._gaussian_scorer(GaussianChannel.identity(), dim)
-        return lambda states, targets: tuple(0.37 * a for a in score(states, targets))
-
-
-def test_ratio_form_is_scale_invariant():
-    ens = NoisyEnsemble(1.0, 1.0, 1.5)
-    damped_identity = _DampedIdentity()
-
-    plain = avg_fidelity_numeric(ens, GaussianChannel.identity(), dim=32, radial_nodes=48,
-                                 probabilistic=True)
-    scaled = avg_fidelity_numeric(ens, damped_identity, dim=32, radial_nodes=48,
-                                  probabilistic=True)
+def test_ratio_form_is_scale_invariant(monkeypatch):
+    # scaling Q's diagonal by 0.37 scales every score and trace by 0.37^2
+    ens, spec = NoisyEnsemble(1.0, 1.0, 1.5), FilterSpec(k_cut=20, y=1.1)
+    plain = avg_fidelity_numeric(ens, spec, dim=32, radial_nodes=48)
+    diagonal = FilterSpec._diagonal
+    monkeypatch.setattr(FilterSpec, "_diagonal", lambda self, dim: 0.37 * diagonal(self, dim))
+    scaled = avg_fidelity_numeric(ens, spec, dim=32, radial_nodes=48)
     assert scaled == pytest.approx(plain, rel=1e-12)
 
 
@@ -389,13 +394,14 @@ def test_prior_states_drop_the_longest_tail_of_at_most_2_to_the_minus_70(nodes, 
     assert math.fsum(w[kept:]) <= 2.0**-70 < math.fsum(w[kept - 1 :])
 
 
-def _full_rule_scores(ens: NoisyEnsemble,
-                      score: fock.Scorer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _full_rule_scores(ens: NoisyEnsemble, channel: GaussianChannel | FilterSpec
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Weights, scores and output traces at 64 levels of every node of the uncut
     48-node rule."""
     t, w = np.polynomial.laguerre.laggauss(48)
     radii = np.sqrt(t / ens.lambda_prime)
-    f, tr = score(fock._displaced_thermal_stack(radii, 1.0 / ens.mu, 64), ens.g_prime * radii)
+    f, tr = fock._score(channel, fock._displaced_thermal_stack(radii, 1.0 / ens.mu, 64),
+                        ens.g_prime * radii)
     return w, f, tr
 
 
@@ -405,7 +411,7 @@ def _full_rule_scores(ens: NoisyEnsemble,
                          ids=["attenuator", "amplifier", "heterodyne"])
 def test_a_cut_average_is_the_full_rule_one_within_the_tail_mass(channel):
     ens, kept = NoisyEnsemble(1.0, 1.0, 1.5), _kept(48)
-    w, f, _ = _full_rule_scores(ens, fock._gaussian_scorer(channel, 64))
+    w, f, _ = _full_rule_scores(ens, channel)
     # a trace-preserving channel scores every node in [0, 1] ...
     assert f.min() >= 0.0 and f.max() <= 1.0 + 1e-15
     # ... so the dropped nodes carry at most their weight, 2^-70
@@ -417,13 +423,13 @@ def test_a_cut_average_is_the_full_rule_one_within_the_tail_mass(channel):
 
 def test_a_cut_ratio_form_filter_stays_within_its_stated_bound():
     ens, spec, kept = NoisyEnsemble(1.0, 1.0, 1.5), FilterSpec(k_cut=40, y=0.75), _kept(48)
-    w, f, tr = _full_rule_scores(ens, spec.scorer(64))
+    w, f, tr = _full_rule_scores(ens, spec)
     max_q2 = 0.75 ** -80.0  # Q's largest coefficient squared, at n = 0
     # numerator and denominator each lose at most 2^-70 max q^2 ...
     assert math.fsum(w[kept:] * f[kept:]) <= math.fsum(w[kept:] * tr[kept:]) <= 2.0**-70 * max_q2
     # ... so a ratio in [0, 1] moves by at most that over the heralding weight, plus rounding
     weight = math.fsum(w * tr)
-    cut = avg_fidelity_numeric(ens, spec, dim=64, radial_nodes=48, probabilistic=True)
+    cut = avg_fidelity_numeric(ens, spec, dim=64, radial_nodes=48)
     assert abs(cut - math.fsum(w * f) / weight) <= (2.0**-70 * max_q2 / weight
                                                     + 4.0 * np.finfo(float).eps)
 
@@ -437,7 +443,7 @@ _CHUNKED_CHANNELS = [("squeezer", GaussianChannel.amplifier(0.4)),
     "channel, angular_nodes",
     # the radial average scores every node at once, so only the builder's mirror
     # reads the chunk there; the angular re-check scores its rotated copies by chunk
-    [pytest.param(channel, None, id=name) for name, channel in _CHUNKED_CHANNELS]
+    [pytest.param(channel, 1, id=name) for name, channel in _CHUNKED_CHANNELS]
     + [pytest.param(channel, 3, id=f"{name}-angular") for name, channel in _CHUNKED_CHANNELS],
 )
 def test_chunked_average_equals_an_unchunked_one(channel, angular_nodes, monkeypatch):
@@ -447,7 +453,7 @@ def test_chunked_average_equals_an_unchunked_one(channel, angular_nodes, monkeyp
     def average(chunk: int) -> float:
         monkeypatch.setattr(fock, "_CHUNK", chunk)
         return avg_fidelity_numeric(ens, channel, dim=32, radial_nodes=_NODES,
-                                    probabilistic=True, angular_nodes=angular_nodes)
+                                    angular_nodes=angular_nodes)
 
     unchunked = average(_NODES)
     for chunk in (fock._CHUNK, 3):
@@ -508,9 +514,7 @@ _EQUIV_DIM = 32
 def test_adjoint_score_equals_projection_of_built_output(channel, apply):
     rho = displaced_thermal_density(0.9 + 0.5j, 0.4, _EQUIV_DIM)
     amp = 0.8 - 0.6j
-    score = (channel.scorer(_EQUIV_DIM) if isinstance(channel, FilterSpec)
-             else fock._gaussian_scorer(channel, _EQUIV_DIM))
-    (fidelity,), (trace,) = score(rho.mat[None], np.array([amp]))
+    (fidelity,), (trace,) = fock._score(channel, rho.mat[None], np.array([amp]))
     out = apply(rho)
     target = coherent_ket(amp, out.dim)
     assert fidelity == pytest.approx(float(np.real(target.conj() @ out.mat @ target)), abs=1e-13)
@@ -538,6 +542,28 @@ def test_an_amplifier_whose_cosh_r_overflows_is_a_domain_error():
 def test_filter_rank_must_lie_below_the_average_cutoff(k_cut):
     with pytest.raises(DomainError, match="below the cutoff"):
         avg_fidelity_numeric(NoisyEnsemble(1.0, 1.0, 2.0), FilterSpec(k_cut=k_cut, y=1.1), dim=32)
+
+
+def test_scores_and_the_ratio_form_go_by_type_not_by_value():
+    spec, channel = FilterSpec(2, 1.0), GaussianChannel(2.0, 1.0)
+    assert spec == channel  # as tuples
+    ens = NoisyEnsemble(1.0, 1.0, 1.5)
+    radii, weights, states = fock.prior_states(1.0, 1.0, 32, fock._RADIAL_NODES)
+    targets = ens.g_prime * radii
+    # the filter keeps levels 0-2 of each state and of its target ket ...
+    f_spec, tr_spec = fock._score(spec, states, targets)
+    kets, head = fock._coherent_kets(targets, 32)[:, :3], states[:, :3, :3]
+    assert tr_spec == pytest.approx(np.trace(head, axis1=1, axis2=2), rel=1e-14)
+    assert f_spec == pytest.approx(np.einsum("pm,pmn,pn->p", kets, head, kets), rel=1e-13)
+    # ... and the Gaussian channel keeps the trace, scoring against its adjoint
+    f_chan, tr_chan = fock._score(channel, states, targets)
+    adjoint = fock._displaced_thermal_stack(targets / 2.0, 1.0, 32) / 4.0
+    assert tr_chan == pytest.approx(np.trace(states, axis1=1, axis2=2), rel=1e-14)
+    assert f_chan == pytest.approx(np.einsum("pmn,pnm->p", states, adjoint), rel=1e-13)
+    # only the filter is averaged in ratio form
+    assert avg_fidelity_numeric(ens, spec, dim=32) == float(weights @ f_spec) / float(
+        weights @ tr_spec)
+    assert avg_fidelity_numeric(ens, channel, dim=32) == float(weights @ f_chan)
 
 
 # ---------------------------------------------------------------------------

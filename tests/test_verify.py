@@ -126,6 +126,13 @@ def test_oversized_cutoff_rejected():
         run_suite(level="fast", dim=129)
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5])
+def test_a_seed_that_is_not_a_non_negative_integer_is_rejected(seed):
+    # -1 failed the spectral check inside the report, and 2.5 was reported as seed 2
+    with pytest.raises(DomainError, match="non-negative integer seed"):
+        run_suite(level="fast", seed=seed)
+
+
 @pytest.mark.parametrize("name", _names(verify.FAST_CHECKS))
 def test_each_fast_check_passes(fast_report, name):
     (check,) = [c for c in fast_report.checks if c.name == name]

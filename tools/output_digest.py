@@ -13,7 +13,9 @@ that ``--help`` wraps the same way on every terminal.
 The second form runs ``verify --seed 7 --json`` at both levels and at every
 cutoff of ``VERIFY_DIMS`` in each tree, and prints each check's expected
 value, observed value or verdict that differs between them, old (TREE_A)
-then new (TREE_B).
+then new (TREE_B), and then one line with the number of checks compared
+and of values that differ.  A run whose stdout is not JSON is reported by
+its level, cutoff, exit code and first stderr line, and compares nothing.
 """
 
 import hashlib
@@ -90,25 +92,39 @@ def _env(tree: str) -> dict[str, str]:
     return dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"), COLUMNS="80")
 
 
-def _verify_checks(tree: str, level: str, dim: int) -> list[dict]:
+def _verify_checks(tree: str, level: str, dim: int) -> list[dict] | None:
+    """The checks of one ``verify --json`` run, or None (reported) if its
+    stdout is not JSON."""
     p = subprocess.run([sys.executable, "-m", "ampurify", "verify", "--level", level,
                         "--seed", "7", "--dim", str(dim), "--json"],
                        env=_env(tree), capture_output=True, check=False)
-    return json.loads(p.stdout)["result"]["checks"]
+    try:
+        return json.loads(p.stdout)["result"]["checks"]
+    except json.JSONDecodeError:
+        first = (p.stderr.decode(errors="replace").splitlines() or [""])[0]
+        print(f"verify --level {level} --dim {dim} in {tree}: exit {p.returncode}, "
+              f"stdout is not JSON; stderr: {first}")
+        return None
 
 
 def verify_values(tree_a: str, tree_b: str) -> None:
+    compared = differ = 0
     for level in ("fast", "full"):
         for dim in VERIFY_DIMS:
             old, new = _verify_checks(tree_a, level, dim), _verify_checks(tree_b, level, dim)
+            if old is None or new is None:
+                continue
             if [c["name"] for c in old] != [c["name"] for c in new]:
                 print(f"verify --level {level} --dim {dim}: the check rosters differ")
                 continue
+            compared += len(old)
             for a, b in zip(old, new):
                 for key in ("expected", "observed", "passed"):
                     if a[key] != b[key]:
+                        differ += 1
                         print(f"verify --level {level} --dim {dim} {a['name']} {key}: "
                               f"{a[key]!r} -> {b[key]!r}")
+    print(f"{compared} checks compared, {differ} values differ")
 
 
 def main(tree: str) -> None:
