@@ -133,6 +133,29 @@ def test_a_seed_that_is_not_a_non_negative_integer_is_rejected(seed):
         run_suite(level="fast", seed=seed)
 
 
+@pytest.mark.parametrize("dim", [64.5, 64.0, "64", None])
+def test_a_dim_that_is_not_an_integer_is_rejected(dim):
+    # 64.5 and 64.0 gave a report labelled dim 64 with three failed Fock checks,
+    # and "64" raised a bare TypeError from the range comparison
+    with pytest.raises(DomainError, match="integer dim"):
+        run_suite(level="fast", dim=dim)
+
+
+def test_the_circulant_triples_are_the_standard_library_stream():
+    # pinned literals: a change of generator or of draw order fails here
+    draws = verify._circulant_draws(7)
+    assert draws.shape == (100, 4)
+    assert draws[0].tolist() == [4.0, 4.603396695698008, 1.0636680912998173, 0.34054535833442845]
+    assert set(draws[:, 0].tolist()) == {2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0}
+    assert (draws[:, 1].min() >= 4.0 and draws[:, 1].max() < 8.0
+            and draws[:, 2:].min() >= 0.25 and draws[:, 2:].max() < 1.5)
+
+
+def test_the_circulant_check_holds_over_a_hundred_seeds():
+    worst = max(verify._check_circulant_dense(seed, 64)[1] for seed in range(100))
+    assert worst < 1e-10
+
+
 @pytest.mark.parametrize("name", _names(verify.FAST_CHECKS))
 def test_each_fast_check_passes(fast_report, name):
     (check,) = [c for c in fast_report.checks if c.name == name]

@@ -9,10 +9,10 @@ BLAS as ``bench/run.py`` runs its children.  A process imports
 pays, then runs the suite once at seed 7 and dim 64 and reports each
 check's ``wall_time_ms`` (a grouped check's time is its first result's).
 
-It prints each check's median ms in either tree, the median of the suite
-totals with their interquartile range in each tree, and in how many pairs
-TREE_B's total was the lower.  A difference of the medians within TREE_A's
-interquartile range is host noise.
+It prints, for each check and for the suite total, the median ms and the
+interquartile range in either tree and the ratio of the medians, then in how
+many pairs TREE_B's total was the lower.  A difference of the medians within
+TREE_A's interquartile range is host noise; such rows are marked ``~``.
 """
 
 import argparse
@@ -49,6 +49,29 @@ def iqr(values: list[float]) -> float:
     return q3 - q1
 
 
+def table(runs_a: list[dict[str, float]], runs_b: list[dict[str, float]]) -> list[str]:
+    """Lines comparing two trees' runs: one row per check, then the suite total.
+
+    A row gives each tree's median ms and interquartile range, the ratio of
+    the medians, and ``~`` where the medians differ by no more than tree A's
+    interquartile range.  A check missing from a run counts as 0 ms there.
+    """
+    runs = (runs_a, runs_b)
+    names = list(dict.fromkeys(name for side in runs for run in side for name in run))
+    rows = [(name, [[run.get(name, 0.0) for run in side] for side in runs]) for name in names]
+    rows.append(("total", [[sum(run.values()) for run in side] for side in runs]))
+    width = max(len(name) for name, _ in rows)
+    lines = [f"{'check':<{width}} {'A ms':>9} {'A IQR':>8} {'B ms':>9} {'B IQR':>8} {'B/A':>6}"]
+    for name, (ms_a, ms_b) in rows:
+        a, b, noise = statistics.median(ms_a), statistics.median(ms_b), iqr(ms_a)
+        ratio = f"{b / a:6.2f}" if a > 0.0 else f"{'-':>6}"
+        mark = " ~" if abs(b - a) <= noise else ""
+        lines.append(f"{name:<{width}} {a:9.2f} {noise:8.2f} {b:9.2f} {iqr(ms_b):8.2f} "
+                     f"{ratio}{mark}")
+    lines.append("~ : the medians differ by no more than A's interquartile range (host noise)")
+    return lines
+
+
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("tree_a")
@@ -63,18 +86,8 @@ def main(argv: list[str] | None = None) -> None:
     for pair in range(args.pairs):
         for side in ((0, 1) if pair % 2 == 0 else (1, 0)):
             runs[side].append(run_once(trees[side], args.level))
-    names = list(dict.fromkeys(name for side in runs for run in side for name in run))
-    width = max(map(len, names))
-    print(f"{'check':<{width}} {'A ms':>9} {'B ms':>9} {'B/A':>6}")
-    for name in names:
-        a, b = (statistics.median(run.get(name, 0.0) for run in side) for side in runs)
-        ratio = f"{b / a:6.2f}" if a > 0.0 else f"{'-':>6}"
-        print(f"{name:<{width}} {a:9.2f} {b:9.2f} {ratio}")
+    print("\n".join(table(*runs)))
     totals = [[sum(run.values()) for run in side] for side in runs]
-    a, b = (statistics.median(side) for side in totals)
-    print(f"{'total':<{width}} {a:9.2f} {b:9.2f} {b / a:6.2f}")
-    iqr_a, iqr_b = (iqr(side) for side in totals)
-    print(f"{'total IQR':<{width}} {iqr_a:9.2f} {iqr_b:9.2f}")
     faster = sum(tb < ta for ta, tb in zip(*totals))
     print(f"level {args.level}: B's total was lower in {faster} of {args.pairs} pairs "
           f"(A = {args.tree_a}, B = {args.tree_b})")
