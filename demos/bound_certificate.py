@@ -3,8 +3,9 @@
 
 Three exhibits at N_C = N_T = 1:
 
-1. finite-p determinant roots (det M_p)^(1/p) marching monotonically onto
-   the closed-form limit b*y+,
+1. finite-p determinant roots (det M_p)^(1/p), read from the roots y+- of
+   b y^2 - a y + c = 0 as b |y+^p - 1|^(1/p) |1 - y-^p|^(1/p), marching
+   monotonically onto the closed-form limit b*y+,
 2. the upper bound as a function of the ansatz parameter kappa, whose
    minimum lands exactly on the deterministic closed form,
 3. the bound's value at the interval edge kappa', reproducing the
@@ -28,8 +29,8 @@ def main() -> None:
 
     print(f"ensemble: lambda' = 1, mu = 1, g' = {ens.g_prime:g} "
           f"(amplify threshold {thresholds(ens)[0]:g})")
-    print(f"\n1. determinant roots at kappa = {kappa:g} "
-          f"(limit b*y+ = {limit:.12f})")
+    print(f"\n1. determinant roots b |y+^p - 1|^(1/p) |1 - y-^p|^(1/p) at kappa = {kappa:g}")
+    print(f"   y+ = {w.y_plus:.12f}, y- = {w.y_minus:.12f} (limit b*y+ = {limit:.12f})")
     for p in (4, 8, 16, 32, 64, 128):
         val = bounds.det_limit_finite_p(w, p)
         print(f"   p = {p:3d}: (det M_p)^(1/p) = {val:.12f}   "

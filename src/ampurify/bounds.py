@@ -3,11 +3,13 @@
 The deterministic optimum arises as the minimum over a thermal-ansatz
 parameter kappa of an upper bound whose core is the spectral limit of a
 sequence of structured determinants: the p-th member is a 2p x 2p
-two-level circulant whose Schur complement is again a circulant with
+two-level circulant whose Schur complement is again a circulant M_p with
 constant diagonal a and one super-/sub-diagonal coefficient each (b, c,
-wrapping cyclically).  Its eigenvalues are a - b w^-n - c w^n over p-th
-roots of unity w^n, the determinant factorises through the roots y+- of
-b y^2 - a y + c = 0, and (det)^(1/p) -> b y+ whenever y+ >= 1 >= y-.
+wrapping cyclically).  Its eigenvalues a - b w^-n - c w^n over the p-th
+roots of unity w^n multiply out through the roots y+- of
+b y^2 - a y + c = 0 to det M_p = b^p (y+^p - 1)(1 - y-^p), which
+``det_limit_finite_p`` takes in plain ``math``, and (det M_p)^(1/p) -> b y+
+whenever y+ >= 1 >= y-.
 
 The classical-threshold side bounds a cross norm by c1 times the operator
 norm of a prior-averaged displaced-filter/coherent-projector operator; that
@@ -26,7 +28,7 @@ from typing import NamedTuple
 
 from ._lazy import lazy
 from .errors import DomainError, NonConvergentError, RootError, ValidityError
-from .params import NoisyEnsemble, RegimeTag, _Validated, classify
+from .params import NoisyEnsemble, RegimeTag, classify
 from .scalaropt import golden_section_min
 from . import formulas
 
@@ -48,26 +50,6 @@ class BoundWorkspace(NamedTuple):
     c: float
     y_plus: float
     y_minus: float
-
-
-class _CirculantTripleFields(NamedTuple):
-    diag: float
-    sup: float
-    sub: float
-    size: int
-
-
-class CirculantTriple(_Validated, _CirculantTripleFields):
-    """Cyclic band matrix: diag on the diagonal, -sup one step above
-    (wrapping), -sub one step below (wrapping); or a batch of them, where
-    diag, sup and sub are arrays of one shape."""
-
-    __slots__ = ()
-
-    def __new__(cls, diag: float, sup: float, sub: float, size: int):
-        if not isinstance(size, int) or size < 2:
-            raise DomainError(f"circulant size must be an integer >= 2, got {size!r}")
-        return super().__new__(cls, diag, sup, sub, size)
 
 
 def kappa_prime(ens: NoisyEnsemble) -> float:
@@ -124,23 +106,22 @@ def coeffs(ens: NoisyEnsemble, kappa: float) -> BoundWorkspace:
     return BoundWorkspace(kappa, *_roots(ens.lambda_prime, ens.mu, _gain_squared(ens), kappa))
 
 
-def circulant_eigs(t: CirculantTriple) -> np.ndarray:
-    """Eigenvalues diag - sup w^-n - sub w^n over the size-th roots of unity,
-    along a last axis; diag, sup and sub may be arrays of one shape."""
-    diag, sup, sub = (np.asarray(x, dtype=float)[..., None] for x in (t.diag, t.sup, t.sub))
-    w = np.exp(2j * math.pi * np.arange(t.size) / t.size)
-    return diag - sup / w - sub * w
+def _require_size(size: int) -> None:
+    if not isinstance(size, int) or size < 2:
+        raise DomainError(f"circulant size must be an integer >= 2, got {size!r}")
 
 
-def circulant_dense(t: CirculantTriple) -> np.ndarray:
-    """Dense diag I - sup S - sub S^T, S the cyclic shift, one per entry of a batch
-    (for cross-checks); at size 2 the corner is (0 - sup) - sub, as summed in order."""
-    diag, sup, sub = (np.asarray(x, dtype=float)[..., None] for x in (t.diag, t.sup, t.sub))
-    i = np.arange(t.size)
-    m = np.zeros(np.broadcast_shapes(diag.shape, sup.shape, sub.shape)[:-1] + (t.size, t.size))
+def circulant_dense(diag: float, sup: float, sub: float, size: int) -> np.ndarray:
+    """Dense diag I - sup S - sub S^T, S the cyclic shift, for cross-checks; one
+    per entry of a batch where diag, sup and sub are arrays of one shape.  At
+    size 2 the corner is (0 - sup) - sub, as summed in order."""
+    _require_size(size)
+    diag, sup, sub = (np.asarray(x, dtype=float)[..., None] for x in (diag, sup, sub))
+    i = np.arange(size)
+    m = np.zeros(np.broadcast_shapes(diag.shape, sup.shape, sub.shape)[:-1] + (size, size))
     m[..., i, i] = diag
-    m[..., i, (i + 1) % t.size] -= sup
-    m[..., i, (i - 1) % t.size] -= sub
+    m[..., i, (i + 1) % size] -= sup
+    m[..., i, (i - 1) % size] -= sub
     return m
 
 
@@ -159,18 +140,29 @@ def det_limit(w: BoundWorkspace) -> float:
 
 
 def det_limit_finite_p(w: BoundWorkspace, p: int) -> float:
-    """(det M_p)^(1/p) evaluated through the circulant eigenvalues.
+    """(det M_p)^(1/p) through the roots, on plain ``math``.
 
-    Computed as exp(mean log |eigenvalue|) to avoid overflow at large p.
-    At kappa = kappa' the n = 0 eigenvalue a - b - c vanishes identically,
-    so every finite-p determinant is zero even though the p -> infinity
-    limit b y+ is finite; meaningful finite-p trends need interior kappa.
+    det M_p = b^p (y+^p - 1)(1 - y-^p), so (det M_p)^(1/p) is
+    b |y+^p - 1|^(1/p) |1 - y-^p|^(1/p).  A root y above 1 contributes
+    y (1 - y^-p)^(1/p) and one below (1 - y^p)^(1/p), the p-th roots taken
+    as exp(log1p(...)/p), so no power overflows at large p.  Every workspace
+    of ``coeffs`` is in the domain, an inadmissible kappa with both roots
+    above 1 included.  A root exactly at 1 gives 0.0: at kappa = kappa' the
+    n = 0 eigenvalue a - b - c vanishes, so every finite-p determinant is
+    zero even though the p -> infinity limit b y+ is finite; meaningful
+    finite-p trends need interior kappa.
     """
-    eigs = circulant_eigs(CirculantTriple(diag=w.a, sup=w.b, sub=w.c, size=p))
-    mags = np.abs(eigs)
-    if np.any(mags == 0.0):
-        return 0.0
-    return float(math.exp(np.log(mags).mean()))
+    _require_size(p)
+    scale, log_gap = w.b, 0.0
+    for y in (w.y_plus, w.y_minus):
+        if y == 1.0:
+            return 0.0
+        if y > 1.0:
+            scale *= y
+            log_gap += math.log1p(-(y ** -p))
+        else:
+            log_gap += math.log1p(-(y ** p))
+    return scale * math.exp(log_gap / p)
 
 
 def _bound(lam: float, mu: float, g2: float, kp: float, kappa: float) -> float:

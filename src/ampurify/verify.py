@@ -2,8 +2,8 @@
 
 Every closed form in the package is cross-checked against an independent
 route: worked values frozen from hand derivations, golden-section scans of
-one-parameter protocols, random-matrix spectral identities, and (at the
-``full`` level) the truncated Fock-space oracle grids.
+one-parameter protocols, the determinant factorisation at seeded bound
+points, and (at the ``full`` level) the truncated Fock-space oracle grids.
 
 The checks live in two tables, ``FAST_CHECKS`` and ``FULL_CHECKS``; the
 ``full`` level runs both.  An entry is a function of the run's
@@ -247,25 +247,28 @@ def _check_photon_det_worked(seed: int, dim: int) -> Pair:
     return 47.0 / 49.0, n_single
 
 
-def _circulant_draws(seed: int) -> np.ndarray:
-    """100 rows (size, diag, sup, sub), drawn in that order from random() alone:
-    the one stream Python keeps the same for a seed across versions."""
+def _circulant_draws(seed: int) -> list[tuple[int, float, float, float, float]]:
+    """100 rows (size, lambda', mu, g', kappa/kappa'), drawn in that order from
+    random() alone: the one stream Python keeps the same for a seed across
+    versions."""
     u = random.Random(seed).random
-    return np.array([(2 + int(7 * u()), 4.0 + 4.0 * u(), 0.25 + 1.25 * u(), 0.25 + 1.25 * u())
-                     for _ in range(100)])
+    return [(2 + int(7 * u()), 0.25 + 3.75 * u(), 0.25 + 3.75 * u(), 0.25 + 3.75 * u(),
+             0.05 + 0.9 * u()) for _ in range(100)]
 
 
 def _check_circulant_dense(seed: int, dim: int) -> Pair:
-    # the seeded triples, checked one batch per size
-    sizes, diag, sup, sub = _circulant_draws(seed).T
+    # the paper's factorisation of det M_p through the roots, at the seeded
+    # bound points, against the dense determinant one batch per size
+    batches = {}
+    for size, lam, mu, g, frac in _circulant_draws(seed):
+        ens = _ens(lam, mu, g)
+        batches.setdefault(size, []).append(bounds.coeffs(ens, frac * bounds.kappa_prime(ens)))
     devs = []
-    for size in range(2, 9):
-        at = sizes == size
-        triple = bounds.CirculantTriple(diag=diag[at], sup=sup[at], sub=sub[at], size=size)
-        prod = np.prod(bounds.circulant_eigs(triple), axis=-1)
-        det = np.linalg.det(bounds.circulant_dense(triple))
-        scale = np.maximum(np.abs(det), 1e-300)
-        devs += [np.abs(prod.real - det) / scale, np.abs(prod.imag) / scale]
+    for size, ws in batches.items():
+        roots = np.array([bounds.det_limit_finite_p(w, size) ** size for w in ws])
+        a, b, c = np.array([(w.a, w.b, w.c) for w in ws]).T
+        det = np.linalg.det(bounds.circulant_dense(a, b, c, size))
+        devs.append(np.abs(roots - det) / np.abs(det))
     return 0.0, np.max(np.concatenate(devs))
 
 
@@ -558,9 +561,10 @@ def run_suite(level: str = "fast", seed: int = 7, dim: int = 64) -> VerifyReport
     level : 'fast' runs the closed-form cross-checks and compact Fock
             smoke tests; 'full' appends the oracle grids, the filter and
             determinant convergence envelopes, and the norm-check points.
-    seed  : seeds the random-triple spectral check (and nothing else), so
-            a fixed seed makes the whole report reproducible bit for bit.
-            The triples come from ``random.Random(seed).random()``, a
+    seed  : seeds the 100 bound points of the circulant factorisation
+            check (and nothing else), so a fixed seed makes the whole report
+            reproducible bit for bit.  A bool is not a seed.  The points
+            come from ``random.Random(seed).random()``, a
             stream Python keeps the same for a seed across versions (numpy
             makes no such promise for its generators), so the report does
             not move with the interpreter or numpy version.
@@ -573,7 +577,8 @@ def run_suite(level: str = "fast", seed: int = 7, dim: int = 64) -> VerifyReport
         raise DomainError(f"verification level must be 'fast' or 'full', got {level!r}")
     if not (isinstance(dim, int) and 32 <= dim <= 128):
         raise DomainError(f"verification needs an integer dim in [32, 128], got {dim!r}")
-    if not (isinstance(seed, int) and seed >= 0):
+    # bool is an int subclass: True would run as seed 1 (a bool dim fails the range)
+    if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
         raise DomainError(f"verification needs a non-negative integer seed, got {seed!r}")
     report = VerifyReport(level=level, seed=int(seed), dim=int(dim), checks=[])
     table = FAST_CHECKS + FULL_CHECKS if level == "full" else FAST_CHECKS

@@ -185,23 +185,19 @@ def test_criterion_07_closed_forms_are_continuous_across_every_branch_join():
 
 
 def test_criterion_08_determinant_machinery_certifies_the_optimum():
-    """Spectral circulant determinants match dense ones; their p-th-root
-    sequence converges monotonically onto the closed-form limit; the bound's
-    numerical minimiser agrees with the closed-form ansatz parameter to 1e-8
-    and its minimum reproduces the deterministic optimum to 1e-12."""
+    """Circulant determinants factorised through the roots match dense ones;
+    their p-th-root sequence converges monotonically onto the closed-form
+    limit; the bound's numerical minimiser agrees with the closed-form ansatz
+    parameter to 1e-8 and its minimum reproduces the deterministic optimum
+    to 1e-12."""
     rng = np.random.default_rng(2024)
     for _ in range(100):
         size = int(rng.integers(2, 9))
-        t = bounds.CirculantTriple(
-            diag=float(rng.uniform(4.0, 8.0)),
-            sup=float(rng.uniform(0.25, 1.5)),
-            sub=float(rng.uniform(0.25, 1.5)),
-            size=size,
-        )
-        via_eigs = complex(np.prod(bounds.circulant_eigs(t)))
-        via_dense = float(np.linalg.det(bounds.circulant_dense(t)))
-        assert abs(via_eigs.real - via_dense) <= 1e-10 * abs(via_dense)
-        assert abs(via_eigs.imag) <= 1e-10 * abs(via_dense)
+        ens = NoisyEnsemble(*rng.uniform(0.25, 4.0, 3))
+        w = bounds.coeffs(ens, rng.uniform(0.05, 0.95) * bounds.kappa_prime(ens))
+        via_roots = bounds.det_limit_finite_p(w, size) ** size
+        via_dense = float(np.linalg.det(bounds.circulant_dense(w.a, w.b, w.c, size)))
+        assert abs(via_roots - via_dense) <= 1e-10 * abs(via_dense)
 
     for n_c in N_C_GRID:
         for n_t in N_T_GRID:

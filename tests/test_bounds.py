@@ -6,11 +6,9 @@ import pytest
 
 from ampurify import bounds, fock, verify
 from ampurify.bounds import (
-    CirculantTriple,
     amp_convergence_terms,
     cft_norm_check,
     circulant_dense,
-    circulant_eigs,
     coeffs,
     det_limit,
     det_limit_finite_p,
@@ -67,27 +65,24 @@ def test_double_root_survives_rounding_on_the_plateau():
 
 @pytest.mark.parametrize("size", [2, 3, 5, 8])
 def test_circulant_eigs_match_dense_determinant(size):
+    # det M_p = b^p (y+^p - 1)(1 - y-^p), the eigenvalue product taken through the roots
     rng = np.random.default_rng(11 + size)
     for _ in range(25):
-        diag, sup, sub = rng.uniform(4.0, 8.0), rng.uniform(0.2, 1.5), rng.uniform(0.2, 1.5)
-        t = CirculantTriple(diag=diag, sup=sup, sub=sub, size=size)
-        via_eigs = complex(np.prod(circulant_eigs(t)))
-        via_dense = float(np.linalg.det(circulant_dense(t)))
-        assert abs(via_eigs.imag) <= 1e-10 * abs(via_dense)
-        assert via_eigs.real == pytest.approx(via_dense, rel=1e-10)
+        ens = _ens(*rng.uniform(0.25, 4.0, 3))
+        w = coeffs(ens, rng.uniform(0.05, 0.95) * kappa_prime(ens))
+        via_roots = det_limit_finite_p(w, size) ** size
+        via_dense = float(np.linalg.det(circulant_dense(w.a, w.b, w.c, size)))
+        assert via_roots == pytest.approx(via_dense, rel=1e-10)
 
 
 @pytest.mark.parametrize("size", range(2, 9))
 def test_stacked_circulant_helpers_equal_the_scalar_calls(size):
     rng = np.random.default_rng(40 + size)
     diag, sup, sub = rng.uniform(4.0, 8.0, 9), rng.uniform(0.2, 1.5, 9), rng.uniform(0.2, 1.5, 9)
-    stacked = CirculantTriple(diag=diag, sup=sup, sub=sub, size=size)
-    singles = [CirculantTriple(diag=float(d), sup=float(p), sub=float(b), size=size)
+    singles = [circulant_dense(float(d), float(p), float(b), size)
                for d, p, b in zip(diag, sup, sub)]
-    assert np.array_equal(circulant_eigs(stacked), [circulant_eigs(t) for t in singles])
-    assert np.array_equal(circulant_dense(stacked), [circulant_dense(t) for t in singles])
-    assert circulant_eigs(singles[0]).shape == (size,)
-    assert circulant_dense(singles[0]).shape == (size, size)
+    assert np.array_equal(circulant_dense(diag, sup, sub, size), singles)
+    assert singles[0].shape == (size, size)
 
 
 @pytest.mark.parametrize("size", range(2, 9))
@@ -98,28 +93,40 @@ def test_circulant_dense_is_the_entrywise_band(size):
     for i in range(size):
         band[i, (i + 1) % size] -= sup
         band[i, (i - 1) % size] -= sub
-    assert np.array_equal(circulant_dense(CirculantTriple(diag, sup, sub, size)), band)
+    assert np.array_equal(circulant_dense(diag, sup, sub, size), band)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 4, 7, 11, 123])
 def test_batched_circulant_check_reads_the_per_triple_loop(seed):
-    # one triple at a time, in draw order: size, then diag, sup and sub
+    # one bound point at a time, in draw order: size, lambda', mu, g', kappa/kappa'
     u = random.Random(seed).random
     devs = []
     for _ in range(100):
-        size = 2 + int(7 * u())
-        t = CirculantTriple(diag=4.0 + 4.0 * u(), sup=0.25 + 1.25 * u(), sub=0.25 + 1.25 * u(),
-                            size=size)
-        prod = complex(np.prod(circulant_eigs(t)))
-        det = float(np.linalg.det(circulant_dense(t)))
-        devs += [abs(prod.real - det) / max(abs(det), 1e-300),
-                 abs(prod.imag) / max(abs(det), 1e-300)]
+        size, ens = 2 + int(7 * u()), _ens(0.25 + 3.75 * u(), 0.25 + 3.75 * u(), 0.25 + 3.75 * u())
+        w = coeffs(ens, (0.05 + 0.9 * u()) * kappa_prime(ens))
+        det = float(np.linalg.det(circulant_dense(w.a, w.b, w.c, size)))
+        devs.append(abs(det_limit_finite_p(w, size) ** size - det) / abs(det))
     assert verify._check_circulant_dense(seed, 64) == (0.0, max(devs))
 
 
 def test_circulant_size_must_be_at_least_two():
-    with pytest.raises(DomainError):
-        CirculantTriple(diag=1.0, sup=0.1, sub=0.1, size=1)
+    w = coeffs(_ens(1.0, 1.0, 2.5), 0.25)
+    for size in (1, 0, 2.0, 8.5, True, "3", None):
+        with pytest.raises(DomainError, match="circulant size"):
+            circulant_dense(1.0, 0.1, 0.1, size)
+        with pytest.raises(DomainError, match="circulant size"):
+            det_limit_finite_p(w, size)
+
+
+@pytest.mark.parametrize("point,kappa,p", [
+    ((4.0, 4.0, 1.1), 2.2, 3),  # kappa past kappa' = 2: both roots above 1, det < 0
+    ((4.0, 4.0, 1.1), 2.2, 8),
+    ((2.0, 2.0, 1e-3), 0.5, 64),  # y+ near 2.7e6, so y+^64 is past the float range
+])
+def test_finite_p_is_the_dense_determinants_root_wherever_coeffs_reaches(point, kappa, p):
+    w = coeffs(_ens(*point), kappa)
+    dense = float(np.linalg.det(circulant_dense(w.a, w.b, w.c, p)))
+    assert det_limit_finite_p(w, p) == pytest.approx(abs(dense) ** (1.0 / p), rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -131,7 +138,8 @@ def test_block_matrix_determinant_reduces_to_circulant(lam, mu, g, kappa, p):
 
     Blocks A, B, C are circulant (hence commuting), so
     det [[A, B], [B, C]] = det(A C - B^2), whose eigenvalues are exactly the
-    scalar-circulant values a - b w^-n - c w^n.
+    scalar-circulant values a - b w^-n - c w^n, of product
+    det M_p = b^p (y+^p - 1)(1 - y-^p) through the roots.
     """
     eye = np.eye(p)
     up = np.zeros((p, p))
@@ -147,7 +155,7 @@ def test_block_matrix_determinant_reduces_to_circulant(lam, mu, g, kappa, p):
     big = np.block([[block_a, block_b], [block_b, block_c]])
     schur = block_a @ block_c - block_b @ block_b
     w = coeffs(_ens(lam, mu, g), kappa)
-    target = np.prod(circulant_eigs(CirculantTriple(w.a, w.b, w.c, p))).real
+    target = det_limit_finite_p(w, p) ** p
     assert np.linalg.det(big) == pytest.approx(target, rel=1e-10)
     assert np.linalg.det(schur) == pytest.approx(target, rel=1e-10)
 

@@ -661,7 +661,8 @@ _CAPS = """
         w = ampurify.bounds.coeffs(ens, 0.5 * ampurify.bounds.kappa_prime(ens))
         caps += [ampurify.bounds.kappa_star(ens), *ampurify.bounds.minimize_det_bound(ens),
                  *ampurify.minimize_det_bound(ens), ampurify.bounds.prob_via_kappa_prime(ens),
-                 ampurify.det_limit(w), ampurify.bounds.filter_deficit_bound(ens, 0.75, 10)]
+                 ampurify.det_limit(w), ampurify.bounds.det_limit_finite_p(w, 16),
+                 ampurify.bounds.filter_deficit_bound(ens, 0.75, 10)]
     print(repr(caps))
     print([m for m in ("numpy._core", "dataclasses", "inspect") if m in sys.modules])
     print(type(sys.modules["ampurify.fock"]) is types.ModuleType)

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from ampurify.bounds import CirculantTriple
 from ampurify.errors import DomainError
 from ampurify.fock import FilterSpec, FockDensity
 from ampurify.formulas import (
@@ -48,7 +47,7 @@ def _ens(lam, mu, g):
     (FidelityReport(0.5, 0.6, 0.4), "det", 1.5),
     (FidelityReport(0.5, 0.6, 0.4), "prob", 0.45),
     (FidelityReport(0.5, 0.6, 0.4), "cft", 0.55),
-    (CirculantTriple(4.0, 1.0, 0.5, 3), "size", 1),
+    (FockDensity(2, np.eye(2)), "mat", np.eye(3)),
     (FilterSpec(10, 1.2), "k_cut", -1),
     (FilterSpec(10, 1.2), "y", math.inf),
     (FockDensity(2, np.eye(2)), "dim", 3),

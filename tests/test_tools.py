@@ -1,4 +1,5 @@
-"""The comparison table of tools/check_times.py, on synthetic runs."""
+"""The comparison table of tools/check_times.py and the value comparison of
+tools/output_digest.py, on synthetic runs and check lists."""
 
 import importlib.util
 from pathlib import Path
@@ -6,13 +7,22 @@ from pathlib import Path
 import pytest
 
 
-@pytest.fixture(scope="module")
-def check_times():
-    path = Path(__file__).resolve().parents[1] / "tools" / "check_times.py"
-    spec = importlib.util.spec_from_file_location("check_times", path)
+def _tool(name):
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def check_times():
+    return _tool("check_times")
+
+
+@pytest.fixture(scope="module")
+def output_digest():
+    return _tool("output_digest")
 
 
 def _runs(x_values, y_values):
@@ -45,3 +55,27 @@ def test_a_check_missing_from_a_run_counts_as_zero_and_a_zero_median_has_no_rati
     _, x, y, _, _ = check_times.table(runs_a, runs_b)
     assert x.split() == ["x", "0.00", "0.00", "1.00", "0.00", "-"]
     assert y.split() == ["y", "1.00", "0.50", "1.00", "0.00", "1.00", "~"]
+
+
+def _check(name, expected=0.0, observed=1e-12, tolerance=1e-10, passed=True):
+    return {"name": name, "expected": expected, "observed": observed,
+            "tolerance": tolerance, "passed": passed}
+
+
+def test_value_changes_name_a_loosened_tolerance_as_well_as_a_moved_value(output_digest):
+    old = [_check("a"), _check("b"), _check("c"), _check("d")]
+    new = [_check("a"), _check("b", tolerance=1e-6), _check("c", observed=2e-12),
+           _check("d", expected=1.0, observed=None, passed=False)]
+    assert output_digest.value_changes(old, new) == [
+        ("b", "tolerance", 1e-10, 1e-6),
+        ("c", "observed", 1e-12, 2e-12),
+        ("d", "expected", 0.0, 1.0),
+        ("d", "observed", 1e-12, None),
+        ("d", "passed", True, False),
+    ]
+
+
+def test_value_changes_ignore_wall_times_and_errors(output_digest):
+    old = [dict(_check("a"), ms=1.0)]
+    new = [dict(_check("a"), ms=2.0, error="ValueError: x")]
+    assert output_digest.value_changes(old, new) == []

@@ -12,9 +12,10 @@ that ``--help`` wraps the same way on every terminal.
 
 The second form runs ``verify --seed 7 --json`` at both levels and at every
 cutoff of ``VERIFY_DIMS`` in each tree, and prints each check's expected
-value, observed value or verdict that differs between them, old (TREE_A)
-then new (TREE_B), and then one line with the number of checks compared
-and of values that differ.  A run whose stdout is not JSON is reported by
+value, observed value, tolerance or verdict that differs between them, old
+(TREE_A) then new (TREE_B), so that a loosened tolerance shows as well as a
+moved value, and then one line with the number of checks compared and of
+values that differ.  A run whose stdout is not JSON is reported by
 its level, cutoff, exit code and first stderr line, and compares nothing.
 """
 
@@ -107,6 +108,17 @@ def _verify_checks(tree: str, level: str, dim: int) -> list[dict] | None:
         return None
 
 
+#: the fields of each check that ``--verify-values`` compares
+VALUE_KEYS = ("expected", "observed", "tolerance", "passed")
+
+
+def value_changes(old: list[dict], new: list[dict]) -> list[tuple[str, str, object, object]]:
+    """(name, key, old value, new value) of each ``VALUE_KEYS`` field that differs
+    between two check lists of one roster, in check order."""
+    return [(a["name"], key, a[key], b[key]) for a, b in zip(old, new, strict=True)
+            for key in VALUE_KEYS if a[key] != b[key]]
+
+
 def verify_values(tree_a: str, tree_b: str) -> None:
     compared = differ = 0
     for level in ("fast", "full"):
@@ -118,12 +130,9 @@ def verify_values(tree_a: str, tree_b: str) -> None:
                 print(f"verify --level {level} --dim {dim}: the check rosters differ")
                 continue
             compared += len(old)
-            for a, b in zip(old, new):
-                for key in ("expected", "observed", "passed"):
-                    if a[key] != b[key]:
-                        differ += 1
-                        print(f"verify --level {level} --dim {dim} {a['name']} {key}: "
-                              f"{a[key]!r} -> {b[key]!r}")
+            for name, key, a, b in value_changes(old, new):
+                differ += 1
+                print(f"verify --level {level} --dim {dim} {name} {key}: {a!r} -> {b!r}")
     print(f"{compared} checks compared, {differ} values differ")
 
 
