@@ -53,8 +53,16 @@ class BoundWorkspace(NamedTuple):
 
 
 def kappa_prime(ens: NoisyEnsemble) -> float:
-    """Right end of the admissible ansatz interval, lambda' mu/(lambda' + mu)."""
-    return ens.lambda_prime * ens.mu / (ens.lambda_prime + ens.mu)
+    """Right end of the admissible ansatz interval, lambda' mu/(lambda' + mu).
+
+    A product lambda' mu below the normal float range (about 2.2e-308) is a
+    DomainError: it would round to a subnormal short of digits, or to 0.0.
+    """
+    prod = ens.lambda_prime * ens.mu
+    if prod < sys.float_info.min:
+        raise DomainError(f"kappa' = lambda' mu/(lambda' + mu) underflows: lambda' mu = "
+                          f"{prod!r} is below the normal float range")
+    return prod / (ens.lambda_prime + ens.mu)
 
 
 def _gain_squared(ens: NoisyEnsemble) -> float:
@@ -205,18 +213,31 @@ def kappa_star(ens: NoisyEnsemble) -> float:
 def minimize_det_bound(ens: NoisyEnsemble) -> tuple[float, float]:
     """Numerically minimise det_upper_bound over the admissible interval.
 
-    Bounded golden-section search on (min(1e-9, 1e-3 kappa'), kappa'] (the
-    lower end stays inside the interval however small kappa' is), followed
-    by an endpoint comparison: when no interior point beats the right edge
-    within machine discrimination the edge is the certified minimiser
-    (the bound is flat there exactly when the closed-form stationary
-    point coincides with kappa', where x-localisation by function values
-    alone cannot beat the sqrt(eps) wall).  Returns (kappa_min, value).
+    An edge test comes first.  The bound is unimodal on (0, kappa'], so when
+    f(kappa'(1 - 1e-10)) > f(kappa') the minimiser lies within 1e-10 kappa'
+    of the edge, finer than a search by function values resolves, and
+    (kappa', f(kappa')) is returned after two evaluations: the case at every
+    gain outside the window S/N_C < g' < (S+1)/N_C.  The excess must pass
+    the endpoint rule's margin, 4e-15 |f(kappa')|, because where the bound is
+    near 1 rounding alone can lift the inner value above an interior minimum's
+    edge (at lambda' = 649832.18, mu = 386390.88, g' = 3.1343598 a test
+    without it returns 0.999990519 against the minimum 0.999990402).
+    Otherwise a bounded golden-section search on (min(1e-9, 1e-3 kappa'),
+    kappa'] (the lower end stays inside the interval however small kappa'
+    is) is followed by an endpoint comparison: when no interior point beats
+    the right edge within machine discrimination the edge is the certified
+    minimiser (the bound is flat there exactly when the closed-form
+    stationary point coincides with kappa', where x-localisation by function
+    values alone cannot beat the sqrt(eps) wall).  Returns (kappa_min, value).
     """
     kp = kappa_prime(ens)
+    if not math.isfinite(kp):
+        raise DomainError(f"kappa' = {kp!r} is past the float range")
     bound = functools.partial(_bound, ens.lambda_prime, ens.mu, _gain_squared(ens), kp)
-    x, fx = golden_section_min(bound, min(1e-9, 1e-3 * kp), kp, tol=1e-13)
     f_edge = bound(kp)
+    if bound(kp * (1.0 - 1e-10)) > f_edge + 4e-15 * abs(f_edge):
+        return kp, f_edge
+    x, fx = golden_section_min(bound, min(1e-9, 1e-3 * kp), kp, tol=1e-13)
     # values within a few ulps are indistinguishable; prefer the endpoint
     if f_edge <= fx + 4e-15 * abs(fx):
         return kp, f_edge

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -238,8 +239,8 @@ def test_minimized_bound_holds_when_kappa_prime_is_below_1e_9(lam, mu, g):
 
 
 def _reference_minimum(ens):
-    """``minimize_det_bound`` rebuilt on the public bound: the same search
-    and endpoint rule."""
+    """The golden-only route of ``minimize_det_bound``, on the public bound:
+    the full search and the endpoint rule, without the edge test."""
     kp = kappa_prime(ens)
     x, fx = golden_section_min(
         lambda k: det_upper_bound(ens, k), min(1e-9, 1e-3 * kp), kp, tol=1e-13
@@ -248,14 +249,81 @@ def _reference_minimum(ens):
     return (kp, f_edge) if f_edge <= fx + 4e-15 * abs(fx) else (x, fx)
 
 
+#: interior minima near a bound of 1, where f(kappa'(1 - 1e-10)) rounds above f(kappa'):
+#: an edge test without the 4e-15 margin would return kappa' at each of them
+_MARGIN_POINTS = [
+    (649832.1776084218, 386390.88316653174, 3.1343598078241497),
+    (1547935.241131499, 4842748.095057683, 1.9903924251992655),
+    (375365525.7328881, 4148268.346837222, 135.01480054660328),
+    (40459636.59143871, 454588165.8295804, 2.0177503961683882),
+]
+
+
+def _wide_box(n, seed):
+    """n log-uniform points with lambda', mu in [e^-20, e^20] and g' in [e^-10, e^10]."""
+    u = random.Random(seed).uniform
+    return [_ens(math.exp(u(-20, 20)), math.exp(u(-20, 20)), math.exp(u(-10, 10)))
+            for _ in range(n)]
+
+
 def test_minimizer_and_bound_keep_the_bits_of_the_record_path():
-    for ens in verify._grid(verify._det_bound_gains) + [_ens(*p) for p in _TINY_KAPPA_PRIME]:
+    extra = _TINY_KAPPA_PRIME + _MARGIN_POINTS + [
+        (36803791.88937655, 3132905.345784115, 19.595098871233198),
+        (5484001.1411844315, 246797661.98022965, 3.365407050445215),
+    ]
+    for ens in verify._grid(verify._det_bound_gains) + [_ens(*p) for p in extra]:
         assert minimize_det_bound(ens) == _reference_minimum(ens)
         kp = kappa_prime(ens)
         for kappa in (1e-3 * kp, 0.3 * kp, 0.7 * kp, kp):
             w = coeffs(ens, kappa)
             pref = ens.mu * ens.lambda_prime * (kappa + 1.0) / kappa
             assert det_upper_bound(ens, kappa) == pref / (w.b * w.y_plus)
+    differ = [ens for ens in _wide_box(1000, 32) if minimize_det_bound(ens) != _reference_minimum(ens)]
+    assert not differ
+
+
+@pytest.mark.parametrize("lam,mu,g", _MARGIN_POINTS)
+def test_the_edge_test_needs_its_margin(lam, mu, g):
+    # the inner value rounds above the edge's, by less than the margin, at an interior minimum
+    ens = _ens(lam, mu, g)
+    kp = kappa_prime(ens)
+    f_edge, f_inner = det_upper_bound(ens, kp), det_upper_bound(ens, kp * (1.0 - 1e-10))
+    assert f_edge < f_inner <= f_edge + 4e-15 * f_edge
+    kappa_num, value = minimize_det_bound(ens)
+    assert kappa_num < kp and value < f_edge
+    assert value == pytest.approx(det_fidelity(ens), abs=1e-12)
+
+
+def _count_bound_calls(monkeypatch):
+    calls, bound = [], bounds._bound
+    monkeypatch.setattr(bounds, "_bound", lambda *args: calls.append(args) or bound(*args))
+    return calls
+
+
+@pytest.mark.parametrize("g", [0.5, 1.5, 3.5, 4.0])
+def test_an_edge_minimum_settles_in_two_evaluations(monkeypatch, g):
+    calls = _count_bound_calls(monkeypatch)
+    kappa_num, value = minimize_det_bound(_ens(1.0, 1.0, g))
+    assert len(calls) == 2
+    assert kappa_num == kappa_prime(_ens(1.0, 1.0, g))
+    assert value == pytest.approx(det_fidelity(_ens(1.0, 1.0, g)), abs=1e-12)
+
+
+@pytest.mark.parametrize("lam,mu,g", [(1.0, 1.0, 2.0), (1.0, 1.0, 3.0), (1.0, 1.0, 2.45),
+                                      (0.5, 2.0, 1.6)])
+def test_tangency_and_window_gains_run_the_full_search(monkeypatch, lam, mu, g):
+    # g' = 2 and 3 are the tangency gains S/N_C and (S+1)/N_C at unit rates, where
+    # the bound is flat at the edge; 2.45 and (0.5, 2, 1.6) lie inside the window
+    calls = _count_bound_calls(monkeypatch)
+    minimize_det_bound(_ens(lam, mu, g))
+    assert len(calls) > 60
+
+
+def test_the_verify_minimiser_check_stays_within_its_evaluation_budget(monkeypatch):
+    # 4,102 evaluations with the search at every point; 36 of the 63 are edge minima
+    calls = _count_bound_calls(monkeypatch)
+    verify._check_det_bound_minimum(7, 64)
+    assert len(calls) <= 1900
 
 
 @pytest.mark.parametrize(
@@ -271,6 +339,32 @@ def test_minimizer_rejects_an_overflowing_kappa_prime():
     assert kappa_prime(ens) == math.inf
     with pytest.raises(DomainError):
         minimize_det_bound(ens)
+    with pytest.raises(DomainError):  # lambda' + mu overflows too, so kappa' is inf/inf = nan
+        minimize_det_bound(_ens(1e308, 1e308, 1.0))
+
+
+@pytest.mark.parametrize("lam,mu,g", [(1e-300, 1e-300, 3.0), (1e-160, 1e-160, 3.0),
+                                      (1e-160, 1e-160, 1.0), (1e-154, 1e-154, 2.0)])
+@pytest.mark.parametrize(
+    "call",
+    [kappa_prime, kappa_star, minimize_det_bound, lambda ens: det_upper_bound(ens, 1e-300),
+     prob_via_kappa_prime],
+    ids=["kappa_prime", "kappa_star", "minimize_det_bound", "det_upper_bound",
+         "prob_via_kappa_prime"],
+)
+def test_an_underflowing_kappa_prime_is_a_domain_error(call, lam, mu, g):
+    # lambda' mu rounds to 0.0 at 1e-300 and to a subnormal short of digits at 1e-160
+    # (kappa' would read 4.99994e-161 against 5e-161) and at 1e-154
+    with pytest.raises(DomainError, match="kappa' = lambda' mu/\\(lambda' \\+ mu\\) underflows"):
+        call(_ens(lam, mu, g))
+
+
+def test_kappa_prime_keeps_its_bits_down_to_the_smallest_normal_product():
+    tiny = sys.float_info.min
+    for lam, mu in [(1e-300, 1.0), (tiny, 1.0), (1.0, tiny), (2.0 ** -511, 2.0 ** -511)]:
+        assert kappa_prime(_ens(lam, mu, 1.0)) == lam * mu / (lam + mu)
+    # the norm check's own tests hold (1e-300, 1, 1) to 1e-11 of formulas.cft
+    assert minimize_det_bound(_ens(1e-300, 1.0, 1.0)) == (1e-300, 0.5)
 
 
 @pytest.mark.parametrize(
