@@ -13,7 +13,7 @@ import math
 
 from ampurify import fock
 from ampurify.formulas import cft, det_fidelity, prob_fidelity, tune
-from ampurify.gaussian import GaussianChannel
+from ampurify.gaussian import FilterSpec, GaussianChannel
 from ampurify.params import NoisyEnsemble
 
 
@@ -30,7 +30,7 @@ def main() -> None:
     rows.append(("squeezer, g' = 3.5", numeric, det_fidelity(ens)))
 
     ens = NoisyEnsemble(1.0, 1.0, 1.5)
-    spec = fock.FilterSpec(k_cut=40, y=tune(ens).y)
+    spec = FilterSpec(k_cut=40, y=tune(ens).y)
     numeric = fock.avg_fidelity_numeric(ens, spec, dim=64)
     rows.append(("rank-40 filter, g' = 1.5", numeric, prob_fidelity(ens)))
 

@@ -28,6 +28,7 @@ from typing import NamedTuple
 
 from ._lazy import lazy
 from .errors import DomainError, NonConvergentError, RootError, ValidityError
+from .gaussian import FilterSpec
 from .params import NoisyEnsemble, RegimeTag, classify
 from .scalaropt import golden_section_min
 from . import formulas
@@ -35,10 +36,8 @@ from . import formulas
 np = lazy("numpy")  # executed by the first array function, never by a scalar bound
 fock = lazy(f"{__package__}.fock")
 
-#: Fock cutoff per mode and prior nodes of the classical-threshold norm check;
-#: the nodes are the oracle's, so one cached rule serves both
+#: Fock cutoff per mode of the classical-threshold norm check
 _CFT_DIM = 48
-_CFT_RADIAL_NODES = 48
 
 
 class BoundWorkspace(NamedTuple):
@@ -57,11 +56,15 @@ def kappa_prime(ens: NoisyEnsemble) -> float:
 
     A product lambda' mu below the normal float range (about 2.2e-308) is a
     DomainError: it would round to a subnormal short of digits, or to 0.0.
+    Where the product overflows, kappa' is min/(1 + min/max) of the pair.
     """
     prod = ens.lambda_prime * ens.mu
     if prod < sys.float_info.min:
         raise DomainError(f"kappa' = lambda' mu/(lambda' + mu) underflows: lambda' mu = "
                           f"{prod!r} is below the normal float range")
+    if prod == math.inf:  # the same ratio, finite, as min <= max float and 1 + min/max >= 1
+        lo, hi = sorted((ens.lambda_prime, ens.mu))
+        return lo / (1.0 + lo / hi)
     return prod / (ens.lambda_prime + ens.mu)
 
 
@@ -231,8 +234,6 @@ def minimize_det_bound(ens: NoisyEnsemble) -> tuple[float, float]:
     values alone cannot beat the sqrt(eps) wall).  Returns (kappa_min, value).
     """
     kp = kappa_prime(ens)
-    if not math.isfinite(kp):
-        raise DomainError(f"kappa' = {kp!r} is past the float range")
     bound = functools.partial(_bound, ens.lambda_prime, ens.mu, _gain_squared(ens), kp)
     f_edge = bound(kp)
     if bound(kp * (1.0 - 1e-10)) > f_edge + 4e-15 * abs(f_edge):
@@ -258,19 +259,15 @@ def prob_via_kappa_prime(ens: NoisyEnsemble) -> float:
     return pref / max(w.b, w.c)
 
 
-def amp_convergence_terms(ens: NoisyEnsemble, y: float, k_cut: int) -> tuple[float, float]:
-    """Geometric error brackets (E1, E2) of the rank-K filter protocol.
+def amp_convergence_terms(ens: NoisyEnsemble, spec: FilterSpec) -> tuple[float, float]:
+    """Geometric error brackets (E1, E2) of the rank-K filter ``spec``.
 
     E1 bounds the weight the ideal output keeps above level K; E2 bounds
     the filtered prior mass doing the same on the input side.  Both are
     (base)^(K+1); a base at or above 1 certifies nothing, hence
     NonConvergentError (E2's base reaches 1 exactly at y^2 = 1 + kappa').
     """
-    if not isinstance(k_cut, int) or k_cut < 0:
-        raise DomainError(f"k_cut must be an integer >= 0, got {k_cut!r}")
-    if not (math.isfinite(y) and y > 0.0):
-        raise DomainError(f"y must be finite and > 0, got {y!r}")
-    lam, mu, g2, y2 = ens.lambda_prime, ens.mu, _gain_squared(ens), y * y
+    lam, mu, g2, y2 = ens.lambda_prime, ens.mu, _gain_squared(ens), spec.y * spec.y
     if y2 >= mu + 1.0:
         raise NonConvergentError(
             f"y^2 = {y2!r} at or beyond the filter pole mu + 1 = {mu + 1.0!r}"
@@ -284,12 +281,12 @@ def amp_convergence_terms(ens: NoisyEnsemble, y: float, k_cut: int) -> tuple[flo
                 f"{name} bracket base {base!r} is not in (0, 1); "
                 "the truncation error cannot be certified at these parameters"
             )
-    return base1 ** (k_cut + 1), base2 ** (k_cut + 1)
+    return base1 ** (spec.k_cut + 1), base2 ** (spec.k_cut + 1)
 
 
-def filter_deficit_bound(ens: NoisyEnsemble, y: float, k_cut: int) -> float:
+def filter_deficit_bound(ens: NoisyEnsemble, spec: FilterSpec) -> float:
     """Certified gap between the rank-K filter fidelity and its K -> inf limit."""
-    e1, e2 = amp_convergence_terms(ens, y, k_cut)
+    e1, e2 = amp_convergence_terms(ens, spec)
     return 2.0 * math.sqrt(e1 * e2)
 
 
@@ -326,16 +323,15 @@ def cft_norm_check(ens: NoisyEnsemble) -> tuple[float, float]:
     the flat-measure form c1 * integral D(c2 a) x'^n D^dag (x) |g'a><g'a|,
     c1 = lambda' + mu/(mu + 1) as in ``formulas``.
     Gamma is the better-conditioned quadrature target, so the numerical
-    value is its largest eigenvalue at _CFT_DIM levels per mode and
-    _CFT_RADIAL_NODES prior nodes, scored against targets whose entries
-    below ``fock._LOG_KET_FLOOR`` are zero.  The stack's entries are at most
-    mu/(1 + mu), so where that is within 2^53 of exp(``fock._LOG_KET_FLOOR``)
-    (mu below about 9.0e-85) the floor could zero all of them, and the check
-    is a DomainError.  The integrand decays as exp(-c t) in t = lambda'|a|^2,
-    c = (c1 + g'^2)/lambda' (a DomainError where it overflows), so its own
-    stack sits on the nodes of ``fock._laguerre_rule``, of the oracle's size
-    ``fock._RADIAL_NODES`` so that one cached rule serves both, scaled by c:
-    u_i/c, of weights w_i exp(u_i - u_i/c)/c.
+    value is its largest eigenvalue at _CFT_DIM levels per mode, scored
+    against targets whose entries below ``fock._LOG_KET_FLOOR`` are zero.
+    The stack's entries are at most mu/(1 + mu), so where that is within 2^53
+    of exp(``fock._LOG_KET_FLOOR``) (mu below about 9.0e-85) the floor could
+    zero all of them, and the check is a DomainError.  The integrand decays
+    as exp(-c t) in t = lambda'|a|^2, c = (c1 + g'^2)/lambda' (a DomainError
+    where it overflows), so its own stack sits on the oracle's cached rule,
+    ``fock._laguerre_rule(fock._RADIAL_NODES)``, scaled by c: nodes u_i/c,
+    of weights w_i exp(u_i - u_i/c)/c.
     Being phase covariant, Gamma is block-diagonal in the total photon
     number, and the cutoff holds each sector m + a < _CFT_DIM whole, so
     those blocks are the quadrature operator's own sectors.  The cutoff cuts
@@ -362,7 +358,7 @@ def cft_norm_check(ens: NoisyEnsemble) -> tuple[float, float]:
     if mu / (1.0 + mu) < 2.0 ** 53 * math.exp(fock._LOG_KET_FLOOR):
         raise DomainError(f"the stack entries, at most mu/(1 + mu), are within 2^53 of the "
                           f"1e-100 ket floor at mu = {mu!r}")
-    u, w = fock._laguerre_rule(_CFT_RADIAL_NODES)
+    u, w = fock._laguerre_rule(fock._RADIAL_NODES)
     radii, w = np.sqrt(u / scale / lam), w * np.exp(u - u / scale) / scale
     states = fock._displaced_thermal_stack(radii, 1.0 / mu, dim)
     kp = kappa_prime(ens)

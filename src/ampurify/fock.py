@@ -3,9 +3,9 @@
 Everything works on dense numpy matrices in the number basis {|0>, ...,
 |dim-1>}, and every state and channel comes from its closed form, so every
 entry inside the cutoff is exact.  A channel is a description, of one of
-two kinds: the deterministic ``gaussian.GaussianChannel(scale, nbar)``,
-shared with the closed forms, and the heralded diagonal filter
-``FilterSpec(k_cut, y)``.
+two kinds from ``gaussian``: the deterministic ``GaussianChannel(scale,
+nbar)``, shared with the closed forms, and the heralded diagonal filter
+``FilterSpec(k_cut, y)``, shared with the bounds' rank-K brackets.
 
 ``_score(channel, states, targets)``, which alone picks a branch by the
 channel's type, scores a (P, dim, dim) stack of input states against P
@@ -42,7 +42,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.laguerre import laggauss
 
 from .errors import DomainError, TruncationError
-from .gaussian import _SMALL_Z, GaussianChannel
+from .gaussian import _SMALL_Z, FilterSpec, GaussianChannel
 from .params import NoisyEnsemble, _Validated
 
 #: quadrature weights below this are skipped (they underflow any integrand)
@@ -82,35 +82,12 @@ class FockDensity(_Validated, _FockDensityFields):
         return float(np.trace(self.mat).real)
 
 
-class _FilterSpecFields(NamedTuple):
-    k_cut: int
-    y: float
-
-
-class FilterSpec(_Validated, _FilterSpecFields):
-    """Diagonal filter sum_{n <= k_cut} y^(n - k_cut) |n><n|.
-
-    For y >= 1 every coefficient is <= 1 (trace non-increasing); for y < 1
-    the normalisation puts the largest coefficient y^(-k_cut) at n = 0, which
-    is harmless: every filter average is in the scale-invariant ratio form.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, k_cut: int, y: float):
-        if not isinstance(k_cut, int) or k_cut < 0:
-            raise DomainError(f"k_cut must be an integer >= 0, got {k_cut!r}")
-        if not (math.isfinite(y) and y > 0.0):
-            raise DomainError(f"y must be finite and > 0, got {y!r}")
-        return super().__new__(cls, k_cut, y)
-
-    def _diagonal(self, dim: int) -> np.ndarray:
-        """Q's diagonal at cutoff dim, which must exceed the rank k_cut."""
-        if self.k_cut >= dim:
-            raise DomainError(
-                f"filter rank k_cut = {self.k_cut} must be below the cutoff dim = {dim}")
-        n = np.arange(dim)
-        return np.where(n <= self.k_cut, self.y ** (n - float(self.k_cut)), 0.0)
+def _filter_diagonal(spec: FilterSpec, dim: int) -> np.ndarray:
+    """The filter's diagonal at cutoff dim, which must exceed its rank k_cut."""
+    if spec.k_cut >= dim:
+        raise DomainError(f"filter rank k_cut = {spec.k_cut} must be below the cutoff dim = {dim}")
+    n = np.arange(dim)
+    return np.where(n <= spec.k_cut, spec.y ** (n - float(spec.k_cut)), 0.0)
 
 
 def _score(channel: GaussianChannel | FilterSpec, states: np.ndarray,
@@ -125,7 +102,7 @@ def _score(channel: GaussianChannel | FilterSpec, states: np.ndarray,
     output cutoff."""
     dim = states.shape[-1]
     if isinstance(channel, FilterSpec):
-        q = channel._diagonal(dim)
+        q = _filter_diagonal(channel, dim)
         tr_out = np.diagonal(states, axis1=-2, axis2=-1).real @ (q * q)
         return _projections(states, q * _coherent_kets(targets, dim)), tr_out
     s, nbar = channel
@@ -276,7 +253,7 @@ def displaced_thermal_density(amp: complex, nbar: float, dim: int) -> FockDensit
     return FockDensity(dim, mat)
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=1, typed=True)
 def prior_states(lambda_prime: float, mu: float, dim: int,
                  radial_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only radii |alpha_i|, weights w_i and real (P, dim, dim) input
@@ -297,9 +274,13 @@ def prior_states(lambda_prime: float, mu: float, dim: int,
     that ``avg_fidelity_numeric`` scores at its arguments; only one is kept,
     as a rebuild at the default rule and 64 levels costs about 1 ms (its
     row loop runs once per level, whatever the node count) and every stack
-    kept adds its 1.0 MB to the process.  Above 128 levels a far node's
-    start values underflow where its exact entries do not, so a larger
-    cutoff is a DomainError."""
+    kept adds its 1.0 MB to the process.  A size that is not an integer >= 2
+    is a DomainError (the cache is typed, so 64.0 cannot hit 64's stack), as
+    is a cutoff above 128 levels, where a far node's start values underflow
+    and its exact entries do not."""
+    for name, size in (("dim", dim), ("radial_nodes", radial_nodes)):
+        if not (isinstance(size, int) and size >= 2):
+            raise DomainError(f"{name} must be an integer >= 2, got {size!r}")
     if dim > 128:
         raise DomainError(f"prior stacks are exact only up to 128 levels, got dim {dim}")
     t, w = _laguerre_rule(radial_nodes)
@@ -331,8 +312,8 @@ def avg_fidelity_numeric(ens: NoisyEnsemble, channel: GaussianChannel | FilterSp
     reduction; ``angular_nodes`` above 1 re-checks it on uniform angles,
     each rotating the states and their targets in phase.
     """
-    if dim < 2 or radial_nodes < 2 or angular_nodes < 1:
-        raise DomainError("need dim >= 2, radial_nodes >= 2 and angular_nodes >= 1")
+    if not (isinstance(angular_nodes, int) and angular_nodes >= 1):
+        raise DomainError(f"angular_nodes must be an integer >= 1, got {angular_nodes!r}")
     radii, weights, states = prior_states(ens.lambda_prime, ens.mu, dim, radial_nodes)
     fid, trace = np.zeros((2, radii.size))
     step = _CHUNK if angular_nodes > 1 else radii.size
@@ -415,7 +396,7 @@ def apply_attenuator(rho: FockDensity, theta: float) -> FockDensity:
 
 def apply_filter(rho: FockDensity, f: FilterSpec) -> FockDensity:
     """Output state Q rho Q^dag of the filter ``f``."""
-    return _apply_shift_kraus(rho, f._diagonal(rho.dim)[:, None], 0, rho.dim)
+    return _apply_shift_kraus(rho, _filter_diagonal(f, rho.dim)[:, None], 0, rho.dim)
 
 
 def _heterodyne_kernel(z: float, dim: int) -> list[np.ndarray]:

@@ -1,20 +1,21 @@
-"""The paper's deterministic protocols as one-mode phase-insensitive Gaussian
-channels, and their prior-averaged fidelity in closed form.
+"""The paper's protocols as channel descriptions, and the prior-averaged
+fidelity of the deterministic ones in closed form.
 
-A channel is the pair (s, nbar) of ``GaussianChannel``: s scales every
-amplitude, and nbar is the occupation of its adjoint's displaced thermal
-output.  In the Schrodinger picture it takes a displaced thermal state of
-amplitude amp and occupation n to amplitude s amp and occupation
-s^2 (n + nbar + 1) - 1:
+A deterministic protocol is a one-mode phase-insensitive Gaussian channel,
+the pair (s, nbar) of ``GaussianChannel``: s scales every amplitude, and
+nbar is the occupation of its adjoint's displaced thermal output.  It takes
+a displaced thermal state of amplitude amp and occupation n to s amp and
+s^2 (n + nbar + 1) - 1 (the Schrodinger picture):
 
     identity():        (1, 0)                    n -> n
     attenuator(theta): (cos theta, tan^2 theta)  n -> cos^2 theta n
     amplifier(r):      (cosh r, 0)               n -> cosh^2 r n + sinh^2 r
     heterodyne(z):     (z, 1/z^2)                n -> z^2 (n + 1)
 
-so displaced thermal states stay displaced thermal, which is what makes the
-averaged fidelity a one-line Gaussian integral.  The module runs on plain
-``math``, so the closed form costs a point command no numpy import.
+so displaced thermal states stay displaced thermal, and the average is a
+one-line Gaussian integral.  The heralded protocol is the rank-K filter
+``FilterSpec``, which ``fock`` scores and ``bounds`` brackets.  The module
+runs on plain ``math``, so neither costs a point command a numpy import.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 from typing import NamedTuple
 
 from .errors import DomainError
-from .params import NoisyEnsemble
+from .params import NoisyEnsemble, _Validated
 
 #: below this scale a Gaussian channel of nbar > 0 takes its s -> 0 limit, the
 #: vacuum output, where s^2 nbar = 1: the heterodyne's nbar = 1/z^2 is infinite there
@@ -77,6 +78,29 @@ class GaussianChannel(NamedTuple):
         if not (math.isfinite(z) and z >= 0.0):
             raise DomainError(f"re-preparation scale z must be >= 0, got {z!r}")
         return cls(z, 1.0 / (z * z) if z >= _SMALL_Z else math.inf)
+
+
+class _FilterSpecFields(NamedTuple):
+    k_cut: int
+    y: float
+
+
+class FilterSpec(_Validated, _FilterSpecFields):
+    """Diagonal filter sum_{n <= k_cut} y^(n - k_cut) |n><n|.
+
+    For y >= 1 every coefficient is <= 1 (trace non-increasing); for y < 1
+    the normalisation puts the largest coefficient y^(-k_cut) at n = 0, which
+    is harmless: every filter average is in the scale-invariant ratio form.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, k_cut: int, y: float):
+        if not isinstance(k_cut, int) or k_cut < 0:
+            raise DomainError(f"k_cut must be an integer >= 0, got {k_cut!r}")
+        if not (math.isfinite(y) and y > 0.0):
+            raise DomainError(f"y must be finite and > 0, got {y!r}")
+        return super().__new__(cls, k_cut, y)
 
 
 def avg_fidelity_gaussian(ens: NoisyEnsemble, channel: GaussianChannel) -> float:

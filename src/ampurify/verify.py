@@ -39,7 +39,7 @@ import numpy as np
 
 from . import bounds, fock, formulas
 from .errors import DomainError, NonConvergentError
-from .gaussian import GaussianChannel, avg_fidelity_gaussian
+from .gaussian import FilterSpec, GaussianChannel, avg_fidelity_gaussian
 from .params import MultimodeTask, NoisyEnsemble, _landmarks
 from .scalaropt import golden_section_min
 
@@ -302,13 +302,13 @@ def _check_det_limit_finite_product(seed: int, dim: int) -> Pair:
 
 
 def _check_deficit_terms_worked(seed: int, dim: int) -> Pair:
-    _, e2 = bounds.amp_convergence_terms(_ens(1.0, 1.0, 1.5), 0.75, 10)
+    _, e2 = bounds.amp_convergence_terms(_ens(1.0, 1.0, 1.5), FilterSpec(10, 0.75))
     return 0.375**11, e2
 
 
 def _check_filter_pole_rejected(seed: int, dim: int) -> Pair:
     try:
-        bounds.amp_convergence_terms(_ens(1.0, 1.0, 2.5), 1.5, 10)
+        bounds.amp_convergence_terms(_ens(1.0, 1.0, 2.5), FilterSpec(10, 1.5))
     except NonConvergentError:
         return 1.0, 1.0
     return 1.0, 0.0
@@ -338,7 +338,7 @@ def _check_fock_attenuator_amp(seed: int, dim: int) -> Pair:
 def _check_fock_filter_prob(seed: int, dim: int) -> Pair:
     ens = _ens(1.0, 1.0, 1.5)
     y = formulas.tune(ens).y
-    value = fock.avg_fidelity_numeric(ens, fock.FilterSpec(k_cut=30, y=y), dim=dim)
+    value = fock.avg_fidelity_numeric(ens, FilterSpec(k_cut=30, y=y), dim=dim)
     return formulas.prob_fidelity(ens), value
 
 
@@ -459,14 +459,13 @@ def _check_oracle_attenuator(seed: int, dim: int) -> Pair:
 def _check_filter_sweep(seed: int, dim: int) -> tuple[Pair, Pair, Pair]:
     ens = _ens(1.0, 1.0, 1.5)
     y = formulas.tune(ens).y
-    cuts = [5, 10, 20, 40]
+    specs = [FilterSpec(k_cut=k, y=y) for k in (5, 10, 20, 40)]
     cutoff = max(dim, _ORACLE_DIM)
-    values = [fock.avg_fidelity_numeric(ens, fock.FilterSpec(k_cut=k, y=y), dim=cutoff)
-              for k in cuts]
+    values = [fock.avg_fidelity_numeric(ens, spec, dim=cutoff) for spec in specs]
     target = formulas.prob_fidelity(ens)
     monotone = np.max([0.0] + [lo - hi for lo, hi in zip(values, values[1:])])
-    envelope = np.max([0.0] + [abs(target - val) - bounds.filter_deficit_bound(ens, y, k) - 1e-6
-                               for k, val in zip(cuts, values)])
+    envelope = np.max([0.0] + [abs(target - val) - bounds.filter_deficit_bound(ens, spec) - 1e-6
+                               for spec, val in zip(specs, values)])
     return (0.0, monotone), (target, values[-1]), (0.0, envelope)
 
 
@@ -523,7 +522,7 @@ def _check_angular_reduction(seed: int, dim: int) -> Pair:
 def _check_filtered_nbar_fit(seed: int, dim: int) -> Pair:
     nbar, y, k_cut = 1.0, 1.25, 40
     cutoff = max(dim, _ORACLE_DIM)
-    q = fock.FilterSpec(k_cut=k_cut, y=y)._diagonal(cutoff)
+    q = fock._filter_diagonal(FilterSpec(k_cut=k_cut, y=y), cutoff)
     filtered = q * fock._thermal_diag(nbar, cutoff) * q
     fitted = fock.fit_thermal_nbar(fock.FockDensity(cutoff, np.diag(filtered)))
     return formulas.photon_output_prob(MultimodeTask(1.0, 1.0 / nbar, 1.0), y)[0], fitted

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from ampurify import bounds, fock, formulas
-from ampurify.gaussian import GaussianChannel
+from ampurify.gaussian import FilterSpec, GaussianChannel
 from ampurify.params import PURE_MU_SENTINEL, NoisyEnsemble, photon_book, thresholds
 
 N_C_GRID = (0.5, 1.0, 2.0)
@@ -82,22 +82,13 @@ def test_criterion_03_rank_k_filter_converges_inside_certified_brackets():
     assert y == pytest.approx(0.75, abs=1e-15)
     target = formulas.prob_fidelity(ens)
 
-    values = []
-    for k in (5, 10, 20, 40):
-        spec = fock.FilterSpec(k_cut=k, y=y)
-        values.append(
-            fock.avg_fidelity_numeric(
-                ens,
-                spec,
-                dim=64,
-                radial_nodes=96,
-            )
-        )
+    specs = [FilterSpec(k_cut=k, y=y) for k in (5, 10, 20, 40)]
+    values = [fock.avg_fidelity_numeric(ens, spec, dim=64, radial_nodes=96) for spec in specs]
     assert all(hi > lo for lo, hi in zip(values, values[1:])), values
     assert abs(values[-1] - 0.470588) <= 1e-3
-    for k, value in zip((5, 10, 20, 40), values):
+    for spec, value in zip(specs, values):
         deficit = target - value
-        assert deficit <= bounds.filter_deficit_bound(ens, y, k) + 1e-6, k
+        assert deficit <= bounds.filter_deficit_bound(ens, spec) + 1e-6, spec
     assert time.monotonic() - t0 < 60.0
 
 
@@ -247,7 +238,7 @@ def test_criterion_09_photon_bookkeeping_matches_channel_algebra():
 
     mu, y = 1.0, 1.25
     rho = fock.displaced_thermal_density(0.0, 1.0, 64)
-    filtered = fock.apply_filter(rho, fock.FilterSpec(k_cut=40, y=y))
+    filtered = fock.apply_filter(rho, FilterSpec(k_cut=40, y=y))
     predicted = 1.0 * y * y * mu / (1.0 + mu - y * y)
     assert abs(fock.fit_thermal_nbar(filtered) - predicted) <= 1e-3
     assert abs(predicted - 3.5714285714285716) <= 1e-12

@@ -22,6 +22,7 @@ from ampurify.bounds import (
 )
 from ampurify.errors import DomainError, NonConvergentError, RootError, ValidityError
 from ampurify.formulas import cft, det_fidelity, prob_fidelity
+from ampurify.gaussian import FilterSpec
 from ampurify.params import NoisyEnsemble, passive_filter_gain, photon_book, thresholds
 from ampurify.scalaropt import golden_section_min
 
@@ -65,7 +66,7 @@ def test_double_root_survives_rounding_on_the_plateau():
 
 
 @pytest.mark.parametrize("size", [2, 3, 5, 8])
-def test_circulant_eigs_match_dense_determinant(size):
+def test_root_factorisation_matches_dense_determinant(size):
     # det M_p = b^p (y+^p - 1)(1 - y-^p), the eigenvalue product taken through the roots
     rng = np.random.default_rng(11 + size)
     for _ in range(25):
@@ -336,11 +337,31 @@ def test_golden_section_rejects_a_bracket_end_that_is_not_finite(lo, hi):
 
 def test_minimizer_rejects_an_overflowing_kappa_prime():
     ens = _ens(1e200, 1e200, 1.0)
-    assert kappa_prime(ens) == math.inf
+    assert kappa_prime(ens) == 5e199
     with pytest.raises(DomainError):
         minimize_det_bound(ens)
-    with pytest.raises(DomainError):  # lambda' + mu overflows too, so kappa' is inf/inf = nan
+    with pytest.raises(DomainError):  # lambda' + mu overflows too
         minimize_det_bound(_ens(1e308, 1e308, 1.0))
+
+
+@pytest.mark.parametrize("lam,mu,kp", [(1e200, 1e200, 5e199), (1e308, 1e308, 5e307),
+                                       (1e308, 3e10, 3e10)])
+@pytest.mark.parametrize(
+    "call",
+    [kappa_prime, kappa_star, minimize_det_bound, lambda ens: det_upper_bound(ens, 1e-300),
+     prob_via_kappa_prime],
+    ids=["kappa_prime", "kappa_star", "minimize_det_bound", "det_upper_bound",
+         "prob_via_kappa_prime"],
+)
+def test_an_overflowing_product_leaves_kappa_prime_finite(call, lam, mu, kp):
+    # lambda' mu overflows, so kappa' is min/(1 + min/max); a bound reading it
+    # overflows in its root equation instead, a clean DomainError
+    ens = _ens(lam, mu, 1.0)
+    if call in (kappa_prime, kappa_star):
+        assert call(ens) == kp
+    else:
+        with pytest.raises(DomainError, match="overflows a float"):
+            call(ens)
 
 
 @pytest.mark.parametrize("lam,mu,g", [(1e-300, 1e-300, 3.0), (1e-160, 1e-160, 3.0),
@@ -375,7 +396,7 @@ def test_kappa_prime_keeps_its_bits_down_to_the_smallest_normal_product():
         lambda: minimize_det_bound(_ens(1e160, 1.0, 1e160)),  # g'^2 overflows
         # finite coefficients whose (b - c)^2 overflows
         lambda: coeffs(_ens(1.0, 1.0, 5e153), 0.25),
-        lambda: amp_convergence_terms(_ens(1.0, 1.0, 1e160), 0.5, 10),
+        lambda: amp_convergence_terms(_ens(1.0, 1.0, 1e160), FilterSpec(10, 0.5)),
     ],
     ids=["coeffs", "det_upper_bound", "minimize_det_bound", "coeffs-square",
          "amp_convergence_terms"],
@@ -432,7 +453,7 @@ def test_bound_rejects_kappa_outside_interval():
 
 def test_convergence_terms_worked_point():
     ens = _ens(1.0, 1.0, 1.5)
-    e1, e2 = amp_convergence_terms(ens, 0.75, 10)
+    e1, e2 = amp_convergence_terms(ens, FilterSpec(10, 0.75))
     base1 = 2.25 / (2.25 + 2.0 - 0.5625 - 0.4375**2 / 1.4375)
     assert e1 == pytest.approx(base1**11, rel=1e-12)
     assert e2 == pytest.approx(0.375**11, rel=1e-12)
@@ -440,21 +461,22 @@ def test_convergence_terms_worked_point():
 
 def test_deficit_bound_is_geometric_mean_of_brackets():
     ens = _ens(1.0, 1.0, 1.5)
-    e1, e2 = amp_convergence_terms(ens, 0.75, 20)
-    assert filter_deficit_bound(ens, 0.75, 20) == pytest.approx(
+    spec = FilterSpec(20, 0.75)
+    e1, e2 = amp_convergence_terms(ens, spec)
+    assert filter_deficit_bound(ens, spec) == pytest.approx(
         2.0 * math.sqrt(e1 * e2), rel=1e-14
     )
 
 
 def test_brackets_shrink_with_the_cut():
     ens = _ens(1.0, 1.0, 1.5)
-    bounds = [filter_deficit_bound(ens, 0.75, k) for k in (5, 10, 20, 40)]
+    bounds = [filter_deficit_bound(ens, FilterSpec(k, 0.75)) for k in (5, 10, 20, 40)]
     assert all(b2 < b1 for b1, b2 in zip(bounds, bounds[1:]))
 
 
 def test_brackets_refuse_the_filter_pole():
     with pytest.raises(NonConvergentError):
-        amp_convergence_terms(_ens(1.0, 1.0, 2.5), 1.5, 10)
+        amp_convergence_terms(_ens(1.0, 1.0, 2.5), FilterSpec(10, 1.5))
 
 
 def test_brackets_refuse_the_input_mass_boundary():
@@ -463,7 +485,7 @@ def test_brackets_refuse_the_input_mass_boundary():
     y_boundary = math.sqrt(1.0 + kappa_prime(ens)) * (1.0 + 1e-9)
     assert y_boundary**2 < 1.0 + ens.mu
     with pytest.raises(NonConvergentError):
-        amp_convergence_terms(ens, y_boundary, 10)
+        amp_convergence_terms(ens, FilterSpec(10, y_boundary))
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +566,7 @@ def test_cft_norm_assembly_matches_dense_sector_reference(monkeypatch, lam, mu, 
     # a + m < dim only: no truncated sector holds the maximum
     dim, nodes = 12, 40
     monkeypatch.setattr(bounds, "_CFT_DIM", dim)
-    monkeypatch.setattr(bounds, "_CFT_RADIAL_NODES", nodes)
+    monkeypatch.setattr(fock, "_RADIAL_NODES", nodes)
     ens = _ens(lam, mu, g)
     kp = kappa_prime(ens)
     whiten = np.exp(np.arange(dim) / 2.0 * math.log1p(kp)) / math.sqrt(kp / (1.0 + kp))

@@ -654,6 +654,7 @@ def test_the_gaussian_closed_form_runs_on_plain_math():
 _CAPS = """
     import sys, types
     import ampurify
+    from ampurify.gaussian import FilterSpec
     from ampurify.params import NoisyEnsemble
     caps = []
     for point in ((1.0, 1.0, 1.5), (1.0, 1.0, 2.5), (0.5, 2.0, 0.8), (2.0, 0.5, 9.0)):
@@ -662,7 +663,7 @@ _CAPS = """
         caps += [ampurify.bounds.kappa_star(ens), *ampurify.bounds.minimize_det_bound(ens),
                  *ampurify.minimize_det_bound(ens), ampurify.bounds.prob_via_kappa_prime(ens),
                  ampurify.det_limit(w), ampurify.bounds.det_limit_finite_p(w, 16),
-                 ampurify.bounds.filter_deficit_bound(ens, 0.75, 10)]
+                 ampurify.bounds.filter_deficit_bound(ens, FilterSpec(10, 0.75))]
     print(repr(caps))
     print([m for m in ("numpy._core", "dataclasses", "inspect") if m in sys.modules])
     print(type(sys.modules["ampurify.fock"]) is types.ModuleType)

@@ -7,7 +7,6 @@ import pytest
 from ampurify import fock
 from ampurify.errors import DomainError, TruncationError
 from ampurify.fock import (
-    FilterSpec,
     FockDensity,
     apply_attenuator,
     apply_filter,
@@ -18,7 +17,7 @@ from ampurify.fock import (
     displaced_thermal_density,
     fit_thermal_nbar,
 )
-from ampurify.gaussian import GaussianChannel
+from ampurify.gaussian import FilterSpec, GaussianChannel
 from ampurify.params import NoisyEnsemble
 
 
@@ -302,8 +301,8 @@ def test_ratio_form_is_scale_invariant(monkeypatch):
     # scaling Q's diagonal by 0.37 scales every score and trace by 0.37^2
     ens, spec = NoisyEnsemble(1.0, 1.0, 1.5), FilterSpec(k_cut=20, y=1.1)
     plain = avg_fidelity_numeric(ens, spec, dim=32, radial_nodes=48)
-    diagonal = FilterSpec._diagonal
-    monkeypatch.setattr(FilterSpec, "_diagonal", lambda self, dim: 0.37 * diagonal(self, dim))
+    diagonal = fock._filter_diagonal
+    monkeypatch.setattr(fock, "_filter_diagonal", lambda spec, dim: 0.37 * diagonal(spec, dim))
     scaled = avg_fidelity_numeric(ens, spec, dim=32, radial_nodes=48)
     assert scaled == pytest.approx(plain, rel=1e-12)
 
@@ -313,6 +312,24 @@ def test_average_rejects_an_empty_angular_grid(angular_nodes):
     with pytest.raises(DomainError, match="angular_nodes"):
         avg_fidelity_numeric(NoisyEnsemble(1.0, 1.0, 2.0), GaussianChannel.identity(), dim=32,
                              angular_nodes=angular_nodes)
+
+
+@pytest.mark.parametrize("form", [float, str])
+@pytest.mark.parametrize("size", ["dim", "radial_nodes", "angular_nodes"])
+def test_average_rejects_a_size_that_is_not_an_integer(size, form):
+    # the stack kept for the integer sizes must not answer for their float twins
+    ens, unit = NoisyEnsemble(1.0, 1.0, 2.0), GaussianChannel.identity()
+    sizes = {"dim": 32, "radial_nodes": 48, "angular_nodes": 2}
+    avg_fidelity_numeric(ens, unit, **sizes)
+    with pytest.raises(DomainError, match=f"{size} must be an integer"):
+        avg_fidelity_numeric(ens, unit, **{**sizes, size: form(sizes[size])})
+
+
+@pytest.mark.parametrize("dim,nodes", [(32.0, 48), ("32", 48), (32, 48.0), (32, "48")])
+def test_prior_states_reject_a_size_that_is_not_an_integer(dim, nodes):
+    fock.prior_states(1.0, 1.0, 32, 48)
+    with pytest.raises(DomainError, match="must be an integer >= 2"):
+        fock.prior_states(1.0, 1.0, dim, nodes)
 
 
 def test_average_rejects_a_non_finite_rule(recwarn):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ampurify.errors import DomainError
-from ampurify.fock import FilterSpec, FockDensity
+from ampurify.fock import FockDensity
 from ampurify.formulas import (
     FidelityReport,
     TuningReport,
@@ -16,6 +16,7 @@ from ampurify.formulas import (
     prob_fidelity,
     tune,
 )
+from ampurify.gaussian import FilterSpec
 from ampurify.params import (
     MultimodeTask,
     NoisyEnsemble,
