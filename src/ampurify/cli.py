@@ -202,14 +202,22 @@ def _write_rows(write, table: dict, keys: list[str], cell: str, unset: str, labe
                 line, sep: str) -> None:
     """Write ``table``'s rows ``_CHUNK`` at a time, each by its regime's template:
     ``cell`` formats a float, ``label`` the regime, ``unset`` cos_theta outside
-    DetAttenuate (``%.0s`` consumes it); ``line`` joins (key, cell) pairs."""
-    templates = [line([(key, label % _regime_label(regime) if key == "regime" else cell
-                        if key != "cos_theta" or regime.tag is RegimeTag.DET_ATTENUATE
-                        else unset) for key in keys]) for regime in REGIMES]
-    floats = [key for key in keys if key != "regime"]
+    DetAttenuate (``%.0s`` consumes it); ``line`` joins (key, cell) pairs.
+    Rows carry only the float cells that vary and are printed: a column of one
+    bit pattern is formatted once, from a Python float, into the templates, and
+    an unset cos_theta is None, which ``%.0s`` converts for nothing."""
+    fixed = {key: float(col[0]) for key in keys if key != "regime"
+             and ((col := table[key]).view("u8") == col[:1].view("u8")).all()}
+    forms = [[(key, label % _regime_label(regime) if key == "regime" else cell
+               if key != "cos_theta" or regime.tag is RegimeTag.DET_ATTENUATE
+               else unset) for key in keys] for regime in REGIMES]
+    templates = [line([(k, f % fixed[k] if k in fixed else f) for k, f in form]) for form in forms]
+    floats = [key for key in keys if key != "regime" and key not in fixed]
+    unset_at = table["regime"].choose([r.tag is not RegimeTag.DET_ATTENUATE for r in REGIMES])
     for lo in range(0, len(table["regime"]), _CHUNK):
-        rows = zip(table["regime"][lo:lo + _CHUNK].tolist(),
-                   *[table[key][lo:lo + _CHUNK].tolist() for key in floats])
+        cos = unset_at[lo:lo + _CHUNK].choose((table["cos_theta"][lo:lo + _CHUNK], None))
+        rows = zip(*[(cos if key == "cos_theta" else table[key][lo:lo + _CHUNK]).tolist()
+                     for key in ["regime", *floats]])
         write(sep * (lo > 0) + sep.join([templates[row[0]] % row[1:] for row in rows]))
 
 

@@ -83,11 +83,15 @@ class FockDensity(_Validated, _FockDensityFields):
 
 
 def _filter_diagonal(spec: FilterSpec, dim: int) -> np.ndarray:
-    """The filter's diagonal at cutoff dim, which must exceed its rank k_cut."""
+    """The filter's diagonal at cutoff dim, which must exceed its rank k_cut.
+    So that ``_score``'s sums of dim <= 128 products y^(-2 k_cut) stay floats,
+    k_cut ln(1/y) must not pass (ln(max float) - ln 128) / 2 = 352.46."""
     if spec.k_cut >= dim:
         raise DomainError(f"filter rank k_cut = {spec.k_cut} must be below the cutoff dim = {dim}")
+    if spec.k_cut * -math.log(spec.y) > 352.46:
+        raise DomainError(f"filter {spec!r} overflows a float: k_cut ln(1/y) > 352.46")
     n = np.arange(dim)
-    return np.where(n <= spec.k_cut, spec.y ** (n - float(spec.k_cut)), 0.0)
+    return np.where(n <= spec.k_cut, spec.y ** np.minimum(n - float(spec.k_cut), 0.0), 0.0)
 
 
 def _score(channel: GaussianChannel | FilterSpec, states: np.ndarray,

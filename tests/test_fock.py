@@ -561,6 +561,26 @@ def test_filter_rank_must_lie_below_the_average_cutoff(k_cut):
         avg_fidelity_numeric(NoisyEnsemble(1.0, 1.0, 2.0), FilterSpec(k_cut=k_cut, y=1.1), dim=32)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("spec, dim", [
+    (FilterSpec(15, 1e-10), 64),  # k_cut ln(1/y) = 345.4
+    (FilterSpec(100, 0.03), 128),  # 350.7
+    (FilterSpec(1, 1e10), 64),  # y^(n - k_cut) past n = k_cut would overflow
+    (FilterSpec(3, 1e100), 128),
+])
+def test_a_filter_inside_the_float_range_scores_without_overflow(spec, dim):
+    assert math.isfinite(avg_fidelity_numeric(NoisyEnsemble(1.0, 1.0, 1.5), spec, dim=dim))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("spec", [FilterSpec(16, 1e-10), FilterSpec(5, 1e-60),
+                                  FilterSpec(40, 1e-10), FilterSpec(100, 0.029)])
+def test_a_filter_whose_coefficients_overflow_is_a_domain_error(spec):
+    # k_cut ln(1/y) = 368.4, 690.8, 921.0 and 354.0, past (ln(max float) - ln 128) / 2
+    with pytest.raises(DomainError, match="overflows a float"):
+        avg_fidelity_numeric(NoisyEnsemble(1.0, 1.0, 1.5), spec, dim=128)
+
+
 def test_scores_and_the_ratio_form_go_by_type_not_by_value():
     spec, channel = FilterSpec(2, 1.0), GaussianChannel(2.0, 1.0)
     assert spec == channel  # as tuples

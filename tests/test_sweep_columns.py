@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ampurify import formulas
+from ampurify import cli, formulas
 from ampurify.cli import CSV_HEADER, main
 from ampurify.errors import DomainError
 from ampurify.params import (
@@ -157,3 +157,67 @@ def test_json_rows_are_the_bytes_json_dumps_writes(axis, bounds):
     code, out, _, _ = _sweep(["sweep", "--axis", axis, "--steps", "3", *bounds])
     assert code == 0
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+def _csv_cells(row):
+    """The CSV cells of a row keyed like ``_scalar_row``."""
+    return [row[k] if k == "regime" else "" if row[k] is None else format(row[k], ".10g")
+            for k in CSV_HEADER.split(",")]
+
+
+def test_a_sweep_past_one_chunk_reads_the_scalar_path_on_both_sides_of_the_seam():
+    assert 20000 > cli._CHUNK
+    code, out, err, csv = _sweep(["sweep", "--axis", "lambda", "--start", "0.2", "--stop", "3",
+                                  "--steps", "20000", "--mu", "1", "--g", "2"])
+    assert (code, err) == (0, "")
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    rows, lines = json.loads(out)["result"]["rows"], csv.splitlines()[1:]
+    assert len(rows) == len(lines) == 20000
+    values = np.linspace(0.2, 3.0, 20000)
+    fields = {"lam": 1.0, "mu": 1.0, "g": 2.0, "n_in": 1, "m_out": 1}
+    for i in (0, cli._CHUNK - 1, cli._CHUNK, 19999):
+        expected = _scalar_row(fields, "lambda", float(values[i]))
+        assert {k: repr(v) for k, v in rows[i].items()} == {k: repr(v) for k, v in expected.items()}
+        assert lines[i].split(",") == _csv_cells(expected)
+    # both sides of the seam hold attenuating rows (cos_theta printed) and
+    # the first chunk holds rows that leave it unset
+    assert [rows[i]["cos_theta"] is None for i in (0, cli._CHUNK - 1, cli._CHUNK)] == \
+        [True, False, False]
+
+
+def _render(table, keys, *sink):
+    parts = []
+    cli._write_rows(parts.append, table, keys, *sink)
+    return "".join(parts)
+
+
+def test_write_rows_keeps_the_sign_of_zero_in_constant_and_varying_columns():
+    keys = CSV_HEADER.split(",")
+    attenuate = next(i for i, r in enumerate(REGIMES) if r.tag is RegimeTag.DET_ATTENUATE)
+    amplify = next(i for i, r in enumerate(REGIMES) if r.tag is RegimeTag.DET_AMPLIFY)
+    # every float column mixes 0.0 and -0.0, which == calls equal, except
+    # g_prime (all -0.0) and z (all 0.0), whose bits are constant
+    cells = [[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [-0.0, -0.0, 0.0]]
+    table = {key: np.array(cells[i % 3]) for i, key in enumerate(keys)}
+    table.update(g_prime=np.full(3, -0.0), z=np.zeros(3),
+                 regime=np.array([attenuate, amplify, attenuate]))
+    labels = [f"{r.tag.value}+{r.prob_tag.value}" for r in REGIMES]
+    rows = [{key: (labels[table[key][i]] if key == "regime" else
+                   None if key == "cos_theta" and table["regime"][i] == amplify
+                   else float(table[key][i])) for key in keys} for i in range(3)]
+    csv = _render(table, keys, "%.10g", "%.0s", "%s",
+                  lambda pairs: ",".join(c for _, c in pairs) + "\n", "")
+    assert [line.split(",") for line in csv.splitlines()] == [_csv_cells(row) for row in rows]
+    text = _render(table, sorted(keys), "%r", "null%.0s", '"%s"',
+                   lambda pairs: "{" + ", ".join(f'"{k}": {c}' for k, c in pairs) + "}", ",")
+    printed = json.loads("[" + text + "]")
+    assert [{k: repr(v) for k, v in row.items()} for row in printed] == \
+        [{k: repr(v) for k, v in row.items()} for row in rows]
+
+
+def test_a_constant_column_prints_a_plain_float():
+    code, out, _, csv = _sweep(["sweep", "--axis", "lambda", "--start", "0.5", "--stop", "2",
+                                "--steps", "4", "--mu", "1", "--g", "2"])
+    assert code == 0 and "np.float64(" not in out + csv
+    assert '"g_prime": 2.0,' in out
+    assert [line.split(",")[1] for line in csv.splitlines()[1:]] == ["2"] * 4

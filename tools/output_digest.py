@@ -33,7 +33,9 @@ SWEEPS = ["--axis g --start 1 --stop 4 --steps 31 --lambda 1 --mu 1",
           "--axis lambda --start 0.2 --stop 3 --steps 15 --mu 1 --g 2",
           "--axis mu --start 0.2 --stop 3 --steps 15 --lambda 1 --g 2",
           "--axis n --start 1 --stop 4 --steps 4 --lambda 2 --mu 1 --g 2",
-          "--axis m --start 1 --stop 4 --steps 4 --lambda 2 --mu 1 --g 1"]
+          "--axis m --start 1 --stop 4 --steps 4 --lambda 2 --mu 1 --g 1",
+          # past the 16,384 rows that the CLI renders per write
+          "--axis lambda --start 0.2 --stop 3 --steps 20000 --mu 1 --g 2"]
 #: extreme inputs whose results are representable (exit 0)
 EXTREMES = ["eval --lambda 1 --mu 1 --g 1e200",
             "sweep --axis g --start 1 --stop 1e200 --steps 3 --lambda 1 --mu 1 --json",
