@@ -29,7 +29,7 @@ from typing import NamedTuple
 from ._lazy import lazy
 from .errors import DomainError, NonConvergentError, RootError, ValidityError
 from .gaussian import FilterSpec
-from .params import NoisyEnsemble, RegimeTag, classify
+from .params import NoisyEnsemble, RegimeTag, _require_int, classify
 from .scalaropt import golden_section_min
 from . import formulas
 
@@ -117,16 +117,11 @@ def coeffs(ens: NoisyEnsemble, kappa: float) -> BoundWorkspace:
     return BoundWorkspace(kappa, *_roots(ens.lambda_prime, ens.mu, _gain_squared(ens), kappa))
 
 
-def _require_size(size: int) -> None:
-    if not isinstance(size, int) or size < 2:
-        raise DomainError(f"circulant size must be an integer >= 2, got {size!r}")
-
-
 def circulant_dense(diag: float, sup: float, sub: float, size: int) -> np.ndarray:
     """Dense diag I - sup S - sub S^T, S the cyclic shift, for cross-checks; one
     per entry of a batch where diag, sup and sub are arrays of one shape.  At
     size 2 the corner is (0 - sup) - sub, as summed in order."""
-    _require_size(size)
+    _require_int("circulant size", size, 2)
     diag, sup, sub = (np.asarray(x, dtype=float)[..., None] for x in (diag, sup, sub))
     i = np.arange(size)
     m = np.zeros(np.broadcast_shapes(diag.shape, sup.shape, sub.shape)[:-1] + (size, size))
@@ -163,7 +158,7 @@ def det_limit_finite_p(w: BoundWorkspace, p: int) -> float:
     zero even though the p -> infinity limit b y+ is finite; meaningful
     finite-p trends need interior kappa.
     """
-    _require_size(p)
+    _require_int("circulant size", p, 2)
     scale, log_gap = w.b, 0.0
     for y in (w.y_plus, w.y_minus):
         if y == 1.0:

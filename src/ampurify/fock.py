@@ -5,7 +5,8 @@ Everything works on dense numpy matrices in the number basis {|0>, ...,
 entry inside the cutoff is exact.  A channel is a description, of one of
 two kinds from ``gaussian``: the deterministic ``GaussianChannel(scale,
 nbar)``, shared with the closed forms, and the heralded diagonal filter
-``FilterSpec(k_cut, y)``, shared with the bounds' rank-K brackets.
+``FilterSpec(k_cut, y)``, shared with the bounds' rank-K brackets, whose
+diagonal ``_filter_diagonal`` builds at unit norm.
 
 ``_score(channel, states, targets)``, which alone picks a branch by the
 channel's type, scores a (P, dim, dim) stack of input states against P
@@ -43,7 +44,7 @@ from numpy.polynomial.laguerre import laggauss
 
 from .errors import DomainError, TruncationError
 from .gaussian import _SMALL_Z, FilterSpec, GaussianChannel
-from .params import NoisyEnsemble, _Validated
+from .params import NoisyEnsemble, _Validated, _require_int
 
 #: quadrature weights below this are skipped (they underflow any integrand)
 _WEIGHT_FLOOR = 1e-280
@@ -83,15 +84,17 @@ class FockDensity(_Validated, _FockDensityFields):
 
 
 def _filter_diagonal(spec: FilterSpec, dim: int) -> np.ndarray:
-    """The filter's diagonal at cutoff dim, which must exceed its rank k_cut.
-    So that ``_score``'s sums of dim <= 128 products y^(-2 k_cut) stay floats,
-    k_cut ln(1/y) must not pass (ln(max float) - ln 128) / 2 = 352.46."""
-    if spec.k_cut >= dim:
-        raise DomainError(f"filter rank k_cut = {spec.k_cut} must be below the cutoff dim = {dim}")
-    if spec.k_cut * -math.log(spec.y) > 352.46:
-        raise DomainError(f"filter {spec!r} overflows a float: k_cut ln(1/y) > 352.46")
-    n = np.arange(dim)
-    return np.where(n <= spec.k_cut, spec.y ** np.minimum(n - float(spec.k_cut), 0.0), 0.0)
+    """The filter's diagonal at cutoff dim, which must exceed its rank k_cut,
+    scaled so that its largest coefficient is 1: y^(n - k_cut) at y >= 1 and
+    y^n at y < 1 for n <= k_cut, and zero above.  Every coefficient is in
+    [0, 1], so no filter overflows a score, and the ratio form does not see
+    the scale."""
+    k_cut, y = spec
+    if k_cut >= dim:
+        raise DomainError(f"filter rank k_cut = {k_cut} must be below the cutoff dim = {dim}")
+    q = np.zeros(dim)
+    q[: k_cut + 1] = y ** (np.arange(k_cut + 1) - (k_cut if y >= 1.0 else 0))
+    return q
 
 
 def _score(channel: GaussianChannel | FilterSpec, states: np.ndarray,
@@ -159,8 +162,7 @@ def coherent_ket(amp: complex, dim: int) -> np.ndarray:
     Under that energy margin the missing Poisson tail is far below 1e-10
     for the cutoffs used here (dim >= 64).
     """
-    if dim < 1:
-        raise DomainError(f"dim must be >= 1, got {dim!r}")
+    _require_int("dim", dim, 1)
     if np.isnan(amp):
         raise DomainError(f"amp must not be NaN, got {amp!r}")
     mod2 = abs(amp) * abs(amp)
@@ -242,6 +244,7 @@ def displaced_thermal_density(amp: complex, nbar: float, dim: int) -> FockDensit
     far outside the cutoff but does not make the state fit: the construction
     is rejected if its tail beyond the cutoff, 1 - trace, exceeds 1e-8.
     """
+    _require_int("dim", dim, 1)
     if not (math.isfinite(nbar) and nbar >= 0.0):
         raise DomainError(f"nbar must be finite and >= 0, got {nbar!r}")
     if np.isnan(amp):
@@ -269,8 +272,8 @@ def prior_states(lambda_prime: float, mu: float, dim: int,
     or below ``_TAIL_MASS`` (30 of 48 nodes, 43 of 96).  A trace-preserving
     channel has Phi^dag(I) = I, so each per-node score <t|Phi(rho)|t> lies in
     [0, 1] and an average moves by at most ``_TAIL_MASS``.  A filter's score
-    is at most its output trace Tr[Q^2 rho] <= max q^2, so the ratio form's
-    numerator and denominator each lose at most ``_TAIL_MASS`` max q^2, and
+    is at most its output trace Tr[Q^2 rho] <= 1, as q <= 1, so the ratio
+    form's numerator and denominator each lose at most ``_TAIL_MASS``, and
     the ratio, itself in [0, 1], moves by at most that over the averaged
     heralding weight.
 
@@ -282,9 +285,8 @@ def prior_states(lambda_prime: float, mu: float, dim: int,
     is a DomainError (the cache is typed, so 64.0 cannot hit 64's stack), as
     is a cutoff above 128 levels, where a far node's start values underflow
     and its exact entries do not."""
-    for name, size in (("dim", dim), ("radial_nodes", radial_nodes)):
-        if not (isinstance(size, int) and size >= 2):
-            raise DomainError(f"{name} must be an integer >= 2, got {size!r}")
+    _require_int("dim", dim, 2)
+    _require_int("radial_nodes", radial_nodes, 2)
     if dim > 128:
         raise DomainError(f"prior stacks are exact only up to 128 levels, got dim {dim}")
     t, w = _laguerre_rule(radial_nodes)
@@ -316,8 +318,7 @@ def avg_fidelity_numeric(ens: NoisyEnsemble, channel: GaussianChannel | FilterSp
     reduction; ``angular_nodes`` above 1 re-checks it on uniform angles,
     each rotating the states and their targets in phase.
     """
-    if not (isinstance(angular_nodes, int) and angular_nodes >= 1):
-        raise DomainError(f"angular_nodes must be an integer >= 1, got {angular_nodes!r}")
+    _require_int("angular_nodes", angular_nodes, 1)
     radii, weights, states = prior_states(ens.lambda_prime, ens.mu, dim, radial_nodes)
     fid, trace = np.zeros((2, radii.size))
     step = _CHUNK if angular_nodes > 1 else radii.size
@@ -361,8 +362,7 @@ def _squeezer_weights(r: float, dim: int, dim_anc: int) -> np.ndarray:
     amplitudes W[n, k] = <n+k, k|S(r)|n, 0> = sqrt(C(n+k, k)) tanh^k r / cosh^(n+1) r
     for input level n < dim, cut at ancilla level k < dim_anc."""
     GaussianChannel.amplifier(r)  # rejects a negative or non-finite r
-    if dim_anc < 2:
-        raise DomainError(f"dim_anc must be >= 2, got {dim_anc!r}")
+    _require_int("dim_anc", dim_anc, 2)
     n, k = np.ogrid[:dim, :dim_anc]
     lf = _log_factorials(dim + dim_anc)
     return math.tanh(r) ** k * np.exp(  # 0^0 is 1 at r = 0
@@ -449,22 +449,3 @@ def apply_heterodyne_mp(rho: FockDensity, z: float) -> FockDensity:
     res = FockDensity(n_out, out)
     _check_trace(rho, res, "measure-and-prepare lost trace: {!r} -> {!r}; increase dim")
     return res
-
-
-def fit_thermal_nbar(rho: FockDensity) -> float:
-    """Occupation of the geometric law best fitting rho's diagonal.
-
-    Least-squares fit of log p_n against n (exact whenever the diagonal is
-    exactly geometric, e.g. thermal states and filtered thermal states, even
-    when truncated).  Raises DomainError if the diagonal does not decay.
-    """
-    p = np.real(np.diag(rho.mat))
-    keep = p > 1e-300
-    n = np.arange(rho.dim)[keep]
-    if n.size < 2:
-        raise DomainError("need at least two occupied levels to fit a thermal law")
-    slope = np.polyfit(n, np.log(p[keep]), 1)[0]
-    q = math.exp(slope)
-    if q >= 1.0:
-        raise DomainError(f"diagonal is not a decaying geometric law (ratio {q:.6g})")
-    return q / (1.0 - q)

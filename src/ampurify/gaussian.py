@@ -24,7 +24,7 @@ import math
 from typing import NamedTuple
 
 from .errors import DomainError
-from .params import NoisyEnsemble, _Validated
+from .params import NoisyEnsemble, _Validated, _require_int
 
 #: below this scale a Gaussian channel of nbar > 0 takes its s -> 0 limit, the
 #: vacuum output, where s^2 nbar = 1: the heterodyne's nbar = 1/z^2 is infinite there
@@ -86,18 +86,15 @@ class _FilterSpecFields(NamedTuple):
 
 
 class FilterSpec(_Validated, _FilterSpecFields):
-    """Diagonal filter sum_{n <= k_cut} y^(n - k_cut) |n><n|.
-
-    For y >= 1 every coefficient is <= 1 (trace non-increasing); for y < 1
-    the normalisation puts the largest coefficient y^(-k_cut) at n = 0, which
-    is harmless: every filter average is in the scale-invariant ratio form.
-    """
+    """Diagonal filter sum_{n <= k_cut} y^n |n><n|, scaled to unit norm: its
+    largest coefficient, at n = k_cut for y >= 1 and at n = 0 for y < 1, is 1,
+    so it is a contraction, as a heralded operation must be.  The scale does
+    not move a filter average, which is in the ratio form."""
 
     __slots__ = ()
 
     def __new__(cls, k_cut: int, y: float):
-        if not isinstance(k_cut, int) or k_cut < 0:
-            raise DomainError(f"k_cut must be an integer >= 0, got {k_cut!r}")
+        _require_int("k_cut", k_cut, 0)
         if not (math.isfinite(y) and y > 0.0):
             raise DomainError(f"y must be finite and > 0, got {y!r}")
         return super().__new__(cls, k_cut, y)

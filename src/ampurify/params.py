@@ -59,6 +59,11 @@ def _require_finite_positive(name: str, value: float) -> None:
         raise DomainError(f"{name} must be finite and > 0, got {value!r}")
 
 
+def _require_int(name: str, value: int, lo: int) -> None:  # bool, an int subclass, is not one
+    if isinstance(value, bool) or not isinstance(value, int) or value < lo:
+        raise DomainError(f"{name} must be an integer >= {lo}, got {value!r}")
+
+
 class _Validated:
     """Mixin for a validated NamedTuple record, whose own ``__new__`` raises
     DomainError on an invalid field.  A plain NamedTuple's ``_make``, and the
@@ -97,9 +102,8 @@ class MultimodeTask(_Validated, _MultimodeTaskFields):
         _require_finite_positive("lam", lam)
         _require_finite_positive("mu", mu)
         _require_finite_positive("g", g)
-        for name, value in (("n_in", n_in), ("m_out", m_out)):
-            if not isinstance(value, int) or value < 1:
-                raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+        _require_int("n_in", n_in, 1)
+        _require_int("m_out", m_out, 1)
         return super().__new__(cls, lam, mu, g, n_in, m_out)
 
 

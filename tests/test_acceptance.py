@@ -216,7 +216,8 @@ def test_criterion_08_determinant_machinery_certifies_the_optimum():
 def test_criterion_09_photon_bookkeeping_matches_channel_algebra():
     """Channel occupation laws hold to 1e-12; the worked amplifier point
     gives 47/49 noise photons out; a rank-40 filter reshapes a unit thermal
-    state to the predicted occupation within 1e-3."""
+    state into the geometric law of ratio y^2 nbar/(nbar + 1), whose
+    occupation is the predicted one."""
     # a channel (s, nbar) maps amplitude amp to s amp and occupation n to s^2 (n + nbar + 1) - 1
     amp = 0.7 + 0.2j
     for nbar in (0.0, 0.5, 1.0, 3.0):
@@ -236,12 +237,12 @@ def test_criterion_09_photon_bookkeeping_matches_channel_algebra():
     _, single = formulas.photon_output_det(MultimodeTask(lam=0.5, mu=2.0, g=2.0))
     assert abs(single - 47.0 / 49.0) <= 1e-12
 
-    mu, y = 1.0, 1.25
-    rho = fock.displaced_thermal_density(0.0, 1.0, 64)
-    filtered = fock.apply_filter(rho, FilterSpec(k_cut=40, y=y))
-    predicted = 1.0 * y * y * mu / (1.0 + mu - y * y)
-    assert abs(fock.fit_thermal_nbar(filtered) - predicted) <= 1e-3
-    assert abs(predicted - 3.5714285714285716) <= 1e-12
+    nbar, y = 1.0, 1.25
+    rho = fock.displaced_thermal_density(0.0, nbar, 64)
+    diag = np.diag(fock.apply_filter(rho, FilterSpec(k_cut=40, y=y)).mat).real
+    ratio = y * y * nbar / (nbar + 1.0)
+    assert np.abs(diag[1:41] / diag[:40] - ratio).max() <= 1e-12
+    assert abs(ratio / (1.0 - ratio) - 3.5714285714285716) <= 1e-12
 
 
 def test_criterion_10_fast_verification_is_clean_fast_and_reproducible():

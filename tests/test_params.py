@@ -2,7 +2,10 @@ import math
 
 import pytest
 
+from ampurify import fock
+from ampurify.bounds import circulant_dense
 from ampurify.errors import DomainError
+from ampurify.gaussian import FilterSpec, GaussianChannel
 from ampurify.params import (
     PURE_MU_SENTINEL,
     MultimodeTask,
@@ -100,6 +103,33 @@ def test_task_rejects_nonpositive_rates(bad):
 def test_task_rejects_bad_mode_counts(n, m):
     with pytest.raises(DomainError):
         MultimodeTask(lam=1.0, mu=1.0, g=1.0, n_in=n, m_out=m)
+
+
+_SIZES = {  # each entry point's integer size and a valid value of it
+    "n_in": (lambda n: MultimodeTask(1.0, 1.0, 1.0, n_in=n), 2),
+    "m_out": (lambda m: MultimodeTask(1.0, 1.0, 1.0, m_out=m), 2),
+    "k_cut": (lambda k: FilterSpec(k, 1.1), 3),
+    "dim": (lambda d: fock.prior_states(1.0, 1.0, d, 48), 32),
+    "radial_nodes": (lambda n: fock.prior_states(1.0, 1.0, 32, n), 48),
+    "angular_nodes": (lambda n: fock.avg_fidelity_numeric(
+        NoisyEnsemble(1.0, 1.0, 2.0), GaussianChannel.identity(), 32, angular_nodes=n), 2),
+    "coherent_ket dim": (lambda d: fock.coherent_ket(0.5, d), 64),
+    "displaced_thermal_density dim": (lambda d: fock.displaced_thermal_density(0.5, 0.3, d), 64),
+    "dim_anc": (lambda d: fock.apply_two_mode_squeezer(
+        fock.displaced_thermal_density(0.0, 0.0, 8), 0.4, dim_anc=d), 48),
+    "circulant size": (lambda p: circulant_dense(1.0, 0.1, 0.1, p), 3),
+}
+
+
+@pytest.mark.parametrize("form", [bool, float])
+@pytest.mark.parametrize("size", sorted(_SIZES))
+def test_an_integer_size_rejects_a_bool_and_a_float(size, form):
+    # True is an int subclass that would run as 1, and a float of an integer
+    # value would reach range() or an index
+    build, valid = _SIZES[size]
+    build(valid)
+    with pytest.raises(DomainError, match=f"{size.split()[-1]} must be an integer >= "):
+        build(form(valid))
 
 
 def test_ensemble_allows_zero_gain_but_not_negative():

@@ -142,6 +142,13 @@ def test_a_dim_that_is_not_an_integer_is_rejected(dim):
         run_suite(level="fast", dim=dim)
 
 
+@pytest.mark.parametrize("dim", [32, 48, 64, 96, 128])
+def test_the_filtered_thermal_law_reads_the_prediction_bit_for_bit(dim):
+    # the per-level ratios of a filtered thermal diagonal are exactly geometric
+    expected, observed = verify._check_filtered_nbar_fit(7, dim)
+    assert observed == expected == 3.5714285714285716
+
+
 def test_the_circulant_triples_are_the_standard_library_stream():
     # pinned literals: a change of generator or of draw order fails here
     draws = verify._circulant_draws(7)

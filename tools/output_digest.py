@@ -83,7 +83,7 @@ def commands() -> list[str]:
             for js in ("", " --json")]
     # more cutoffs: several checks read dim or max(dim, 64)
     cmds += [f"verify --level {lv} --seed 7 --dim 32 --json" for lv in ("fast", "full")]
-    cmds += [f"verify --level full --seed 7 --dim {dim} --json" for dim in (48, 128)]
+    cmds += [f"verify --level full --seed 7 --dim {dim} --json" for dim in (48, 96, 128)]
     cmds += [f"{sub} {p}{js}" for p in POINTS
              for sub in ("eval", "regimes", "photons --mode det", "photons --mode prob")
              for js in ("", " --json")]
