@@ -322,7 +322,7 @@ def cmd_photons(args: argparse.Namespace) -> int:
         n_t_out, n_total_out, n_single_out = formulas.photon_output_prob(task, tuning.y)
         result.update({"y": tuning.y, "n_t_out": n_t_out})
         rows = [("filter ratio y", tuning.y), ("N_T", n_single_in), ("N'_T", n_t_out)]
-        if tuning.y == 1.0:
+        if tuning.y == 1.0 and tuning.cosh_r == 1.0:
             notes.append("no change (passive filter, y = 1)")
     if n_single_out < n_single_in:
         notes.append("net purification (N'_single < N_single)")

@@ -6,7 +6,7 @@ class AmpurifyError(Exception):
 
 
 class DomainError(AmpurifyError):
-    """Parameters lie outside the validity region of a formula or channel."""
+    """Parameters lie outside the domain of a formula or channel."""
 
 
 class TruncationError(AmpurifyError):

@@ -281,22 +281,10 @@ def photon_output_det(task: MultimodeTask) -> tuple[float, float]:
     return bright, bright / task.m_out
 
 
-def photon_output_prob(task: MultimodeTask, y: float) -> tuple[float, float, float]:
-    """Mean thermal photon numbers after the probabilistic protocol.
-
-    Returns (n_t_out, n_total_out, n_single_out).  n_t_out is the
-    post-filter thermal occupation for filter ratio y,
-
-        N_T' = N_T y^2 mu / (1 + mu - y^2),
-
-    which has a pole at y^2 = 1 + mu (the filtered state stops being
-    normalisable); beyond the pole a DomainError is raised.  n_total_out /
-    n_single_out evaluate the full protocol at its *tuned* filter setting
-    and likewise raise when the tuned protocol sits outside its validity
-    region.  Note n_t_out < N_T whenever y < 1 (the filter then purifies).
-    """
-    ens = reduce(task)
-    mu = ens.mu
+def _filtered_n_t(mu, y):
+    """N_T' = N_T y^2 mu/((1 - y)(1 + y) + mu), the thermal occupation behind
+    the filter at ratio y; its pole at y^2 = 1 + mu (where the filtered state
+    stops being normalisable) and beyond raise a DomainError."""
     if not (math.isfinite(y) and y > 0.0):
         raise DomainError(f"filter ratio y must be finite and > 0, got {y!r}")
     if y * y >= 1.0 + mu:
@@ -304,19 +292,26 @@ def photon_output_prob(task: MultimodeTask, y: float) -> tuple[float, float, flo
             f"filter ratio y = {y!r} at or beyond the pole sqrt(1 + mu); "
             "the filtered ensemble is not normalisable"
         )
-    book = photon_book(ens)
-    n_t = book.n_t
-    n_t_out = n_t * y * y * mu / (1.0 + mu - y * y)
+    return 1.0 / mu * y * y * mu / ((1.0 - y) * (1.0 + y) + mu)
 
-    n_single_in = n_t
-    n_c = book.n_c
-    # squares as products, so that an overflow reaches the check below as inf
-    n, m, gain, width = task.n_in, task.m_out, task.g * n_c, n_c + n_single_in
-    denom = (1.0 + mu) * (width * width) - gain * gain * m / n
-    if denom <= 0.0:
-        raise DomainError(
-            "tuned probabilistic protocol outside its validity region: "
-            f"(1 + mu)(N_C + N_single)^2 <= g^2 N_C^2 M/N for task {task!r}"
-        )
-    n_single_out = n_single_in * mu * (gain * gain) / (n * denom)
-    return n_t_out, m * n_single_out, n_single_out
+
+def photon_output_prob(task: MultimodeTask, y: float) -> tuple[float, float, float]:
+    """Mean thermal photon numbers after the probabilistic protocol.
+
+    Returns (n_t_out, n_total_out, n_single_out).  n_t_out is the
+    post-filter thermal occupation N_T' at filter ratio y (``_filtered_n_t``);
+    N_T' < N_T whenever y < 1 (the filter then purifies) and N_T' = N_T at
+    y = 1.  n_total_out / n_single_out are the tuned protocol's, from the
+    same law: below the amplify threshold (cosh r = 1) the bright mode
+    carries N_T' at ``tune``'s y, split evenly over the M outputs as in
+    ``photon_output_det``; beyond it the filter is passive (y = 1), the
+    protocol is the deterministic squeezer and its totals are
+    ``photon_output_det``'s.
+    """
+    ens = reduce(task)
+    n_t_out = _filtered_n_t(ens.mu, y)
+    tuning = tune(ens)
+    if tuning.cosh_r > 1.0:
+        return (n_t_out, *photon_output_det(task))
+    bright = _filtered_n_t(ens.mu, tuning.y)
+    return n_t_out, bright, bright / task.m_out

@@ -40,7 +40,7 @@ import numpy as np
 from . import bounds, fock, formulas
 from .errors import DomainError, NonConvergentError
 from .gaussian import FilterSpec, GaussianChannel, avg_fidelity_gaussian
-from .params import MultimodeTask, NoisyEnsemble, _landmarks
+from .params import MultimodeTask, NoisyEnsemble, _landmarks, _require_int
 from .scalaropt import golden_section_min
 
 #: (lambda', mu) pairs for the scalar property checks
@@ -576,12 +576,11 @@ def run_suite(level: str = "fast", seed: int = 7, dim: int = 64) -> VerifyReport
     """
     if level not in ("fast", "full"):
         raise DomainError(f"verification level must be 'fast' or 'full', got {level!r}")
-    if not (isinstance(dim, int) and 32 <= dim <= 128):
+    _require_int("dim", dim, 32)
+    if dim > 128:
         raise DomainError(f"verification needs an integer dim in [32, 128], got {dim!r}")
-    # bool is an int subclass: True would run as seed 1 (a bool dim fails the range)
-    if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
-        raise DomainError(f"verification needs a non-negative integer seed, got {seed!r}")
-    report = VerifyReport(level=level, seed=int(seed), dim=int(dim), checks=[])
+    _require_int("seed", seed, 0)
+    report = VerifyReport(level=level, seed=seed, dim=dim, checks=[])
     table = FAST_CHECKS + FULL_CHECKS if level == "full" else FAST_CHECKS
     for fn, *results in table:
         t0 = time.perf_counter()

@@ -303,22 +303,17 @@ def test_non_finite_results_exit_three(capsys, argv):
         (["regimes", "--lambda", "1e300", "--mu", "1e-300", "--g", "1"], "result.det_threshold"),
         (["photons", "--mode", "det", "--lambda", "1", "--mu", "1", "--g", "1e200"],
          "result.n_single_out"),
+        # the amplify regime runs the deterministic squeezer, whose photons overflow
+        (["photons", "--mode", "prob", "--lambda", "1", "--mu", "1", "--g", "1e200"],
+         "result.n_single_out"),
     ],
 )
 def test_non_finite_result_names_its_field_alike_in_text_and_json(capsys, argv, field):
-    text_code, _, text_err = run_cli(capsys, *argv)
-    json_code, _, json_err = run_cli(capsys, *argv, "--json")
+    text_code, text_out, text_err = run_cli(capsys, *argv)
+    json_code, json_out, json_err = run_cli(capsys, *argv, "--json")
     assert text_code == json_code == 3
+    assert text_out == json_out == ""
     assert text_err == json_err == f"domain error: result is not finite: {field} = inf\n"
-
-
-def test_overflowing_filter_gain_names_the_violated_condition(capsys):
-    code, out, err = run_cli(
-        capsys, "photons", "--mode", "prob", "--lambda", "1", "--mu", "1", "--g", "1e200"
-    )
-    assert code == 3
-    assert out == ""
-    assert err.startswith("domain error: tuned probabilistic protocol outside its validity region")
 
 
 def test_non_finite_sweep_row_writes_no_csv(tmp_path, capsys, monkeypatch):
@@ -407,11 +402,18 @@ def test_photons_det_worked_ratio(capsys):
 
 
 def test_photons_prob_passive_filter_reports_no_change(capsys):
+    note = "note: no change (passive filter, y = 1)"
     code, out, _ = run_cli(
         capsys, "photons", "--mode", "prob", "--lambda", "1", "--mu", "1", "--g", "2"
     )
     assert code == 0
-    assert "no change" in out
+    assert note in out.splitlines()
+    # y = 1 in the amplify regime too, but there the squeezer adds noise: 0.5 -> 47/49
+    code, out, _ = run_cli(
+        capsys, "photons", "--mode", "prob", "--lambda", "0.5", "--mu", "2", "--g", "2"
+    )
+    assert code == 0
+    assert note not in out.splitlines()
 
 
 def test_photons_det_below_threshold_reports_identity(capsys):

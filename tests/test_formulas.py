@@ -299,6 +299,31 @@ def test_photon_output_prob_subunit_filter_purifies():
     assert n_t_out < 1.0
 
 
+# at unit rates: below S/N_C = 2, in the window below the plateau at 2.449,
+# and on the plateau below the amplify threshold 3
+@pytest.mark.parametrize("g", [1.2, 2.3, 2.5, 2.9])
+def test_photon_output_prob_totals_read_the_law_at_the_tuned_filter(g):
+    task = MultimodeTask(lam=1.0, mu=1.0, g=g)
+    tuning = tune(_ens(1.0, 1.0, g))
+    assert tuning.cosh_r == 1.0
+    n_t_out, total, single = photon_output_prob(task, tuning.y)
+    assert single == total == n_t_out
+
+
+@pytest.mark.parametrize("lam, mu, g", [(0.5, 2.0, 2.0), (1.0, 1.0, 4.0), (0.01, 100.0, 2.0)])
+def test_photon_output_prob_totals_are_the_squeezers_in_the_amplify_regime(lam, mu, g):
+    task = MultimodeTask(lam=lam, mu=mu, g=g)
+    tuning = tune(_ens(lam, mu, g))
+    assert tuning.cosh_r > 1.0 and tuning.y == 1.0
+    assert photon_output_prob(task, tuning.y)[1:] == photon_output_det(task)
+
+
+@pytest.mark.parametrize("mu", [1e-4, 1e-6, 1e-8])
+def test_photon_output_prob_passive_filter_keeps_n_t_to_four_ulps(mu):
+    n_t_out = photon_output_prob(MultimodeTask(lam=1.0, mu=mu, g=1.0), 1.0)[0]
+    assert abs(n_t_out - 1.0 / mu) <= 4 * math.ulp(1.0 / mu)
+
+
 def test_photon_output_prob_rejects_the_pole():
     with pytest.raises(DomainError):
         photon_output_prob(MultimodeTask(lam=1.0, mu=1.0, g=1.5), math.sqrt(2.0))

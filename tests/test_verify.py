@@ -130,7 +130,7 @@ def test_oversized_cutoff_rejected():
 def test_a_seed_that_is_not_a_non_negative_integer_is_rejected(seed):
     # -1 failed the spectral check inside the report, 2.5 was reported as seed 2,
     # and True, an int subclass, as seed 1
-    with pytest.raises(DomainError, match="non-negative integer seed"):
+    with pytest.raises(DomainError, match="seed must be an integer >= 0"):
         run_suite(level="fast", seed=seed)
 
 
@@ -138,7 +138,7 @@ def test_a_seed_that_is_not_a_non_negative_integer_is_rejected(seed):
 def test_a_dim_that_is_not_an_integer_is_rejected(dim):
     # 64.5 and 64.0 gave a report labelled dim 64 with three failed Fock checks,
     # and "64" raised a bare TypeError from the range comparison
-    with pytest.raises(DomainError, match="integer dim"):
+    with pytest.raises(DomainError, match="dim must be an integer >= 32"):
         run_suite(level="fast", dim=dim)
 
 

@@ -28,7 +28,9 @@ import tempfile
 
 POINTS = ["--lambda 1 --mu 1 --g 2", "--lambda 1 --mu 1 --g 1.5", "--lambda 0.5 --mu 2 --g 2",
           "--lambda 1 --mu 1 --g 1.2", "--lambda 1 --mu 1 --g 0.5", "--lambda 1 --mu 1 --g 4",
-          "--lambda 1 --mu 1e15 --g 1", "--lambda 2 --mu 1 --g 1 --n 2 --m 1"]
+          "--lambda 1 --mu 1e15 --g 1", "--lambda 2 --mu 1 --g 1 --n 2 --m 1",
+          # on the filter plateau, which runs from 2.449 to 3 at unit rates
+          "--lambda 1 --mu 1 --g 2.5"]
 SWEEPS = ["--axis g --start 1 --stop 4 --steps 31 --lambda 1 --mu 1",
           "--axis lambda --start 0.2 --stop 3 --steps 15 --mu 1 --g 2",
           "--axis mu --start 0.2 --stop 3 --steps 15 --lambda 1 --g 2",
