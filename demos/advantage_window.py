@@ -11,7 +11,19 @@ Usage: python3 demos/advantage_window.py
 """
 
 from ampurify.formulas import fidelity_report, tune
-from ampurify.params import NoisyEnsemble, passive_filter_gain, photon_book, thresholds
+from ampurify.params import (
+    NoisyEnsemble,
+    RegimeTag,
+    classify,
+    passive_filter_gain,
+    photon_book,
+    thresholds,
+)
+
+#: the device setting that each deterministic regime tunes; the identity
+#: regime shows the heralded filter's y, the one knob that moves there
+_KNOB = {RegimeTag.DET_ATTENUATE: "cos_theta", RegimeTag.DET_IDENTITY: "y",
+         RegimeTag.DET_AMPLIFY: "cosh_r"}
 
 
 def main() -> None:
@@ -34,12 +46,8 @@ def main() -> None:
         ens = NoisyEnsemble(lam, mu, g)
         rep = fidelity_report(ens)
         t = tune(ens)
-        if t.cos_theta is not None:
-            knob = f"cos_theta = {t.cos_theta:.4f}"
-        elif t.plateau:
-            knob = f"cosh_r = {t.cosh_r:.4f}"
-        else:
-            knob = f"y = {t.y:.4f}"
+        name = _KNOB[classify(ens).tag]
+        knob = f"{name} = {getattr(t, name):.4f}"
         print(f"{g:8.4f} {rep.det:9.5f} {rep.prob:9.5f} {rep.cft:9.5f} "
               f"{rep.prob - rep.det:10.2e}  {knob}")
 

@@ -78,10 +78,6 @@ def _f5(v: float) -> str:
     return format(float(v), ".5g")
 
 
-def _opt5(v: float | None) -> str:
-    return "-" if v is None else _f5(v)
-
-
 def _regime_label(regime: Regime) -> str:
     return f"{regime.tag.value}+{regime.prob_tag.value}"
 
@@ -182,7 +178,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "pure_input": is_pure_input(ens),
         },
     }
-    plateau = " (plateau)" if tuning.plateau else ""
     text = [
         f"task: lambda={_f5(task.lam)} mu={_f5(task.mu)} g={_f5(task.g)} "
         f"n={task.n_in} m={task.m_out}",
@@ -191,33 +186,27 @@ def cmd_eval(args: argparse.Namespace) -> int:
         f"(amplify threshold {_f5(det_thr)}, filter plateau {_f5(prob_thr)})",
         *_pure_note(ens),
         f"fidelities: det={_f5(report.det)} prob={_f5(report.prob)} cft={_f5(report.cft)}",
-        f"tuning: cosh_r={_opt5(tuning.cosh_r)} y={_opt5(tuning.y)}{plateau} "
-        f"cos_theta={_opt5(tuning.cos_theta)} z={_f5(tuning.z)}",
+        f"tuning: cosh_r={_f5(tuning.cosh_r)} y={_f5(tuning.y)} "
+        f"cos_theta={_f5(tuning.cos_theta)} z={_f5(tuning.z)}",
         f"photons: N_C={_f5(book.n_c)} N_T={_f5(book.n_t)} S={_f5(book.total)}",
     ]
     return _emit(args, "eval", _task_params(task, ens), result, text)
 
 
-def _write_rows(write, table: dict, keys: list[str], cell: str, unset: str, label: str,
+def _write_rows(write, table: dict, keys: list[str], cell: str, label: str,
                 line, sep: str) -> None:
     """Write ``table``'s rows ``_CHUNK`` at a time, each by its regime's template:
-    ``cell`` formats a float, ``label`` the regime, ``unset`` cos_theta outside
-    DetAttenuate (``%.0s`` consumes it); ``line`` joins (key, cell) pairs.
-    Rows carry only the float cells that vary and are printed: a column of one
-    bit pattern is formatted once, from a Python float, into the templates, and
-    an unset cos_theta is None, which ``%.0s`` converts for nothing."""
+    ``cell`` formats a float, ``label`` the regime; ``line`` joins (key, cell)
+    pairs.  Rows carry only the float cells that vary: a column of one bit
+    pattern is formatted once, from a Python float, into the templates."""
     fixed = {key: float(col[0]) for key in keys if key != "regime"
              and ((col := table[key]).view("u8") == col[:1].view("u8")).all()}
-    forms = [[(key, label % _regime_label(regime) if key == "regime" else cell
-               if key != "cos_theta" or regime.tag is RegimeTag.DET_ATTENUATE
-               else unset) for key in keys] for regime in REGIMES]
-    templates = [line([(k, f % fixed[k] if k in fixed else f) for k, f in form]) for form in forms]
+    templates = [line([(key, label % _regime_label(regime) if key == "regime" else
+                        cell % fixed[key] if key in fixed else cell) for key in keys])
+                 for regime in REGIMES]
     floats = [key for key in keys if key != "regime" and key not in fixed]
-    unset_at = table["regime"].choose([r.tag is not RegimeTag.DET_ATTENUATE for r in REGIMES])
     for lo in range(0, len(table["regime"]), _CHUNK):
-        cos = unset_at[lo:lo + _CHUNK].choose((table["cos_theta"][lo:lo + _CHUNK], None))
-        rows = zip(*[(cos if key == "cos_theta" else table[key][lo:lo + _CHUNK]).tolist()
-                     for key in ["regime", *floats]])
+        rows = zip(*[table[key][lo:lo + _CHUNK].tolist() for key in ["regime", *floats]])
         write(sep * (lo > 0) + sep.join([templates[row[0]] % row[1:] for row in rows]))
 
 
@@ -227,7 +216,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     swept = _AXIS_FIELD[args.axis]
     if fields[swept] is not None:
         raise _UsageError(f"--{args.axis} cannot be fixed while sweeping --axis {args.axis}")
-    # placeholder on the swept axis; rows overwrite it
+    # a placeholder on the swept axis, so that MultimodeTask checks the fixed
+    # flags; rows overwrite it
     fields[swept] = 1 if args.axis in _INT_AXES else 1.0
     for name in ("lam", "mu", "g"):
         if fields[name] is None:
@@ -235,7 +225,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise _UsageError(f"--{flag} is required when sweeping --axis {args.axis}")
     for name in ("n_in", "m_out"):
         fields[name] = fields[name] or 1
-    fixed = MultimodeTask(**fields)
+    MultimodeTask(**fields)
     # Bad start/stop/steps come straight from the flags, so they are usage
     # errors (exit 2), not domain errors.
     if not (math.isfinite(args.start) and math.isfinite(args.stop)):
@@ -272,7 +262,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         formulas.fidelity_report(ens)
         formulas.tune(ens)
 
-    params = _task_params(fixed, reduce(fixed))
+    params = {flag: None if flag == args.axis else fields[name]
+              for flag, name in _AXIS_FIELD.items()}
     params.update(axis=args.axis, start=args.start, stop=args.stop, steps=args.steps)
     envelope = _envelope(args, "sweep", params, {"axis": args.axis, "rows": []})
     keys = CSV_HEADER.split(",")
@@ -284,12 +275,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(CSV_HEADER + "\n")
-            _write_rows(fh.write, table, keys, "%.10g", "%.0s", "%s",
+            _write_rows(fh.write, table, keys, "%.10g", "%s",
                         lambda pairs: ",".join(c for _, c in pairs) + "\n", "")
     if args.json:
         head, tail = envelope.split('"rows": []')
         sys.stdout.write(head + '"rows": [')
-        _write_rows(sys.stdout.write, table, sorted(keys), "%r", "null%.0s", '"%s"',
+        _write_rows(sys.stdout.write, table, sorted(keys), "%r", '"%s"',
                     lambda pairs: "\n      {\n" + ",\n".join(
                         f'        "{k}": {c}' for k, c in pairs) + "\n      }", ",")
         sys.stdout.write("\n    ]" + tail + "\n")

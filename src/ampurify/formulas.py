@@ -140,44 +140,42 @@ def cft(ens: NoisyEnsemble) -> float:
 class _TuningReportFields(NamedTuple):
     cosh_r: float
     y: float
-    cos_theta: float | None
+    cos_theta: float
     z: float
-    plateau: bool
 
 
 class TuningReport(_Validated, _TuningReportFields):
-    """Optimal channel parameters for a reduced ensemble.
+    """Optimal channel parameters for a reduced ensemble.  A device outside
+    its regime reads its passive setting, 1.
 
-    cosh_r    : squeezer gain, clamped at 1 below the amplify threshold
-    y         : filter transmissivity ratio; y = 1 on the plateau
-    cos_theta : beamsplitter transmission, set only up to the passive-filter
-                gain S/N_C, where the attenuator is the deterministic optimum
+    cosh_r    : squeezer gain, 1 below the amplify threshold
+    y         : filter transmissivity ratio: g'/(S/N_C) below the filter
+                plateau, ((S+1)/N_C)/g' on it, 1 from the amplify threshold on
+    cos_theta : beamsplitter transmission, 1 from the passive-filter gain
+                S/N_C on, where the attenuator stops being the optimum
     z         : heterodyne re-preparation scale of the classical benchmark
-    plateau   : True when g' has reached the deterministic threshold, where
-                the filter confers no advantage and y is reported as 1
     """
 
     __slots__ = ()
 
-    def __new__(cls, cosh_r: float, y: float, cos_theta: float | None, z: float,
-                plateau: bool):
+    def __new__(cls, cosh_r: float, y: float, cos_theta: float, z: float):
         if not cosh_r >= 1.0:
             raise DomainError(f"cosh_r must be >= 1, got {cosh_r!r}")
         if not y > 0.0:
             raise DomainError(f"y must be > 0, got {y!r}")
-        if cos_theta is not None and not 0.0 < cos_theta <= 1.0:
+        if not 0.0 < cos_theta <= 1.0:
             raise DomainError(f"cos_theta must be in (0, 1], got {cos_theta!r}")
         if not z > 0.0:
             raise DomainError(f"z must be > 0, got {z!r}")
-        return super().__new__(cls, cosh_r, y, cos_theta, z, plateau)
+        return super().__new__(cls, cosh_r, y, cos_theta, z)
 
 
 def _tuning(g, landmarks, det, plateau):
-    """(cosh_r, y, cos_theta, z) at gain g' > 0, cos_theta at every gain (see ``tune``)."""
+    """(cosh_r, y, cos_theta, z) at gain g' > 0 (see ``tune``)."""
     passive, _, amplify = landmarks
-    cos_theta, z = g / passive, g / amplify
-    y = _where(det == 2, 1.0, _where(plateau, amplify / g, cos_theta))
-    return _where(z > 1.0, z, 1.0), y, cos_theta, z
+    ratio, z = g / passive, g / amplify
+    y = _where(det == 2, 1.0, _where(plateau, amplify / g, ratio))
+    return _where(z > 1.0, z, 1.0), y, _where(det == 0, ratio, 1.0), z
 
 
 def tune(ens: NoisyEnsemble) -> TuningReport:
@@ -187,22 +185,24 @@ def tune(ens: NoisyEnsemble) -> TuningReport:
         cosh r    = max(1, z)
         y         = g'/(S/N_C)          up to sqrt(S(S+1))/N_C
                   = ((S+1)/N_C)/g'      up to (S+1)/N_C
-                  = 1                   beyond (plateau)
+                  = 1                   from (S+1)/N_C on
         cos theta = g'/(S/N_C)          up to S/N_C
+                  = 1                   beyond
         z         = g'/((S+1)/N_C)
 
-    The y rule is continuous across both joins.  Note y < 1 below S/N_C:
-    the optimal filter then *suppresses* large Fock components rather than
-    amplifying, and y equals the beamsplitter's cos theta, which cannot
-    exceed 1 there: g' <= S/N_C bounds the rounded quotient too.
+    A device outside its regime reads its passive setting, 1: the identity
+    is the beamsplitter at theta = 0 and the squeezer at r = 0.  The y rule
+    is continuous across both joins.  Note y < 1 below S/N_C: the optimal
+    filter then *suppresses* large Fock components rather than amplifying,
+    and y equals the beamsplitter's cos theta, which cannot exceed 1 there:
+    g' <= S/N_C bounds the rounded quotient too.
     """
     g = ens.g_prime
     if g <= 0.0:
         raise DomainError("tuning undefined for zero gain")
     landmarks = _landmarks(ens.lambda_prime, ens.mu)
     det, plateau, _ = _regime_codes(g, landmarks)
-    cosh_r, y, cos_theta, z = _tuning(g, landmarks, det, plateau)
-    return TuningReport(cosh_r, y, cos_theta if det == 0 else None, z, plateau=det == 2)
+    return TuningReport(*_tuning(g, landmarks, det, plateau))
 
 
 class _FidelityReportFields(NamedTuple):
@@ -264,20 +264,17 @@ def photon_output_det(task: MultimodeTask) -> tuple[float, float]:
 
     Returns (n_total_out, n_single_out): total over the M output modes and
     per single output mode, counting noise photons (signal excluded).  The
-    bright mode carries cos^2(theta) N_single photons behind the attenuating
-    beamsplitter, N_single when the channel is the identity, and
-    cosh^2(r) (N_single + 1) - 1 after squeezing; it is split evenly over
-    the M outputs.
+    bright mode carries cosh^2(r) (N_single + 1) - 1 photons after squeezing
+    and cos^2(theta) N_single otherwise, which is N_single for the identity
+    (cos theta = 1); it is split evenly over the M outputs.
     """
     ens = reduce(task)
     n_single_in = photon_book(ens).n_t
     tuning = tune(ens)
-    if tuning.cos_theta is not None:
-        bright = tuning.cos_theta * tuning.cos_theta * n_single_in
-    elif tuning.cosh_r > 1.0:
+    if tuning.cosh_r > 1.0:
         bright = tuning.cosh_r * tuning.cosh_r * (n_single_in + 1.0) - 1.0
     else:
-        bright = n_single_in
+        bright = tuning.cos_theta * tuning.cos_theta * n_single_in
     return bright, bright / task.m_out
 
 

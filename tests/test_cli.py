@@ -53,7 +53,7 @@ def test_eval_json_keeps_the_record_keys_in_their_order(capsys, g):
     assert code == 0
     result = payload["result"]
     assert list(result["fidelities"]) == ["cft", "det", "prob"]
-    assert list(result["tuning"]) == ["cos_theta", "cosh_r", "plateau", "y", "z"]
+    assert list(result["tuning"]) == ["cos_theta", "cosh_r", "y", "z"]
 
 
 def test_eval_reduces_multimode_gain(capsys):
@@ -120,9 +120,8 @@ def test_sweep_csv_contract(tmp_path, capsys):
         g, det, prob = float(row[1]), float(row[2]), float(row[3])
         if g >= 3.0:
             assert det == prob
-    # out-of-regime tuning cells are empty strings, never placeholders
-    assert rows[2][8] == "1"  # g' = S/N_C: the beamsplitter's last setting
-    assert all(row[8] == "" for row in rows[3:])
+    # from g' = S/N_C on the beamsplitter reads its passive setting
+    assert [row[8] for row in rows[2:]] == ["1"] * 5
 
 
 def test_sweep_deamplification_rows_keep_det_equal_prob(tmp_path, capsys):
@@ -182,6 +181,48 @@ def test_sweep_over_input_copies_takes_integer_grid(tmp_path, capsys):
     _, rows = _read_csv(out)
     assert [float(r[0]) for r in rows] == [1.0, 2.0, 3.0, 4.0]
     assert float(rows[3][1]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_sweep_prints_every_tuning_cell_in_every_regime(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code, stdout, _ = run_cli(
+        capsys, "sweep", "--axis", "g", "--start", "0.5", "--stop", "4",
+        "--steps", "15", "--lambda", "1", "--mu", "1", "--out", str(out), "--json",
+    )
+    assert code == 0
+    _, rows = _read_csv(out)
+    assert {row[5].split("+")[0] for row in rows} == {"DetAttenuate", "DetIdentity", "DetAmplify"}
+    assert all(cell != "" for row in rows for cell in row)
+    assert all(v is not None for row in json.loads(stdout)["result"]["rows"] for v in row.values())
+
+
+@pytest.mark.parametrize("axis, fixed, flags", [
+    ("g", ["--lambda", "1", "--mu", "0.5"], {"lambda": 1.0, "mu": 0.5, "g": None, "n": 1, "m": 1}),
+    ("lambda", ["--mu", "0.5", "--g", "2", "--n", "3"],
+     {"lambda": None, "mu": 0.5, "g": 2.0, "n": 3, "m": 1}),
+    ("mu", ["--lambda", "1", "--g", "2", "--m", "2"],
+     {"lambda": 1.0, "mu": None, "g": 2.0, "n": 1, "m": 2}),
+    ("n", ["--lambda", "1", "--mu", "0.5", "--g", "2", "--m", "2"],
+     {"lambda": 1.0, "mu": 0.5, "g": 2.0, "n": None, "m": 2}),
+    ("m", ["--lambda", "1", "--mu", "0.5", "--g", "2"],
+     {"lambda": 1.0, "mu": 0.5, "g": 2.0, "n": 1, "m": None}),
+])
+def test_sweep_params_are_the_flags_with_the_swept_one_null(capsys, axis, fixed, flags):
+    code, payload = run_json(capsys, "sweep", "--axis", axis, "--start", "2", "--stop", "4",
+                             "--steps", "3", *fixed)
+    assert code == 0
+    assert payload["params"] == {**flags, "axis": axis, "start": 2.0, "stop": 4.0, "steps": 3}
+
+
+@pytest.mark.parametrize("sink", ["--json", "--out"])
+def test_sweep_checks_its_fixed_flags_in_both_sinks(tmp_path, capsys, sink):
+    path = tmp_path / "sweep.csv"
+    code, out, err = run_cli(capsys, "sweep", "--axis", "g", "--start", "1", "--stop", "2",
+                             "--steps", "3", "--lambda", "-1", "--mu", "1",
+                             *([sink, str(path)] if sink == "--out" else [sink]))
+    assert (code, out) == (3, "")
+    assert err == "domain error: lam must be finite and > 0, got -1.0\n"
+    assert not path.exists()
 
 
 @pytest.mark.parametrize(
@@ -576,10 +617,7 @@ def test_text_and_json_print_the_same_numbers(capsys, sub, point):
     notes = [line for line in lines if line.startswith("note: ")]
     shown = _NUMBER.findall("\n".join(line for line in lines if line not in notes))
     values = _shown_values(argv[0], params, result)
-    assert shown == [format(float(v), ".5g") for v in values if v is not None]
-    for key, value in result.get("tuning", {}).items():
-        if value is None:
-            assert f"{key}=-" in text
+    assert shown == [format(float(v), ".5g") for v in values]
 
     if "regime" in result:
         assert result["regime"] in text

@@ -20,8 +20,11 @@ from ampurify.gaussian import FilterSpec
 from ampurify.params import (
     MultimodeTask,
     NoisyEnsemble,
+    RegimeTag,
+    classify,
     passive_filter_gain,
     photon_book,
+    reduce,
     thresholds,
 )
 
@@ -41,10 +44,10 @@ def _ens(lam, mu, g):
     (NoisyEnsemble(1.0, 2.0, 1.5), "lambda_prime", 0.0),
     (NoisyEnsemble(1.0, 2.0, 1.5), "mu", math.inf),
     (NoisyEnsemble(1.0, 2.0, 1.5), "g_prime", -1.0),
-    (TuningReport(1.0, 0.5, 0.5, 0.4, False), "cosh_r", 0.5),
-    (TuningReport(1.0, 0.5, 0.5, 0.4, False), "y", 0.0),
-    (TuningReport(1.0, 0.5, 0.5, 0.4, False), "cos_theta", 1.5),
-    (TuningReport(1.0, 0.5, 0.5, 0.4, False), "z", -1.0),
+    (TuningReport(1.0, 0.5, 0.5, 0.4), "cosh_r", 0.5),
+    (TuningReport(1.0, 0.5, 0.5, 0.4), "y", 0.0),
+    (TuningReport(1.0, 0.5, 0.5, 0.4), "cos_theta", 1.5),
+    (TuningReport(1.0, 0.5, 0.5, 0.4), "z", -1.0),
     (FidelityReport(0.5, 0.6, 0.4), "det", 1.5),
     (FidelityReport(0.5, 0.6, 0.4), "prob", 0.45),
     (FidelityReport(0.5, 0.6, 0.4), "cft", 0.55),
@@ -186,15 +189,13 @@ def test_tuning_filter_ratio_below_plateau():
 def test_tuning_filter_ratio_between_plateau_and_threshold():
     t = tune(_ens(1.0, 1.0, 2.5))
     assert t.y == pytest.approx(3.0 / 2.5, abs=1e-15)
-    assert not t.plateau
+    assert t.cosh_r == t.cos_theta == 1.0
 
 
 def test_tuning_on_the_plateau():
     t = tune(_ens(1.0, 1.0, 3.5))
-    assert t.plateau
-    assert t.y == 1.0
+    assert t.y == t.cos_theta == 1.0
     assert t.cosh_r == pytest.approx(3.5 / 3.0, abs=1e-15)
-    assert t.cos_theta is None
 
 
 def test_tuning_never_engages_squeezer_and_filter_together():
@@ -205,15 +206,32 @@ def test_tuning_never_engages_squeezer_and_filter_together():
 
 def test_tuning_purification_side():
     t = tune(_ens(1.0, 1.0, 0.5))
-    assert t.cosh_r == 1.0 and not t.plateau
+    assert t.cosh_r == 1.0
     assert t.cos_theta == pytest.approx(0.25, abs=1e-15)
     assert t.y == t.cos_theta
     assert t.z == pytest.approx(0.5 / 3.0, abs=1e-15)
 
 
-@pytest.mark.parametrize("g,cos_theta", [(0.5, 0.25), (1.5, 0.75), (2.0, 1.0), (2.2, None)])
+@pytest.mark.parametrize("g,cos_theta", [(0.5, 0.25), (1.5, 0.75), (2.0, 1.0), (2.2, 1.0)])
 def test_tuning_sets_the_beamsplitter_up_to_passive_filter_gain(g, cos_theta):
     assert tune(_ens(1.0, 1.0, g)).cos_theta == cos_theta
+
+
+@pytest.mark.parametrize("lam, mu", RATE_GRID)
+def test_every_tuned_device_reads_a_float_and_an_idle_one_reads_one(lam, mu):
+    # one gain per regime and each landmark tie: S/N_C, the plateau, (S+1)/N_C
+    det_thr, prob_thr = thresholds(_ens(lam, mu, 1.0))
+    passive = passive_filter_gain(_ens(lam, mu, 1.0))
+    gains = [0.5 * passive, passive, (passive + prob_thr) / 2, prob_thr,
+             (prob_thr + det_thr) / 2, det_thr, 2.0 * det_thr]
+    for g in gains:
+        t = tune(_ens(lam, mu, g))
+        assert t._fields == ("cosh_r", "y", "cos_theta", "z")
+        assert [type(v) for v in t] == [float] * 4
+        if g >= passive:
+            assert t.cos_theta == 1.0
+        if g < det_thr:
+            assert t.cosh_r == 1.0
 
 
 def test_tuning_y_is_continuous_at_both_joins():
@@ -275,6 +293,34 @@ def test_photon_output_det_attenuator_worked_point():
     # cos^2(theta) N_single = 0.5 noise photons
     total, single = photon_output_det(MultimodeTask(lam=1.0, mu=0.5, g=1.5))
     assert single == total == pytest.approx(0.5, abs=1e-15)
+
+
+def _three_branch_det_photons(task):
+    """The deterministic photon totals by their old three-branch rule, which
+    read an unset cos_theta past S/N_C."""
+    ens = reduce(task)
+    n, tuning = photon_book(ens).n_t, tune(ens)
+    if classify(ens).tag is RegimeTag.DET_ATTENUATE:
+        bright = tuning.cos_theta * tuning.cos_theta * n
+    elif tuning.cosh_r > 1.0:
+        bright = tuning.cosh_r * tuning.cosh_r * (n + 1.0) - 1.0
+    else:
+        bright = n
+    return bright, bright / task.m_out
+
+
+@pytest.mark.parametrize("task", [
+    MultimodeTask(1.0, 1.0, 0.5), MultimodeTask(1.0, 1.0, 2.5), MultimodeTask(1.0, 1.0, 4.0),
+    MultimodeTask(0.7, 2.0, 1.3, 2, 3), MultimodeTask(1.0, 1.0, 3.0),
+    MultimodeTask(0.5, 2.0, 1.75)])
+def test_photon_output_det_keeps_the_bits_of_the_three_branch_rule(task):
+    # the last two sit exactly on the amplify threshold (S+1)/N_C, where the
+    # squeezer and the beamsplitter both read 1
+    if task.g in (3.0, 1.75):
+        t = tune(reduce(task))
+        assert thresholds(reduce(task))[0] == task.g
+        assert (t.cosh_r, t.cos_theta) == (1.0, 1.0)
+    assert photon_output_det(task) == _three_branch_det_photons(task)
 
 
 def test_photon_output_det_splits_over_output_modes():

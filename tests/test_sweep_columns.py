@@ -115,9 +115,7 @@ def test_sweep_rows_are_the_scalar_values_bit_for_bit(axis, lam, mu, g, n, m, en
     assert [{k: repr(v) for k, v in row.items()} for row in rows] == \
         [{k: repr(v) for k, v in row.items()} for row in expected]
     cells = [line.split(",") for line in csv.splitlines()[1:]]
-    keys = CSV_HEADER.split(",")
-    assert cells == [[row[k] if k == "regime" else "" if row[k] is None
-                      else format(row[k], ".10g") for k in keys] for row in expected]
+    assert cells == [_csv_cells(row) for row in expected]
 
 
 @pytest.mark.parametrize("lam, mu", [(1.0, 1.0), (0.5, 2.0), (3.0, 0.3), (1e-3, 7.0)])
@@ -161,8 +159,7 @@ def test_json_rows_are_the_bytes_json_dumps_writes(axis, bounds):
 
 def _csv_cells(row):
     """The CSV cells of a row keyed like ``_scalar_row``."""
-    return [row[k] if k == "regime" else "" if row[k] is None else format(row[k], ".10g")
-            for k in CSV_HEADER.split(",")]
+    return [row[k] if k == "regime" else format(row[k], ".10g") for k in CSV_HEADER.split(",")]
 
 
 def test_a_sweep_past_one_chunk_reads_the_scalar_path_on_both_sides_of_the_seam():
@@ -179,9 +176,9 @@ def test_a_sweep_past_one_chunk_reads_the_scalar_path_on_both_sides_of_the_seam(
         expected = _scalar_row(fields, "lambda", float(values[i]))
         assert {k: repr(v) for k, v in rows[i].items()} == {k: repr(v) for k, v in expected.items()}
         assert lines[i].split(",") == _csv_cells(expected)
-    # both sides of the seam hold attenuating rows (cos_theta printed) and
-    # the first chunk holds rows that leave it unset
-    assert [rows[i]["cos_theta"] is None for i in (0, cli._CHUNK - 1, cli._CHUNK)] == \
+    # both sides of the seam hold attenuating rows, and the first chunk holds
+    # rows whose beamsplitter reads its passive setting
+    assert [rows[i]["cos_theta"] == 1.0 for i in (0, cli._CHUNK - 1, cli._CHUNK)] == \
         [True, False, False]
 
 
@@ -202,13 +199,12 @@ def test_write_rows_keeps_the_sign_of_zero_in_constant_and_varying_columns():
     table.update(g_prime=np.full(3, -0.0), z=np.zeros(3),
                  regime=np.array([attenuate, amplify, attenuate]))
     labels = [f"{r.tag.value}+{r.prob_tag.value}" for r in REGIMES]
-    rows = [{key: (labels[table[key][i]] if key == "regime" else
-                   None if key == "cos_theta" and table["regime"][i] == amplify
-                   else float(table[key][i])) for key in keys} for i in range(3)]
-    csv = _render(table, keys, "%.10g", "%.0s", "%s",
+    rows = [{key: labels[table[key][i]] if key == "regime" else float(table[key][i])
+             for key in keys} for i in range(3)]
+    csv = _render(table, keys, "%.10g", "%s",
                   lambda pairs: ",".join(c for _, c in pairs) + "\n", "")
     assert [line.split(",") for line in csv.splitlines()] == [_csv_cells(row) for row in rows]
-    text = _render(table, sorted(keys), "%r", "null%.0s", '"%s"',
+    text = _render(table, sorted(keys), "%r", '"%s"',
                    lambda pairs: "{" + ", ".join(f'"{k}": {c}' for k, c in pairs) + "}", ",")
     printed = json.loads("[" + text + "]")
     assert [{k: repr(v) for k, v in row.items()} for row in printed] == \

@@ -1,7 +1,11 @@
 """The comparison table of tools/check_times.py and the value comparison of
-tools/output_digest.py, on synthetic runs and check lists."""
+tools/output_digest.py, on synthetic runs and check lists, and the unrun
+statements of tools/traffic.py on a small slice of the benchmark's inputs."""
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -79,3 +83,23 @@ def test_value_changes_ignore_wall_times_and_errors(output_digest):
     old = [dict(_check("a"), ms=1.0)]
     new = [dict(_check("a"), ms=2.0, error="ValueError: x")]
     assert output_digest.value_changes(old, new) == []
+
+
+def test_statements_own_their_headers_and_skip_docstrings(tmp_path):
+    traffic = _tool("traffic")
+    source = 'def f(x):\n    """doc"""\n    if x:\n        return (\n            x)\n    return 0\n'
+    found = traffic.statements(source)
+    assert [(list(own), scope, line) for own, scope, line in found] == [
+        ([1], "", 1), ([3], "f", 3), ([4, 5], "f", 4), ([6], "f", 6)]
+
+
+def test_traffic_reports_what_a_small_slice_of_the_benchmark_never_runs():
+    # both verify levels, one request of each kind and one sweep per axis
+    tool = Path(__file__).resolve().parents[1] / "tools" / "traffic.py"
+    done = subprocess.run([sys.executable, str(tool), "--requests", "8", "--sweeps", "5", "--json"],
+                          capture_output=True, text=True, check=True, timeout=120)
+    modules = json.loads(done.stdout)["modules"]
+    assert [u for u in modules["params"]["unrun"] if u["scope"] == "reduce"] == []
+    assert "reduce" not in modules["params"]["whole"]
+    assert modules["fock"]["whole"]["displaced_thermal_density"] == sum(
+        u["scope"] == "displaced_thermal_density" for u in modules["fock"]["unrun"]) > 0
