@@ -200,12 +200,20 @@ def kappa_star(ens: NoisyEnsemble) -> float:
     above the deterministic threshold (lambda' + mu + lambda' mu)/mu; between
     the two the stationary point moves inside the interval, to
     (mu (g'-1)^2 + lambda'(mu+1)) / (g'(g' + mu)).  The minimum is the
-    deterministic optimum at every gain.
+    deterministic optimum at every gain.  Where a product in that quotient
+    overflows a float, it is taken in exact rational arithmetic on the
+    inputs and rounded once, finite as it is at most kappa'.
     """
     if classify(ens).tag is not RegimeTag.DET_IDENTITY:
         return kappa_prime(ens)
     lam, mu, g = ens.lambda_prime, ens.mu, ens.g_prime
-    return (mu * ((g - 1.0) * (g - 1.0)) + lam * (mu + 1.0)) / (g * (g + mu))
+    k = (mu * ((g - 1.0) * (g - 1.0)) + lam * (mu + 1.0)) / (g * (g + mu))
+    if math.isfinite(k):
+        return k
+    from fractions import Fraction  # imported here: only a quotient past the float range needs it
+
+    lam, mu, g = Fraction(lam), Fraction(mu), Fraction(g)
+    return float((mu * (g - 1) ** 2 + lam * (mu + 1)) / (g * (g + mu)))
 
 
 def minimize_det_bound(ens: NoisyEnsemble) -> tuple[float, float]:
@@ -325,8 +333,9 @@ def cft_norm_check(ens: NoisyEnsemble) -> tuple[float, float]:
     zero all of them, and the check is a DomainError.  The integrand decays
     as exp(-c t) in t = lambda'|a|^2, c = (c1 + g'^2)/lambda' (a DomainError
     where it overflows), so its own stack sits on the oracle's cached rule,
-    ``fock._laguerre_rule(fock._RADIAL_NODES)``, scaled by c: nodes u_i/c,
-    of weights w_i exp(u_i - u_i/c)/c.
+    ``fock._laguerre_rule(fock._RADIAL_NODES)``, the checked-in 48-node table
+    ``fock._RADIAL_T``, ``fock._RADIAL_W`` that no call recomputes, scaled by
+    c: nodes u_i/c, of weights w_i exp(u_i - u_i/c)/c.
     Being phase covariant, Gamma is block-diagonal in the total photon
     number, and the cutoff holds each sector m + a < _CFT_DIM whole, so
     those blocks are the quadrature operator's own sectors.  The cutoff cuts

@@ -18,7 +18,10 @@ per-order kernel); the cut ones carry the only trace guards.
 
 Prior averages reduce to a radial Gauss-Laguerre rule, by default of
 ``_RADIAL_NODES`` nodes, as every state, channel and target here is phase
-covariant (an optional angular grid re-checks this).  Its input states,
+covariant (an optional angular grid re-checks this).  That default rule is
+checked in, ``_RADIAL_T`` and ``_RADIAL_W`` being numpy's ``laggauss(48)``
+written out repr-exact, so it does not depend on the numpy or LAPACK build
+at run time; ``laggauss`` computes the other sizes only.  Its input states,
 ``prior_states``, are one cached, read-only real stack shared by every
 channel scored at the same (lambda', mu, dim), built by one two-term row
 recurrence over the rule's head: the far nodes whose summed weight is at
@@ -39,8 +42,6 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-# imported here rather than on first use: numpy loads numpy.polynomial lazily
-from numpy.polynomial.laguerre import laggauss
 
 from .errors import DomainError, TruncationError
 from .gaussian import _SMALL_Z, FilterSpec, GaussianChannel
@@ -56,6 +57,37 @@ _CHUNK = 16
 #: rule of this size agrees with one of 96 nodes to 1.2e-13 (32 nodes: 3.2e-12);
 #: a prior stack keeps 30 of them, dropping a tail of at most ``_TAIL_MASS``
 _RADIAL_NODES = 48
+
+#: nodes and weights of numpy's ``laggauss(_RADIAL_NODES)``, written out
+#: repr-exact, so no process recomputes them or imports numpy.polynomial
+_RADIAL_T = (
+    0.0298112358299601, 0.15710799061787553, 0.3862650375764564, 0.717574694116971,
+    1.1513938340264342, 1.6881858234190479, 2.3285270066532293, 3.0731108616526384,
+    3.9227524130464797, 4.878393355921347, 5.941108054624559, 7.112110535890742,
+    8.392762599091224, 9.784583184687325, 11.28925916800953, 12.90865777828553,
+    14.644840883209707, 16.500081428964588, 18.476882386874113, 20.577998634022208,
+    22.80646229052137, 25.165612156439106, 27.65912804448053, 30.291071001008568,
+    33.065930662498744, 35.988681327478936, 39.06484876419777, 42.300590362903094,
+    45.70279203851147, 49.27918638283679, 53.03849808781666, 56.99062481480448,
+    61.14686478614023, 65.52020692901861, 70.12570623611319, 74.98097751891132,
+    80.10685735032439, 85.52831111603417, 91.27570799366809, 97.38666771358153,
+    103.90883335717625, 110.90422088497627, 118.45642504628363, 126.68342576888584,
+    135.7625895778643, 145.98643270946346, 157.915612022978, 172.99632814856326,
+)
+_RADIAL_W = (
+    0.0742620058279921, 0.1522719498092847, 0.19040908826394004, 0.1866330594848336,
+    0.1534242001575949, 0.10877969280750405, 0.06746073860922809, 0.03688119411582487,
+    0.01785684426915876, 0.007677616514498415, 0.0029357859037397885, 0.0009990655378159738,
+    0.00030259801699229093, 8.153871180356245e-05, 1.953158715728288e-05, 4.154182945052572e-06,
+    7.833700380278475e-07, 1.3073947749207537e-07, 1.9270714080172194e-08, 2.5026389371265687e-09,
+    2.8557855087719047e-10, 2.8546224120594612e-11, 2.4910106849374957e-12, 1.890336606971751e-13,
+    1.2421626859492836e-14, 7.034231520213404e-16, 3.414549148592153e-17, 1.4123154148959265e-18,
+    4.9442180080980843e-20, 1.4539524813680859e-21, 3.561068365004443e-23, 7.194055996495529e-25,
+    1.1855372283507121e-26, 1.5734913570757547e-28, 1.6572854409196403e-30, 1.361434162716456e-32,
+    8.54615581396444e-35, 4.0000905324817274e-37, 1.3550199911032115e-39, 3.2016367953552164e-42,
+    5.035869166061382e-45, 4.9624875407034464e-48, 2.8235107161206775e-51, 8.268446069504751e-55,
+    1.049064847821291e-58, 4.3465744227390536e-63, 3.434736438396892e-68, 1.3190660883981332e-74,
+)
 
 #: summed weight of the far nodes a prior stack drops, 2^-70 (about 8.5e-22)
 _TAIL_MASS = 2.0 ** -70
@@ -125,11 +157,17 @@ def _score(channel: GaussianChannel | FilterSpec, states: np.ndarray,
 @lru_cache(maxsize=8)
 def _laguerre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Laguerre nodes and weights, less those weighing at most
-    _WEIGHT_FLOOR.  A rule that is not finite, or whose weights miss their
-    sum 1 by more than 1e-12, is a DomainError (numpy's are NaN from about
-    190 nodes up)."""
-    with np.errstate(all="ignore"):
-        t, w = laggauss(nodes)
+    _WEIGHT_FLOOR: the checked-in ``_RADIAL_T`` and ``_RADIAL_W`` at
+    ``_RADIAL_NODES``, numpy's ``laggauss`` at any other size.  A rule that
+    is not finite, or whose weights miss their sum 1 by more than 1e-12, is
+    a DomainError (numpy's are NaN from about 190 nodes up)."""
+    if nodes == _RADIAL_NODES:
+        t, w = np.array(_RADIAL_T), np.array(_RADIAL_W)
+    else:
+        # imported here: numpy loads numpy.polynomial lazily, and the default rule needs none of it
+        from numpy.polynomial.laguerre import laggauss
+        with np.errstate(all="ignore"):
+            t, w = laggauss(nodes)
     if not (np.isfinite(t).all() and np.isfinite(w).all() and abs(w.sum() - 1.0) <= 1e-12):
         raise DomainError(f"the {nodes}-node Gauss-Laguerre rule is inaccurate")
     keep = w > _WEIGHT_FLOOR

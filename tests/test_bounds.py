@@ -2,6 +2,7 @@ import math
 import random
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -362,6 +363,32 @@ def test_an_overflowing_product_leaves_kappa_prime_finite(call, lam, mu, kp):
     else:
         with pytest.raises(DomainError, match="overflows a float"):
             call(ens)
+
+
+_MAX = sys.float_info.max
+
+#: DetIdentity points of the grid {5e-324, 1e-300, 1e-12, 0.3, 1, 2.5, 1e12, 1e300, max}^3
+#: where kappa_star's float quotient overflows (it read NaN at 17 and inf at 2)
+_OVERFLOWING_KAPPA_STAR = [
+    (2.5, _MAX, 2.5), (1e12, 1e300, 2.5), (1e12, 1e300, 1e12), (1e12, _MAX, 2.5),
+    (1e12, _MAX, 1e12), (1e300, 2.5, 1e300), (1e300, 1e12, 1e300), (1e300, 1e300, 2.5),
+    (1e300, 1e300, 1e12), (1e300, _MAX, 2.5), (1e300, _MAX, 1e12), (_MAX, 2.5, _MAX),
+    (_MAX, 1e12, 1e300), (_MAX, 1e12, _MAX), (_MAX, 1e300, 1e12), (_MAX, 1e300, 1e300),
+    (_MAX, _MAX, 2.5), (_MAX, _MAX, 1e12), (_MAX, _MAX, 1e300),
+]
+
+
+@pytest.mark.parametrize("lam,mu,g", _OVERFLOWING_KAPPA_STAR)
+def test_kappa_star_is_finite_and_admissible_where_its_quotient_overflows(lam, mu, g):
+    # rounded once from exact arithmetic, so within half an ulp of the 50-digit
+    # value (worst measured 9.1e-17 relative, at (max, 1e300, 1e12))
+    ens = _ens(lam, mu, g)
+    k = kappa_star(ens)
+    assert 0.0 < k <= kappa_prime(ens)
+    with mpmath.workdps(50):
+        lam, mu, g = map(mpmath.mpf, (lam, mu, g))
+        exact = (mu * (g - 1) ** 2 + lam * (mu + 1)) / (g * (g + mu))
+        assert abs(k - exact) <= 2.0 ** -53 * exact
 
 
 @pytest.mark.parametrize("lam,mu,g", [(1e-300, 1e-300, 3.0), (1e-160, 1e-160, 3.0),

@@ -720,21 +720,23 @@ def test_the_scalar_bounds_run_on_plain_math():
 def test_importing_verify_executes_the_whole_oracle_layer_before_run_suite():
     # were the lazy modules bound as package attributes, verify's own
     # ``from . import bounds, fock`` would take them unexecuted, and they
-    # (and numpy.polynomial) would execute inside the timed run_suite;
-    # numpy.random (5.8 MB resident) must not load at all, at either level
+    # would execute inside the timed run_suite; neither numpy.random (5.8 MB
+    # resident) nor numpy.polynomial (about 4 ms), which the checked-in
+    # 48-node rule spares, may load at all, at either level
     assert _fresh("""
         import sys, types
         import ampurify.cli
         import ampurify.verify
-        names = ["ampurify." + m for m in ORACLES]
-        names += ["numpy", "numpy.polynomial.laguerre"]
+        names = ["ampurify." + m for m in ORACLES] + ["numpy"]
         print([n for n in names if type(sys.modules.get(n)) is not types.ModuleType])
+        print("numpy.polynomial" in sys.modules)
         before = set(sys.modules)
         report = ampurify.verify.run_suite(level="fast", seed=7)
         print(report.all_passed, sorted(set(sys.modules) - before))
         report = ampurify.verify.run_suite(level="full", seed=7)
-        print(report.all_passed, "numpy.random" in sys.modules)
-    """) == ["[]", "True []", "True False"]
+        print(report.all_passed, [m for m in ("numpy.random", "numpy.polynomial")
+                                  if m in sys.modules])
+    """) == ["[]", "False", "True []", "True []"]
 
 
 def test_bench_tracer_wraps_every_traced_function_after_the_cli_import():

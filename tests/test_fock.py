@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -342,12 +343,32 @@ def test_average_rejects_a_non_finite_rule(recwarn):
 def test_laguerre_rule_rejects_a_zeroth_moment_off_by_more_than_1e_12(monkeypatch):
     t, w = np.polynomial.laguerre.laggauss(23)
     fock._laguerre_rule.cache_clear()
-    monkeypatch.setattr(fock, "laggauss", lambda n: (t, w * (1.0 + 2e-12)))
+    # the rule imports laggauss on each computed size, so the module's attribute is the one read
+    monkeypatch.setattr(np.polynomial.laguerre, "laggauss", lambda n: (t, w * (1.0 + 2e-12)))
     with pytest.raises(DomainError, match="23-node"):
         fock._laguerre_rule(23)
-    monkeypatch.setattr(fock, "laggauss", lambda n: (t, w * (1.0 + 5e-13)))
+    monkeypatch.setattr(np.polynomial.laguerre, "laggauss", lambda n: (t, w * (1.0 + 5e-13)))
     assert np.array_equal(fock._laguerre_rule(23)[1], w * (1.0 + 5e-13))
     fock._laguerre_rule.cache_clear()
+
+
+def test_the_checked_in_rule_integrates_every_monomial_it_must_without_numpy():
+    # a 48-node Gauss-Laguerre rule is exact to degree 95: sum_i w_i t_i^k = k!,
+    # summed here exactly over the table's floats (worst 1.19e-13, at k = 84)
+    t, w = [Fraction(x) for x in fock._RADIAL_T], [Fraction(x) for x in fock._RADIAL_W]
+    assert len(t) == len(w) == fock._RADIAL_NODES
+    for k in range(2 * fock._RADIAL_NODES):
+        moment = sum(wi * ti**k for wi, ti in zip(w, t))
+        assert abs(float(moment / math.factorial(k)) - 1.0) <= 2e-13, k
+
+
+def test_the_checked_in_rule_is_numpys_bit_for_bit_and_is_the_one_served():
+    t, w = np.polynomial.laguerre.laggauss(fock._RADIAL_NODES)
+    ulps = [int(np.max(np.abs(a - np.array(b)) / np.spacing(np.abs(a))))
+            for a, b in ((t, fock._RADIAL_T), (w, fock._RADIAL_W))]
+    assert ulps == [0, 0], f"laggauss({fock._RADIAL_NODES}) differs by {ulps} ulps"
+    served = fock._laguerre_rule(fock._RADIAL_NODES)
+    assert np.array_equal(served[0], t) and np.array_equal(served[1], w)
 
 
 # ---------------------------------------------------------------------------

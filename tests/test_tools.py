@@ -1,4 +1,4 @@
-"""The comparison table of tools/check_times.py and the value comparison of
+"""The comparison table and gain verdict of tools/check_times.py, the value comparison of
 tools/output_digest.py, on synthetic runs and check lists, and the unrun
 statements of tools/traffic.py on a small slice of the benchmark's inputs."""
 
@@ -59,6 +59,27 @@ def test_a_check_missing_from_a_run_counts_as_zero_and_a_zero_median_has_no_rati
     _, x, y, _, _ = check_times.table(runs_a, runs_b)
     assert x.split() == ["x", "0.00", "0.00", "1.00", "0.00", "-"]
     assert y.split() == ["y", "1.00", "0.50", "1.00", "0.00", "1.00", "~"]
+
+
+@pytest.mark.parametrize("pairs, wins, holds", [(10, 9, True), (20, 18, True), (20, 17, False)])
+def test_a_gain_needs_b_lower_in_nine_tenths_of_the_pairs(check_times, pairs, wins, holds):
+    # A's IQR is 0, so the win share alone decides: exactly 0.9 holds, 0.85 fails
+    verdict = check_times.gain_verdict([10.0] * pairs, [5.0] * wins + [11.0] * (pairs - wins))
+    assert verdict[0] is holds
+    assert f"lower in {wins} of {pairs} pairs" in verdict[1]
+    assert verdict[1].endswith("no gain by the 9/10-and-IQR rule") is not holds
+
+
+def test_a_tied_pair_counts_for_neither_tree(check_times):
+    assert check_times.gain_verdict([10.0] * 10, [5.0] * 9 + [10.0])[0]
+    # two ties leave B lower in 8 of 10, short of nine tenths
+    assert not check_times.gain_verdict([10.0] * 10, [5.0] * 8 + [10.0] * 2)[0]
+
+
+def test_a_median_gain_equal_to_the_iqr_is_no_gain(check_times):
+    totals_a = [9.0, 10.0, 11.0, 12.0, 13.0] * 2  # median 11, IQR 12 - 10 = 2
+    assert not check_times.gain_verdict(totals_a, [t - 2.0 for t in totals_a])[0]
+    assert check_times.gain_verdict(totals_a, [t - 2.5 for t in totals_a])[0]
 
 
 def _check(name, expected=0.0, observed=1e-12, tolerance=1e-10, passed=True):

@@ -11,8 +11,10 @@ check's ``wall_time_ms`` (a grouped check's time is its first result's).
 
 It prints, for each check and for the suite total, the median ms and the
 interquartile range in either tree and the ratio of the medians, then in how
-many pairs TREE_B's total was the lower.  A difference of the medians within
-TREE_A's interquartile range is host noise; such rows are marked ``~``.
+many pairs TREE_B's total was the lower and whether that is a gain: lower in
+at least 9 of 10 pairs, ties counting for neither tree, with the medians
+apart by more than TREE_A's interquartile range.  A difference of the medians
+within TREE_A's interquartile range is host noise; such rows are marked ``~``.
 """
 
 import argparse
@@ -72,6 +74,22 @@ def table(runs_a: list[dict[str, float]], runs_b: list[dict[str, float]]) -> lis
     return lines
 
 
+def gain_verdict(totals_a: list[float], totals_b: list[float]) -> tuple[bool, str]:
+    """Whether B's paired totals are a gain over A's, and the line saying so.
+
+    The rule for claiming a gain: B is lower in at least nine tenths of all
+    pairs, a tie counting for neither tree, and A's median exceeds B's by
+    more than A's interquartile range.
+    """
+    pairs = len(totals_a)
+    wins = sum(tb < ta for ta, tb in zip(totals_a, totals_b))
+    a, b, noise = statistics.median(totals_a), statistics.median(totals_b), iqr(totals_a)
+    holds = 10 * wins >= 9 * pairs and a - b > noise
+    return holds, (f"B's total was lower in {wins} of {pairs} pairs, median {a:.2f} -> {b:.2f} ms "
+                   f"(A's IQR {noise:.2f}): {'a gain' if holds else 'no gain'} by the 9/10-and-IQR "
+                   "rule")
+
+
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("tree_a")
@@ -88,9 +106,7 @@ def main(argv: list[str] | None = None) -> None:
             runs[side].append(run_once(trees[side], args.level))
     print("\n".join(table(*runs)))
     totals = [[sum(run.values()) for run in side] for side in runs]
-    faster = sum(tb < ta for ta, tb in zip(*totals))
-    print(f"level {args.level}: B's total was lower in {faster} of {args.pairs} pairs "
-          f"(A = {args.tree_a}, B = {args.tree_b})")
+    print(f"level {args.level} (A = {args.tree_a}, B = {args.tree_b}): {gain_verdict(*totals)[1]}")
 
 
 if __name__ == "__main__":
