@@ -14,7 +14,8 @@ target amplitudes in the adjoint picture, never building an output, and
 returns each state's fidelity and output trace (the heralding weight).  Its
 test reference, which ``verify`` never calls, is the ``apply_*`` builders
 (Kraus weights ``_squeezer_weights``, ``_attenuator_weights`` or a
-per-order kernel); the cut ones carry the only trace guards.
+per-order kernel) on single states of ``_displaced_thermal_stack``, as no
+state builder is left here; the cut builders carry the only trace guards.
 
 Prior averages reduce to a radial Gauss-Laguerre rule, by default of
 ``_RADIAL_NODES`` nodes, as every state, channel and target here is phase
@@ -194,21 +195,6 @@ def _coherent_kets(amps: np.ndarray, dim: int) -> np.ndarray:
     return kets * np.exp(1j * phi * n) if phi.any() else kets
 
 
-def coherent_ket(amp: complex, dim: int) -> np.ndarray:
-    """|amp> truncated to dim levels; requires |amp|^2 <= dim/4.
-
-    Under that energy margin the missing Poisson tail is far below 1e-10
-    for the cutoffs used here (dim >= 64).
-    """
-    _require_int("dim", dim, 1)
-    if np.isnan(amp):
-        raise DomainError(f"amp must not be NaN, got {amp!r}")
-    mod2 = abs(amp) * abs(amp)
-    if mod2 > dim / 4.0:
-        raise TruncationError(f"|amp|^2 = {mod2:.3g} exceeds dim/4 = {dim / 4.0:.3g}")
-    return _coherent_kets(np.array([amp]), dim)[0]
-
-
 def _thermal_diag(nbar: float, dim: int) -> np.ndarray:
     """Thermal occupation probabilities for nbar > 0."""
     q = nbar / (nbar + 1.0)
@@ -273,29 +259,6 @@ def _rotated(states: np.ndarray, phi: float | np.ndarray) -> np.ndarray:
     ph = np.exp(1j * np.multiply.outer(phi, np.arange(states.shape[-1])))
     out = ph[..., :, None] * states
     return np.multiply(out, ph.conj()[..., None, :], out=out)
-
-
-def displaced_thermal_density(amp: complex, nbar: float, dim: int) -> FockDensity:
-    """D(amp) rho_th(nbar) D(amp)^dag at cutoff dim.
-
-    Requires |amp|^2 + nbar <= dim/4, an energy margin that rejects states
-    far outside the cutoff but does not make the state fit: the construction
-    is rejected if its tail beyond the cutoff, 1 - trace, exceeds 1e-8.
-    """
-    _require_int("dim", dim, 1)
-    if not (math.isfinite(nbar) and nbar >= 0.0):
-        raise DomainError(f"nbar must be finite and >= 0, got {nbar!r}")
-    if np.isnan(amp):
-        raise DomainError(f"amp must not be NaN, got {amp!r}")
-    energy = abs(amp) * abs(amp) + nbar
-    if energy > dim / 4.0:
-        raise TruncationError(
-            f"|amp|^2 + nbar = {energy:.3g} exceeds dim/4 = {dim / 4.0:.3g}")
-    mat = _rotated(_displaced_thermal_stack(np.array([abs(amp)]), nbar, dim)[0], np.angle(amp))
-    tr = float(np.trace(mat).real)
-    if abs(tr - 1.0) > 1e-8:
-        raise TruncationError(f"displaced thermal trace {tr!r} deviates from 1")
-    return FockDensity(dim, mat)
 
 
 @lru_cache(maxsize=1, typed=True)

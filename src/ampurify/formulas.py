@@ -39,7 +39,7 @@ from .params import (
 )
 
 np = lazy("numpy")
-#: slack used by the report-level ordering checks
+#: slack of the report-level checks: absolute on the range, relative on the order
 _ORDER_TOL = 1e-12
 
 
@@ -215,7 +215,8 @@ class FidelityReport(_Validated, _FidelityReportFields):
     """The three headline fidelities of a reduced ensemble.
 
     The ordering 0 <= cft <= det <= prob <= 1 is checked on construction,
-    to a slack of 1e-12, at every gain.
+    at every gain: the range to an absolute slack of 1e-12, each inequality
+    between two fidelities to a relative one, so it holds below 1e-12 too.
     """
 
     __slots__ = ()
@@ -224,9 +225,9 @@ class FidelityReport(_Validated, _FidelityReportFields):
         for name, value in (("det", det), ("prob", prob), ("cft", cft)):
             if not -_ORDER_TOL <= value <= 1.0 + _ORDER_TOL:
                 raise DomainError(f"{name} fidelity out of [0, 1]: {value!r}")
-        if prob < det - _ORDER_TOL:
+        if prob < det - _ORDER_TOL * det:
             raise DomainError(f"fidelity ordering violated: prob {prob!r} < det {det!r}")
-        if det < cft - _ORDER_TOL:
+        if det < cft - _ORDER_TOL * cft:
             raise DomainError(f"fidelity ordering violated: det {det!r} < cft {cft!r}")
         return super().__new__(cls, det, prob, cft)
 
@@ -250,7 +251,7 @@ def columns(lam, mu, g, n_in, m_out) -> dict:
     f_prob, f_cft = _pick(plateau, _PROB_BRANCHES, lam_p, mu, g_p), _cft_value(lam_p, mu, g_p)
     cosh_r, y, cos_theta, z = _tuning(g_p, landmarks, det, plateau)
     valid = (_finite_positive(mu) & _finite_positive(lam_p) & _finite_positive(g_p)
-             & (f_prob >= f_det - _ORDER_TOL) & (f_det >= f_cft - _ORDER_TOL)
+             & (f_prob >= f_det - _ORDER_TOL * f_det) & (f_det >= f_cft - _ORDER_TOL * f_cft)
              & (z > 0.0) & (cos_theta > 0.0))
     for f in (f_det, f_prob, f_cft):
         valid = valid & (-_ORDER_TOL <= f) & (f <= 1.0 + _ORDER_TOL)

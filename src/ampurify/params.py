@@ -129,9 +129,8 @@ class NoisyEnsemble(_Validated, _NoisyEnsembleFields):
 class PhotonBook(NamedTuple):
     """Mean photon numbers of the reduced ensemble."""
 
-    n_c: float        # signal photons 1/lambda'
-    n_t: float        # thermal photons per mode 1/mu
-    n_t_tilde: float  # N_T + 1
+    n_c: float  # signal photons 1/lambda'
+    n_t: float  # thermal photons per mode 1/mu
 
     @property
     def total(self) -> float:
@@ -183,8 +182,7 @@ def reduce(task: MultimodeTask) -> NoisyEnsemble:
 
 
 def photon_book(ens: NoisyEnsemble) -> PhotonBook:
-    n_t = 1.0 / ens.mu
-    return PhotonBook(n_c=1.0 / ens.lambda_prime, n_t=n_t, n_t_tilde=n_t + 1.0)
+    return PhotonBook(n_c=1.0 / ens.lambda_prime, n_t=1.0 / ens.mu)
 
 
 def _landmarks(lam, mu):

@@ -329,7 +329,7 @@ def _check_fock_amplifier_noise(seed: int, dim: int) -> Pair:
 
 def _check_fock_attenuator_amp(seed: int, dim: int) -> Pair:
     # |1.2><1.2| scored as a one-state stack against its attenuated amplitude
-    ket = fock.coherent_ket(1.2, max(dim, 48))
+    ket = fock._coherent_kets(np.array([1.2]), max(dim, 48))[0]
     fid, _ = fock._score(GaussianChannel.attenuator(0.6), np.outer(ket, ket)[None],
                          np.array([math.cos(0.6) * 1.2]))
     return 1.0, float(fid[0])

@@ -159,7 +159,7 @@ def test_criterion_07_closed_forms_are_continuous_across_every_branch_join():
             ens1 = _ens_from_photons(n_c, n_t, 1.0)
             det_thr, prob_thr = thresholds(ens1)
             book = photon_book(ens1)
-            s, n_tilde = book.total, book.n_t_tilde
+            s, n_tilde = book.total, book.n_t + 1.0
 
             amplifier = (s + 1.0) / (det_thr**2 * n_c * n_tilde)
             passive = 1.0 / ((det_thr - 1.0) ** 2 * n_c + n_tilde)
@@ -238,7 +238,7 @@ def test_criterion_09_photon_bookkeeping_matches_channel_algebra():
     assert abs(single - 47.0 / 49.0) <= 1e-12
 
     nbar, y = 1.0, 1.25
-    rho = fock.displaced_thermal_density(0.0, nbar, 64)
+    rho = fock.FockDensity(64, fock._displaced_thermal_stack(np.array([0.0]), nbar, 64)[0])
     diag = np.diag(fock.apply_filter(rho, FilterSpec(k_cut=40, y=y)).mat).real
     ratio = y * y * nbar / (nbar + 1.0)
     assert np.abs(diag[1:41] / diag[:40] - ratio).max() <= 1e-12

@@ -377,6 +377,18 @@ def test_non_finite_sweep_row_writes_no_csv(tmp_path, capsys, monkeypatch):
         assert not out_path.exists()
 
 
+def test_a_sweep_row_with_prob_below_det_exits_three_with_the_scalar_message(capsys, monkeypatch):
+    # with prob's squeezer branch halved, the rows read prob = det/2 < 1e-12
+    squeezer = formulas._squeezer_value
+    monkeypatch.setattr(formulas, "_PROB_BRANCHES",
+                        (formulas._filter_value, lambda *args: 0.5 * squeezer(*args)))
+    code, out, err = run_cli(capsys, "sweep", "--axis", "g", "--start", "1e7", "--stop", "2e7",
+                             "--steps", "2", "--lambda", "1", "--mu", "1", "--json")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("domain error: fidelity ordering violated: prob ")
+
+
 def test_overflowing_gain_evaluates_to_zero_fidelity(capsys):
     # g'^2 = 1e400 is not representable, but every fidelity is: it underflows to 0
     code, payload = run_json(capsys, "eval", "--lambda", "1", "--mu", "1", "--g", "1e200")

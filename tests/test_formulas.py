@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ampurify import formulas
 from ampurify.errors import DomainError
 from ampurify.fock import FockDensity
 from ampurify.formulas import (
@@ -118,8 +119,8 @@ def test_cft_pure_limit_at_unit_gain():
 def test_det_branches_join_at_amplify_threshold(lam, mu):
     det_thr, _ = thresholds(_ens(lam, mu, 1.0))
     book = photon_book(_ens(lam, mu, det_thr))
-    high = (book.total + 1.0) / (det_thr**2 * book.n_c * book.n_t_tilde)
-    low = 1.0 / ((det_thr - 1.0) ** 2 * book.n_c + book.n_t_tilde)
+    high = (book.total + 1.0) / (det_thr**2 * book.n_c * (book.n_t + 1.0))
+    low = 1.0 / ((det_thr - 1.0) ** 2 * book.n_c + (book.n_t + 1.0))
     assert abs(high - low) <= 1e-12
 
 
@@ -127,7 +128,7 @@ def test_det_branches_join_at_amplify_threshold(lam, mu):
 def test_prob_branches_join_at_plateau_threshold(lam, mu):
     _, prob_thr = thresholds(_ens(lam, mu, 1.0))
     book = photon_book(_ens(lam, mu, prob_thr))
-    high = (book.total + 1.0) / (prob_thr**2 * book.n_c * book.n_t_tilde)
+    high = (book.total + 1.0) / (prob_thr**2 * book.n_c * (book.n_t + 1.0))
     low = book.total / (book.total + prob_thr**2 * book.n_c * book.n_t)
     assert abs(high - low) <= 1e-12
 
@@ -137,7 +138,7 @@ def test_det_branches_join_at_passive_filter_gain(lam, mu):
     g_t = passive_filter_gain(_ens(lam, mu, 1.0))
     book = photon_book(_ens(lam, mu, g_t))
     attenuate = (lam + mu) / (lam + mu + g_t**2)
-    identity = 1.0 / ((g_t - 1.0) ** 2 * book.n_c + book.n_t_tilde)
+    identity = 1.0 / ((g_t - 1.0) ** 2 * book.n_c + (book.n_t + 1.0))
     assert abs(attenuate - identity) <= 1e-12
     below = det_fidelity(_ens(lam, mu, g_t * (1.0 - 1e-13)))
     above = det_fidelity(_ens(lam, mu, g_t * (1.0 + 1e-13)))
@@ -268,6 +269,24 @@ def test_report_is_ordered_and_bounded(lam, mu, g):
     assert 0.0 < rep.cft < 1.0
     assert rep.cft < rep.prob <= 1.0
     assert rep.cft <= rep.det <= rep.prob
+
+
+@pytest.mark.parametrize("det, prob, cft", [(1.5e-14, 7.5e-15, 1e-15), (1e-14, 2e-14, 2e-14)])
+def test_an_ordering_violation_is_an_error_below_the_slack_too(det, prob, cft):
+    # the slack is relative: an absolute 1e-12 would accept any order of fidelities below it
+    with pytest.raises(DomainError, match="fidelity ordering violated"):
+        FidelityReport(det, prob, cft)
+
+
+def test_a_prob_branch_below_det_is_caught_below_the_slack(monkeypatch):
+    # with prob's squeezer branch halved, prob = det/2 past the plateau: 7.5e-15 at g' = 1e7
+    squeezer = formulas._squeezer_value
+    monkeypatch.setattr(formulas, "_PROB_BRANCHES",
+                        (formulas._filter_value, lambda *args: 0.5 * squeezer(*args)))
+    with pytest.raises(DomainError, match="fidelity ordering violated: prob"):
+        fidelity_report(_ens(1.0, 1.0, 1e7))
+    with np.errstate(all="ignore"):
+        assert not formulas.columns(1.0, 1.0, 1e7, 1, 1)["valid"]
 
 
 # ---------------------------------------------------------------------------
